@@ -19,8 +19,8 @@ def main() -> int:
     parser.add_argument("--bound", type=int, default=6)
     args = parser.parse_args()
 
-    for rank in (4, 3):
-        result = enumerate_cp4(args.bound, rank)
+    results = {rank: enumerate_cp4(args.bound, rank) for rank in (4, 3)}
+    for rank, result in results.items():
         realizable = result.realizable()
         disagreements = result.disagreements()
         print(
@@ -32,7 +32,7 @@ def main() -> int:
 
     data = builtin("cp4")
     residues = Counter()
-    for coeffs in enumerate_cp4(args.bound, 4).realizable():
+    for coeffs in results[4].realizable():
         residues[coeffs[3] % 6] += 1
     print("realizable a4 residues mod 6:", dict(sorted(residues.items())))
 

@@ -100,9 +100,6 @@ class IntMatrix:
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix.from_columns([self.row(i) for i in range(self.rows)], self.cols)
-
     def apply(self, vector: Sequence[int]) -> list[int]:
         """Matrix times column vector."""
         if len(vector) != self.cols:

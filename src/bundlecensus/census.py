@@ -6,7 +6,7 @@ closed-form admissibility conditions are the classical congruences
 
     rank 4:  2*a4 == a2^2 + a2 + a1*(a1*a2 - a3)   mod 3
              2*a4 == a2^2 + a2 + a1*a2 - a3        mod 4
-    rank 3:  the same two left-hand sides vanish.
+    rank 3:  the rank-4 congruences at a4 = 0.
 
 The census evaluates both the closed form and the generic rank checker on
 the built-in cp4 data for every tuple in the box; any disagreement is a
@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .classify import check_rank3, check_rank4
+from .classify import check_rank4
 from .cohomology import ManifoldData
 from .fixtures import builtin
 
@@ -31,9 +31,7 @@ def cp4_rank4_admissible(a1: int, a2: int, a3: int, a4: int) -> bool:
 
 
 def cp4_rank3_admissible(a1: int, a2: int, a3: int) -> bool:
-    return (a2 * a2 + a2 + a1 * (a1 * a2 - a3)) % 3 == 0 and (
-        a2 * a2 + a2 + a1 * a2 - a3
-    ) % 4 == 0
+    return cp4_rank4_admissible(a1, a2, a3, 0)
 
 
 @dataclass(frozen=True)
@@ -60,7 +58,8 @@ def enumerate_cp4(bound: int, rank: int, data: ManifoldData | None = None) -> Ce
     """Evaluate every tuple with coefficients in [-bound, bound] both ways.
 
     Deterministic lexicographic order; the generic path runs the full
-    rank checker on the built-in cp4 data.
+    rank checker on the built-in cp4 data.  A rank-3 triple is checked,
+    both ways, as the rank-4 tuple (a1, a2, a3, 0), as ``check_rank3`` does.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
@@ -70,18 +69,10 @@ def enumerate_cp4(bound: int, rank: int, data: ManifoldData | None = None) -> Ce
         data = builtin("cp4")
     span = range(-bound, bound + 1)
     rows = []
-    if rank == 4:
-        for coeffs in itertools.product(span, repeat=4):
-            a1, a2, a3, a4 = coeffs
-            u = data.chern_tuple((a1,), (a2,), (a3,), (a4,))
-            rows.append(
-                CensusRow(coeffs, cp4_rank4_admissible(*coeffs), check_rank4(data, u).realizable)
-            )
-    else:
-        for coeffs in itertools.product(span, repeat=3):
-            a1, a2, a3 = coeffs
-            verdict = check_rank3(
-                data, data.zclass(2, (a1,)), data.zclass(4, (a2,)), data.zclass(6, (a3,))
-            )
-            rows.append(CensusRow(coeffs, cp4_rank3_admissible(*coeffs), verdict.realizable))
+    for coeffs in itertools.product(span, repeat=rank):
+        a1, a2, a3, a4 = coeffs + (0,) * (4 - rank)
+        u = data.chern_tuple((a1,), (a2,), (a3,), (a4,))
+        rows.append(
+            CensusRow(coeffs, cp4_rank4_admissible(a1, a2, a3, a4), check_rank4(data, u).realizable)
+        )
     return CensusResult(bound, rank, tuple(rows))

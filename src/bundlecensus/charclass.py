@@ -12,11 +12,68 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from functools import cached_property, lru_cache
+from math import factorial, lcm
+from operator import mul
 
 from .cohomology import ChernTuple, CohomologyClass, ManifoldData, cup, pair_top
 
 SYMBOL_DEGREES = {"u1": 2, "u2": 4, "u3": 6, "u4": 8, "p1": 4, "c": 2}
+
+
+# Every degree-8 quantity here is an integer combination of the pairings of
+# these monomials with [M]: coefficients in 24*rr, in <u4,[M]> (the left-hand
+# side of conditions (2) and (3)), in the right-hand side of (2) and in 4 times
+# that of (3).  p2 never enters rr, whose bracket starts in degree 4.  u1*u2*c
+# starts with u1*u2, which condition (1) computes anyway.
+DEGREE8_TABLE = (
+    # monomial           24*rr  lhs  rhs(2)  4*rhs(3)
+    (("u1", "u1", "u2"),    -4,   0,    -1,      -4),
+    (("u1", "u3"),           4,   0,     1,       4),
+    (("u4",),               -4,   1,     0,       0),
+    (("c", "u3"),            6,   0,     0,      -2),
+    (("u1", "u2", "c"),     -6,   0,     0,       2),
+    (("u2", "u2"),           2,   0,    -1,       2),
+    (("c", "c", "u2"),      -3,   0,     0,      -3),
+    (("p1", "u2"),           1,   0,     1,       1),
+)
+MONOMIALS, _, *CONDITION_COLUMNS = zip(*DEGREE8_TABLE)
+
+Monomial = tuple[str, ...]
+Products = dict[Monomial, CohomologyClass]
+
+
+def symbol_products(data: ManifoldData, u: ChernTuple) -> Products:
+    """The class of each symbol, keyed as a one-factor product."""
+    return {
+        ("u1",): u.u1,
+        ("u2",): u.u2,
+        ("u3",): u.u3,
+        ("u4",): u.u4,
+        ("p1",): data.p1,
+        ("c",): data.spinc_class,
+    }
+
+
+@lru_cache(maxsize=32)
+def _steps(monomials: tuple[Monomial, ...]) -> tuple[tuple[Monomial, Monomial, Monomial], ...]:
+    """(product, prefix, last factor) for each product of two or more leading
+    factors of the monomials, once, every prefix before its extensions."""
+    steps = {}
+    for mono in monomials:
+        for k in range(2, len(mono) + 1):
+            steps.setdefault(mono[:k], (mono[:k], mono[: k - 1], mono[k - 1 : k]))
+    return tuple(steps.values())
+
+
+def pair_monomials(data: ManifoldData, products: Products, monomials: tuple[Monomial, ...]) -> list[int]:
+    """Pair each degree-8 monomial with [M].  ``products`` holds the symbols'
+    classes (``symbol_products``) and may hold longer products already known;
+    each missing product is cupped once, from its prefix, and stored."""
+    for product, prefix, factor in _steps(monomials):
+        if product not in products:
+            products[product] = cup(data, products[prefix], products[factor])
+    return [pair_top(data, products[mono]) for mono in monomials]
 
 
 @dataclass(frozen=True)
@@ -29,7 +86,7 @@ class RationalClassPolynomial:
     result against the fundamental class.
     """
 
-    terms: tuple[tuple[Fraction, tuple[str, ...]], ...]
+    terms: tuple[tuple[Fraction, Monomial], ...]
 
     def __post_init__(self):
         for coeff, mono in self.terms:
@@ -37,41 +94,21 @@ class RationalClassPolynomial:
             if degree != 8:
                 raise ValueError(f"monomial {mono} has degree {degree}, expected 8")
 
+    @cached_property
+    def _integer_form(self) -> tuple[tuple[Monomial, ...], tuple[int, ...], int]:
+        """The monomials, and the coefficients over their common denominator."""
+        denominator = lcm(*(coeff.denominator for coeff, _ in self.terms))
+        numerators = tuple(int(coeff * denominator) for coeff, _ in self.terms)
+        return tuple(mono for _, mono in self.terms), numerators, denominator
+
     def evaluate(self, data: ManifoldData, u: ChernTuple) -> Fraction:
-        env = {
-            "u1": u.u1,
-            "u2": u.u2,
-            "u3": u.u3,
-            "u4": u.u4,
-            "p1": data.p1,
-            "c": data.spinc_class,
-        }
-        total = Fraction(0)
-        for coeff, mono in self.terms:
-            cls: CohomologyClass | None = None
-            for symbol in mono:
-                factor = env[symbol]
-                cls = factor if cls is None else cup(data, cls, factor)
-            assert cls is not None
-            total += coeff * pair_top(data, cls)
-        return total
+        monomials, numerators, denominator = self._integer_form
+        pairings = pair_monomials(data, symbol_products(data, u), monomials)
+        return Fraction(sum(map(mul, numerators, pairings)), denominator)
 
 
-# Degree-8 part of  A-roof(M) * exp(c/2) * [ch(eta) - ch(l_eta) - rank + 1]
-# written out term by term.  The degree-8 component of the A-roof class
-# (the one containing p2) never contributes: the bracket has no components
-# below degree 4, so p2 is not an input anywhere in this package.
 RR_FUNCTIONAL = RationalClassPolynomial(
-    (
-        (Fraction(-1, 6), ("u1", "u1", "u2")),
-        (Fraction(1, 6), ("u1", "u3")),
-        (Fraction(-1, 6), ("u4",)),
-        (Fraction(1, 4), ("c", "u3")),
-        (Fraction(-1, 4), ("c", "u1", "u2")),
-        (Fraction(1, 12), ("u2", "u2")),
-        (Fraction(-1, 8), ("c", "c", "u2")),
-        (Fraction(1, 24), ("p1", "u2")),
-    )
+    tuple((Fraction(k24, 24), mono) for mono, k24, *_ in DEGREE8_TABLE)
 )
 
 # Formal graded series, degree -> list of (rational coefficient, class).

@@ -23,16 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import mul
 
 from .abelian import FGAbelianGroup, GroupElement, subgroup_quotient
-from .cohomology import (
-    ChernTuple,
-    CohomologyClass,
-    ManifoldData,
-    apply_op,
-    cup,
-    pair_top,
-)
+from .charclass import CONDITION_COLUMNS, MONOMIALS, pair_monomials, symbol_products
+from .cohomology import ChernTuple, CohomologyClass, ManifoldData, apply_op, cup
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -116,27 +111,13 @@ def check_rank4(data: ManifoldData, u: ChernTuple) -> Verdict:
             notes=("condition (1) failed; (2) and (3) not evaluated",),
         )
 
-    def pair(x):
-        return pair_top(data, x)
-
-    u1sq_u2 = pair(cup(data, cup(data, u.u1, u.u1), u.u2))
-    u1_u3 = pair(cup(data, u.u1, u.u3))
-    u2_sq = pair(cup(data, u.u2, u.u2))
-    p1_u2 = pair(cup(data, data.p1, u.u2))
-    lhs = pair(u.u4)
-
-    rhs2 = p1_u2 - u1sq_u2 + u1_u3 - u2_sq
+    products = symbol_products(data, u)
+    products["u1", "u2"] = u1u2
+    pairings = pair_monomials(data, products, MONOMIALS)
+    lhs, rhs2, rhs3_times4 = (sum(map(mul, column, pairings)) for column in CONDITION_COLUMNS)
     condition2 = Condition2(lhs % 3 == rhs2 % 3, lhs, rhs2, lhs % 3, rhs2 % 3)
 
-    c = data.spinc_class
-    csq_u2 = pair(cup(data, cup(data, c, c), u.u2))
-    c_u1u2 = pair(cup(data, c, u1u2))
-    c_u3 = pair(cup(data, c, u.u3))
-    rhs3 = (
-        Fraction(-u1sq_u2 + u1_u3)
-        + Fraction(2 * u2_sq + p1_u2 - 3 * csq_u2, 4)
-        + Fraction(c_u1u2 - c_u3, 2)
-    )
+    rhs3 = Fraction(rhs3_times4, 4)
     if rhs3.denominator != 1:
         raise InternalInconsistencyError(
             f"condition (3) right-hand side {rhs3} is not an integer although "

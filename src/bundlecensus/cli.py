@@ -15,6 +15,7 @@ comma-separated, '-' for a degree with no generators, e.g.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .abelian import ContainmentError
@@ -30,6 +31,7 @@ from .classify import (
     count_classes,
 )
 from .cohomology import (
+    ChernTuple,
     CohomologyClass,
     ManifoldData,
     ManifoldValidationError,
@@ -136,14 +138,7 @@ def _group_str(group) -> str:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    if args.builtin and args.file:
-        raise ManifoldParseError("give either a file or --builtin, not both")
-    if args.builtin:
-        data = builtin(args.builtin)
-    elif args.file:
-        data = parse_manifold(args.file, validate=False)
-    else:
-        raise ManifoldParseError("no input: give a file or --builtin NAME")
+    data = _load(args)
     report = validate_manifold(data, strict=args.strict)
     print(f"manifold {data.name}")
     print(report)
@@ -152,8 +147,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_rank4(args: argparse.Namespace) -> int:
     data = _load(args)
-    u1, u2, u3, u4 = _chern_classes(data, args.chern, (2, 4, 6, 8))
-    verdict = check_rank4(data, data.chern_tuple(u1.coords, u2.coords, u3.coords, u4.coords))
+    verdict = check_rank4(data, ChernTuple(*_chern_classes(data, args.chern, (2, 4, 6, 8))))
     _print_verdict(data, verdict)
     return EXIT_OK if verdict.realizable else EXIT_UNREALIZABLE
 
@@ -168,14 +162,9 @@ def cmd_rank3(args: argparse.Namespace) -> int:
 
 def cmd_count(args: argparse.Namespace) -> int:
     data = _load(args)
-    if args.rank == 4:
-        u1, u2, u3, u4 = _chern_classes(data, args.chern, (2, 4, 6, 8))
-        group = count_classes(
-            data, data.chern_tuple(u1.coords, u2.coords, u3.coords, u4.coords), 4
-        )
-    else:
-        u1, u2, u3 = _chern_classes(data, args.chern, (2, 4, 6))
-        group = count_classes(data, (u1, u2, u3), 3)
+    classes = _chern_classes(data, args.chern, (2, 4, 6, 8)[: args.rank])
+    u = ChernTuple(*classes) if args.rank == 4 else tuple(classes)
+    group = count_classes(data, u, args.rank)
     if group is None:
         print("unrealizable: no bundle has these Chern classes")
         return EXIT_UNREALIZABLE
@@ -194,10 +183,8 @@ def cmd_groups(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     data = _load(args)
-    u1, u2, u3, u4 = _chern_classes(data, args.chern, (2, 4, 6, 8))
-    value = rr_value(
-        data, data.chern_tuple(u1.coords, u2.coords, u3.coords, u4.coords), self_check=True
-    )
+    u = ChernTuple(*_chern_classes(data, args.chern, (2, 4, 6, 8)))
+    value = rr_value(data, u, self_check=True)
     note = "integer" if value.denominator == 1 else "not an integer: no bundle realizes this tuple"
     print(f"{value}   ({note})")
     return EXIT_OK
@@ -247,7 +234,8 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check the algebraic laws of a manifold description")
     _add_source(p, no_validate=False)
     p.add_argument("--strict", action="store_true", help="also check Bockstein exactness")
-    p.set_defaults(func=cmd_validate)
+    # a file is loaded unvalidated, so that the report lists every failed law
+    p.set_defaults(func=cmd_validate, no_validate=True)
 
     p = sub.add_parser("rank4", help="decide rank-4 realizability of (u1, u2, u3, u4)")
     _add_source(p)
@@ -282,6 +270,11 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("table", "csv"), default="table")
     p.set_defaults(func=cmd_enumerate)
 
+    # argparse reads a token such as "-1,0" as an option: its pattern for a
+    # negative number matches only "-<digits>".  No option here starts with
+    # a digit, so every "-<digit>..." token is a coordinate vector.
+    for p in sub.choices.values():
+        p._negative_number_matcher = re.compile(r"-\d")
     return parser
 
 

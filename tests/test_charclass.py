@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from bundlecensus.charclass import (
+    DEGREE8_TABLE,
     RR_FUNCTIONAL,
     RationalClassPolynomial,
     chern_inverse,
@@ -104,6 +105,17 @@ def test_functional_terms_have_degree_8():
     )
     with pytest.raises(ValueError, match="degree"):
         RationalClassPolynomial(((Fraction(1), ("u1", "u2")),))
+
+
+def test_table_columns_agree_coefficientwise():
+    # Condition (2) is 24*rr == 0 mod 3 and condition (3) is 24*rr == 0 mod 8
+    # (oracle_congruences relies on both), monomial by monomial:
+    # 24*rr == rhs(2) - lhs mod 3 and 24*rr == 4*rhs(3) - 4*lhs mod 8.
+    assert len({mono for mono, *_ in DEGREE8_TABLE}) == len(DEGREE8_TABLE) == 8
+    for mono, k24, k_lhs, k2, k3 in DEGREE8_TABLE:
+        assert (k24 - (k2 - k_lhs)) % 3 == 0, mono
+        assert (k24 - (k3 - 4 * k_lhs)) % 8 == 0, mono
+        assert k_lhs == (mono == ("u4",)), mono
 
 
 def test_whitney_sum_of_hyperplanes_matches_binomial(cp4):

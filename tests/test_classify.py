@@ -9,6 +9,8 @@ from bundlecensus.abelian import FGAbelianGroup
 from bundlecensus.census import cp4_rank3_admissible, cp4_rank4_admissible
 from bundlecensus.charclass import chern_inverse, chern_product, rr_value
 from bundlecensus.classify import (
+    Condition2,
+    Condition3,
     InternalInconsistencyError,
     OddGeneratorsMissing,
     check_rank3,
@@ -18,6 +20,7 @@ from bundlecensus.classify import (
     count_classes,
     oracle_congruences,
 )
+from bundlecensus.cohomology import cup, pair_top
 from bundlecensus.fixtures import BUILTIN_NAMES, builtin
 
 
@@ -64,6 +67,47 @@ def test_rank3_examples(cp4):
     good = check_rank3(cp4, cp4.zclass(2, (0,)), cp4.zclass(4, (2,)), cp4.zclass(6, (2,)))
     assert good.realizable
     assert good.rank == 3
+
+
+def paper_conditions_2_3(data, u):
+    """Conditions (2) and (3) written straight from PAPER.md: each side is
+    built as one class and paired once."""
+    add, neg = data.add, data.negate
+    u1, u2, u3, u4, c = u.u1, u.u2, u.u3, u.u4, data.spinc_class
+    u1sq_u2 = cup(data, cup(data, u1, u1), u2)
+    u1_u3 = cup(data, u1, u3)
+    u2_sq = cup(data, u2, u2)
+    p1_u2 = cup(data, data.p1, u2)
+    lhs = pair_top(data, u4)
+    rhs2 = pair_top(data, add(add(p1_u2, neg(u1sq_u2)), add(u1_u3, neg(u2_sq))))
+    csq_u2 = cup(data, cup(data, c, c), u2)
+    rhs3 = (
+        Fraction(pair_top(data, add(neg(u1sq_u2), u1_u3)))
+        + Fraction(pair_top(data, add(add(data.scale(2, u2_sq), p1_u2), data.scale(-3, csq_u2))), 4)
+        + Fraction(pair_top(data, cup(data, c, add(cup(data, u1, u2), neg(u3)))), 2)
+    )
+    assert rhs3.denominator == 1
+    return (
+        Condition2(lhs % 3 == rhs2 % 3, lhs, rhs2, lhs % 3, rhs2 % 3),
+        Condition3(lhs % 2 == int(rhs3) % 2, rhs3, lhs % 2, int(rhs3) % 2),
+    )
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_conditions_2_3_match_paper_formulas(name):
+    data = builtin(name)
+    rng = random.Random(2002_06901)
+    checked = 0
+    for i in range(300):
+        bound = 10**40 if i % 10 == 0 else 9
+        u = data.chern_tuple(
+            *[[rng.randint(-bound, bound) for _ in range(data.ngens(d))] for d in (2, 4, 6, 8)]
+        )
+        verdict = check_rank4(data, u)
+        if verdict.condition1.passed:
+            assert (verdict.condition2, verdict.condition3) == paper_conditions_2_3(data, u)
+            checked += 1
+    assert checked >= 30
 
 
 def test_internal_inconsistency_raises(cp4):

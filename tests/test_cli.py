@@ -45,6 +45,21 @@ def test_rank3_on_product_manifold(capsys):
     assert "rank 3" in out
 
 
+def test_rank4_negative_vectors_are_coordinates(capsys):
+    # O(-1,0) + O(0,-1): total Chern class (1 - a)(1 - b) = 1 - a - b + ab
+    code, out, _ = run(
+        capsys, "rank4", "--builtin", "cp2xcp2", "--chern", "-1,-1", "0,1,0", "0,0", "0"
+    )
+    assert code == 0
+    assert "realizable (rank 4): yes" in out
+
+    code, out, _ = run(
+        capsys, "rank4", "--builtin", "cp2xcp2", "--chern", "-1,0", "0,1,0", "0,0", "0"
+    )
+    assert code == 1
+    assert "realizable (rank 4): no" in out
+
+
 def test_missing_input_is_input_error(capsys):
     code, _, err = run(capsys, "rank4", "--chern", "0", "0", "0", "0")
     assert code == 2
@@ -89,6 +104,15 @@ def test_count_command(capsys):
 def test_count_rank3(capsys):
     code, out, _ = run(
         capsys, "count", "--builtin", "cp4", "--rank", "3", "--chern", "0", "2", "2"
+    )
+    assert code == 0
+    assert "1 element(s)" in out
+
+
+def test_count_rank3_negative_vectors_are_coordinates(capsys):
+    code, out, _ = run(
+        capsys, "count", "--builtin", "cp2xcp2", "--rank", "3",
+        "--chern", "-1,-1", "0,1,0", "0,0",
     )
     assert code == 0
     assert "1 element(s)" in out
