@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .classify import check_rank4
+from .classify import rank4_realizable
 from .cohomology import ManifoldData
 from .fixtures import builtin
 
@@ -57,9 +57,10 @@ class CensusResult:
 def enumerate_cp4(bound: int, rank: int, data: ManifoldData | None = None) -> CensusResult:
     """Evaluate every tuple with coefficients in [-bound, bound] both ways.
 
-    Deterministic lexicographic order; the generic path runs the full
-    rank checker on the built-in cp4 data.  A rank-3 triple is checked,
-    both ways, as the rank-4 tuple (a1, a2, a3, 0), as ``check_rank3`` does.
+    Deterministic lexicographic order; the generic path runs the rank
+    checker's integer evaluator on the built-in cp4 data.  A rank-3 triple
+    is checked, both ways, as the rank-4 tuple (a1, a2, a3, 0), as
+    ``check_rank3`` does.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
@@ -68,11 +69,11 @@ def enumerate_cp4(bound: int, rank: int, data: ManifoldData | None = None) -> Ce
     if data is None:
         data = builtin("cp4")
     span = range(-bound, bound + 1)
+    # each coefficient as the reduced coordinates of a class, as chern_tuple makes it
+    u1s, u2s, u3s, u4s = ({a: data.compiled.reduce(d, (a,)) for a in span} for d in (2, 4, 6, 8))
     rows = []
     for coeffs in itertools.product(span, repeat=rank):
         a1, a2, a3, a4 = coeffs + (0,) * (4 - rank)
-        u = data.chern_tuple((a1,), (a2,), (a3,), (a4,))
-        rows.append(
-            CensusRow(coeffs, cp4_rank4_admissible(a1, a2, a3, a4), check_rank4(data, u).realizable)
-        )
+        generic = rank4_realizable(data, u1s[a1], u2s[a2], u3s[a3], u4s[a4])
+        rows.append(CensusRow(coeffs, cp4_rank4_admissible(a1, a2, a3, a4), generic))
     return CensusResult(bound, rank, tuple(rows))

@@ -16,7 +16,15 @@ from functools import cached_property, lru_cache
 from math import factorial, lcm
 from operator import mul
 
-from .cohomology import ChernTuple, CohomologyClass, ManifoldData, cup, pair_top
+from .cohomology import (
+    ChernTuple,
+    CohomologyClass,
+    CompiledManifold,
+    Coords,
+    ManifoldData,
+    cup,
+    pair_top,
+)
 
 SYMBOL_DEGREES = {"u1": 2, "u2": 4, "u3": 6, "u4": 8, "p1": 4, "c": 2}
 
@@ -40,40 +48,40 @@ DEGREE8_TABLE = (
 MONOMIALS, _, *CONDITION_COLUMNS = zip(*DEGREE8_TABLE)
 
 Monomial = tuple[str, ...]
-Products = dict[Monomial, CohomologyClass]
+Products = dict[Monomial, Coords]
 
 
-def symbol_products(data: ManifoldData, u: ChernTuple) -> Products:
-    """The class of each symbol, keyed as a one-factor product."""
-    return {
-        ("u1",): u.u1,
-        ("u2",): u.u2,
-        ("u3",): u.u3,
-        ("u4",): u.u4,
-        ("p1",): data.p1,
-        ("c",): data.spinc_class,
-    }
+def symbol_products(
+    m: CompiledManifold, u1: Coords, u2: Coords, u3: Coords, u4: Coords
+) -> Products:
+    """The coordinates of each symbol, keyed as a one-factor product."""
+    return {("u1",): u1, ("u2",): u2, ("u3",): u3, ("u4",): u4, ("p1",): m.p1, ("c",): m.c}
 
 
 @lru_cache(maxsize=32)
-def _steps(monomials: tuple[Monomial, ...]) -> tuple[tuple[Monomial, Monomial, Monomial], ...]:
-    """(product, prefix, last factor) for each product of two or more leading
-    factors of the monomials, once, every prefix before its extensions."""
+def _steps(
+    monomials: tuple[Monomial, ...],
+) -> tuple[tuple[Monomial, Monomial, int, Monomial, int], ...]:
+    """(product, prefix, its degree, last factor, its degree) for each product
+    of two or more leading factors of the monomials, once, every prefix
+    before its extensions."""
     steps = {}
     for mono in monomials:
         for k in range(2, len(mono) + 1):
-            steps.setdefault(mono[:k], (mono[:k], mono[: k - 1], mono[k - 1 : k]))
+            prefix, factor = mono[: k - 1], mono[k - 1 : k]
+            a = sum(SYMBOL_DEGREES[s] for s in prefix)
+            steps.setdefault(mono[:k], (mono[:k], prefix, a, factor, SYMBOL_DEGREES[mono[k - 1]]))
     return tuple(steps.values())
 
 
-def pair_monomials(data: ManifoldData, products: Products, monomials: tuple[Monomial, ...]) -> list[int]:
+def pair_monomials(m: CompiledManifold, products: Products, monomials: tuple[Monomial, ...]) -> list[int]:
     """Pair each degree-8 monomial with [M].  ``products`` holds the symbols'
-    classes (``symbol_products``) and may hold longer products already known;
-    each missing product is cupped once, from its prefix, and stored."""
-    for product, prefix, factor in _steps(monomials):
+    coordinates (``symbol_products``) and may hold longer products already
+    known; each missing product is cupped once, from its prefix, and stored."""
+    for product, prefix, a, factor, b in _steps(monomials):
         if product not in products:
-            products[product] = cup(data, products[prefix], products[factor])
-    return [pair_top(data, products[mono]) for mono in monomials]
+            products[product] = m.cup(a, products[prefix], b, products[factor])
+    return [m.pair(products[mono]) for mono in monomials]
 
 
 @dataclass(frozen=True)
@@ -82,8 +90,9 @@ class RationalClassPolynomial:
 
     Each term is a pair (coefficient, monomial), the monomial a tuple of
     symbols from u1..u4, p1, c whose degrees add up to 8.  Evaluation
-    substitutes actual classes, cups the factors together and pairs the
-    result against the fundamental class.
+    substitutes the coordinates of actual classes, cups the factors
+    together on the compiled data and pairs the result against the
+    fundamental class.
     """
 
     terms: tuple[tuple[Fraction, Monomial], ...]
@@ -103,7 +112,8 @@ class RationalClassPolynomial:
 
     def evaluate(self, data: ManifoldData, u: ChernTuple) -> Fraction:
         monomials, numerators, denominator = self._integer_form
-        pairings = pair_monomials(data, symbol_products(data, u), monomials)
+        m = data.compiled
+        pairings = pair_monomials(m, symbol_products(m, *m.chern_coords(u)), monomials)
         return Fraction(sum(map(mul, numerators, pairings)), denominator)
 
 

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 
 from .abelian import FGAbelianGroup, GroupElement, subgroup_quotient
 from .charclass import CONDITION_COLUMNS, MONOMIALS, pair_monomials, symbol_products
-from .cohomology import ChernTuple, CohomologyClass, ManifoldData, apply_op, cup
+from .cohomology import ChernTuple, CohomologyClass, Coords, ManifoldData, apply_op, cup
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -95,13 +95,61 @@ class Verdict:
         )
 
 
+def _mod2_image(data: ManifoldData, op: str, degree: int, ring: str, rows, x: Coords) -> Coords:
+    """``apply_op`` of a compiled matrix on coordinates; without one (absent
+    or misshapen), ``apply_op`` itself runs and raises what it raises."""
+    if rows is None:
+        return apply_op(data, op, CohomologyClass(degree, ring, x)).coords
+    return tuple([sum(map(mul, row, x)) % 2 for row in rows])
+
+
+def rank4_conditions(
+    data: ManifoldData, u1: Coords, u2: Coords, u3: Coords, u4: Coords
+) -> tuple[Coords, Coords, tuple[int, int, int] | None]:
+    """The integer core of ``check_rank4``, on coordinate tuples.
+
+    Returns the two sides of condition (1) as mod-2 coordinates and, when
+    they agree, ``<u4,[M]>`` (the left-hand side of (2) and (3)) and the
+    right-hand sides of (2) and (3); None in their place when (1) fails.
+    Raises InternalInconsistencyError when (1) holds and the right-hand
+    side of (3) is not an integer.
+    """
+    m = data.compiled
+    u1u2 = m.cup(2, u1, 4, u2)
+    rho2_u2 = _mod2_image(data, "rho2", 4, "Z", m.rho2_4, u2)
+    lhs1 = _mod2_image(data, "sq2", 4, "Z2", m.sq2_4, rho2_u2)
+    rhs1 = _mod2_image(data, "rho2", 6, "Z", m.rho2_6, m.reduce(6, tuple(map(add, u3, u1u2))))
+    if lhs1 != rhs1:
+        return lhs1, rhs1, None
+
+    products = symbol_products(m, u1, u2, u3, u4)
+    products["u1", "u2"] = u1u2
+    pairings = pair_monomials(m, products, MONOMIALS)
+    lhs, rhs2, rhs3_times4 = (sum(map(mul, column, pairings)) for column in CONDITION_COLUMNS)
+    if rhs3_times4 % 4:
+        raise InternalInconsistencyError(
+            f"condition (3) right-hand side {Fraction(rhs3_times4, 4)} is not an integer "
+            f"although condition (1) holds; manifold data {m.name!r} is inconsistent"
+        )
+    return lhs1, rhs1, (lhs, rhs2, rhs3_times4 // 4)
+
+
+def rank4_realizable(data: ManifoldData, u1: Coords, u2: Coords, u3: Coords, u4: Coords) -> bool:
+    """``check_rank4(...).realizable`` on coordinate tuples, building no verdict."""
+    degree8 = rank4_conditions(data, u1, u2, u3, u4)[2]
+    if degree8 is None:
+        return False
+    lhs, rhs2, rhs3 = degree8
+    return lhs % 3 == rhs2 % 3 and lhs % 2 == rhs3 % 2
+
+
 def check_rank4(data: ManifoldData, u: ChernTuple) -> Verdict:
     """Decide whether u is the Chern tuple of a rank-4 bundle over the data."""
-    u1u2 = cup(data, u.u1, u.u2)
-    lhs1 = apply_op(data, "sq2", apply_op(data, "rho2", u.u2))
-    rhs1 = apply_op(data, "rho2", data.add(u.u3, u1u2))
-    condition1 = Condition1(lhs1 == rhs1, lhs1, rhs1)
-    if not condition1.passed:
+    lhs1, rhs1, degree8 = rank4_conditions(data, *data.compiled.chern_coords(u))
+    condition1 = Condition1(
+        lhs1 == rhs1, CohomologyClass(6, "Z2", lhs1), CohomologyClass(6, "Z2", rhs1)
+    )
+    if degree8 is None:
         return Verdict(
             4,
             False,
@@ -111,20 +159,9 @@ def check_rank4(data: ManifoldData, u: ChernTuple) -> Verdict:
             notes=("condition (1) failed; (2) and (3) not evaluated",),
         )
 
-    products = symbol_products(data, u)
-    products["u1", "u2"] = u1u2
-    pairings = pair_monomials(data, products, MONOMIALS)
-    lhs, rhs2, rhs3_times4 = (sum(map(mul, column, pairings)) for column in CONDITION_COLUMNS)
+    lhs, rhs2, rhs3 = degree8
     condition2 = Condition2(lhs % 3 == rhs2 % 3, lhs, rhs2, lhs % 3, rhs2 % 3)
-
-    rhs3 = Fraction(rhs3_times4, 4)
-    if rhs3.denominator != 1:
-        raise InternalInconsistencyError(
-            f"condition (3) right-hand side {rhs3} is not an integer although "
-            f"condition (1) holds; manifold data {data.name!r} is inconsistent"
-        )
-    condition3 = Condition3(lhs % 2 == int(rhs3) % 2, rhs3, lhs % 2, int(rhs3) % 2)
-
+    condition3 = Condition3(lhs % 2 == rhs3 % 2, Fraction(rhs3), lhs % 2, rhs3 % 2)
     return Verdict(
         4,
         condition2.passed and condition3.passed,

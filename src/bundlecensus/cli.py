@@ -3,7 +3,8 @@
 Subcommands: validate, rank4, rank3, count, groups, oracle, enumerate.
 Exit codes: 0 success / realizable, 1 unrealizable, 2 input error,
 3 internal inconsistency (integrality of the mod-2 expression violated,
-or census cross-check disagreement).
+or census cross-check disagreement) or any other internal error, which is
+reported in one line without a traceback: a crash never exits 0 or 1.
 
 Chern classes are passed as one coordinate vector per degree, each vector
 comma-separated, '-' for a degree with no generators, e.g.
@@ -298,6 +299,9 @@ def main(argv: list[str] | None = None) -> int:
             print(exc.report, file=sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:  # a crash must not read as an answer, 0 or 1
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INCONSISTENT
 
 
 if __name__ == "__main__":

@@ -14,7 +14,9 @@ of each generator, so equality of classes is a plain tuple comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Literal
+from functools import cached_property
+from operator import mul
+from typing import Iterable, Literal, NamedTuple
 
 from .abelian import FGAbelianGroup, IntMatrix, rank_mod2
 
@@ -195,6 +197,15 @@ class ManifoldData:
             self.zclass(2, u1), self.zclass(4, u2), self.zclass(6, u3), self.zclass(8, u4)
         )
 
+    @cached_property
+    def compiled(self) -> "CompiledManifold":
+        """The integer form of this data, built on first use and kept.
+
+        ``dataclasses.replace`` makes a new instance and so a new
+        compilation; the dicts of an instance must not be mutated in place
+        once it has been compiled."""
+        return _compile(self)
+
 
 # -- the four operations ------------------------------------------------
 
@@ -299,6 +310,114 @@ def pair_top(data: ManifoldData, x: CohomologyClass) -> int:
     if x.ring != "Z" or x.degree != TOP_DEGREE:
         raise ValueError("pairing is defined on integral classes of degree 8")
     return sum(c * w for c, w in zip(x.coords, data.pairing, strict=True))
+
+
+# -- the compiled form ------------------------------------------------------
+
+# (i, j, ((k, c), ...)): generator i times generator j has coefficient c on
+# target generator k; zero coefficients are left out.
+SparseTable = tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]
+Coords = tuple[int, ...]
+Rows = tuple[Coords, ...]
+
+
+class CompiledManifold(NamedTuple):
+    """What conditions (1)-(3) and the Riemann-Roch closed form read of a
+    manifold, as plain int tuples, so that they run on coordinate tuples
+    without building classes.  Immutable; a NamedTuple rather than a frozen
+    dataclass, whose creation adds over a millisecond to every import of
+    the package.
+
+    ``factors[n]`` are the invariant factors of H^n.  ``cups[a, b]`` is the
+    integral product H^a x H^b -> H^(a+b) for even a, b >= 2, transposed
+    when only the (b, a) table is given, empty when a side is trivial and
+    None when the table is missing.  ``rho2_4``, ``sq2_4`` and ``rho2_6``
+    are the rows of the operation matrices of condition (1), None when a
+    matrix is missing or misshapen (``apply_op`` then raises for it).
+    Every result is reduced where ``cup`` reduces it, so the two agree
+    bit for bit.
+    """
+
+    name: str
+    factors: tuple[tuple[int, ...], ...]
+    cups: dict[tuple[int, int], SparseTable | None]
+    rho2_4: Rows | None
+    sq2_4: Rows | None
+    rho2_6: Rows | None
+    pairing: Coords
+    p1: Coords
+    c: Coords
+
+    def reduce(self, degree: int, coords) -> Coords:
+        """Integral coordinates reduced as ``FGAbelianGroup.element`` does."""
+        factors = self.factors[degree]
+        if len(coords) != len(factors):
+            raise ValueError(f"expected {len(factors)} coordinates, got {len(coords)}")
+        if any(factors):
+            return tuple([x % d if d else x for x, d in zip(coords, factors)])
+        return tuple(coords)
+
+    def chern_coords(self, u: ChernTuple) -> tuple[Coords, Coords, Coords, Coords]:
+        """The coordinates of u's classes, checked and reduced as ``chern_tuple`` makes them."""
+        return tuple(self.reduce(x.degree, x.coords) for x in u.classes())
+
+    def cup(self, a: int, x: Coords, b: int, y: Coords) -> Coords:
+        """``cup`` of integral classes of even degrees a, b >= 2."""
+        table = self.cups[a, b]
+        if table is None:
+            raise MissingOperationError(f"missing cup product table for degrees ({a}, {b})")
+        acc = [0] * len(self.factors[a + b])
+        for i, j, terms in table:
+            coeff = x[i] * y[j]
+            if coeff:
+                for k, c in terms:
+                    acc[k] += coeff * c
+        return self.reduce(a + b, acc)
+
+    def pair(self, x: Coords) -> int:
+        """``pair_top`` of a degree-8 coordinate tuple."""
+        if len(x) != len(self.pairing):
+            raise ValueError(f"expected {len(self.pairing)} coordinates in degree 8, got {len(x)}")
+        return sum(map(mul, x, self.pairing))
+
+
+def _sparse_table(data: ManifoldData, a: int, b: int) -> SparseTable | None:
+    if (a, b) in data.cup_z:
+        entries = data.cup_z[(a, b)].items()
+    elif (b, a) in data.cup_z:
+        entries = (((j, i), coords) for (i, j), coords in data.cup_z[(b, a)].items())
+    elif 0 in (data.ngens(a), data.ngens(b), data.ngens(a + b)):
+        return ()
+    else:
+        return None
+    return tuple(
+        (i, j, tuple((k, c) for k, c in enumerate(coords) if c)) for (i, j), coords in entries
+    )
+
+
+def _compile(data: ManifoldData) -> CompiledManifold:
+    """The compiled form of the data; ``data.compiled`` caches it."""
+
+    def rows(op: str, degree: int) -> Rows | None:
+        M = _available_matrix(data, op, degree)
+        return None if M is None else tuple(M.row(i) for i in range(M.rows))
+
+    return CompiledManifold(
+        name=data.name,
+        factors=tuple(g.invariant_factors for g in data.integral.groups),
+        cups={
+            (a, b): _sparse_table(data, a, b)
+            for a in (2, 4, 6)
+            for b in (2, 4, 6)
+            if a + b <= TOP_DEGREE
+        },
+        rho2_4=rows("rho2", 4),
+        sq2_4=rows("sq2", 4),
+        rho2_6=rows("rho2", 6),
+        pairing=data.pairing,
+        p1=data.p1.coords,
+        c=data.spinc_class.coords,
+    )
 
 
 # -- validation ----------------------------------------------------------

@@ -14,6 +14,7 @@ classes do not classify.
 from __future__ import annotations
 
 import itertools
+from functools import cache
 
 from .abelian import FGAbelianGroup, IntMatrix
 from .cohomology import (
@@ -214,8 +215,13 @@ _CONSTRUCTORS = {
 }
 
 
+@cache
 def builtin(name: str) -> ManifoldData:
-    """A validated built-in ManifoldData by name."""
+    """A validated built-in ManifoldData by name.
+
+    Built and validated once per process, so also compiled at most once:
+    every call returns the same shared instance, which is read-only.
+    Derive variants with ``dataclasses.replace``; never mutate its dicts."""
     try:
         constructor = _CONSTRUCTORS[name]
     except KeyError:

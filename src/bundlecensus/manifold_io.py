@@ -35,7 +35,8 @@ row).  "cup" lines give integral products of generator pairs, "cup2"
 optional mod-2 products; a declared table must list every generator pair.
 "manifold", "pairing", "p1" and "spinc" are mandatory sections.  An
 absent oddgen section means the odd transgression data was not supplied;
-"oddgen trivial" declares it known to be trivial.
+"oddgen trivial" declares it known to be trivial.  A free rank, a number
+of torsion factors or a mod-2 dimension above MAX_GENERATORS is rejected.
 """
 
 from __future__ import annotations
@@ -56,6 +57,11 @@ from .cohomology import (
 )
 
 _OPS = ("rho2", "beta", "sq2")
+
+MAX_GENERATORS = 256
+"""Largest free rank, number of torsion factors or mod-2 dimension a file
+may declare for one degree.  Declared sizes are checked against it before
+anything of that size is built, so a file cannot ask for unbounded memory."""
 
 
 class ManifoldParseError(ValueError):
@@ -102,6 +108,11 @@ def _degree(token: str, line: int) -> int:
     return d
 
 
+def _check_size(what: str, size: int, line: int) -> None:
+    if size > MAX_GENERATORS:
+        raise ManifoldParseError(f"{what} {size} exceeds the limit of {MAX_GENERATORS}", line)
+
+
 def parse_manifold_text(text: str) -> ManifoldData:
     """Parse a manifold description; structural errors carry line numbers."""
     lines = _tokenize(text)
@@ -138,8 +149,10 @@ def parse_manifold_text(text: str) -> ManifoldData:
                     free = _int(rest[pos + 1], line.number) if pos + 1 < len(rest) else None
                     if free is None or free < 0:
                         raise ManifoldParseError("free rank must be a nonnegative integer", line.number)
+                    _check_size("free rank", free, line.number)
                     pos += 2
                 elif rest[pos] == "torsion":
+                    _check_size("number of torsion factors", len(rest) - pos - 1, line.number)
                     torsion = [_int(t, line.number) for t in rest[pos + 1 :]]
                     pos = len(rest)
                 else:
@@ -154,6 +167,7 @@ def parse_manifold_text(text: str) -> ManifoldData:
             if deg in mod2_decl:
                 raise ManifoldParseError(f"duplicate mod2 declaration for degree {deg}", line.number)
             mod2_decl[deg] = _int(rest[2], line.number)
+            _check_size("mod-2 dimension", mod2_decl[deg], line.number)
         elif key == "names":
             if len(rest) < 2 or rest[0] not in ("z", "m2"):
                 raise ManifoldParseError("expected: names z|m2 DEG NAME...", line.number)

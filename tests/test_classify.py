@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -6,9 +7,10 @@ from itertools import product
 import pytest
 
 from bundlecensus.abelian import FGAbelianGroup
-from bundlecensus.census import cp4_rank3_admissible, cp4_rank4_admissible
+from bundlecensus.census import cp4_rank3_admissible, cp4_rank4_admissible, enumerate_cp4
 from bundlecensus.charclass import chern_inverse, chern_product, rr_value
 from bundlecensus.classify import (
+    Condition1,
     Condition2,
     Condition3,
     InternalInconsistencyError,
@@ -20,7 +22,14 @@ from bundlecensus.classify import (
     count_classes,
     oracle_congruences,
 )
-from bundlecensus.cohomology import cup, pair_top
+from bundlecensus.cohomology import (
+    ChernTuple,
+    CohomologyClass,
+    MissingOperationError,
+    apply_op,
+    cup,
+    pair_top,
+)
 from bundlecensus.fixtures import BUILTIN_NAMES, builtin
 
 
@@ -93,21 +102,100 @@ def paper_conditions_2_3(data, u):
     )
 
 
+def paper_condition_1(data, u):
+    """Condition (1) written with the generic operations on classes."""
+    lhs = apply_op(data, "sq2", apply_op(data, "rho2", u.u2))
+    rhs = apply_op(data, "rho2", data.add(u.u3, cup(data, u.u1, u.u2)))
+    return Condition1(lhs == rhs, lhs, rhs)
+
+
+def paper_realizable(data, u):
+    if not paper_condition_1(data, u).passed:
+        return False
+    condition2, condition3 = paper_conditions_2_3(data, u)
+    return condition2.passed and condition3.passed
+
+
+def seeded_tuples(data, seed):
+    """300 random tuples, one in ten with coordinates up to 10^40."""
+    rng = random.Random(seed)
+    for i in range(300):
+        bound = 10**40 if i % 10 == 0 else 9
+        yield data.chern_tuple(
+            *[[rng.randint(-bound, bound) for _ in range(data.ngens(d))] for d in (2, 4, 6, 8)]
+        )
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_condition_1_matches_generic_operations(name):
+    data = builtin(name)
+    for u in seeded_tuples(data, 1_2003_06901):
+        assert check_rank4(data, u).condition1 == paper_condition_1(data, u)
+
+
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_conditions_2_3_match_paper_formulas(name):
     data = builtin(name)
-    rng = random.Random(2002_06901)
     checked = 0
-    for i in range(300):
-        bound = 10**40 if i % 10 == 0 else 9
-        u = data.chern_tuple(
-            *[[rng.randint(-bound, bound) for _ in range(data.ngens(d))] for d in (2, 4, 6, 8)]
-        )
+    for u in seeded_tuples(data, 2002_06901):
         verdict = check_rank4(data, u)
         if verdict.condition1.passed:
             assert (verdict.condition2, verdict.condition3) == paper_conditions_2_3(data, u)
             checked += 1
     assert checked >= 30
+
+
+@pytest.mark.parametrize("bound, rank", [(3, 4), (4, 3)])
+def test_census_generic_column_matches_generic_operations(cp4, bound, rank):
+    rows = enumerate_cp4(bound, rank).rows
+    assert len(rows) == (2 * bound + 1) ** rank
+    for row in rows:
+        u = cp4_tuple(cp4, *row.coefficients, *(0,) * (4 - rank))
+        assert row.generic == paper_realizable(cp4, u), row.coefficients
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("cup_z", "missing cup product table for degrees (2, 4)"),
+        ("sq2", "missing sq2 matrix at degree 4"),
+        ("rho2", "missing rho2 matrix at degree 4"),
+    ],
+)
+def test_missing_operations_raise_on_every_path(cp4, field, message):
+    stripped = replace(cp4, **{field: {}})
+    u = cp4_tuple(stripped, 1, 1, 1, 0)
+    with pytest.raises(MissingOperationError, match=re.escape(message)):
+        check_rank4(stripped, u)
+    with pytest.raises(MissingOperationError, match=re.escape(message)):
+        enumerate_cp4(1, 4, stripped)
+    if field == "cup_z":
+        with pytest.raises(MissingOperationError, match=re.escape("degrees (2, 2)")):
+            rr_value(stripped, u)
+    else:  # the functional needs no mod-2 operation
+        assert rr_value(stripped, u) == rr_value(cp4, u)
+
+
+def test_malformed_coordinates_are_rejected(cp4):
+    # a ChernTuple built from classes directly, with two coordinates in H^4 = Z
+    u = ChernTuple(cp4.zclass(2, (1,)), CohomologyClass(4, "Z", (1, 0)), cp4.zero(6), cp4.zero(8))
+    for evaluate in (check_rank4, rr_value):
+        with pytest.raises(ValueError, match="expected 1 coordinates, got 2"):
+            evaluate(cp4, u)
+
+
+def test_replaced_manifold_is_compiled_afresh(cp4):
+    u = cp4_tuple(cp4, 0, 1, 0, 1)
+    assert check_rank4(cp4, u).realizable
+    # p1 + 12 t^2 moves the right-hand side of (3) by 3*a2 = 3, which is odd,
+    # and that of (2) by 12*a2, a multiple of 3
+    shifted = replace(cp4, p1=cp4.zclass(4, (17,)))
+    verdict = check_rank4(shifted, u)
+    assert not verdict.realizable
+    assert (verdict.condition2, verdict.condition3) == paper_conditions_2_3(shifted, u)
+    with pytest.raises(InternalInconsistencyError):
+        check_rank4(replace(cp4, p1=cp4.zclass(4, (2,))), cp4_tuple(cp4, 0, 1, 0, 0))
+    assert check_rank4(cp4, u).realizable
 
 
 def test_internal_inconsistency_raises(cp4):

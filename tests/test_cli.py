@@ -1,5 +1,6 @@
 import pytest
 
+from bundlecensus import cli
 from bundlecensus.cli import main
 from bundlecensus.fixtures import builtin
 from bundlecensus.manifold_io import serialize_manifold
@@ -193,3 +194,33 @@ def test_file_and_builtin_together_is_error(capsys, tmp_path):
     code, _, err = run(capsys, "validate", str(path), "--builtin", "cp4")
     assert code == 2
     assert "not both" in err
+
+
+def test_oversized_declaration_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "huge.manifold"
+    path.write_text(serialize_manifold(builtin("cp4")) + "integral 3 free 100000000\n")
+    code, _, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert "exceeds the limit" in err
+
+
+@pytest.mark.parametrize("exc", [AssertionError("closed form disagrees"), MemoryError()])
+def test_crash_is_exit_3_without_traceback(capsys, monkeypatch, exc):
+    def crash(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_rank4", crash)
+    code, out, err = run(capsys, "rank4", "--builtin", "cp4", "--chern", "0", "0", "0", "0")
+    assert code == 3
+    assert err.startswith(f"internal error: {type(exc).__name__}")
+    assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
+def test_interrupt_and_exit_pass_through(monkeypatch, exc):
+    def stop(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_rank4", stop)
+    with pytest.raises(exc):
+        main(["rank4", "--builtin", "cp4", "--chern", "0", "0", "0", "0"])

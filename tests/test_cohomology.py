@@ -1,3 +1,4 @@
+import pickle
 import random
 from dataclasses import replace
 
@@ -239,3 +240,17 @@ def test_graded_shapes_must_cover_all_degrees():
     integral, _ = graded_pair({0: ((0,), ("1",))}, {})
     with pytest.raises(ValueError):
         GradedGroupZ(integral.groups[:5], integral.names[:5])
+
+
+def test_builtin_is_built_once():
+    assert builtin("cp4") is builtin("cp4")
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_compiled_data_pickles(name):
+    data = builtin(name)
+    compiled = data.compiled
+    assert data.compiled is compiled
+    copy = pickle.loads(pickle.dumps(data))
+    assert copy == data and copy.compiled == compiled
+    assert replace(data).compiled is not compiled

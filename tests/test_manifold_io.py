@@ -5,6 +5,7 @@ import pytest
 from bundlecensus.cohomology import ManifoldValidationError
 from bundlecensus.fixtures import BUILTIN_NAMES, builtin
 from bundlecensus.manifold_io import (
+    MAX_GENERATORS,
     ManifoldParseError,
     parse_manifold,
     parse_manifold_text,
@@ -141,3 +142,23 @@ def test_parse_manifold_validates_by_default(tmp_path, cp4):
 def test_serializer_is_stable(cp4):
     text = serialize_manifold(cp4)
     assert serialize_manifold(parse_manifold_text(text)) == text
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "integral 3 free 100000000",
+        "integral 3 torsion " + " ".join(["2"] * 257),
+        "mod2 3 dim 100000000",
+    ],
+)
+def test_declared_sizes_are_capped(line):
+    with pytest.raises(ManifoldParseError, match=f"exceeds the limit of {MAX_GENERATORS}") as info:
+        parse_manifold_text(MINIMAL + line + "\n")
+    assert info.value.line == len(MINIMAL.splitlines()) + 1
+
+
+def test_sizes_at_the_cap_parse():
+    sizes = f"integral 3 free {MAX_GENERATORS}\nmod2 3 dim {MAX_GENERATORS}\n"
+    data = parse_manifold_text(MINIMAL + sizes)
+    assert data.ngens(3) == data.m2dim(3) == MAX_GENERATORS
