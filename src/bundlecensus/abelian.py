@@ -9,7 +9,12 @@ counting quotients) reduces to three primitives implemented here:
 * ``cokernel_presentation`` turning a relation matrix into the invariant
   factors of the presented group;
 * ``subgroup_quotient`` computing ``<N> / <D>`` inside an ambient group
-  given generator lists for numerator and denominator.
+  given generator lists for numerator and denominator, from two Smith
+  forms: one of the span, whose ``U`` gives coordinates in it, and the
+  cokernel of those coordinates.
+
+Every Smith form the package computes goes through ``smith_normal_form``,
+so ``VERIFY_POSTCONDITIONS`` checks each one.
 
 Conventions: a group is a tuple of invariant factors ``(d1, ..., dk)``
 where ``0`` encodes an infinite cyclic factor, finite factors come first
@@ -150,62 +155,52 @@ class IntMatrix:
         return sign * a[n - 1][n - 1]
 
 
-def _smith_with_inverses(
-    A: IntMatrix,
-) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form with both transforms and their inverses.
+def _smith_with_inverses(A: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """The Smith normal form core: ``(U, D, V)`` with ``U @ A @ V == D``.
 
-    Returns ``(U, D, V, Uinv, Vinv)`` with ``U @ A @ V == D``.  Pivot rule:
-    the remaining entry of smallest nonzero absolute value, ties broken by
-    lowest row index then lowest column index, so the reduction (and hence
-    U, V) is reproducible.
+    Pivot rule: the remaining entry of smallest nonzero absolute value,
+    ties broken by lowest row index then lowest column index, so the
+    reduction (and hence U, V) is reproducible.  Callers go through
+    ``smith_normal_form``, which verifies the result when asked to.
+
+    It computes no inverses despite its name, which is kept because the
+    benchmark's traced run (``perfbench/tracing.py``) wraps this function
+    by name to count and time every SNF the package computes.
     """
     m, n = A.rows, A.cols
     M = A.to_rows()
     U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    Ui = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    Vi = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def row_swap(i, j):
         M[i], M[j] = M[j], M[i]
         U[i], U[j] = U[j], U[i]
-        for r in range(m):
-            Ui[r][i], Ui[r][j] = Ui[r][j], Ui[r][i]
 
     def row_negate(i):
         M[i] = [-x for x in M[i]]
         U[i] = [-x for x in U[i]]
-        for r in range(m):
-            Ui[r][i] = -Ui[r][i]
 
     def row_add(i, j, q):
-        # row_i += q * row_j; inverse transform subtracts on columns of Ui
+        # row_i += q * row_j
         Mi, Mj = M[i], M[j]
         for k in range(n):
             Mi[k] += q * Mj[k]
         Uii, Ujj = U[i], U[j]
         for k in range(m):
             Uii[k] += q * Ujj[k]
-        for r in range(m):
-            Ui[r][j] -= q * Ui[r][i]
 
     def col_swap(i, j):
         for r in range(m):
             M[r][i], M[r][j] = M[r][j], M[r][i]
         for r in range(n):
             V[r][i], V[r][j] = V[r][j], V[r][i]
-        Vi[i], Vi[j] = Vi[j], Vi[i]
 
     def col_add(j, k, q):
-        # col_j += q * col_k; inverse transform subtracts on rows of Vi
+        # col_j += q * col_k
         for r in range(m):
             M[r][j] += q * M[r][k]
         for r in range(n):
             V[r][j] += q * V[r][k]
-        Vik, Vij = Vi[k], Vi[j]
-        for r in range(n):
-            Vik[r] -= q * Vij[r]
 
     t = 0
     limit = min(m, n)
@@ -263,13 +258,7 @@ def _smith_with_inverses(
     def wrap(rows, r, c):
         return IntMatrix(r, c, tuple(x for row in rows for x in row))
 
-    return (
-        wrap(U, m, m),
-        wrap(M, m, n),
-        wrap(V, n, n),
-        wrap(Ui, m, m),
-        wrap(Vi, n, n),
-    )
+    return wrap(U, m, m), wrap(M, m, n), wrap(V, n, n)
 
 
 def smith_normal_form(A: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -279,7 +268,7 @@ def smith_normal_form(A: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     chain ``d1 | d2 | ...`` along the nonzero diagonal.  Total on any
     integer matrix, including empty ones.
     """
-    U, D, V, _, _ = _smith_with_inverses(A)
+    U, D, V = _smith_with_inverses(A)
     if VERIFY_POSTCONDITIONS:
         _verify_snf(A, U, D, V)
     return U, D, V
@@ -413,34 +402,6 @@ def cokernel_presentation(gens_count: int, relations: IntMatrix) -> FGAbelianGro
     return FGAbelianGroup(torsion + (0,) * free)
 
 
-def column_space_basis(A: IntMatrix) -> IntMatrix:
-    """Matrix whose columns freely generate the column span of ``A``."""
-    _, D, _, Ui, _ = _smith_with_inverses(A)
-    diag = D.diagonal()
-    rank = sum(1 for d in diag if d)
-    cols = [[Ui.at(i, j) * diag[j] for i in range(A.rows)] for j in range(rank)]
-    return IntMatrix.from_columns(cols, A.rows)
-
-
-def solve(A: IntMatrix, b: Sequence[int]) -> list[int] | None:
-    """An integer solution ``x`` of ``A @ x == b``, or None if there is none."""
-    if len(b) != A.rows:
-        raise ValueError(f"right-hand side of length {len(b)}, expected {A.rows}")
-    U, D, V, _, _ = _smith_with_inverses(A)
-    c = U.apply(list(b))
-    y = [0] * A.cols
-    k = min(A.rows, A.cols)
-    for i in range(A.rows):
-        d = D.at(i, i) if i < k else 0
-        if d:
-            if c[i] % d:
-                return None
-            y[i] = c[i] // d
-        elif c[i]:
-            return None
-    return V.apply(y)
-
-
 def _relation_columns(ambient: FGAbelianGroup) -> list[list[int]]:
     k = ambient.num_generators
     return [
@@ -457,9 +418,16 @@ def subgroup_quotient(
 ) -> FGAbelianGroup:
     """The quotient ``<numerator_gens> / <denominator_gens>`` inside ``ambient``.
 
+    Two Smith forms.  The first, ``U @ S @ V == D`` of
+    ``S = [numerator | ambient relations]``, gives the span L of S the free
+    basis ``d_i * (column i of U^-1)``, ``i < rank``: a vector g lies in L
+    iff ``(U g)_i`` is divisible by ``d_i`` for ``i < rank`` and vanishes
+    beyond the rank, and its coordinates are then ``(U g)_i / d_i``.  The
+    second is the cokernel of the coordinates of the denominator generators
+    and the ambient relations.
+
     Raises ContainmentError unless every denominator generator lies in the
-    subgroup generated by the numerator (checked by integer solvability
-    modulo the ambient relations).
+    subgroup generated by the numerator (modulo the ambient relations).
     """
     k = ambient.num_generators
     for g in list(numerator_gens) + list(denominator_gens):
@@ -469,22 +437,30 @@ def subgroup_quotient(
             )
     relations = _relation_columns(ambient)
     span_cols = [list(g.coords) for g in numerator_gens] + relations
-    basis = column_space_basis(IntMatrix.from_columns(span_cols, k))
+    U, D, _ = smith_normal_form(IntMatrix.from_columns(span_cols, k))
+    pivots = [d for d in D.diagonal() if d]
+
+    def coordinates(vector: Sequence[int]) -> list[int] | None:
+        c = U.apply(vector)
+        if any(c[len(pivots) :]) or any(x % d for x, d in zip(c, pivots)):
+            return None
+        return [x // d for x, d in zip(c, pivots)]
+
     expressed: list[list[int]] = []
     for g in denominator_gens:
-        x = solve(basis, list(g.coords))
+        x = coordinates(g.coords)
         if x is None:
             raise ContainmentError(
                 f"denominator generator {g.coords} not contained in the numerator subgroup"
             )
         expressed.append(x)
     for rel in relations:
-        x = solve(basis, rel)
+        x = coordinates(rel)
         if x is None:  # pragma: no cover - relations are in the span by construction
             raise AssertionError("ambient relation escaped its own span")
         expressed.append(x)
     return cokernel_presentation(
-        basis.cols, IntMatrix.from_columns(expressed, basis.cols)
+        len(pivots), IntMatrix.from_columns(expressed, len(pivots))
     )
 
 

@@ -72,7 +72,7 @@ def _parse_vector(text: str, expected: int, degree: int) -> tuple[int, ...]:
         coords: tuple[int, ...] = ()
     else:
         try:
-            coords = tuple(int(t) for t in text.split(",") if t != "")
+            coords = tuple(int(t) for t in text.split(","))
         except ValueError:
             raise ManifoldParseError(f"bad coordinate vector {text!r}") from None
     if len(coords) != expected:

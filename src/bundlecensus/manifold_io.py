@@ -154,6 +154,8 @@ def parse_manifold_text(text: str) -> ManifoldData:
                 elif rest[pos] == "torsion":
                     _check_size("number of torsion factors", len(rest) - pos - 1, line.number)
                     torsion = [_int(t, line.number) for t in rest[pos + 1 :]]
+                    if any(d < 2 for d in torsion):
+                        raise ManifoldParseError("torsion factors must be >= 2", line.number)
                     pos = len(rest)
                 else:
                     raise ManifoldParseError(f"unexpected token {rest[pos]!r}", line.number)

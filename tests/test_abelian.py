@@ -1,20 +1,21 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
+from bundlecensus import abelian
 from bundlecensus.abelian import (
     ContainmentError,
     FGAbelianGroup,
     GroupElement,
     IntMatrix,
     cokernel_presentation,
-    column_space_basis,
     rank_mod2,
     smith_normal_form,
-    solve,
     subgroup_quotient,
 )
+from bundlecensus.classify import compute_B, count_classes
 
 
 def snf_postconditions(A, U, D, V):
@@ -176,6 +177,10 @@ def test_subgroup_quotient_examples():
     n = [g.element((2, 0))]
     assert subgroup_quotient(g, n, n) == FGAbelianGroup(())
 
+    # 1 = 3 * 3 - 2 * 4 lies in <3> inside Z/4 only through the relation
+    z4 = FGAbelianGroup((4,))
+    assert subgroup_quotient(z4, [z4.element((3,))], [z4.element((1,))]) == FGAbelianGroup(())
+
 
 def test_subgroup_quotient_empty_denominator_is_subgroup():
     g = FGAbelianGroup((0, 0))
@@ -184,9 +189,16 @@ def test_subgroup_quotient_empty_denominator_is_subgroup():
 
 
 def test_subgroup_quotient_containment_error():
-    g = FGAbelianGroup((4,))
-    with pytest.raises(ContainmentError):
-        subgroup_quotient(g, [g.element((2,))], [g.element((1,))])
+    # Z/4: 1 is not in <2>; Z: the coordinate 1/2 is not an integer;
+    # Z^2: (0, 1) has a nonzero coordinate beyond the rank of the span
+    for factors, numerator, escaping in (
+        ((4,), (2,), (1,)),
+        ((0,), (2,), (1,)),
+        ((0, 0), (1, 0), (0, 1)),
+    ):
+        g = FGAbelianGroup(factors)
+        with pytest.raises(ContainmentError, match=re.escape(f"generator {escaping} not contained")):
+            subgroup_quotient(g, [g.element(numerator)], [g.element(escaping)])
 
 
 def test_subgroup_quotient_dimension_mismatch():
@@ -246,13 +258,78 @@ def test_subgroup_quotient_order_matches_coset_enumeration():
         assert quotient.order() == n_size // d_size
 
 
-def test_solve_and_column_space_basis():
-    A = IntMatrix.from_rows([[2, 0], [0, 3]])
-    assert solve(A, [4, 9]) == [2, 3]
-    assert solve(A, [1, 0]) is None
-    B = column_space_basis(IntMatrix.from_rows([[2, 4], [0, 0]]))
-    assert B.rows == 2 and B.cols == 1
-    assert B.column(0)[1] == 0 and abs(B.column(0)[0]) == 2
+def test_subgroup_quotient_span_coordinates():
+    z2 = FGAbelianGroup((0, 0))
+    n = [z2.element((2, 0)), z2.element((0, 3))]
+    # (4, 0) and (0, 9) have coordinates (2, 0) and (0, 3) in the span
+    assert subgroup_quotient(z2, n, [z2.element((4, 0)), z2.element((0, 9))]) == FGAbelianGroup((6,))
+    assert subgroup_quotient(z2, n, [z2.element((4, 9))]) == FGAbelianGroup((0,))
+    with pytest.raises(ContainmentError):
+        subgroup_quotient(z2, n, [z2.element((1, 0))])
+    # the span of (2, 0) and (4, 0) is freely generated by (2, 0) alone
+    n = [z2.element((2, 0)), z2.element((4, 0))]
+    assert subgroup_quotient(z2, n, []) == FGAbelianGroup((0,))
+    assert subgroup_quotient(z2, n, [z2.element((2, 0))]) == FGAbelianGroup(())
+    with pytest.raises(ContainmentError):
+        subgroup_quotient(z2, n, [z2.element((1, 0))])
+
+
+def test_subgroup_quotient_matches_cokernel_of_coefficients():
+    # N embeds Z^r when its free rows have full column rank, so
+    # <N> / <N C> is Z^r / C Z^r whatever the torsion rows hold
+    rng = random.Random(20261018)
+    for trial in range(200):
+        torsion = [rng.choice([2, 3, 4, 6, 9]) for _ in range(trial % 3)]
+        ambient = FGAbelianGroup.canonical(torsion + [0] * rng.randint(1, 4))
+        k = ambient.num_generators
+        free_rows = [i for i, d in enumerate(ambient.invariant_factors) if d == 0]
+        r = rng.randint(1, len(free_rows))
+        while True:
+            columns = [[rng.randint(-6, 6) for _ in range(k)] for _ in range(r)]
+            free_part = IntMatrix.from_columns(
+                [[c[i] for i in free_rows] for c in columns], len(free_rows)
+            )
+            if all(smith_normal_form(free_part)[1].diagonal()):
+                break
+        s = rng.randint(0, r + 1)
+        C = IntMatrix(r, s, tuple(rng.randint(-4, 4) for _ in range(r * s)))
+        N = IntMatrix.from_columns(columns, k)
+        numerator = [ambient.element(c) for c in columns]
+        denominator = [ambient.element(N.apply(C.column(j))) for j in range(C.cols)]
+        assert subgroup_quotient(ambient, numerator, denominator) == cokernel_presentation(r, C)
+
+
+def test_every_snf_is_verified(monkeypatch, torsion_demo):
+    assert abelian.VERIFY_POSTCONDITIONS
+    calls = {"snf": 0, "verified": 0}
+    core, verify = abelian._smith_with_inverses, abelian._verify_snf
+
+    def counted_core(A):
+        calls["snf"] += 1
+        return core(A)
+
+    def counted_verify(*args):
+        calls["verified"] += 1
+        return verify(*args)
+
+    monkeypatch.setattr(abelian, "_smith_with_inverses", counted_core)
+    monkeypatch.setattr(abelian, "_verify_snf", counted_verify)
+
+    def counts(run):
+        calls.update(snf=0, verified=0)
+        run()
+        return calls["snf"], calls["verified"]
+
+    z2 = FGAbelianGroup((0, 0))
+    numerator = [z2.element((2, 0)), z2.element((0, 3))]
+    denominator = [z2.element((4, 0)), z2.element((0, 9))]
+    assert counts(lambda: subgroup_quotient(z2, numerator, denominator)) == (2, 2)
+    snf, verified = counts(lambda: compute_B(torsion_demo))
+    assert snf == verified > 0
+    u = torsion_demo.chern_tuple((), (), (0,), (0,))
+    assert count_classes(torsion_demo, u, 3) is not None
+    snf, verified = counts(lambda: count_classes(torsion_demo, u, 3))
+    assert snf == verified > 0
 
 
 def test_rank_mod2():

@@ -77,6 +77,15 @@ def test_wrong_vector_length_is_input_error(capsys):
     code, _, err = run(capsys, "rank4", "--builtin", "cp4", "--chern", "1,2", "0", "0", "0")
     assert code == 2
     assert "degree 2 expects 1 coordinates" in err
+    # an empty entry is an error, not a dropped coordinate; "-" is the only empty vector
+    for argv in (
+        ("cp2xcp2", "1,,0", "0,1,0", "0,0", "0"),
+        ("cp2xcp2", "1,0,", "0,1,0", "0,0", "0"),
+        ("torsion-demo", ",", "-", "0", "0"),
+    ):
+        code, _, err = run(capsys, "rank4", "--builtin", argv[0], "--chern", *argv[1:])
+        assert code == 2
+        assert f"bad coordinate vector {argv[1]!r}" in err
 
 
 def test_internal_inconsistency_exit_three(capsys, tmp_path, cp4):

@@ -105,9 +105,17 @@ def test_incomplete_cup_table_rejected(cp2xcp2):
         parse_manifold_text(text)
 
 
-def test_bad_torsion_chain_rejected():
-    text = MINIMAL + "integral 6 free 0 torsion 4 2\n"
-    with pytest.raises(ManifoldParseError, match="integral degree 6"):
+@pytest.mark.parametrize(
+    "factors, message",
+    [
+        ("4 2", "integral degree 6"),
+        ("0", f"line {len(MINIMAL.splitlines()) + 1}: torsion factors must be >= 2"),
+    ],
+    ids=["chain", "zero"],
+)
+def test_bad_torsion_chain_rejected(factors, message):
+    text = MINIMAL + f"integral 6 free 0 torsion {factors}\n"
+    with pytest.raises(ManifoldParseError, match=message):
         parse_manifold_text(text)
 
 
