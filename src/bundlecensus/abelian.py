@@ -127,9 +127,6 @@ class IntMatrix:
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.at(i, i) for i in range(min(self.rows, self.cols)))
 
-    def is_zero(self) -> bool:
-        return not any(self.entries)
-
     def determinant(self) -> int:
         """Exact determinant via fraction-free (Bareiss) elimination."""
         if self.rows != self.cols:
@@ -364,14 +361,8 @@ class FGAbelianGroup:
             tuple(x % d if d else x for x, d in zip(c, self.invariant_factors))
         )
 
-    def zero(self) -> GroupElement:
-        return GroupElement((0,) * self.num_generators)
-
     def add(self, a: GroupElement, b: GroupElement) -> GroupElement:
         return self.element(x + y for x, y in zip(a.coords, b.coords, strict=True))
-
-    def negate(self, a: GroupElement) -> GroupElement:
-        return self.element(-x for x in a.coords)
 
     def scale(self, k: int, a: GroupElement) -> GroupElement:
         return self.element(k * x for x in a.coords)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, lcm
-from operator import mul
+from operator import add, mul
 
 from .cohomology import (
     ChernTuple,
@@ -194,34 +194,28 @@ def zero_tuple(data: ManifoldData) -> ChernTuple:
 
 def chern_product(u: ChernTuple, v: ChernTuple, data: ManifoldData) -> ChernTuple:
     """Componentwise truncation of (1+u1+u2+u3+u4)(1+v1+v2+v3+v4)."""
-    add = data.add
-    c1 = add(u.u1, v.u1)
-    c2 = add(add(u.u2, v.u2), cup(data, u.u1, v.u1))
-    c3 = add(add(u.u3, v.u3), add(cup(data, u.u1, v.u2), cup(data, u.u2, v.u1)))
-    c4 = add(
-        add(u.u4, v.u4),
-        add(
-            add(cup(data, u.u1, v.u3), cup(data, u.u2, v.u2)),
-            cup(data, u.u3, v.u1),
-        ),
-    )
-    return ChernTuple(c1, c2, c3, c4)
+    return _whitney(data, u, v)
 
 
 def chern_inverse(u: ChernTuple, data: ManifoldData) -> ChernTuple:
     """The unique tuple v with chern_product(u, v) zero, degree by degree."""
-    v1 = data.negate(u.u1)
-    v2 = data.negate(data.add(u.u2, cup(data, u.u1, v1)))
-    v3 = data.negate(
-        data.add(u.u3, data.add(cup(data, u.u1, v2), cup(data, u.u2, v1)))
-    )
-    v4 = data.negate(
-        data.add(
-            u.u4,
-            data.add(
-                data.add(cup(data, u.u1, v3), cup(data, u.u2, v2)),
-                cup(data, u.u3, v1),
-            ),
-        )
-    )
-    return ChernTuple(v1, v2, v3, v4)
+    return _whitney(data, u, None)
+
+
+def _whitney(data: ManifoldData, u: ChernTuple, v: ChernTuple | None) -> ChernTuple:
+    """c_k = u_k + v_k + sum_{0<i<k} u_i v_(k-i) for k = 1..4 on the compiled
+    data; with v None, the inverse of u: v_k = -(u_k + sum_{0<i<k} u_i v_(k-i))."""
+    m = data.compiled
+    us = m.chern_coords(u)
+    vs = [] if v is None else m.chern_coords(v)
+    cs: list[Coords] = []
+    for k in range(1, 5):
+        total = us[k - 1] if v is None else map(add, us[k - 1], vs[k - 1])
+        for i in range(1, k):
+            total = map(add, total, m.cup(2 * i, us[i - 1], 2 * (k - i), vs[k - i - 1]))
+        if v is None:
+            vs.append(m.reduce(2 * k, [-x for x in total]))
+        else:
+            cs.append(m.reduce(2 * k, list(total)))
+    result = vs if v is None else cs
+    return ChernTuple(*(CohomologyClass(2 * k, "Z", c) for k, c in enumerate(result, 1)))

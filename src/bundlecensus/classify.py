@@ -63,7 +63,6 @@ class Condition3:
     rhs_exact: Fraction
     lhs_mod2: int
     rhs_mod2: int
-    integrality_violated: bool = False
 
 
 @dataclass(frozen=True)

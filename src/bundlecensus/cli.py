@@ -40,7 +40,7 @@ from .cohomology import (
     validate_manifold,
 )
 from .fixtures import BUILTIN_NAMES, builtin
-from .manifold_io import ManifoldParseError, parse_manifold
+from .manifold_io import ManifoldParseError, parse_int, parse_manifold
 
 EXIT_OK = 0
 EXIT_UNREALIZABLE = 1
@@ -72,8 +72,8 @@ def _parse_vector(text: str, expected: int, degree: int) -> tuple[int, ...]:
         coords: tuple[int, ...] = ()
     else:
         try:
-            coords = tuple(int(t) for t in text.split(","))
-        except ValueError:
+            coords = tuple(parse_int(t) for t in text.split(","))
+        except ManifoldParseError:
             raise ManifoldParseError(f"bad coordinate vector {text!r}") from None
     if len(coords) != expected:
         raise ManifoldParseError(

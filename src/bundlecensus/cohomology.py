@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import mul
-from typing import Iterable, Literal, NamedTuple
+from typing import Iterable, Iterator, Literal, NamedTuple
 
 from .abelian import FGAbelianGroup, IntMatrix, rank_mod2
 
@@ -226,29 +226,27 @@ def _op_dims(data: ManifoldData, op: str, degree: int) -> tuple[int, int]:
 
 def _available_matrix(data: ManifoldData, op: str, degree: int) -> IntMatrix | None:
     """The matrix of an operation, a canonical zero matrix when either side
-    is trivial, or None when it was simply not supplied."""
-    src, tgt = _op_dims(data, op, degree)
-    M = getattr(data, op).get(degree)
-    if M is not None:
-        if (M.rows, M.cols) != (tgt, src):
-            return None  # wrong shape is reported by the shape law
-        return M
-    if src == 0 or tgt == 0:
-        return IntMatrix.zeros(tgt, src)
-    return None
-
-
-def _operation_matrix(data: ManifoldData, op: str, degree: int) -> IntMatrix:
+    is trivial, or None when it was not supplied or is misshapen."""
     src, tgt = _op_dims(data, op, degree)
     M = getattr(data, op).get(degree)
     if M is None:
-        if src == 0 or tgt == 0:
-            return IntMatrix.zeros(tgt, src)
-        raise MissingOperationError(f"missing {op} matrix at degree {degree}")
-    if (M.rows, M.cols) != (tgt, src):
-        raise ValueError(
-            f"{op} matrix at degree {degree}: expected {tgt}x{src}, got {M.rows}x{M.cols}"
-        )
+        return IntMatrix.zeros(tgt, src) if src == 0 or tgt == 0 else None
+    return M if (M.rows, M.cols) == (tgt, src) else None
+
+
+def _misshapen(data: ManifoldData, op: str, degree: int, M: IntMatrix) -> str:
+    src, tgt = _op_dims(data, op, degree)
+    return f"expected {tgt}x{src}, got {M.rows}x{M.cols}"
+
+
+def _operation_matrix(data: ManifoldData, op: str, degree: int) -> IntMatrix:
+    """``_available_matrix``, raising where it gives None."""
+    M = _available_matrix(data, op, degree)
+    if M is None:
+        supplied = getattr(data, op).get(degree)
+        if supplied is None:
+            raise MissingOperationError(f"missing {op} matrix at degree {degree}")
+        raise ValueError(f"{op} matrix at degree {degree}: {_misshapen(data, op, degree, supplied)}")
     return M
 
 
@@ -455,26 +453,55 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _shape_problems(data: ManifoldData) -> list[str]:
+def _beta_bit_matrix(data: ManifoldData, degree: int, M: IntMatrix) -> IntMatrix | None:
+    """Rewrite a Bockstein matrix over the 2-torsion basis of the target.
+
+    Returns None when some column is not 2-torsion (the torsion law
+    reports that separately)."""
+    if degree >= TOP_DEGREE:
+        return IntMatrix.zeros(0, M.cols)
+    group = data.group(degree + 1)
+    # the element of order 2 of Z/d for even d; Z and Z/odd have none
+    halves = [d // 2 if d % 2 == 0 else 0 for d in group.invariant_factors]
+    rows = [j for j, h in enumerate(halves) if h]
+    bits = []
+    for i in range(M.cols):
+        col = group.element(M.column(i)).coords
+        if any(c and c != h for c, h in zip(col, halves)):
+            return None
+        bits.append([1 if col[j] else 0 for j in rows])
+    return IntMatrix.from_columns(bits, len(rows))
+
+
+def _counterexample(name: str, witnesses: Iterable[str]) -> LawResult:
+    """The result of a law that holds unless it has a witness: the first one."""
+    witness = next(iter(witnesses), None)
+    return LawResult(name, witness is None, witness)
+
+
+def _matrices(data: ManifoldData, *ops: str, below: int = TOP_DEGREE + 1):
+    """(degree, one matrix per op) at each degree below ``below`` where the
+    first op's matrix is supplied and all are available: the canonical zero
+    matrix of an unsupplied one has no counterexample to give."""
+    for degree in sorted(getattr(data, ops[0]).keys() & range(below)):
+        matrices = [_available_matrix(data, op, degree) for op in ops]
+        if None not in matrices:
+            yield degree, *matrices
+
+
+def _shape(data: ManifoldData) -> Iterator[LawResult]:
     problems = []
-    for op in ("rho2", "beta", "sq2"):
+    for op in _OP_SPECS:
         for degree, M in sorted(getattr(data, op).items()):
             if degree not in DEGREES:
                 problems.append(f"{op} at degree {degree}: degree out of range")
-                continue
-            src, tgt = _op_dims(data, op, degree)
-            if (M.rows, M.cols) != (tgt, src):
-                problems.append(
-                    f"{op} at degree {degree}: expected {tgt}x{src}, got {M.rows}x{M.cols}"
-                )
+            elif _available_matrix(data, op, degree) is None:
+                problems.append(f"{op} at degree {degree}: {_misshapen(data, op, degree, M)}")
     if len(data.pairing) != data.ngens(TOP_DEGREE):
         problems.append(
             f"pairing vector of length {len(data.pairing)}, H^8 has {data.ngens(TOP_DEGREE)} generators"
         )
-    for label, cls, degree, ring in (
-        ("p1", data.p1, 4, "Z"),
-        ("spinc", data.spinc_class, 2, "Z"),
-    ):
+    for label, cls, degree, ring in (("p1", data.p1, 4, "Z"), ("spinc", data.spinc_class, 2, "Z")):
         if cls.degree != degree or cls.ring != ring or len(cls.coords) != data.dim(degree, ring):
             problems.append(f"{label}: not a well-formed degree-{degree} {ring} class")
     if data.w2 is not None:
@@ -497,189 +524,139 @@ def _shape_problems(data: ManifoldData) -> list[str]:
         for q, quad in enumerate(data.odd_generators):
             for cls, degree in zip(quad, (1, 3, 5, 7)):
                 if cls.degree != degree or cls.ring != "Z" or len(cls.coords) != data.ngens(degree):
-                    problems.append(
-                        f"odd generator block {q}: degree-{degree} entry malformed"
-                    )
-    return problems
+                    problems.append(f"odd generator block {q}: degree-{degree} entry malformed")
+    yield LawResult("shape", not problems, "; ".join(problems) or None)
 
 
-def _beta_bit_matrix(data: ManifoldData, degree: int, M: IntMatrix) -> IntMatrix | None:
-    """Rewrite a Bockstein matrix over the 2-torsion basis of the target.
+def _h0_is_Z(data: ManifoldData) -> Iterator[LawResult]:
+    yield LawResult("h0_is_Z", data.group(0).invariant_factors == (0,), f"H^0 = {data.group(0)}")
 
-    Returns None when some column is not 2-torsion (the torsion law
-    reports that separately)."""
-    if degree >= TOP_DEGREE:
-        return IntMatrix.zeros(0, M.cols)
-    group = data.group(degree + 1)
-    even_rows = [
-        (j, d) for j, d in enumerate(group.invariant_factors) if d and d % 2 == 0
-    ]
-    bits = []
-    for i in range(M.cols):
-        col = group.element(M.column(i)).coords
-        bit_col = []
-        for j, d in enumerate(group.invariant_factors):
-            c = col[j]
-            if d == 0 or d % 2:
-                if c:
-                    return None
-            else:
-                if c not in (0, d // 2):
-                    return None
-                bit_col.append(1 if c else 0)
-        bits.append(bit_col)
-    return IntMatrix.from_columns(bits, len(even_rows))
+
+def _h8_is_Z(data: ManifoldData) -> Iterator[LawResult]:
+    top = data.group(TOP_DEGREE)
+    yield LawResult("h8_is_Z", top.invariant_factors == (0,), f"H^8 = {top}")
+
+
+def _rho2_times2(data: ManifoldData) -> Iterator[LawResult]:
+    # rho2 after multiplication by 2 vanishes: equivalently each generator
+    # of odd finite order must have an even rho2 column.
+    yield _counterexample("rho2_times2", (
+        f"degree {degree} generator {data.integral.names[degree][j]}"
+        for degree, R in _matrices(data, "rho2")
+        for j, d in enumerate(data.group(degree).invariant_factors)
+        if any((d * v) % 2 for v in R.column(j))
+    ))
+
+
+def _beta_torsion(data: ManifoldData) -> Iterator[LawResult]:
+    # Bockstein image is 2-torsion.
+    yield _counterexample("beta_torsion", (
+        f"degree {degree} basis element {data.mod2.names[degree][i]}"
+        for degree, B in _matrices(data, "beta", below=TOP_DEGREE)
+        for i in range(B.cols)
+        if any(data.group(degree + 1).element(2 * v for v in B.column(i)).coords)
+    ))
+
+
+def _beta_rho2(data: ManifoldData) -> Iterator[LawResult]:
+    # beta after rho2 vanishes.
+    yield _counterexample("beta_rho2", (
+        f"degree {degree} generator {data.integral.names[degree][j]}"
+        for degree, R, B in _matrices(data, "rho2", "beta", below=TOP_DEGREE)
+        for j in range(R.cols)
+        if any(data.group(degree + 1).element(B.apply([x % 2 for x in R.column(j)])).coords)
+    ))
+
+
+def _spinc_reduction(data: ManifoldData) -> Iterator[LawResult]:
+    if data.w2 is None:
+        return
+    R = _available_matrix(data, "rho2", 2)
+    if R is None:
+        yield LawResult("spinc_reduction", False, "rho2 at degree 2 unavailable")
+    else:
+        reduced = data.m2class(2, R.apply(list(data.spinc_class.coords)))
+        witness = f"rho2(c) = {reduced.coords}, w2 = {data.w2.coords}"
+        yield LawResult("spinc_reduction", reduced == data.w2, witness)
+
+
+def _pairing_surjective(data: ManifoldData) -> Iterator[LawResult]:
+    yield LawResult(
+        "pairing_surjective", any(abs(w) == 1 for w in data.pairing), f"pairing = {data.pairing}"
+    )
+
+
+def _cup_commutes(data: ManifoldData) -> Iterator[LawResult]:
+    # Tables supplied in both orientations must agree (even degrees only;
+    # odd-degree pairs would differ by the graded sign).
+    yield _counterexample("cup_commutes", (
+        f"cup ({a},{b}) entry ({i},{j}) disagrees with cup ({b},{a})"
+        for (a, b), table in sorted(data.cup_z.items())
+        if a % 2 == b % 2 == 0 and (b, a) in data.cup_z and (a, b) <= (b, a)
+        for (i, j), coords in table.items()
+        if data.cup_z[(b, a)].get((j, i), coords) != coords
+    ))
+
+
+def _sq2_squares_deg2(data: ManifoldData) -> Iterator[LawResult]:
+    if (2, 2) not in data.cup_m2:
+        return
+    S = _available_matrix(data, "sq2", 2)
+    if S is None:
+        yield LawResult("sq2_squares_deg2", False, "sq2 at degree 2 unavailable")
+        return
+    n = data.m2dim(2)
+    basis = (data.m2class(2, [int(k == i) for k in range(n)]) for i in range(n))
+    yield _counterexample("sq2_squares_deg2", (
+        f"basis element {name}"
+        for name, x in zip(data.mod2.names[2], basis)
+        if data.m2class(4, S.apply(x.coords)) != cup(data, x, x)
+    ))
+
+
+def _bockstein_exact(data: ManifoldData) -> Iterator[LawResult]:
+    # im rho2 = ker beta, degree by degree, by mod-2 rank counting.
+    for degree in DEGREES:
+        R, B = _available_matrix(data, "rho2", degree), _available_matrix(data, "beta", degree)
+        if R is None or B is None:
+            continue
+        name = f"bockstein_exact_deg{degree}"
+        bits = _beta_bit_matrix(data, degree, B)
+        if bits is None:
+            yield LawResult(name, False, "beta image not 2-torsion")
+            continue
+        im_rho2 = rank_mod2(R)
+        ker_beta = data.m2dim(degree) - rank_mod2(bits)
+        yield LawResult(
+            name, im_rho2 == ker_beta, f"dim im rho2 = {im_rho2}, dim ker beta = {ker_beta}"
+        )
+
+
+# Each law yields its results: none when it does not apply.
+LAWS = (
+    _shape,
+    _h0_is_Z,
+    _h8_is_Z,
+    _rho2_times2,
+    _beta_torsion,
+    _beta_rho2,
+    _spinc_reduction,
+    _pairing_surjective,
+    _cup_commutes,
+    _sq2_squares_deg2,
+)
 
 
 def validate_manifold(data: ManifoldData, strict: bool = False) -> ValidationReport:
     """Check the algebraic laws the encoded data must satisfy.
 
     Always checked: shape compatibility, H^0 = Z, H^8 = Z, rho2 composed
-    with doubling vanishes, beta after rho2 vanishes, Bockstein images are
-    2-torsion, rho2(c) = w2 when w2 is given, the pairing hits +-1, cup
+    with doubling vanishes, Bockstein images are 2-torsion, beta after
+    rho2 vanishes, rho2(c) = w2 when w2 is given, the pairing hits +-1, cup
     tables given in both orientations agree, and (when a mod-2 degree-2
     product table exists) Sq^2 squares degree-2 classes.  With
     ``strict=True`` the exactness of the Bockstein sequence, im rho2 =
     ker beta, is verified degree by degree by mod-2 rank counting.
     """
-    results: list[LawResult] = []
-
-    problems = _shape_problems(data)
-    results.append(LawResult("shape", not problems, "; ".join(problems) or None))
-
-    results.append(
-        LawResult(
-            "h0_is_Z",
-            data.group(0).invariant_factors == (0,),
-            f"H^0 = {data.group(0)}",
-        )
-    )
-    results.append(
-        LawResult(
-            "h8_is_Z",
-            data.group(TOP_DEGREE).invariant_factors == (0,),
-            f"H^8 = {data.group(TOP_DEGREE)}",
-        )
-    )
-
-    # rho2 after multiplication by 2 vanishes: equivalently each generator
-    # of odd finite order must have an even rho2 column.
-    witness = None
-    for degree, M in sorted(data.rho2.items()):
-        src, tgt = _op_dims(data, "rho2", degree)
-        if (M.rows, M.cols) != (tgt, src):
-            continue
-        for j, d in enumerate(data.group(degree).invariant_factors):
-            if any((d * v) % 2 for v in M.column(j)):
-                witness = f"degree {degree} generator {data.integral.names[degree][j]}"
-                break
-        if witness:
-            break
-    results.append(LawResult("rho2_times2", witness is None, witness))
-
-    # Bockstein image is 2-torsion.
-    witness = None
-    for degree, M in sorted(data.beta.items()):
-        src, tgt = _op_dims(data, "beta", degree)
-        if (M.rows, M.cols) != (tgt, src) or degree >= TOP_DEGREE:
-            continue
-        group = data.group(degree + 1)
-        for i in range(M.cols):
-            doubled = group.element(2 * v for v in M.column(i))
-            if any(doubled.coords):
-                witness = f"degree {degree} basis element {data.mod2.names[degree][i]}"
-                break
-        if witness:
-            break
-    results.append(LawResult("beta_torsion", witness is None, witness))
-
-    # beta after rho2 vanishes.
-    witness = None
-    for degree in DEGREES[:-1]:
-        R = _available_matrix(data, "rho2", degree)
-        B = _available_matrix(data, "beta", degree)
-        if R is None or B is None:
-            continue
-        group = data.group(degree + 1)
-        for j in range(R.cols):
-            v = [x % 2 for x in R.column(j)]
-            image = group.element(B.apply(v))
-            if any(image.coords):
-                witness = f"degree {degree} generator {data.integral.names[degree][j]}"
-                break
-        if witness:
-            break
-    results.append(LawResult("beta_rho2", witness is None, witness))
-
-    if data.w2 is not None:
-        R = _available_matrix(data, "rho2", 2)
-        if R is None:
-            results.append(LawResult("spinc_reduction", False, "rho2 at degree 2 unavailable"))
-        else:
-            reduced = data.m2class(2, R.apply(list(data.spinc_class.coords)))
-            results.append(
-                LawResult(
-                    "spinc_reduction",
-                    reduced == data.w2,
-                    f"rho2(c) = {reduced.coords}, w2 = {data.w2.coords}",
-                )
-            )
-
-    results.append(
-        LawResult(
-            "pairing_surjective",
-            any(abs(w) == 1 for w in data.pairing),
-            f"pairing = {data.pairing}",
-        )
-    )
-
-    # Tables supplied in both orientations must agree (even degrees only;
-    # odd-degree pairs would differ by the graded sign).
-    witness = None
-    for (a, b), table in sorted(data.cup_z.items()):
-        if a % 2 or b % 2 or (b, a) not in data.cup_z or (a, b) > (b, a):
-            continue
-        other = data.cup_z[(b, a)]
-        for (i, j), coords in table.items():
-            if other.get((j, i), coords) != coords:
-                witness = f"cup ({a},{b}) entry ({i},{j}) disagrees with cup ({b},{a})"
-                break
-        if witness:
-            break
-    results.append(LawResult("cup_commutes", witness is None, witness))
-
-    if (2, 2) in data.cup_m2:
-        S = _available_matrix(data, "sq2", 2)
-        if S is None:
-            results.append(LawResult("sq2_squares_deg2", False, "sq2 at degree 2 unavailable"))
-        else:
-            witness = None
-            for i in range(data.m2dim(2)):
-                basis = data.m2class(2, [1 if k == i else 0 for k in range(data.m2dim(2))])
-                if apply_op(data, "sq2", basis) != cup(data, basis, basis):
-                    witness = f"basis element {data.mod2.names[2][i]}"
-                    break
-            results.append(LawResult("sq2_squares_deg2", witness is None, witness))
-
-    if strict:
-        for degree in DEGREES:
-            R = _available_matrix(data, "rho2", degree)
-            B = _available_matrix(data, "beta", degree)
-            if R is None or B is None:
-                continue
-            name = f"bockstein_exact_deg{degree}"
-            bits = _beta_bit_matrix(data, degree, B)
-            if bits is None:
-                results.append(LawResult(name, False, "beta image not 2-torsion"))
-                continue
-            im_rho2 = rank_mod2(R)
-            ker_beta = data.m2dim(degree) - rank_mod2(bits)
-            results.append(
-                LawResult(
-                    name,
-                    im_rho2 == ker_beta,
-                    f"dim im rho2 = {im_rho2}, dim ker beta = {ker_beta}",
-                )
-            )
-
-    return ValidationReport(tuple(results))
+    laws = LAWS + (_bockstein_exact,) if strict else LAWS
+    return ValidationReport(tuple(r for law in laws for r in law(data)))

@@ -25,6 +25,8 @@ that matrix rows follow their header and g-lines follow their oddgen):
                 [ NEWLINE "g1" VEC NEWLINE "g3" VEC
                   NEWLINE "g5" VEC NEWLINE "g7" VEC ] ;
     VEC       = "-" | INT+ ;                 (* "-" = empty vector *)
+    INT       = [ "-" ] NAT ;
+    NAT       = ( "0" .. "9" )+ ;            (* ASCII digits only *)
     DEG       = "0" .. "8" ;
 
 Degrees not declared are trivial.  Torsion factors must be >= 2 and form
@@ -35,12 +37,16 @@ row).  "cup" lines give integral products of generator pairs, "cup2"
 optional mod-2 products; a declared table must list every generator pair.
 "manifold", "pairing", "p1" and "spinc" are mandatory sections.  An
 absent oddgen section means the odd transgression data was not supplied;
-"oddgen trivial" declares it known to be trivial.  A free rank, a number
-of torsion factors or a mod-2 dimension above MAX_GENERATORS is rejected.
+"oddgen trivial" declares it known to be trivial.  A section appears
+once per keyword and identifying tokens ("integral DEG", "names z|m2
+DEG", "map OP DEG", "cup A B I J", ...); only oddgen blocks repeat.
+A free rank, a number of torsion factors or a mod-2 dimension above
+MAX_GENERATORS is rejected.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -57,6 +63,7 @@ from .cohomology import (
 )
 
 _OPS = ("rho2", "beta", "sq2")
+_INT = re.compile("-?[0-9]+")
 
 MAX_GENERATORS = 256
 """Largest free rank, number of torsion factors or mod-2 dimension a file
@@ -86,11 +93,11 @@ def _tokenize(text: str) -> list[_Line]:
     return out
 
 
-def _int(token: str, line: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ManifoldParseError(f"expected an integer, got {token!r}", line) from None
+def parse_int(token: str, line: int | None = None) -> int:
+    """An INT token: an optional '-' and ASCII digits, nothing else."""
+    if not _INT.fullmatch(token):
+        raise ManifoldParseError(f"expected an integer, got {token!r}", line)
+    return int(token)
 
 
 def _vec(tokens: list[str], line: int) -> tuple[int, ...]:
@@ -98,11 +105,11 @@ def _vec(tokens: list[str], line: int) -> tuple[int, ...]:
         return ()
     if not tokens:
         raise ManifoldParseError("expected a coordinate vector or '-'", line)
-    return tuple(_int(t, line) for t in tokens)
+    return tuple(parse_int(t, line) for t in tokens)
 
 
 def _degree(token: str, line: int) -> int:
-    d = _int(token, line)
+    d = parse_int(token, line)
     if not 0 <= d <= TOP_DEGREE:
         raise ManifoldParseError(f"degree {d} out of range 0..8", line)
     return d
@@ -128,6 +135,15 @@ def parse_manifold_text(text: str) -> ManifoldData:
     pairing: tuple[int, ...] | None = None
     vectors: dict[str, tuple[tuple[int, ...], int]] = {}
     odd_blocks: list[tuple[tuple[int, ...], ...]] | None = None
+    seen: dict[tuple, int] = {}
+
+    def once(number: int, *section) -> None:
+        """Each section, named by its keyword and identifying tokens, may appear once."""
+        if section in seen:
+            raise ManifoldParseError(
+                f"duplicate {' '.join(map(str, section))} (first on line {seen[section]})", number
+            )
+        seen[section] = number
 
     idx = 0
     while idx < len(lines):
@@ -137,43 +153,45 @@ def parse_manifold_text(text: str) -> ManifoldData:
         if key == "manifold":
             if len(rest) != 1:
                 raise ManifoldParseError("manifold header takes exactly one name", line.number)
+            once(line.number, key)
             name = rest[0]
         elif key == "integral":
             if not rest:
                 raise ManifoldParseError("integral line needs a degree", line.number)
             deg = _degree(rest[0], line.number)
+            once(line.number, key, deg)
             free, torsion = 0, []
             pos = 1
             while pos < len(rest):
                 if rest[pos] == "free":
-                    free = _int(rest[pos + 1], line.number) if pos + 1 < len(rest) else None
+                    free = parse_int(rest[pos + 1], line.number) if pos + 1 < len(rest) else None
                     if free is None or free < 0:
                         raise ManifoldParseError("free rank must be a nonnegative integer", line.number)
                     _check_size("free rank", free, line.number)
                     pos += 2
                 elif rest[pos] == "torsion":
                     _check_size("number of torsion factors", len(rest) - pos - 1, line.number)
-                    torsion = [_int(t, line.number) for t in rest[pos + 1 :]]
+                    torsion = [parse_int(t, line.number) for t in rest[pos + 1 :]]
+                    if not torsion:
+                        raise ManifoldParseError("torsion needs at least one factor", line.number)
                     if any(d < 2 for d in torsion):
                         raise ManifoldParseError("torsion factors must be >= 2", line.number)
                     pos = len(rest)
                 else:
                     raise ManifoldParseError(f"unexpected token {rest[pos]!r}", line.number)
-            if deg in integral_decl:
-                raise ManifoldParseError(f"duplicate integral declaration for degree {deg}", line.number)
             integral_decl[deg] = (free, tuple(torsion))
         elif key == "mod2":
             if len(rest) != 3 or rest[1] != "dim":
                 raise ManifoldParseError("expected: mod2 DEG dim D", line.number)
             deg = _degree(rest[0], line.number)
-            if deg in mod2_decl:
-                raise ManifoldParseError(f"duplicate mod2 declaration for degree {deg}", line.number)
-            mod2_decl[deg] = _int(rest[2], line.number)
+            once(line.number, key, deg)
+            mod2_decl[deg] = parse_int(rest[2], line.number)
             _check_size("mod-2 dimension", mod2_decl[deg], line.number)
         elif key == "names":
             if len(rest) < 2 or rest[0] not in ("z", "m2"):
                 raise ManifoldParseError("expected: names z|m2 DEG NAME...", line.number)
             deg = _degree(rest[1], line.number)
+            once(line.number, key, rest[0], deg)
             target = names_z if rest[0] == "z" else names_m2
             target[deg] = tuple(rest[2:])
         elif key == "map":
@@ -183,8 +201,9 @@ def parse_manifold_text(text: str) -> ManifoldData:
             if op not in _OPS:
                 raise ManifoldParseError(f"unknown operation {op!r}", line.number)
             deg = _degree(rest[1], line.number)
-            rows = _int(rest[3], line.number)
-            cols = _int(rest[5], line.number)
+            once(line.number, key, op, deg)
+            rows = parse_int(rest[3], line.number)
+            cols = parse_int(rest[5], line.number)
             entries: list[int] = []
             for _ in range(rows):
                 if idx >= len(lines):
@@ -200,30 +219,26 @@ def parse_manifold_text(text: str) -> ManifoldData:
                         row_line.number,
                     )
                 entries.extend(row)
-            if (op, deg) in maps:
-                raise ManifoldParseError(f"duplicate {op} matrix at degree {deg}", line.number)
             maps[(op, deg)] = (IntMatrix(rows, cols, tuple(entries)), line.number)
         elif key in ("cup", "cup2"):
             if len(rest) < 5 or rest[4] != "->":
                 raise ManifoldParseError(f"expected: {key} A B I J -> VEC", line.number)
             a = _degree(rest[0], line.number)
             b = _degree(rest[1], line.number)
-            i = _int(rest[2], line.number)
-            j = _int(rest[3], line.number)
+            i = parse_int(rest[2], line.number)
+            j = parse_int(rest[3], line.number)
+            once(line.number, key, a, b, i, j)
             coords = _vec(rest[5:], line.number)
-            table = cup_decl[key].setdefault((a, b), {})
-            if (i, j) in table:
-                raise ManifoldParseError(
-                    f"duplicate {key} entry for degrees ({a}, {b}) pair ({i}, {j})", line.number
-                )
-            table[(i, j)] = (coords, line.number)
+            cup_decl[key].setdefault((a, b), {})[(i, j)] = (coords, line.number)
         elif key == "pairing":
+            once(line.number, key)
             pairing = _vec(rest, line.number)
         elif key in ("p1", "spinc", "w2"):
-            if key in vectors:
-                raise ManifoldParseError(f"duplicate {key} section", line.number)
+            once(line.number, key)
             vectors[key] = (_vec(rest, line.number), line.number)
         elif key == "oddgen":
+            if not odd_blocks or rest == ["trivial"]:  # only oddgen blocks repeat
+                once(line.number, key)
             if odd_blocks is None:
                 odd_blocks = []
             if rest == ["trivial"]:

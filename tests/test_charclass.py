@@ -13,7 +13,8 @@ from bundlecensus.charclass import (
     rr_value_by_series,
     zero_tuple,
 )
-from bundlecensus.fixtures import builtin
+from bundlecensus.cohomology import ChernTuple, CohomologyClass, cup
+from bundlecensus.fixtures import BUILTIN_NAMES, builtin
 
 
 def cp4_tuple(data, a1, a2, a3, a4):
@@ -54,6 +55,50 @@ def test_inverse_round_trip_random(cp4):
     for _ in range(100):
         u = random_tuple(cp4, rng)
         assert chern_product(u, chern_inverse(u, cp4), cp4) == zero_tuple(cp4)
+
+
+def generic_product(u, v, data):
+    """The Whitney sum expanded degree by degree with the generic class operations."""
+    add = data.add
+    c1 = add(u.u1, v.u1)
+    c2 = add(add(u.u2, v.u2), cup(data, u.u1, v.u1))
+    c3 = add(add(u.u3, v.u3), add(cup(data, u.u1, v.u2), cup(data, u.u2, v.u1)))
+    c4 = add(
+        add(u.u4, v.u4),
+        add(add(cup(data, u.u1, v.u3), cup(data, u.u2, v.u2)), cup(data, u.u3, v.u1)),
+    )
+    return ChernTuple(c1, c2, c3, c4)
+
+
+def generic_inverse(u, data):
+    add, negate = data.add, data.negate
+    v1 = negate(u.u1)
+    v2 = negate(add(u.u2, cup(data, u.u1, v1)))
+    v3 = negate(add(u.u3, add(cup(data, u.u1, v2), cup(data, u.u2, v1))))
+    v4 = negate(
+        add(u.u4, add(add(cup(data, u.u1, v3), cup(data, u.u2, v2)), cup(data, u.u3, v1)))
+    )
+    return ChernTuple(v1, v2, v3, v4)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_whitney_sum_matches_generic_expansion(name):
+    # one tuple in five is built from unreduced classes, one in ten has
+    # coordinates up to 10^40
+    data = builtin(name)
+    rng = random.Random(2_0200_5)
+    for i in range(200):
+        bound = 10**40 if i % 10 == 0 else 9
+        u, v = (
+            [[rng.randint(-bound, bound) for _ in range(data.ngens(d))] for d in (2, 4, 6, 8)]
+            for _ in range(2)
+        )
+        if i % 5 == 1:
+            u, v = (ChernTuple(*map(CohomologyClass, (2, 4, 6, 8), "ZZZZ", w)) for w in (u, v))
+        else:
+            u, v = data.chern_tuple(*u), data.chern_tuple(*v)
+        assert chern_product(u, v, data) == generic_product(u, v, data)
+        assert chern_inverse(u, data) == generic_inverse(u, data)
 
 
 @pytest.mark.parametrize("name", ["cp4", "cp2xcp2", "cp1xcp3"])

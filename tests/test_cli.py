@@ -77,11 +77,17 @@ def test_wrong_vector_length_is_input_error(capsys):
     code, _, err = run(capsys, "rank4", "--builtin", "cp4", "--chern", "1,2", "0", "0", "0")
     assert code == 2
     assert "degree 2 expects 1 coordinates" in err
-    # an empty entry is an error, not a dropped coordinate; "-" is the only empty vector
+    # an empty entry is an error, not a dropped coordinate; "-" is the only
+    # empty vector; an entry is an optional "-" and ASCII digits, nothing else
     for argv in (
         ("cp2xcp2", "1,,0", "0,1,0", "0,0", "0"),
         ("cp2xcp2", "1,0,", "0,1,0", "0,0", "0"),
         ("torsion-demo", ",", "-", "0", "0"),
+        ("cp4", "1_0", "0", "0", "0"),
+        ("cp4", "+5", "0", "0", "0"),
+        ("cp4", " 1", "0", "0", "0"),
+        ("cp4", "\u0665", "0", "0", "0"),
+        ("cp2xcp2", "1,+0", "0,1,0", "0,0", "0"),
     ):
         code, _, err = run(capsys, "rank4", "--builtin", argv[0], "--chern", *argv[1:])
         assert code == 2

@@ -54,6 +54,14 @@ def test_dimension_mismatch_is_caught(cp4):
     law = report.law("shape")
     assert not law.passed
     assert "rho2 at degree 2" in law.witness
+    # a matrix keyed outside 0..8 fails the shape law and only that law
+    for op in ("rho2", "beta", "sq2"):
+        for degree in (9, -1):
+            corrupted = replace(cp4, **{op: {**getattr(cp4, op), degree: IntMatrix.identity(1)}})
+            for strict in (False, True):
+                report = validate_manifold(corrupted, strict=strict)
+                assert [r.name for r in report.failures()] == ["shape"]
+                assert f"{op} at degree {degree}: degree out of range" in report.law("shape").witness
 
 
 def test_strict_mode_catches_broken_exactness(torsion_demo):

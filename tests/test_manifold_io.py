@@ -91,10 +91,47 @@ def test_degree_out_of_range():
         parse_manifold_text("manifold x\nintegral 9 free 1\n")
 
 
-def test_duplicate_sections_rejected():
-    text = MINIMAL + "\np1 -\n"
-    with pytest.raises(ManifoldParseError, match="duplicate p1"):
+ODDGEN_BLOCK = "oddgen\ng1 -\ng3 -\ng5 -\ng7 -\n"
+
+
+@pytest.mark.parametrize(
+    "extra, section",
+    [
+        ("manifold y", "manifold"),
+        ("integral 0 free 1", "integral 0"),
+        ("integral 00 free 1", "integral 0"),
+        ("mod2 8 dim 1", "mod2 8"),
+        ("names z 0 one\nnames z 0 unit", "names z 0"),
+        ("names m2 8 top\nnames m2 08 top", "names m2 8"),
+        ("map rho2 0 rows 1 cols 1\n1", "map rho2 0"),
+        ("cup 0 8 0 0 -> 1\ncup 0 8 0 0 -> 1", "cup 0 8 0 0"),
+        ("cup2 0 8 0 0 -> 1\ncup2 0 8 0 0 -> 1", "cup2 0 8 0 0"),
+        ("pairing 1", "pairing"),
+        ("p1 -", "p1"),
+        ("spinc -", "spinc"),
+        ("w2 -\nw2 -", "w2"),
+        ("oddgen trivial\noddgen trivial", "oddgen"),
+        ("oddgen trivial\n" + ODDGEN_BLOCK, "oddgen"),
+        (ODDGEN_BLOCK + "oddgen trivial", "oddgen"),
+    ],
+    ids=[
+        "manifold", "integral", "integral-00", "mod2", "names-z", "names-m2-08", "map", "cup",
+        "cup2", "pairing", "p1", "spinc", "w2", "oddgen-trivial-twice",
+        "oddgen-trivial-then-block", "oddgen-block-then-trivial",
+    ],
+)
+def test_duplicate_sections_rejected(extra, section):
+    text = MINIMAL + extra + "\n"
+    with pytest.raises(ManifoldParseError, match=f"duplicate {section} \\(first on line") as info:
         parse_manifold_text(text)
+    keyword = section.split()[0]
+    lines = text.splitlines()
+    assert info.value.line == max(n for n, l in enumerate(lines, 1) if l.split()[:1] == [keyword])
+
+
+def test_oddgen_blocks_repeat():
+    data = parse_manifold_text(MINIMAL + ODDGEN_BLOCK * 2)
+    assert len(data.odd_generators) == 2
 
 
 def test_incomplete_cup_table_rejected(cp2xcp2):
@@ -110,8 +147,12 @@ def test_incomplete_cup_table_rejected(cp2xcp2):
     [
         ("4 2", "integral degree 6"),
         ("0", f"line {len(MINIMAL.splitlines()) + 1}: torsion factors must be >= 2"),
+        ("", f"line {len(MINIMAL.splitlines()) + 1}: torsion needs at least one factor"),
+        ("1_0", "expected an integer, got '1_0'"),
+        ("+2", "expected an integer, got '\\+2'"),
+        ("\u0662", "expected an integer, got '\u0662'"),
     ],
-    ids=["chain", "zero"],
+    ids=["chain", "zero", "empty", "underscore", "plus", "non-ascii"],
 )
 def test_bad_torsion_chain_rejected(factors, message):
     text = MINIMAL + f"integral 6 free 0 torsion {factors}\n"
