@@ -1,34 +1,50 @@
 #!/usr/bin/env python3
-"""Census experiment over cp4.
+"""Census experiment over cp4, or any builtin.
 
-Runs the exhaustive rank-3 and rank-4 censuses at a chosen bound,
-cross-checks the generic checker against the closed-form congruences, and
-tabulates which residue of a4 mod 6 is realizable for each (a1, a2, a3).
+Runs the exhaustive rank-4 and rank-3 censuses at a chosen bound and prints
+the time per tuple of each.  On cp4 (the default) it cross-checks the
+generic census against the closed-form congruences and tabulates which
+residue of a4 mod 6 is realizable for each (a1, a2, a3).  With --builtin
+it runs the generic census (``census.enumerate``) alone on that builtin.
 
     python3 scripts/cp4_census.py --bound 6
+    python3 scripts/cp4_census.py --builtin cp2xcp2 --bound 1
 """
 
 import argparse
+import time
 from collections import Counter
 
-from bundlecensus import builtin, enumerate_cp4, rr_value
+from bundlecensus import builtin, census, enumerate_cp4, rr_value
+from bundlecensus.fixtures import BUILTIN_NAMES
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--bound", type=int, default=6)
+    parser.add_argument("--builtin", choices=BUILTIN_NAMES, help="generic census on this builtin")
     args = parser.parse_args()
 
-    results = {rank: enumerate_cp4(args.bound, rank) for rank in (4, 3)}
-    for rank, result in results.items():
-        realizable = result.realizable()
-        disagreements = result.disagreements()
-        print(
-            f"rank {rank}: {len(realizable)} of {len(result.rows)} tuples realizable, "
-            f"{len(disagreements)} cross-check disagreements"
-        )
+    results = {}
+    for rank in (4, 3):
+        start = time.perf_counter()
+        if args.builtin:
+            rows = census.enumerate(builtin(args.builtin), args.bound, rank)
+        else:
+            results[rank] = enumerate_cp4(args.bound, rank)
+            rows = [(r.coefficients, r.generic) for r in results[rank].rows]
+        us = (time.perf_counter() - start) / len(rows) * 1e6
+        realizable = sum(generic for _, generic in rows)
+        line = f"rank {rank}: {realizable} of {len(rows)} tuples realizable, {us:.2f} us per tuple"
+        if args.builtin:
+            print(line)
+            continue
+        disagreements = results[rank].disagreements()
+        print(f"{line}, {len(disagreements)} cross-check disagreements")
         if disagreements:
             return 1
+    if args.builtin:
+        return 0
 
     data = builtin("cp4")
     residues = Counter()

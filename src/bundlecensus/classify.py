@@ -102,6 +102,28 @@ def _mod2_image(data: ManifoldData, op: str, degree: int, ring: str, rows, x: Co
     return tuple([sum(map(mul, row, x)) % 2 for row in rows])
 
 
+def condition1_lhs(data: ManifoldData, u2: Coords) -> Coords:
+    """Sq^2 rho2(u2), the left-hand side of condition (1)."""
+    m = data.compiled
+    return _mod2_image(data, "sq2", 4, "Z2", m.sq2_4, _mod2_image(data, "rho2", 4, "Z", m.rho2_4, u2))
+
+
+def condition1_rhs(data: ManifoldData, u1u2: Coords, u3: Coords) -> Coords:
+    """rho2(u3 + u1*u2), the right-hand side of condition (1)."""
+    m = data.compiled
+    return _mod2_image(data, "rho2", 6, "Z", m.rho2_6, m.reduce(6, tuple(map(add, u3, u1u2))))
+
+
+def integral_rhs3(rhs3_times4: int, name: str) -> int:
+    """The right-hand side of (3) from 4 times it, which (1) makes an integer."""
+    if rhs3_times4 % 4:
+        raise InternalInconsistencyError(
+            f"condition (3) right-hand side {Fraction(rhs3_times4, 4)} is not an integer "
+            f"although condition (1) holds; manifold data {name!r} is inconsistent"
+        )
+    return rhs3_times4 // 4
+
+
 def rank4_conditions(
     data: ManifoldData, u1: Coords, u2: Coords, u3: Coords, u4: Coords
 ) -> tuple[Coords, Coords, tuple[int, int, int] | None]:
@@ -115,9 +137,7 @@ def rank4_conditions(
     """
     m = data.compiled
     u1u2 = m.cup(2, u1, 4, u2)
-    rho2_u2 = _mod2_image(data, "rho2", 4, "Z", m.rho2_4, u2)
-    lhs1 = _mod2_image(data, "sq2", 4, "Z2", m.sq2_4, rho2_u2)
-    rhs1 = _mod2_image(data, "rho2", 6, "Z", m.rho2_6, m.reduce(6, tuple(map(add, u3, u1u2))))
+    lhs1, rhs1 = condition1_lhs(data, u2), condition1_rhs(data, u1u2, u3)
     if lhs1 != rhs1:
         return lhs1, rhs1, None
 
@@ -125,21 +145,7 @@ def rank4_conditions(
     products["u1", "u2"] = u1u2
     pairings = pair_monomials(m, products, MONOMIALS)
     lhs, rhs2, rhs3_times4 = (sum(map(mul, column, pairings)) for column in CONDITION_COLUMNS)
-    if rhs3_times4 % 4:
-        raise InternalInconsistencyError(
-            f"condition (3) right-hand side {Fraction(rhs3_times4, 4)} is not an integer "
-            f"although condition (1) holds; manifold data {m.name!r} is inconsistent"
-        )
-    return lhs1, rhs1, (lhs, rhs2, rhs3_times4 // 4)
-
-
-def rank4_realizable(data: ManifoldData, u1: Coords, u2: Coords, u3: Coords, u4: Coords) -> bool:
-    """``check_rank4(...).realizable`` on coordinate tuples, building no verdict."""
-    degree8 = rank4_conditions(data, u1, u2, u3, u4)[2]
-    if degree8 is None:
-        return False
-    lhs, rhs2, rhs3 = degree8
-    return lhs % 3 == rhs2 % 3 and lhs % 2 == rhs3 % 2
+    return lhs1, rhs1, (lhs, rhs2, integral_rhs3(rhs3_times4, m.name))
 
 
 def check_rank4(data: ManifoldData, u: ChernTuple) -> Verdict:
@@ -249,12 +255,12 @@ def count_classes(
             raise ValueError("rank 4 expects a ChernTuple")
         if not check_rank4(data, u).realizable:
             return None
-        return compute_B(data)
+        return data.B
     if rank == 3:
         u1, u2, u3 = u if not isinstance(u, ChernTuple) else (u.u1, u.u2, u.u3)
         if not check_rank3(data, u1, u2, u3).realizable:
             return None
-        return compute_B(data).direct_sum(compute_T(data, u1, u2, u3))
+        return data.B.direct_sum(compute_T(data, u1, u2, u3))
     raise ValueError(f"rank must be 3 or 4, got {rank}")
 
 

@@ -206,6 +206,12 @@ class ManifoldData:
         once it has been compiled."""
         return _compile(self)
 
+    @cached_property
+    def B(self) -> FGAbelianGroup:
+        """``classify.compute_B``, which no Chern tuple changes, kept as ``compiled`` is."""
+        from .classify import compute_B  # classify imports this module
+        return compute_B(self)
+
 
 # -- the four operations ------------------------------------------------
 

@@ -115,6 +115,13 @@ def _degree(token: str, line: int) -> int:
     return d
 
 
+def _nat(what: str, token: str, line: int) -> int:
+    n = parse_int(token, line)
+    if n < 0:
+        raise ManifoldParseError(f"{what} must be nonnegative, got {n}", line)
+    return n
+
+
 def _check_size(what: str, size: int, line: int) -> None:
     if size > MAX_GENERATORS:
         raise ManifoldParseError(f"{what} {size} exceeds the limit of {MAX_GENERATORS}", line)
@@ -185,7 +192,7 @@ def parse_manifold_text(text: str) -> ManifoldData:
                 raise ManifoldParseError("expected: mod2 DEG dim D", line.number)
             deg = _degree(rest[0], line.number)
             once(line.number, key, deg)
-            mod2_decl[deg] = parse_int(rest[2], line.number)
+            mod2_decl[deg] = _nat("mod-2 dimension", rest[2], line.number)
             _check_size("mod-2 dimension", mod2_decl[deg], line.number)
         elif key == "names":
             if len(rest) < 2 or rest[0] not in ("z", "m2"):
@@ -202,8 +209,8 @@ def parse_manifold_text(text: str) -> ManifoldData:
                 raise ManifoldParseError(f"unknown operation {op!r}", line.number)
             deg = _degree(rest[1], line.number)
             once(line.number, key, op, deg)
-            rows = parse_int(rest[3], line.number)
-            cols = parse_int(rest[5], line.number)
+            rows = _nat("rows", rest[3], line.number)
+            cols = _nat("cols", rest[5], line.number)
             entries: list[int] = []
             for _ in range(rows):
                 if idx >= len(lines):
@@ -283,8 +290,6 @@ def parse_manifold_text(text: str) -> ManifoldData:
     dims, mnames = [], []
     for n in range(TOP_DEGREE + 1):
         d = mod2_decl.get(n, 0)
-        if d < 0:
-            raise ManifoldParseError(f"mod2 degree {n}: negative dimension")
         dims.append(d)
         given = names_m2.get(n)
         if given is not None and len(given) != d:

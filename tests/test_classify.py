@@ -296,6 +296,29 @@ def test_count_classes(cp4, torsion_demo, h7_demo):
         count_classes(cp4, cp4_tuple(cp4, 0, 0, 0, 0), 2)
 
 
+def test_B_is_computed_afresh_for_replaced_operations(torsion_demo):
+    # B = beta(H^5) / beta Sq^2 rho2(H^3), cached per instance: a class y in
+    # H^3 with Sq^2 rho2 y = x5 kills B = Z/2, a zero Sq^2 or beta restores it
+    from bundlecensus.abelian import IntMatrix
+    from conftest import graded_pair
+
+    zero = torsion_demo.chern_tuple((), (), (0,), (0,))
+    assert count_classes(torsion_demo, zero, 4) == FGAbelianGroup((2,))
+    assert count_classes(torsion_demo, zero, 3) == FGAbelianGroup((2,))
+    killed_beta = replace(torsion_demo, beta={5: IntMatrix.zeros(1, 1)})
+    assert count_classes(killed_beta, zero, 4) == FGAbelianGroup(())
+    integral, mod2 = graded_pair(
+        {0: ((0,), ("1",)), 3: ((0,), ("y",)), 6: ((2,), ("s",)), 8: ((0,), ("v",))},
+        {0: ("1",), 3: ("y",), 5: ("x5",), 6: ("x6",), 8: ("v",)},
+    )
+    rho2 = {**torsion_demo.rho2, 3: IntMatrix.identity(1)}
+    with_h3 = replace(torsion_demo, integral=integral, mod2=mod2, rho2=rho2, sq2={3: IntMatrix.identity(1)})
+    assert count_classes(with_h3, zero, 4) == FGAbelianGroup(())
+    assert count_classes(replace(with_h3, sq2={3: IntMatrix.zeros(1, 1)}), zero, 4) == FGAbelianGroup((2,))
+    assert count_classes(with_h3, zero, 3) == FGAbelianGroup(())
+    assert count_classes(torsion_demo, zero, 4) == torsion_demo.B == compute_B(torsion_demo)
+
+
 def test_count_classes_rank3_uses_padded_tuple(cp4):
     triple = (cp4.zclass(2, (0,)), cp4.zclass(4, (2,)), cp4.zclass(6, (2,)))
     assert count_classes(cp4, triple, 3) == FGAbelianGroup(())

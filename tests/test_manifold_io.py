@@ -2,6 +2,7 @@ from importlib import resources
 
 import pytest
 
+from bundlecensus.cli import main
 from bundlecensus.cohomology import ManifoldValidationError
 from bundlecensus.fixtures import BUILTIN_NAMES, builtin
 from bundlecensus.manifold_io import (
@@ -211,3 +212,24 @@ def test_sizes_at_the_cap_parse():
     sizes = f"integral 3 free {MAX_GENERATORS}\nmod2 3 dim {MAX_GENERATORS}\n"
     data = parse_manifold_text(MINIMAL + sizes)
     assert data.ngens(3) == data.m2dim(3) == MAX_GENERATORS
+
+
+@pytest.mark.parametrize(
+    "line, what",
+    [
+        ("map sq2 3 rows -1 cols 0", "rows"),
+        ("map sq2 3 rows 0 cols -1", "cols"),
+        ("mod2 3 dim -1", "mod-2 dimension"),
+    ],
+    ids=["rows", "cols", "dim"],
+)
+def test_negative_sizes_rejected_on_their_line(line, what, tmp_path, capsys):
+    text = MINIMAL + line + "\n"
+    number = len(MINIMAL.splitlines()) + 1
+    with pytest.raises(ManifoldParseError, match=f"{what} must be nonnegative, got -1") as info:
+        parse_manifold_text(text)
+    assert info.value.line == number
+    path = tmp_path / "negative.manifold"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+    assert f"error: line {number}: {what} must be nonnegative" in capsys.readouterr().err
