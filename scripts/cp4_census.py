@@ -15,8 +15,7 @@ import argparse
 import time
 from collections import Counter
 
-from bundlecensus import builtin, census, enumerate_cp4, rr_value
-from bundlecensus.fixtures import BUILTIN_NAMES
+from bundlecensus import BUILTIN_NAMES, builtin, census, enumerate_cp4, rr_value
 
 
 def main() -> int:

@@ -47,6 +47,11 @@ EXIT_UNREALIZABLE = 1
 EXIT_INPUT = 2
 EXIT_INCONSISTENT = 3
 
+MAX_CENSUS_TUPLES = 250_000
+"""Largest coordinate box ``enumerate`` decides.  Every row of a census is
+held in memory, about 260 bytes each, so the box is checked before any row
+is built."""
+
 
 def _add_source(parser: argparse.ArgumentParser, no_validate: bool = True) -> None:
     parser.add_argument("file", nargs="?", help="manifold description file")
@@ -191,9 +196,20 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_census_box(bound: int, rank: int) -> None:
+    """Reject a cp4 box of more than MAX_CENSUS_TUPLES tuples; a negative
+    bound is left to ``enumerate_cp4`` to reject."""
+    if bound >= 0 and (2 * bound + 1) ** rank > MAX_CENSUS_TUPLES:
+        raise ManifoldParseError(
+            f"--bound {bound} --rank {rank}: the box has more than the limit of "
+            f"{MAX_CENSUS_TUPLES} tuples"
+        )
+
+
 def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.builtin != "cp4":
         raise ManifoldParseError("enumerate currently supports --builtin cp4 only")
+    _check_census_box(args.bound, args.rank)
     result = enumerate_cp4(args.bound, args.rank)
     realizable = result.realizable()
     disagreements = result.disagreements()

@@ -134,8 +134,7 @@ def parse_manifold_text(text: str) -> ManifoldData:
     name: str | None = None
     integral_decl: dict[int, tuple[int, tuple[int, ...]]] = {}
     mod2_decl: dict[int, int] = {}
-    names_z: dict[int, tuple[str, ...]] = {}
-    names_m2: dict[int, tuple[str, ...]] = {}
+    names: dict[tuple[str, int], tuple[tuple[str, ...], int]] = {}
     maps: dict[tuple[str, int], tuple[IntMatrix, int]] = {}
     cup_decl: dict[str, dict[tuple[int, int], dict[tuple[int, int], tuple[tuple[int, ...], int]]]]
     cup_decl = {"cup": {}, "cup2": {}}
@@ -199,8 +198,7 @@ def parse_manifold_text(text: str) -> ManifoldData:
                 raise ManifoldParseError("expected: names z|m2 DEG NAME...", line.number)
             deg = _degree(rest[1], line.number)
             once(line.number, key, rest[0], deg)
-            target = names_z if rest[0] == "z" else names_m2
-            target[deg] = tuple(rest[2:])
+            names[(rest[0], deg)] = (tuple(rest[2:]), line.number)
         elif key == "map":
             if len(rest) != 6 or rest[2] != "rows" or rest[4] != "cols":
                 raise ManifoldParseError("expected: map OP DEG rows R cols C", line.number)
@@ -281,19 +279,22 @@ def parse_manifold_text(text: str) -> ManifoldData:
         except ValueError as exc:
             raise ManifoldParseError(f"integral degree {n}: {exc}") from None
         groups.append(group)
-        given = names_z.get(n)
+        given, names_line = names.get(("z", n), (None, None))
         if given is not None and len(given) != group.num_generators:
             raise ManifoldParseError(
-                f"names z {n}: {len(given)} names for {group.num_generators} generators"
+                f"names z {n}: {len(given)} names for {group.num_generators} generators",
+                names_line,
             )
         znames.append(given or tuple(f"z{n}_{i}" for i in range(group.num_generators)))
     dims, mnames = [], []
     for n in range(TOP_DEGREE + 1):
         d = mod2_decl.get(n, 0)
         dims.append(d)
-        given = names_m2.get(n)
+        given, names_line = names.get(("m2", n), (None, None))
         if given is not None and len(given) != d:
-            raise ManifoldParseError(f"names m2 {n}: {len(given)} names for dimension {d}")
+            raise ManifoldParseError(
+                f"names m2 {n}: {len(given)} names for dimension {d}", names_line
+            )
         mnames.append(given or tuple(f"m{n}_{i}" for i in range(d)))
 
     integral = GradedGroupZ(tuple(groups), tuple(znames))

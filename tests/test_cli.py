@@ -2,7 +2,7 @@ import pytest
 
 from bundlecensus import cli
 from bundlecensus.cli import main
-from bundlecensus.fixtures import builtin
+from bundlecensus.fixtures import BUILTIN_NAMES, builtin
 from bundlecensus.manifold_io import serialize_manifold
 
 
@@ -196,6 +196,22 @@ def test_enumerate_rejects_other_builtins(capsys):
     code, _, err = run(capsys, "enumerate", "--builtin", "s8", "--bound", "1", "--rank", "4")
     assert code == 2
     assert "cp4" in err
+
+
+def test_enumerate_box_is_capped(capsys):
+    # 23**4 = 279,841 tuples: rejected before any row is built
+    code, _, err = run(capsys, "enumerate", "--builtin", "cp4", "--bound", "11", "--rank", "4")
+    assert code == 2
+    assert f"the box has more than the limit of {cli.MAX_CENSUS_TUPLES} tuples" in err
+    cli._check_census_box(10, 4)  # 21**4 = 194,481 tuples: accepted
+
+
+def test_builtins_load_from_any_working_directory(monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    builtin.cache_clear()
+    for name in BUILTIN_NAMES:
+        assert builtin(name).name == name
+    assert main(["rank4", "--builtin", "cp4", "--chern", "4", "6", "4", "1"]) == 0
 
 
 def test_unknown_builtin_rejected():

@@ -1,9 +1,9 @@
-from importlib import resources
+from itertools import product
 
 import pytest
 
 from bundlecensus.cli import main
-from bundlecensus.cohomology import ManifoldValidationError
+from bundlecensus.cohomology import ManifoldValidationError, cup
 from bundlecensus.fixtures import BUILTIN_NAMES, builtin
 from bundlecensus.manifold_io import (
     MAX_GENERATORS,
@@ -36,11 +36,22 @@ def test_round_trip_builtins(name):
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
-def test_shipped_files_match_builtins(name, tmp_path):
-    text = resources.files("bundlecensus").joinpath(f"data/{name}.manifold").read_text()
-    path = tmp_path / f"{name}.manifold"
-    path.write_text(text)
-    assert parse_manifold(path) == builtin(name)
+def test_builtin_rings_are_associative_and_commutative(name):
+    data = builtin(name)
+    assert data.name == name  # the file's header names the file
+    gens = {
+        n: [data.zclass(n, [int(i == k) for i in range(data.ngens(n))]) for k in range(data.ngens(n))]
+        for n in (2, 4, 6)
+    }
+    for a, b in product(gens, repeat=2):
+        if a + b > 8:
+            continue
+        for x, y in product(gens[a], gens[b]):
+            assert cup(data, x, y) == cup(data, y, x), (a, b, x, y)
+        for c in gens:
+            if a + b + c <= 8:
+                for x, y, z in product(gens[a], gens[b], gens[c]):
+                    assert cup(data, cup(data, x, y), z) == cup(data, x, cup(data, y, z)), (x, y, z)
 
 
 def test_minimal_file_parses():
@@ -233,3 +244,10 @@ def test_negative_sizes_rejected_on_their_line(line, what, tmp_path, capsys):
     path.write_text(text)
     assert main(["validate", str(path)]) == 2
     assert f"error: line {number}: {what} must be nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ring", ["z", "m2"])
+def test_names_count_rejected_on_its_line(ring):
+    with pytest.raises(ManifoldParseError, match=f"names {ring} 8: 2 names for") as info:
+        parse_manifold_text(MINIMAL + f"names {ring} 8 a b\n")
+    assert info.value.line == len(MINIMAL.splitlines()) + 1
