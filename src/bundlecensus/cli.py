@@ -27,7 +27,6 @@ from .classify import (
     OddGeneratorsMissing,
     check_rank3,
     check_rank4,
-    compute_B,
     compute_T,
     count_classes,
 )
@@ -180,10 +179,12 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 def cmd_groups(args: argparse.Namespace) -> int:
     data = _load(args)
-    print(f"B = {_group_str(compute_B(data))}")
+    # everything that can fail runs before the first line is printed
+    lines = [f"B = {_group_str(data.B)}"]
     if args.chern is not None:
         u1, u2, u3 = _chern_classes(data, args.chern, (2, 4, 6))
-        print(f"T = {_group_str(compute_T(data, u1, u2, u3))}")
+        lines.append(f"T = {_group_str(compute_T(data, u1, u2, u3))}")
+    print("\n".join(lines))
     return EXIT_OK
 
 

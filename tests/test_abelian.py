@@ -78,6 +78,28 @@ def test_snf_postconditions_random(A):
     snf_postconditions(A, U, D, V)
 
 
+def test_transform_free_smith_matches_full_form():
+    # the core without U and V must reproduce D of the full form bit for
+    # bit: one pivot sequence whether or not the transforms are tracked
+    rng = random.Random(20261019)
+
+    def entries(r, c, bound):
+        return IntMatrix(r, c, tuple(rng.randint(-bound, bound) for _ in range(r * c)))
+
+    cases = [IntMatrix(0, 0, ()), IntMatrix(0, 5, ()), IntMatrix(5, 0, ())]
+    for _ in range(200):
+        r, c = rng.randint(1, 8), rng.randint(1, 8)
+        if rng.random() < 0.3:  # rank below min(r, c)
+            k = rng.randint(0, min(r, c) - 1)
+            cases.append(entries(r, k, 1000) @ entries(k, c, 1000))
+        else:
+            cases.append(entries(r, c, 10**6))
+    # shaped like the relation matrices of cokernels and subgroup quotients
+    cases += [entries(16, 16, 1000), entries(12, 28, 1000), entries(28, 6, 1000)]
+    for A in cases:
+        assert abelian._smith(A, False) == (None, smith_normal_form(A)[1], None)
+
+
 def test_matrix_validation():
     with pytest.raises(ValueError):
         IntMatrix(2, 2, (1, 2, 3))
@@ -300,36 +322,48 @@ def test_subgroup_quotient_matches_cokernel_of_coefficients():
 
 
 def test_every_snf_is_verified(monkeypatch, torsion_demo):
+    # every Smith form runs in the core ``_smith``: a full one is checked by
+    # ``_verify_snf``, a bare diagonal is compared with the full form of the
+    # same matrix, which is checked in turn
     assert abelian.VERIFY_POSTCONDITIONS
-    calls = {"snf": 0, "verified": 0}
-    core, verify = abelian._smith_with_inverses, abelian._verify_snf
+    calls = {"snf": 0, "core": [], "verified": []}
+    snf, core, verify = abelian._smith_with_inverses, abelian._smith, abelian._verify_snf
 
-    def counted_core(A):
+    def counted_snf(A):
         calls["snf"] += 1
-        return core(A)
+        return snf(A)
 
-    def counted_verify(*args):
-        calls["verified"] += 1
-        return verify(*args)
+    def counted_core(A, transforms):
+        calls["core"].append((A, transforms))
+        return core(A, transforms)
 
-    monkeypatch.setattr(abelian, "_smith_with_inverses", counted_core)
+    def counted_verify(A, *args):
+        calls["verified"].append(A)
+        return verify(A, *args)
+
+    monkeypatch.setattr(abelian, "_smith_with_inverses", counted_snf)
+    monkeypatch.setattr(abelian, "_smith", counted_core)
     monkeypatch.setattr(abelian, "_verify_snf", counted_verify)
 
     def counts(run):
-        calls.update(snf=0, verified=0)
+        calls.update(snf=0, core=[], verified=[])
         run()
-        return calls["snf"], calls["verified"]
+        assert all(A in calls["verified"] for A, _ in calls["core"])
+        assert sum(full for _, full in calls["core"]) == calls["snf"]
+        return calls["snf"], len(calls["verified"])
 
     z2 = FGAbelianGroup((0, 0))
     numerator = [z2.element((2, 0)), z2.element((0, 3))]
     denominator = [z2.element((4, 0)), z2.element((0, 9))]
     assert counts(lambda: subgroup_quotient(z2, numerator, denominator)) == (2, 2)
-    snf, verified = counts(lambda: compute_B(torsion_demo))
-    assert snf == verified > 0
+    # the quotient's cokernel tracks no transform; its span form tracks both
+    assert [full for _, full in calls["core"]] == [True, False, True]
+    snf_calls, verified = counts(lambda: compute_B(torsion_demo))
+    assert snf_calls == verified > 0
     u = torsion_demo.chern_tuple((), (), (0,), (0,))
     assert count_classes(torsion_demo, u, 3) is not None
-    snf, verified = counts(lambda: count_classes(torsion_demo, u, 3))
-    assert snf == verified > 0
+    snf_calls, verified = counts(lambda: count_classes(torsion_demo, u, 3))
+    assert snf_calls == verified > 0
 
 
 def test_rank_mod2():

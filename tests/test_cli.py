@@ -151,9 +151,17 @@ def test_groups_without_odd_generators(capsys, tmp_path, cp4):
     )
     path = tmp_path / "noodd.manifold"
     path.write_text(text)
-    code, _, err = run(capsys, "groups", str(path), "--chern", "0", "0", "0")
+    code, out, err = run(capsys, "groups", str(path), "--chern", "0", "0", "0")
     assert code == 2
     assert "odd unitary generators" in err
+    assert out == ""
+
+
+def test_groups_bad_vector_prints_no_partial_answer(capsys):
+    code, out, err = run(capsys, "groups", "--builtin", "cp4", "--chern", "1", "2", "x")
+    assert code == 2
+    assert out == ""
+    assert "bad coordinate vector 'x'" in err
 
 
 def test_oracle_command(capsys):
