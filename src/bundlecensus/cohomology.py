@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import mul
-from typing import Iterable, Iterator, Literal, NamedTuple
+from typing import Callable, Iterable, Iterator, Literal, NamedTuple
 
 from .abelian import FGAbelianGroup, IntMatrix, rank_mod2
 
@@ -222,18 +222,19 @@ _OP_SPECS = {
 }
 
 
-def _op_dims(data: ManifoldData, op: str, degree: int) -> tuple[int, int]:
+def _op_dims(dim: Callable[[int, str], int], op: str, degree: int) -> tuple[int, int]:
+    """(source, target) dimensions of op at degree, given dim(degree, ring)."""
     src_ring, tgt_ring, shift = _OP_SPECS[op]
-    src = data.dim(degree, src_ring)
+    src = dim(degree, src_ring)
     tgt_degree = degree + shift
-    tgt = data.dim(tgt_degree, tgt_ring) if tgt_degree <= TOP_DEGREE else 0
+    tgt = dim(tgt_degree, tgt_ring) if tgt_degree <= TOP_DEGREE else 0
     return src, tgt
 
 
 def _available_matrix(data: ManifoldData, op: str, degree: int) -> IntMatrix | None:
     """The matrix of an operation, a canonical zero matrix when either side
     is trivial, or None when it was not supplied or is misshapen."""
-    src, tgt = _op_dims(data, op, degree)
+    src, tgt = _op_dims(data.dim, op, degree)
     M = getattr(data, op).get(degree)
     if M is None:
         return IntMatrix.zeros(tgt, src) if src == 0 or tgt == 0 else None
@@ -241,7 +242,7 @@ def _available_matrix(data: ManifoldData, op: str, degree: int) -> IntMatrix | N
 
 
 def _misshapen(data: ManifoldData, op: str, degree: int, M: IntMatrix) -> str:
-    src, tgt = _op_dims(data, op, degree)
+    src, tgt = _op_dims(data.dim, op, degree)
     return f"expected {tgt}x{src}, got {M.rows}x{M.cols}"
 
 

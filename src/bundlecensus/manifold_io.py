@@ -40,14 +40,15 @@ absent oddgen section means the odd transgression data was not supplied;
 "oddgen trivial" declares it known to be trivial.  A section appears
 once per keyword and identifying tokens ("integral DEG", "names z|m2
 DEG", "map OP DEG", "cup A B I J", ...); only oddgen blocks repeat.
-A free rank, a number of torsion factors or a mod-2 dimension above
-MAX_GENERATORS is rejected.
+"free" appears at most once on an integral line.  A free rank, a number
+of torsion factors or a mod-2 dimension above MAX_GENERATORS is
+rejected.  Every ManifoldParseError except a missing section names its
+line.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
 
 from .abelian import FGAbelianGroup, IntMatrix
@@ -59,10 +60,11 @@ from .cohomology import (
     ManifoldData,
     ManifoldValidationError,
     TOP_DEGREE,
+    _OP_SPECS,
+    _op_dims,
     validate_manifold,
 )
 
-_OPS = ("rho2", "beta", "sq2")
 _INT = re.compile("-?[0-9]+")
 
 MAX_GENERATORS = 256
@@ -78,18 +80,12 @@ class ManifoldParseError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
-@dataclass
-class _Line:
-    number: int
-    tokens: list[str]
-
-
-def _tokenize(text: str) -> list[_Line]:
+def _tokenize(text: str) -> list[tuple[int, list[str]]]:
     out = []
     for number, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
         if body:
-            out.append(_Line(number, body.split()))
+            out.append((number, body.split()))
     return out
 
 
@@ -128,281 +124,235 @@ def _check_size(what: str, size: int, line: int) -> None:
 
 
 def parse_manifold_text(text: str) -> ManifoldData:
-    """Parse a manifold description; structural errors carry line numbers."""
+    """Parse a manifold description; every error but a missing section names its line."""
     lines = _tokenize(text)
+    # (keyword, identifying tokens...) -> (line number, value); oddgen maps to None
+    sections: dict[tuple, tuple[int, object]] = {}
+    odd_blocks: list[tuple[tuple[int, tuple[int, ...]], ...]] = []
 
-    name: str | None = None
-    integral_decl: dict[int, tuple[int, tuple[int, ...]]] = {}
-    mod2_decl: dict[int, int] = {}
-    names: dict[tuple[str, int], tuple[tuple[str, ...], int]] = {}
-    maps: dict[tuple[str, int], tuple[IntMatrix, int]] = {}
-    cup_decl: dict[str, dict[tuple[int, int], dict[tuple[int, int], tuple[tuple[int, ...], int]]]]
-    cup_decl = {"cup": {}, "cup2": {}}
-    pairing: tuple[int, ...] | None = None
-    vectors: dict[str, tuple[tuple[int, ...], int]] = {}
-    odd_blocks: list[tuple[tuple[int, ...], ...]] | None = None
-    seen: dict[tuple, int] = {}
-
-    def once(number: int, *section) -> None:
-        """Each section, named by its keyword and identifying tokens, may appear once."""
-        if section in seen:
+    def once(number: int, *section) -> tuple:
+        """Each section may appear once; checked before the rest of its line is read."""
+        if section in sections:
             raise ManifoldParseError(
-                f"duplicate {' '.join(map(str, section))} (first on line {seen[section]})", number
+                f"duplicate {' '.join(map(str, section))} (first on line {sections[section][0]})",
+                number,
             )
-        seen[section] = number
+        return section
 
     idx = 0
     while idx < len(lines):
-        line = lines[idx]
+        number, (key, *rest) = lines[idx]
         idx += 1
-        key, rest = line.tokens[0], line.tokens[1:]
         if key == "manifold":
             if len(rest) != 1:
-                raise ManifoldParseError("manifold header takes exactly one name", line.number)
-            once(line.number, key)
-            name = rest[0]
+                raise ManifoldParseError("manifold header takes exactly one name", number)
+            sections[once(number, key)] = (number, rest[0])
         elif key == "integral":
             if not rest:
-                raise ManifoldParseError("integral line needs a degree", line.number)
-            deg = _degree(rest[0], line.number)
-            once(line.number, key, deg)
-            free, torsion = 0, []
+                raise ManifoldParseError("integral line needs a degree", number)
+            section = once(number, key, _degree(rest[0], number))
+            free, torsion = None, ()
             pos = 1
             while pos < len(rest):
                 if rest[pos] == "free":
-                    free = parse_int(rest[pos + 1], line.number) if pos + 1 < len(rest) else None
-                    if free is None or free < 0:
-                        raise ManifoldParseError("free rank must be a nonnegative integer", line.number)
-                    _check_size("free rank", free, line.number)
+                    if free is not None:
+                        raise ManifoldParseError("free rank given twice", number)
+                    free = parse_int(rest[pos + 1], number) if pos + 1 < len(rest) else -1
+                    if free < 0:
+                        raise ManifoldParseError("free rank must be a nonnegative integer", number)
+                    _check_size("free rank", free, number)
                     pos += 2
                 elif rest[pos] == "torsion":
-                    _check_size("number of torsion factors", len(rest) - pos - 1, line.number)
-                    torsion = [parse_int(t, line.number) for t in rest[pos + 1 :]]
+                    _check_size("number of torsion factors", len(rest) - pos - 1, number)
+                    torsion = tuple(parse_int(t, number) for t in rest[pos + 1 :])
                     if not torsion:
-                        raise ManifoldParseError("torsion needs at least one factor", line.number)
+                        raise ManifoldParseError("torsion needs at least one factor", number)
                     if any(d < 2 for d in torsion):
-                        raise ManifoldParseError("torsion factors must be >= 2", line.number)
+                        raise ManifoldParseError("torsion factors must be >= 2", number)
                     pos = len(rest)
                 else:
-                    raise ManifoldParseError(f"unexpected token {rest[pos]!r}", line.number)
-            integral_decl[deg] = (free, tuple(torsion))
+                    raise ManifoldParseError(f"unexpected token {rest[pos]!r}", number)
+            sections[section] = (number, (free or 0, torsion))
         elif key == "mod2":
             if len(rest) != 3 or rest[1] != "dim":
-                raise ManifoldParseError("expected: mod2 DEG dim D", line.number)
-            deg = _degree(rest[0], line.number)
-            once(line.number, key, deg)
-            mod2_decl[deg] = _nat("mod-2 dimension", rest[2], line.number)
-            _check_size("mod-2 dimension", mod2_decl[deg], line.number)
+                raise ManifoldParseError("expected: mod2 DEG dim D", number)
+            section = once(number, key, _degree(rest[0], number))
+            size = _nat("mod-2 dimension", rest[2], number)
+            _check_size("mod-2 dimension", size, number)
+            sections[section] = (number, size)
         elif key == "names":
             if len(rest) < 2 or rest[0] not in ("z", "m2"):
-                raise ManifoldParseError("expected: names z|m2 DEG NAME...", line.number)
-            deg = _degree(rest[1], line.number)
-            once(line.number, key, rest[0], deg)
-            names[(rest[0], deg)] = (tuple(rest[2:]), line.number)
+                raise ManifoldParseError("expected: names z|m2 DEG NAME...", number)
+            sections[once(number, key, rest[0], _degree(rest[1], number))] = (number, tuple(rest[2:]))
         elif key == "map":
             if len(rest) != 6 or rest[2] != "rows" or rest[4] != "cols":
-                raise ManifoldParseError("expected: map OP DEG rows R cols C", line.number)
+                raise ManifoldParseError("expected: map OP DEG rows R cols C", number)
             op = rest[0]
-            if op not in _OPS:
-                raise ManifoldParseError(f"unknown operation {op!r}", line.number)
-            deg = _degree(rest[1], line.number)
-            once(line.number, key, op, deg)
-            rows = _nat("rows", rest[3], line.number)
-            cols = _nat("cols", rest[5], line.number)
+            if op not in _OP_SPECS:
+                raise ManifoldParseError(f"unknown operation {op!r}", number)
+            deg = _degree(rest[1], number)
+            section = once(number, key, op, deg)
+            rows = _nat("rows", rest[3], number)
+            cols = _nat("cols", rest[5], number)
             entries: list[int] = []
             for _ in range(rows):
                 if idx >= len(lines):
-                    raise ManifoldParseError(
-                        f"{op} at degree {deg}: expected {rows} matrix rows", line.number
-                    )
-                row_line = lines[idx]
+                    raise ManifoldParseError(f"{op} at degree {deg}: expected {rows} matrix rows", number)
+                row_number, row_tokens = lines[idx]
                 idx += 1
-                row = _vec(row_line.tokens, row_line.number)
+                row = _vec(row_tokens, row_number)
                 if len(row) != cols:
                     raise ManifoldParseError(
                         f"{op} at degree {deg}: matrix row has {len(row)} entries, expected {cols}",
-                        row_line.number,
+                        row_number,
                     )
                 entries.extend(row)
-            maps[(op, deg)] = (IntMatrix(rows, cols, tuple(entries)), line.number)
+            sections[section] = (number, IntMatrix(rows, cols, tuple(entries)))
         elif key in ("cup", "cup2"):
             if len(rest) < 5 or rest[4] != "->":
-                raise ManifoldParseError(f"expected: {key} A B I J -> VEC", line.number)
-            a = _degree(rest[0], line.number)
-            b = _degree(rest[1], line.number)
-            i = parse_int(rest[2], line.number)
-            j = parse_int(rest[3], line.number)
-            once(line.number, key, a, b, i, j)
-            coords = _vec(rest[5:], line.number)
-            cup_decl[key].setdefault((a, b), {})[(i, j)] = (coords, line.number)
-        elif key == "pairing":
-            once(line.number, key)
-            pairing = _vec(rest, line.number)
-        elif key in ("p1", "spinc", "w2"):
-            once(line.number, key)
-            vectors[key] = (_vec(rest, line.number), line.number)
+                raise ManifoldParseError(f"expected: {key} A B I J -> VEC", number)
+            a = _degree(rest[0], number)
+            b = _degree(rest[1], number)
+            i = parse_int(rest[2], number)
+            j = parse_int(rest[3], number)
+            section = once(number, key, a, b, i, j)
+            sections[section] = (number, _vec(rest[5:], number))
+        elif key in ("pairing", "p1", "spinc", "w2"):
+            section = once(number, key)
+            sections[section] = (number, _vec(rest, number))
         elif key == "oddgen":
             if not odd_blocks or rest == ["trivial"]:  # only oddgen blocks repeat
-                once(line.number, key)
-            if odd_blocks is None:
-                odd_blocks = []
+                sections[once(number, key)] = (number, None)
             if rest == ["trivial"]:
                 continue
             if rest:
-                raise ManifoldParseError("expected: oddgen  (or: oddgen trivial)", line.number)
-            quadruple = []
+                raise ManifoldParseError("expected: oddgen  (or: oddgen trivial)", number)
+            block = []
             for expected in ("g1", "g3", "g5", "g7"):
-                if idx >= len(lines) or lines[idx].tokens[0] != expected:
-                    raise ManifoldParseError(
-                        f"oddgen block needs a {expected} line", line.number
-                    )
-                g_line = lines[idx]
+                if idx >= len(lines) or lines[idx][1][0] != expected:
+                    raise ManifoldParseError(f"oddgen block needs a {expected} line", number)
+                g_number, g_tokens = lines[idx]
                 idx += 1
-                quadruple.append(_vec(g_line.tokens[1:], g_line.number))
-            odd_blocks.append(tuple(quadruple))
+                block.append((g_number, _vec(g_tokens[1:], g_number)))
+            odd_blocks.append(tuple(block))
         else:
-            raise ManifoldParseError(f"unknown keyword {key!r}", line.number)
+            raise ManifoldParseError(f"unknown keyword {key!r}", number)
 
-    if name is None:
-        raise ManifoldParseError("missing section: manifold")
-    if pairing is None:
-        raise ManifoldParseError("missing section: pairing")
-    for mandatory in ("p1", "spinc"):
-        if mandatory not in vectors:
+    for mandatory in ("manifold", "pairing", "p1", "spinc"):
+        if (mandatory,) not in sections:
             raise ManifoldParseError(f"missing section: {mandatory}")
+
+    def names(ring: str, n: int, count: int, counted: str) -> tuple[str, ...]:
+        number, given = sections.get(("names", ring, n), (None, None))
+        if given is not None and len(given) != count:
+            raise ManifoldParseError(f"names {ring} {n}: {len(given)} names for {counted}", number)
+        return given or tuple(f"{ring[0]}{n}_{i}" for i in range(count))
 
     groups, znames = [], []
     for n in range(TOP_DEGREE + 1):
-        free, torsion = integral_decl.get(n, (0, ()))
+        number, (free, torsion) = sections.get(("integral", n), (None, (0, ())))
         try:
             group = FGAbelianGroup(torsion + (0,) * free)
         except ValueError as exc:
-            raise ManifoldParseError(f"integral degree {n}: {exc}") from None
+            raise ManifoldParseError(f"integral degree {n}: {exc}", number) from None
         groups.append(group)
-        given, names_line = names.get(("z", n), (None, None))
-        if given is not None and len(given) != group.num_generators:
-            raise ManifoldParseError(
-                f"names z {n}: {len(given)} names for {group.num_generators} generators",
-                names_line,
-            )
-        znames.append(given or tuple(f"z{n}_{i}" for i in range(group.num_generators)))
-    dims, mnames = [], []
-    for n in range(TOP_DEGREE + 1):
-        d = mod2_decl.get(n, 0)
-        dims.append(d)
-        given, names_line = names.get(("m2", n), (None, None))
-        if given is not None and len(given) != d:
-            raise ManifoldParseError(
-                f"names m2 {n}: {len(given)} names for dimension {d}", names_line
-            )
-        mnames.append(given or tuple(f"m{n}_{i}" for i in range(d)))
+        znames.append(names("z", n, group.num_generators, f"{group.num_generators} generators"))
+    dims = [sections.get(("mod2", n), (None, 0))[1] for n in range(TOP_DEGREE + 1)]
+    mnames = [names("m2", n, d, f"dimension {d}") for n, d in enumerate(dims)]
 
-    integral = GradedGroupZ(tuple(groups), tuple(znames))
-    mod2 = GradedGroupMod2(tuple(dims), tuple(mnames))
+    def dim(n: int, ring: str) -> int:
+        return groups[n].num_generators if ring == "Z" else dims[n]
 
-    def zdim(n: int) -> int:
-        return groups[n].num_generators
-
-    def mdim(n: int) -> int:
-        return dims[n]
-
-    op_dims = {
-        "rho2": lambda n: (mdim(n), zdim(n)),
-        "beta": lambda n: (zdim(n + 1) if n < TOP_DEGREE else 0, mdim(n)),
-        "sq2": lambda n: (mdim(n + 2) if n + 2 <= TOP_DEGREE else 0, mdim(n)),
-    }
-    matrices: dict[str, dict[int, IntMatrix]] = {op: {} for op in _OPS}
-    for (op, deg), (matrix, line_no) in sorted(maps.items()):
-        tgt, src = op_dims[op](deg)
+    matrices: dict[str, dict[int, IntMatrix]] = {op: {} for op in _OP_SPECS}
+    for section in sorted(s for s in sections if s[0] == "map"):
+        _, op, deg = section
+        number, matrix = sections[section]
+        src, tgt = _op_dims(dim, op, deg)
         if (matrix.rows, matrix.cols) != (tgt, src):
             raise ManifoldParseError(
                 f"{op} at degree {deg}: expected a {tgt}x{src} matrix, got "
                 f"{matrix.rows}x{matrix.cols}",
-                line_no,
+                number,
             )
         matrices[op][deg] = matrix
 
-    def assemble_tables(kind: str, dim) -> dict[tuple[int, int], CupTable]:
+    def assemble_tables(kind: str, ring: str) -> dict[tuple[int, int], CupTable]:
+        by_pair: dict[tuple[int, int], list] = {}  # entries in file order
+        for section, (number, coords) in sections.items():
+            if section[0] == kind:
+                _, a, b, i, j = section
+                by_pair.setdefault((a, b), []).append((number, i, j, coords))
         tables: dict[tuple[int, int], CupTable] = {}
-        for (a, b), entries in sorted(cup_decl[kind].items()):
+        for (a, b), entries in sorted(by_pair.items()):
+            first_line = entries[0][0]
             if a + b > TOP_DEGREE:
-                first_line = min(line for _, line in entries.values())
-                raise ManifoldParseError(
-                    f"{kind} table ({a}, {b}): target degree exceeds 8", first_line
-                )
+                raise ManifoldParseError(f"{kind} table ({a}, {b}): target degree exceeds 8", first_line)
             table: CupTable = {}
-            for (i, j), (coords, line_no) in entries.items():
-                if not (0 <= i < dim(a) and 0 <= j < dim(b)):
+            for number, i, j, coords in entries:
+                if not (0 <= i < dim(a, ring) and 0 <= j < dim(b, ring)):
                     raise ManifoldParseError(
-                        f"{kind} table ({a}, {b}): generator pair ({i}, {j}) out of range",
-                        line_no,
+                        f"{kind} table ({a}, {b}): generator pair ({i}, {j}) out of range", number
                     )
-                if len(coords) != dim(a + b):
+                if len(coords) != dim(a + b, ring):
                     raise ManifoldParseError(
                         f"{kind} table ({a}, {b}) pair ({i}, {j}): expected "
-                        f"{dim(a + b)} coordinates, got {len(coords)}",
-                        line_no,
+                        f"{dim(a + b, ring)} coordinates, got {len(coords)}",
+                        number,
                     )
                 table[(i, j)] = coords
-            for i in range(dim(a)):
-                for j in range(dim(b)):
+            for i in range(dim(a, ring)):
+                for j in range(dim(b, ring)):
                     if (i, j) not in table:
                         raise ManifoldParseError(
-                            f"{kind} table ({a}, {b}): missing entry for generator pair ({i}, {j})"
+                            f"{kind} table ({a}, {b}): missing entry for generator pair ({i}, {j})",
+                            first_line,
                         )
             tables[(a, b)] = table
         return tables
 
-    cup_z = assemble_tables("cup", zdim)
-    cup_m2 = assemble_tables("cup2", mdim)
+    cup_z = assemble_tables("cup", "Z")
+    cup_m2 = assemble_tables("cup2", "Z2")
 
-    if len(pairing) != zdim(TOP_DEGREE):
+    number, pairing = sections[("pairing",)]
+    if len(pairing) != dim(TOP_DEGREE, "Z"):
         raise ManifoldParseError(
-            f"pairing vector has {len(pairing)} entries, H^8 has {zdim(TOP_DEGREE)} generators"
+            f"pairing vector has {len(pairing)} entries, H^8 has {dim(TOP_DEGREE, 'Z')} generators",
+            number,
         )
 
-    def zclass(degree: int, coords: tuple[int, ...], label: str, line_no: int | None) -> CohomologyClass:
-        if len(coords) != zdim(degree):
+    def zclass(degree: int, label: str, number: int, coords: tuple[int, ...]) -> CohomologyClass:
+        if len(coords) != dim(degree, "Z"):
             raise ManifoldParseError(
-                f"{label}: expected {zdim(degree)} coordinates in degree {degree}, got {len(coords)}",
-                line_no,
+                f"{label}: expected {dim(degree, 'Z')} coordinates in degree {degree}, got {len(coords)}",
+                number,
             )
         return CohomologyClass(degree, "Z", groups[degree].element(coords).coords)
 
-    p1_coords, p1_line = vectors["p1"]
-    spinc_coords, spinc_line = vectors["spinc"]
-    p1 = zclass(4, p1_coords, "p1", p1_line)
-    spinc = zclass(2, spinc_coords, "spinc", spinc_line)
+    p1 = zclass(4, "p1", *sections[("p1",)])
+    spinc = zclass(2, "spinc", *sections[("spinc",)])
     w2 = None
-    if "w2" in vectors:
-        w2_coords, w2_line = vectors["w2"]
-        if len(w2_coords) != mdim(2):
+    if ("w2",) in sections:
+        number, w2_coords = sections[("w2",)]
+        if len(w2_coords) != dim(2, "Z2"):
             raise ManifoldParseError(
-                f"w2: expected {mdim(2)} mod-2 coordinates, got {len(w2_coords)}", w2_line
+                f"w2: expected {dim(2, 'Z2')} mod-2 coordinates, got {len(w2_coords)}", number
             )
         w2 = CohomologyClass(2, "Z2", tuple(x % 2 for x in w2_coords))
 
     odd_generators = None
-    if odd_blocks is not None:
-        quads = []
-        for block in odd_blocks:
-            quads.append(
-                tuple(
-                    zclass(deg, coords, f"oddgen g{deg}", None)
-                    for coords, deg in zip(block, (1, 3, 5, 7))
-                )
-            )
-        odd_generators = tuple(quads)
+    if ("oddgen",) in sections:
+        odd_generators = tuple(
+            tuple(zclass(deg, f"oddgen g{deg}", *line) for deg, line in zip((1, 3, 5, 7), block))
+            for block in odd_blocks
+        )
 
     return ManifoldData(
-        name=name,
-        integral=integral,
-        mod2=mod2,
+        name=sections[("manifold",)][1],
+        integral=GradedGroupZ(tuple(groups), tuple(znames)),
+        mod2=GradedGroupMod2(tuple(dims), tuple(mnames)),
         cup_z=cup_z,
         cup_m2=cup_m2,
-        rho2=matrices["rho2"],
-        beta=matrices["beta"],
-        sq2=matrices["sq2"],
+        **matrices,
         pairing=pairing,
         p1=p1,
         spinc_class=spinc,
@@ -444,7 +394,7 @@ def serialize_manifold(data: ManifoldData) -> str:
             out.append(f"mod2 {n} dim {data.m2dim(n)}")
             out.append(f"names m2 {n} " + " ".join(data.mod2.names[n]))
     out.append("")
-    for op in _OPS:
+    for op in _OP_SPECS:
         for deg, matrix in sorted(getattr(data, op).items()):
             out.append(f"map {op} {deg} rows {matrix.rows} cols {matrix.cols}")
             for i in range(matrix.rows):

@@ -1,7 +1,10 @@
+import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import bundlecensus
 from bundlecensus.cli import main
 from bundlecensus.cohomology import ManifoldValidationError, cup
 from bundlecensus.fixtures import BUILTIN_NAMES, builtin
@@ -27,6 +30,7 @@ pairing 1
 p1 -
 spinc -
 """
+END = len(MINIMAL.splitlines())  # the number of a line appended to MINIMAL is END + 1
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -251,3 +255,86 @@ def test_names_count_rejected_on_its_line(ring):
     with pytest.raises(ManifoldParseError, match=f"names {ring} 8: 2 names for") as info:
         parse_manifold_text(MINIMAL + f"names {ring} 8 a b\n")
     assert info.value.line == len(MINIMAL.splitlines()) + 1
+
+
+@pytest.mark.parametrize(
+    "text, message, line",
+    [
+        (MINIMAL + "integral 6 free 0 torsion 4 2\n", "integral degree 6: .*divisibility", END + 1),
+        (
+            MINIMAL.replace("pairing 1", "pairing 1 0"),
+            "pairing vector has 2 entries",
+            MINIMAL.splitlines().index("pairing 1") + 1,
+        ),
+        (MINIMAL + "oddgen\ng1 -\ng3 1\ng5 -\ng7 -\n", "oddgen g3: expected 0 coordinates", END + 3),
+        (
+            MINIMAL + "integral 2 free 2\ncup 2 2 1 1 -> -\ncup 2 2 0 0 -> -\n",
+            r"cup table \(2, 2\): missing entry for generator pair \(0, 1\)",
+            END + 2,
+        ),
+    ],
+    ids=["divisibility", "pairing", "oddgen", "cup-missing"],
+)
+def test_checks_after_reading_name_their_line(text, message, line):
+    with pytest.raises(ManifoldParseError, match=message) as info:
+        parse_manifold_text(text)
+    assert info.value.line == line
+
+
+def test_repeated_free_rejected_on_its_line():
+    with pytest.raises(ManifoldParseError, match="free rank given twice") as info:
+        parse_manifold_text(MINIMAL + "integral 2 free 5 free 1\n")
+    assert info.value.line == END + 1
+
+
+SHIPPED = Path(bundlecensus.__file__).parent / "data"
+INSERTED_LINES = (
+    "manifold y", "integral 3 free 1", "integral 6 torsion 2", "mod2 2 dim 1", "names z 2 a",
+    "names m2 8 v", "map rho2 2 rows 1 cols 1\n1", "map sq2 2 rows 1 cols 1\n1",
+    "cup 2 2 0 0 -> 1", "cup2 2 2 0 0 -> 1", "pairing 1", "p1 -", "spinc 0", "w2 1",
+    "oddgen trivial", "oddgen\ng1 -\ng3 -\ng5 -\ng7 -",
+)
+TOKENS = ("-", "0", "1", "2", "-1", "9", "free", "torsion", "dim", "->", "x", "z", "m2", "beta", "257")
+
+
+def mutate(text: str, rng: random.Random) -> str:
+    """One to three seeded edits: delete, duplicate or swap lines, replace
+    or drop a token, or insert a section line."""
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines))
+        tokens = lines[i].split()
+        edit = rng.randrange(6)
+        if edit == 0:
+            del lines[i]
+        elif edit == 1:
+            lines.insert(i, lines[i])
+        elif edit == 2:
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif edit in (3, 4) and tokens:
+            k = rng.randrange(len(tokens))
+            if edit == 3:
+                tokens[k] = rng.choice(TOKENS + tuple(tokens))
+            else:
+                del tokens[k]
+            lines[i] = " ".join(tokens)
+        else:
+            lines.insert(i, rng.choice(INSERTED_LINES))
+    return "\n".join(lines) + "\n"
+
+
+def test_seeded_mutations_fail_on_a_line_or_round_trip():
+    rng = random.Random(2020)
+    bases = [(SHIPPED / f"{name}.manifold").read_text() for name in BUILTIN_NAMES]
+    accepted = 0
+    for _ in range(1000):
+        text = mutate(rng.choice(bases), rng)
+        try:
+            data = parse_manifold_text(text)
+        except ManifoldParseError as exc:
+            assert exc.line is not None or exc.message.startswith("missing section: "), text
+            continue
+        accepted += 1
+        assert parse_manifold_text(serialize_manifold(data)) == data, text
+    assert 50 < accepted < 950  # the edits neither all fail nor all pass
