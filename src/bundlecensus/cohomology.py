@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import mul
-from typing import Callable, Iterable, Iterator, Literal, NamedTuple
+from typing import Iterable, Iterator, Literal, NamedTuple
 
 from .abelian import FGAbelianGroup, IntMatrix, rank_mod2
 
@@ -222,19 +222,19 @@ _OP_SPECS = {
 }
 
 
-def _op_dims(dim: Callable[[int, str], int], op: str, degree: int) -> tuple[int, int]:
-    """(source, target) dimensions of op at degree, given dim(degree, ring)."""
+def _op_dims(data: ManifoldData, op: str, degree: int) -> tuple[int, int]:
+    """(source, target) dimensions of op at degree."""
     src_ring, tgt_ring, shift = _OP_SPECS[op]
-    src = dim(degree, src_ring)
+    src = data.dim(degree, src_ring)
     tgt_degree = degree + shift
-    tgt = dim(tgt_degree, tgt_ring) if tgt_degree <= TOP_DEGREE else 0
+    tgt = data.dim(tgt_degree, tgt_ring) if tgt_degree <= TOP_DEGREE else 0
     return src, tgt
 
 
 def _available_matrix(data: ManifoldData, op: str, degree: int) -> IntMatrix | None:
     """The matrix of an operation, a canonical zero matrix when either side
     is trivial, or None when it was not supplied or is misshapen."""
-    src, tgt = _op_dims(data.dim, op, degree)
+    src, tgt = _op_dims(data, op, degree)
     M = getattr(data, op).get(degree)
     if M is None:
         return IntMatrix.zeros(tgt, src) if src == 0 or tgt == 0 else None
@@ -242,8 +242,8 @@ def _available_matrix(data: ManifoldData, op: str, degree: int) -> IntMatrix | N
 
 
 def _misshapen(data: ManifoldData, op: str, degree: int, M: IntMatrix) -> str:
-    src, tgt = _op_dims(data.dim, op, degree)
-    return f"expected {tgt}x{src}, got {M.rows}x{M.cols}"
+    src, tgt = _op_dims(data, op, degree)
+    return f"expected a {tgt}x{src} matrix, got {M.rows}x{M.cols}"
 
 
 def _operation_matrix(data: ManifoldData, op: str, degree: int) -> IntMatrix:
@@ -496,43 +496,69 @@ def _matrices(data: ManifoldData, *ops: str, below: int = TOP_DEGREE + 1):
             yield degree, *matrices
 
 
-def _shape(data: ManifoldData) -> Iterator[LawResult]:
-    problems = []
-    for op in _OP_SPECS:
+def _class_problem(
+    data: ManifoldData, label: str, cls: CohomologyClass, degree: int, ring: str
+) -> str | None:
+    if (cls.degree, cls.ring) != (degree, ring):
+        return f"{label}: expected a degree-{degree} {ring} class, got degree {cls.degree} {cls.ring}"
+    n = data.dim(degree, ring)
+    if len(cls.coords) != n:
+        what = "mod-2 coordinates" if ring == "Z2" else f"coordinates in degree {degree}"
+        return f"{label}: expected {n} {what}, got {len(cls.coords)}"
+    return None
+
+
+def shape_problems(data: ManifoldData) -> Iterator[tuple[tuple, str]]:
+    """(section, message) for each shape problem of data, in the order and
+    wording of the manifold parser, which raises the first on its section's
+    line.  ``section`` is the parser's key: ("map", op, degree); (kind, a, b)
+    for a whole cup table and (kind, a, b, i, j) for one entry, kind "cup" or
+    "cup2"; ("pairing",), ("p1",), ("spinc",), ("w2",); ("oddgen", block,
+    degree) for an odd generator and ("oddgen", block) for a whole block.
+    A table reports its first missing generator pair only."""
+    for op in sorted(_OP_SPECS):
         for degree, M in sorted(getattr(data, op).items()):
             if degree not in DEGREES:
-                problems.append(f"{op} at degree {degree}: degree out of range")
+                yield ("map", op, degree), f"{op} at degree {degree}: degree out of range"
             elif _available_matrix(data, op, degree) is None:
-                problems.append(f"{op} at degree {degree}: {_misshapen(data, op, degree, M)}")
-    if len(data.pairing) != data.ngens(TOP_DEGREE):
-        problems.append(
-            f"pairing vector of length {len(data.pairing)}, H^8 has {data.ngens(TOP_DEGREE)} generators"
-        )
-    for label, cls, degree, ring in (("p1", data.p1, 4, "Z"), ("spinc", data.spinc_class, 2, "Z")):
-        if cls.degree != degree or cls.ring != ring or len(cls.coords) != data.dim(degree, ring):
-            problems.append(f"{label}: not a well-formed degree-{degree} {ring} class")
-    if data.w2 is not None:
-        if data.w2.degree != 2 or data.w2.ring != "Z2" or len(data.w2.coords) != data.m2dim(2):
-            problems.append("w2: not a well-formed degree-2 mod-2 class")
-    for ring, tables in (("Z", data.cup_z), ("Z2", data.cup_m2)):
+                yield ("map", op, degree), f"{op} at degree {degree}: {_misshapen(data, op, degree, M)}"
+    for kind, ring, tables in (("cup", "Z", data.cup_z), ("cup2", "Z2", data.cup_m2)):
         for (a, b), table in sorted(tables.items()):
-            if a + b > TOP_DEGREE:
-                problems.append(f"cup table ({a},{b}): target degree out of range")
+            name = f"{kind} table ({a}, {b})"
+            if a not in DEGREES or b not in DEGREES:
+                yield (kind, a, b), f"{name}: degree out of range"
                 continue
+            if a + b > TOP_DEGREE:
+                yield (kind, a, b), f"{name}: target degree exceeds 8"
+                continue
+            rows, cols, length = data.dim(a, ring), data.dim(b, ring), data.dim(a + b, ring)
             for (i, j), coords in table.items():
-                if not (0 <= i < data.dim(a, ring) and 0 <= j < data.dim(b, ring)):
-                    problems.append(f"cup table ({a},{b}): index ({i},{j}) out of range")
-                elif len(coords) != data.dim(a + b, ring):
-                    problems.append(
-                        f"cup table ({a},{b}) entry ({i},{j}): expected "
-                        f"{data.dim(a + b, ring)} coordinates, got {len(coords)}"
+                if not (0 <= i < rows and 0 <= j < cols):
+                    yield (kind, a, b, i, j), f"{name}: generator pair ({i}, {j}) out of range"
+                elif len(coords) != length:
+                    yield (kind, a, b, i, j), (
+                        f"{name} pair ({i}, {j}): expected {length} coordinates, got {len(coords)}"
                     )
-    if data.odd_generators is not None:
-        for q, quad in enumerate(data.odd_generators):
-            for cls, degree in zip(quad, (1, 3, 5, 7)):
-                if cls.degree != degree or cls.ring != "Z" or len(cls.coords) != data.ngens(degree):
-                    problems.append(f"odd generator block {q}: degree-{degree} entry malformed")
-    yield LawResult("shape", not problems, "; ".join(problems) or None)
+            missing = next(((i, j) for i in range(rows) for j in range(cols) if (i, j) not in table), None)
+            if missing is not None:
+                yield (kind, a, b), f"{name}: missing entry for generator pair {missing}"
+    if len(data.pairing) != data.ngens(TOP_DEGREE):
+        yield ("pairing",), (
+            f"pairing vector has {len(data.pairing)} entries, H^8 has {data.ngens(TOP_DEGREE)} generators"
+        )
+    classes = [("p1", data.p1, 4, "Z"), ("spinc", data.spinc_class, 2, "Z")]
+    if data.w2 is not None:
+        classes.append(("w2", data.w2, 2, "Z2"))
+    for label, cls, degree, ring in classes:
+        if problem := _class_problem(data, label, cls, degree, ring):
+            yield (label,), problem
+    for q, block in enumerate(data.odd_generators or ()):
+        if len(block) != 4:
+            yield ("oddgen", q), f"oddgen block {q}: expected 4 classes, got {len(block)}"
+            continue
+        for degree, cls in zip((1, 3, 5, 7), block):
+            if problem := _class_problem(data, f"oddgen g{degree}", cls, degree, "Z"):
+                yield ("oddgen", q, degree), problem
 
 
 def _h0_is_Z(data: ManifoldData) -> Iterator[LawResult]:
@@ -639,9 +665,9 @@ def _bockstein_exact(data: ManifoldData) -> Iterator[LawResult]:
         )
 
 
-# Each law yields its results: none when it does not apply.
+# Each law yields its results: none when it does not apply.  Every law reads
+# only well-shaped data: ``validate_manifold`` runs them after the shape law.
 LAWS = (
-    _shape,
     _h0_is_Z,
     _h8_is_Z,
     _rho2_times2,
@@ -657,13 +683,18 @@ LAWS = (
 def validate_manifold(data: ManifoldData, strict: bool = False) -> ValidationReport:
     """Check the algebraic laws the encoded data must satisfy.
 
-    Always checked: shape compatibility, H^0 = Z, H^8 = Z, rho2 composed
-    with doubling vanishes, Bockstein images are 2-torsion, beta after
-    rho2 vanishes, rho2(c) = w2 when w2 is given, the pairing hits +-1, cup
-    tables given in both orientations agree, and (when a mod-2 degree-2
-    product table exists) Sq^2 squares degree-2 classes.  With
-    ``strict=True`` the exactness of the Bockstein sequence, im rho2 =
-    ker beta, is verified degree by degree by mod-2 rank counting.
+    Always checked: the shape (``shape_problems`` finds nothing), H^0 = Z,
+    H^8 = Z, rho2 composed with doubling vanishes, Bockstein images are
+    2-torsion, beta after rho2 vanishes, rho2(c) = w2 when w2 is given,
+    the pairing hits +-1, cup tables given in both orientations agree, and
+    (when a mod-2 degree-2 product table exists) Sq^2 squares degree-2
+    classes.  With ``strict=True`` the exactness of the Bockstein sequence,
+    im rho2 = ker beta, is verified degree by degree by mod-2 rank
+    counting.  When the shape law fails, the report holds it alone.
     """
+    problems = [message for _, message in shape_problems(data)]
+    shape = LawResult("shape", not problems, "; ".join(problems) or None)
+    if problems:
+        return ValidationReport((shape,))
     laws = LAWS + (_bockstein_exact,) if strict else LAWS
-    return ValidationReport(tuple(r for law in laws for r in law(data)))
+    return ValidationReport((shape, *(r for law in laws for r in law(data))))

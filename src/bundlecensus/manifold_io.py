@@ -42,13 +42,15 @@ once per keyword and identifying tokens ("integral DEG", "names z|m2
 DEG", "map OP DEG", "cup A B I J", ...); only oddgen blocks repeat.
 "free" appears at most once on an integral line.  A free rank, a number
 of torsion factors or a mod-2 dimension above MAX_GENERATORS is
-rejected.  Every ManifoldParseError except a missing section names its
-line.
+rejected.  The shape rules (matrix sizes, complete cup tables, vector
+lengths) are ``cohomology.shape_problems``, which the ``shape`` law runs
+too.  Every ManifoldParseError except a missing section names its line.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 from pathlib import Path
 
 from .abelian import FGAbelianGroup, IntMatrix
@@ -61,7 +63,7 @@ from .cohomology import (
     ManifoldValidationError,
     TOP_DEGREE,
     _OP_SPECS,
-    _op_dims,
+    shape_problems,
     validate_manifold,
 )
 
@@ -93,7 +95,11 @@ def parse_int(token: str, line: int | None = None) -> int:
     """An INT token: an optional '-' and ASCII digits, nothing else."""
     if not _INT.fullmatch(token):
         raise ManifoldParseError(f"expected an integer, got {token!r}", line)
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        digits = len(token.lstrip("-"))
+        raise ManifoldParseError(f"integer of {digits} digits is too long", line) from None
 
 
 def _vec(tokens: list[str], line: int) -> tuple[int, ...]:
@@ -126,9 +132,10 @@ def _check_size(what: str, size: int, line: int) -> None:
 def parse_manifold_text(text: str) -> ManifoldData:
     """Parse a manifold description; every error but a missing section names its line."""
     lines = _tokenize(text)
-    # (keyword, identifying tokens...) -> (line number, value); oddgen maps to None
+    # (keyword, identifying tokens...) -> (line number, value); oddgen maps to
+    # None, and ("oddgen", block, K) to the coordinates on that block's gK line
     sections: dict[tuple, tuple[int, object]] = {}
-    odd_blocks: list[tuple[tuple[int, tuple[int, ...]], ...]] = []
+    blocks = 0  # oddgen blocks read
 
     def once(number: int, *section) -> tuple:
         """Each section may appear once; checked before the rest of its line is read."""
@@ -221,20 +228,19 @@ def parse_manifold_text(text: str) -> ManifoldData:
             section = once(number, key)
             sections[section] = (number, _vec(rest, number))
         elif key == "oddgen":
-            if not odd_blocks or rest == ["trivial"]:  # only oddgen blocks repeat
+            if not blocks or rest == ["trivial"]:  # only oddgen blocks repeat
                 sections[once(number, key)] = (number, None)
             if rest == ["trivial"]:
                 continue
             if rest:
                 raise ManifoldParseError("expected: oddgen  (or: oddgen trivial)", number)
-            block = []
-            for expected in ("g1", "g3", "g5", "g7"):
-                if idx >= len(lines) or lines[idx][1][0] != expected:
-                    raise ManifoldParseError(f"oddgen block needs a {expected} line", number)
+            for deg in (1, 3, 5, 7):
+                if idx >= len(lines) or lines[idx][1][0] != f"g{deg}":
+                    raise ManifoldParseError(f"oddgen block needs a g{deg} line", number)
                 g_number, g_tokens = lines[idx]
                 idx += 1
-                block.append((g_number, _vec(g_tokens[1:], g_number)))
-            odd_blocks.append(tuple(block))
+                sections[("oddgen", blocks, deg)] = (g_number, _vec(g_tokens[1:], g_number))
+            blocks += 1
         else:
             raise ManifoldParseError(f"unknown keyword {key!r}", number)
 
@@ -260,104 +266,49 @@ def parse_manifold_text(text: str) -> ManifoldData:
     dims = [sections.get(("mod2", n), (None, 0))[1] for n in range(TOP_DEGREE + 1)]
     mnames = [names("m2", n, d, f"dimension {d}") for n, d in enumerate(dims)]
 
-    def dim(n: int, ring: str) -> int:
-        return groups[n].num_generators if ring == "Z" else dims[n]
-
     matrices: dict[str, dict[int, IntMatrix]] = {op: {} for op in _OP_SPECS}
     for section in sorted(s for s in sections if s[0] == "map"):
         _, op, deg = section
-        number, matrix = sections[section]
-        src, tgt = _op_dims(dim, op, deg)
-        if (matrix.rows, matrix.cols) != (tgt, src):
-            raise ManifoldParseError(
-                f"{op} at degree {deg}: expected a {tgt}x{src} matrix, got "
-                f"{matrix.rows}x{matrix.cols}",
-                number,
-            )
-        matrices[op][deg] = matrix
+        matrices[op][deg] = sections[section][1]
 
-    def assemble_tables(kind: str, ring: str) -> dict[tuple[int, int], CupTable]:
-        by_pair: dict[tuple[int, int], list] = {}  # entries in file order
-        for section, (number, coords) in sections.items():
+    def tables(kind: str) -> dict[tuple[int, int], CupTable]:
+        by_pair: dict[tuple[int, int], CupTable] = {}  # entries in file order
+        for section, (_, coords) in sections.items():
             if section[0] == kind:
                 _, a, b, i, j = section
-                by_pair.setdefault((a, b), []).append((number, i, j, coords))
-        tables: dict[tuple[int, int], CupTable] = {}
-        for (a, b), entries in sorted(by_pair.items()):
-            first_line = entries[0][0]
-            if a + b > TOP_DEGREE:
-                raise ManifoldParseError(f"{kind} table ({a}, {b}): target degree exceeds 8", first_line)
-            table: CupTable = {}
-            for number, i, j, coords in entries:
-                if not (0 <= i < dim(a, ring) and 0 <= j < dim(b, ring)):
-                    raise ManifoldParseError(
-                        f"{kind} table ({a}, {b}): generator pair ({i}, {j}) out of range", number
-                    )
-                if len(coords) != dim(a + b, ring):
-                    raise ManifoldParseError(
-                        f"{kind} table ({a}, {b}) pair ({i}, {j}): expected "
-                        f"{dim(a + b, ring)} coordinates, got {len(coords)}",
-                        number,
-                    )
-                table[(i, j)] = coords
-            for i in range(dim(a, ring)):
-                for j in range(dim(b, ring)):
-                    if (i, j) not in table:
-                        raise ManifoldParseError(
-                            f"{kind} table ({a}, {b}): missing entry for generator pair ({i}, {j})",
-                            first_line,
-                        )
-            tables[(a, b)] = table
-        return tables
+                by_pair.setdefault((a, b), {})[(i, j)] = coords
+        return dict(sorted(by_pair.items()))
 
-    cup_z = assemble_tables("cup", "Z")
-    cup_m2 = assemble_tables("cup2", "Z2")
-
-    number, pairing = sections[("pairing",)]
-    if len(pairing) != dim(TOP_DEGREE, "Z"):
-        raise ManifoldParseError(
-            f"pairing vector has {len(pairing)} entries, H^8 has {dim(TOP_DEGREE, 'Z')} generators",
-            number,
-        )
-
-    def zclass(degree: int, label: str, number: int, coords: tuple[int, ...]) -> CohomologyClass:
-        if len(coords) != dim(degree, "Z"):
-            raise ManifoldParseError(
-                f"{label}: expected {dim(degree, 'Z')} coordinates in degree {degree}, got {len(coords)}",
-                number,
-            )
-        return CohomologyClass(degree, "Z", groups[degree].element(coords).coords)
-
-    p1 = zclass(4, "p1", *sections[("p1",)])
-    spinc = zclass(2, "spinc", *sections[("spinc",)])
-    w2 = None
-    if ("w2",) in sections:
-        number, w2_coords = sections[("w2",)]
-        if len(w2_coords) != dim(2, "Z2"):
-            raise ManifoldParseError(
-                f"w2: expected {dim(2, 'Z2')} mod-2 coordinates, got {len(w2_coords)}", number
-            )
-        w2 = CohomologyClass(2, "Z2", tuple(x % 2 for x in w2_coords))
-
-    odd_generators = None
-    if ("oddgen",) in sections:
-        odd_generators = tuple(
-            tuple(zclass(deg, f"oddgen g{deg}", *line) for deg, line in zip((1, 3, 5, 7), block))
-            for block in odd_blocks
-        )
-
-    return ManifoldData(
+    w2 = sections.get(("w2",))
+    data = ManifoldData(
         name=sections[("manifold",)][1],
         integral=GradedGroupZ(tuple(groups), tuple(znames)),
         mod2=GradedGroupMod2(tuple(dims), tuple(mnames)),
-        cup_z=cup_z,
-        cup_m2=cup_m2,
+        cup_z=tables("cup"),
+        cup_m2=tables("cup2"),
         **matrices,
-        pairing=pairing,
-        p1=p1,
-        spinc_class=spinc,
-        w2=w2,
-        odd_generators=odd_generators,
+        pairing=sections[("pairing",)][1],
+        p1=CohomologyClass(4, "Z", sections[("p1",)][1]),
+        spinc_class=CohomologyClass(2, "Z", sections[("spinc",)][1]),
+        w2=None if w2 is None else CohomologyClass(2, "Z2", tuple(x % 2 for x in w2[1])),
+        odd_generators=None if ("oddgen",) not in sections else tuple(
+            tuple(CohomologyClass(deg, "Z", sections[("oddgen", q, deg)][1]) for deg in (1, 3, 5, 7))
+            for q in range(blocks)
+        ),
+    )
+    problem = next(shape_problems(data), None)
+    if problem is not None:
+        section, message = problem
+        numbers = [n for s, (n, _) in sections.items() if s[: len(section)] == section]
+        raise ManifoldParseError(message, min(numbers))  # a whole table's first line
+    # classes are stored reduced; only well-shaped ones can be
+    return replace(
+        data,
+        p1=data.zclass(4, data.p1.coords),
+        spinc_class=data.zclass(2, data.spinc_class.coords),
+        odd_generators=data.odd_generators and tuple(
+            tuple(data.zclass(g.degree, g.coords) for g in block) for block in data.odd_generators
+        ),
     )
 
 

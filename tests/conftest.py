@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import settings
 
@@ -100,3 +102,56 @@ def make_h7_demo() -> ManifoldData:
 @pytest.fixture(scope="session")
 def h7_demo():
     return make_h7_demo()
+
+
+def misshape(data: ManifoldData, rng) -> ManifoldData:
+    """One seeded ``replace`` of data that may break its shape: a matrix of
+    random shape at a degree in 0..8, a dropped or added cup entry, a cup
+    entry of the wrong length, or a pairing, p1, w2 or odd generator of the
+    wrong length.  Entries are dropped only from tables of two or more, since
+    an empty table serializes to nothing."""
+
+    def vec(n: int, ring: str = "Z") -> tuple[int, ...]:
+        return tuple(rng.randrange(2) if ring == "Z2" else rng.randrange(-3, 4) for _ in range(n))
+
+    def wrong_length(coords, ring: str = "Z") -> tuple[int, ...]:
+        return vec(len(coords) + 1 if not coords or rng.randrange(2) else len(coords) - 1, ring)
+
+    edit = rng.randrange(4)
+    if edit == 0:
+        op, degree = rng.choice(("rho2", "beta", "sq2")), rng.randrange(9)
+        rows, cols = rng.randrange(4), rng.randrange(4)
+        return replace(data, **{op: {**getattr(data, op), degree: IntMatrix(rows, cols, vec(rows * cols))}})
+    field, ring = rng.choice((("cup_z", "Z"), ("cup_m2", "Z2")))
+    tables = getattr(data, field)
+    if edit == 1:
+        droppable = [ab for ab, table in tables.items() if len(table) >= 2]
+        if droppable and rng.randrange(2):
+            ab = rng.choice(sorted(droppable))
+            gone = rng.choice(sorted(tables[ab]))
+            table = {ij: coords for ij, coords in tables[ab].items() if ij != gone}
+        else:
+            a = rng.randrange(9)
+            ab = (a, rng.randrange(9 - a))
+            ij = (rng.randrange(data.dim(ab[0], ring) + 1), rng.randrange(data.dim(ab[1], ring) + 1))
+            table = {**tables.get(ab, {}), ij: vec(data.dim(sum(ab), ring), ring)}
+        return replace(data, **{field: {**tables, ab: table}})
+    if edit == 2 and tables:
+        ab = rng.choice(sorted(tables))
+        ij = rng.choice(sorted(tables[ab]))
+        return replace(data, **{field: {**tables, ab: {**tables[ab], ij: wrong_length(tables[ab][ij], ring)}}})
+    targets = ["pairing", "p1"] + ["w2"] * (data.w2 is not None) + ["oddgen"] * bool(data.odd_generators)
+    target = rng.choice(targets)
+    if target == "pairing":
+        return replace(data, pairing=wrong_length(data.pairing))
+    if target == "p1":
+        return replace(data, p1=CohomologyClass(4, "Z", wrong_length(data.p1.coords)))
+    if target == "w2":
+        return replace(data, w2=CohomologyClass(2, "Z2", wrong_length(data.w2.coords, "Z2")))
+    q = rng.randrange(len(data.odd_generators))
+    k = rng.randrange(4)
+    block = list(data.odd_generators[q])
+    block[k] = CohomologyClass(block[k].degree, "Z", wrong_length(block[k].coords))
+    blocks = list(data.odd_generators)
+    blocks[q] = tuple(block)
+    return replace(data, odd_generators=tuple(blocks))

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from bundlecensus import cli
@@ -92,6 +94,15 @@ def test_wrong_vector_length_is_input_error(capsys):
         code, _, err = run(capsys, "rank4", "--builtin", argv[0], "--chern", *argv[1:])
         assert code == 2
         assert f"bad coordinate vector {argv[1]!r}" in err
+
+
+def test_overlong_coordinate_is_a_bad_vector(capsys):
+    # one past the interpreter's digit limit for int(), which stays as it is
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    code, out, err = run(capsys, "rank4", "--builtin", "cp4", "--chern", digits, "0", "0", "0")
+    assert code == 2 and not out
+    assert f"error: bad coordinate vector {digits!r}" in err
+    assert "set_int_max_str_digits" not in err
 
 
 def test_internal_inconsistency_exit_three(capsys, tmp_path, cp4):

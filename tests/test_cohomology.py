@@ -9,6 +9,7 @@ from bundlecensus.abelian import IntMatrix
 from bundlecensus.cohomology import (
     CohomologyClass,
     GradedGroupZ,
+    LawResult,
     MissingOperationError,
     apply_op,
     cup,
@@ -17,7 +18,7 @@ from bundlecensus.cohomology import (
 )
 from bundlecensus.fixtures import BUILTIN_NAMES, builtin
 
-from conftest import graded_pair
+from conftest import graded_pair, make_h7_demo
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -62,6 +63,51 @@ def test_dimension_mismatch_is_caught(cp4):
                 report = validate_manifold(corrupted, strict=strict)
                 assert [r.name for r in report.failures()] == ["shape"]
                 assert f"{op} at degree {degree}: degree out of range" in report.law("shape").witness
+
+
+MISSHAPEN = {
+    # rho2 applied to a spin^c class of the wrong length
+    "spinc-length": lambda cp4: replace(cp4, spinc_class=CohomologyClass(2, "Z", (1, 0))),
+    # H^9 and H^-1 looked up for a table keyed outside 0..8
+    "cup-degree": lambda cp4: replace(cp4, cup_z={**cp4.cup_z, (9, -1): {(0, 0): (1,)}}),
+    # a square read off a cup2 entry with too many coordinates
+    "cup2-length": lambda cp4: replace(cp4, cup_m2={(2, 2): {(0, 0): (1, 0)}}),
+}
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["default", "strict"])
+@pytest.mark.parametrize("case", MISSHAPEN)
+def test_misshapen_data_is_reported_by_shape_alone(case, strict, cp4):
+    report = validate_manifold(MISSHAPEN[case](cp4), strict=strict)
+    assert [r.name for r in report.results] == ["shape"]
+    assert not report.ok
+
+
+def _odd_block(size):
+    h7 = make_h7_demo()
+    (block,) = h7.odd_generators
+    return replace(h7, odd_generators=((block + block)[:size],))
+
+
+@pytest.mark.parametrize(
+    "make, witness",
+    [
+        (
+            lambda: replace(builtin("cp4"), cup_z={**builtin("cp4").cup_z, (2, 2): {}}),
+            "cup table (2, 2): missing entry for generator pair (0, 0)",
+        ),
+        (
+            lambda: replace(builtin("cp4"), cup_z={**builtin("cp4").cup_z, (0, -1): {(0, 0): (1,)}}),
+            "cup table (0, -1): degree out of range",
+        ),
+        (lambda: _odd_block(3), "oddgen block 0: expected 4 classes, got 3"),
+        (lambda: _odd_block(5), "oddgen block 0: expected 4 classes, got 5"),
+    ],
+    ids=["missing-entry", "negative-degree", "block-of-3", "block-of-5"],
+)
+def test_shape_requires_complete_tables_in_range_and_blocks_of_four(make, witness):
+    report = validate_manifold(make(), strict=True)
+    assert report.results == (LawResult("shape", False, witness),)
 
 
 def test_strict_mode_catches_broken_exactness(torsion_demo):

@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import product
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 
 import bundlecensus
 from bundlecensus.cli import main
-from bundlecensus.cohomology import ManifoldValidationError, cup
+from bundlecensus.cohomology import ManifoldValidationError, cup, shape_problems
 from bundlecensus.fixtures import BUILTIN_NAMES, builtin
 from bundlecensus.manifold_io import (
     MAX_GENERATORS,
@@ -15,6 +16,8 @@ from bundlecensus.manifold_io import (
     parse_manifold_text,
     serialize_manifold,
 )
+
+from conftest import make_h7_demo, misshape
 
 MINIMAL = """
 manifold point-like
@@ -338,3 +341,34 @@ def test_seeded_mutations_fail_on_a_line_or_round_trip():
         accepted += 1
         assert parse_manifold_text(serialize_manifold(data)) == data, text
     assert 50 < accepted < 950  # the edits neither all fail nor all pass
+
+
+def test_shape_problems_are_the_parser_errors():
+    # the parser checks a file's shape with shape_problems: data built in
+    # Python that passes it round-trips, and data that fails it is rejected
+    # with one of its problems (the serializer sorts entries, so not
+    # necessarily the first)
+    rng = random.Random(10)
+    bases = [builtin(name) for name in BUILTIN_NAMES] + [make_h7_demo()]
+    failed = 0
+    for _ in range(1000):
+        data = misshape(rng.choice(bases), rng)
+        problems = [message for _, message in shape_problems(data)]
+        text = serialize_manifold(data)
+        if not problems:
+            assert parse_manifold_text(text) == data, text
+            continue
+        failed += 1
+        with pytest.raises(ManifoldParseError) as info:
+            parse_manifold_text(text)
+        assert info.value.message in problems, (text, problems)
+        assert info.value.line is not None
+    assert 500 < failed < 1000  # the edits neither all fail nor all pass
+
+
+def test_overlong_integer_is_an_error_on_its_line():
+    digits = sys.get_int_max_str_digits() + 1  # one past the interpreter's limit for int()
+    text = MINIMAL.replace("pairing 1", "pairing " + "1" * digits)
+    with pytest.raises(ManifoldParseError, match=f"integer of {digits} digits is too long") as info:
+        parse_manifold_text(text)
+    assert info.value.line == MINIMAL.splitlines().index("pairing 1") + 1
