@@ -364,15 +364,17 @@ class FGAbelianGroup:
             return None
         return math.prod(self.invariant_factors) if self.invariant_factors else 1
 
-    def element(self, coords: Iterable[int]) -> GroupElement:
+    def reduce(self, coords: Iterable[int]) -> tuple[int, ...]:
+        """Coordinates reduced modulo the finite invariant factors."""
         c = [int(x) for x in coords]
         if len(c) != self.num_generators:
             raise ValueError(
                 f"expected {self.num_generators} coordinates, got {len(c)}"
             )
-        return GroupElement(
-            tuple(x % d if d else x for x, d in zip(c, self.invariant_factors))
-        )
+        return tuple(x % d if d else x for x, d in zip(c, self.invariant_factors))
+
+    def element(self, coords: Iterable[int]) -> GroupElement:
+        return GroupElement(self.reduce(coords))
 
     def add(self, a: GroupElement, b: GroupElement) -> GroupElement:
         return self.element(x + y for x, y in zip(a.coords, b.coords, strict=True))

@@ -5,7 +5,11 @@ whose integrality on actual bundles drives the mod-2 and mod-3
 realizability congruences.  The functional is evaluated from its
 closed-form expansion; a self-check recomputes it by direct truncated
 multiplication of the A-roof series, exp(c/2) and the reduced Chern
-character, which must agree exactly.
+character, which must agree exactly.  The product td(M) of the first two
+does not depend on the tuple: it is built once per instance as the Todd
+rows (``data.todd_rows``), from the class-based ``cup`` and ``pair_top``
+only, and each self-check costs five class cups for the bracket plus
+three dot products with the rows.
 """
 
 from __future__ import annotations
@@ -138,8 +142,8 @@ def _series_product(data: ManifoldData, s: _Series, t: _Series) -> _Series:
     return out
 
 
-def rr_value_by_series(data: ManifoldData, u: ChernTuple) -> Fraction:
-    """Recompute the functional by multiplying the three power series."""
+def _todd_series(data: ManifoldData) -> _Series:
+    """td(M) = A-roof(M) * exp(c/2), truncated at degree 8."""
     one = data.zclass(0, (1,) * data.ngens(0))
     c = data.spinc_class
     c_pows = [one, c]
@@ -153,22 +157,54 @@ def rr_value_by_series(data: ManifoldData, u: ChernTuple) -> Fraction:
     exp_half_c: _Series = {
         2 * k: [(Fraction(1, 2**k * factorial(k)), c_pows[k])] for k in range(5)
     }
+    return _series_product(data, a_roof, exp_half_c)
+
+
+def compute_todd_rows(data: ManifoldData) -> tuple[dict[int, tuple[int, ...]], int]:
+    """The Todd functional as one rational row per degree d = 4, 6, 8, whose
+    entry i is <td_(8-d) * e_i, [M]> for the i-th generator e_i of H^d: the
+    rows over their common denominator, and that denominator.
+
+    Built from the classes alone, by ``cup`` and ``pair_top``: neither the
+    compiled data nor ``DEGREE8_TABLE`` enters, so the series stays an
+    independent check of the closed form.  ``data.todd_rows`` keeps it."""
+    td = _todd_series(data)
+    rows = {}
+    for d in (4, 6, 8):
+        n = data.ngens(d)
+        basis = (data.zclass(d, [int(k == i) for k in range(n)]) for i in range(n))
+        rows[d] = [
+            sum((q * pair_top(data, cup(data, x, e)) for q, x in td.get(8 - d, [])), start=Fraction(0))
+            for e in basis
+        ]
+    denominator = lcm(*(q.denominator for row in rows.values() for q in row))
+    return {d: tuple(int(q * denominator) for q in row) for d, row in rows.items()}, denominator
+
+
+def rr_value_by_series(data: ManifoldData, u: ChernTuple) -> Fraction:
+    """Recompute the functional as <td(M) * bracket(u), [M]>: the Todd rows
+    of the data dotted with the bracket, which is cupped from u's classes.
+    Cup is bilinear and H^8 = Z, so this equals the series product taken
+    term by term, unreduced coordinates included."""
+    rows, denominator = data.todd_rows  # first, so that a missing cup table raises from td(M)
     u1u2 = cup(data, u.u1, u.u2)
     u1sq_u2 = cup(data, cup(data, u.u1, u.u1), u.u2)
-    bracket: _Series = {
-        4: [(Fraction(-1), u.u2)],
-        6: [(Fraction(1, 2), u.u3), (Fraction(-1, 2), u1u2)],
-        8: [
-            (Fraction(-1, 6), u1sq_u2),
-            (Fraction(1, 12), cup(data, u.u2, u.u2)),
-            (Fraction(1, 6), cup(data, u.u1, u.u3)),
-            (Fraction(-1, 6), u.u4),
-        ],
-    }
-    product = _series_product(data, _series_product(data, a_roof, exp_half_c), bracket)
-    return sum(
-        (q * pair_top(data, x) for q, x in product.get(8, [])), start=Fraction(0)
+    bracket = (  # (12 * coefficient, class)
+        (-12, u.u2),
+        (6, u.u3),
+        (-6, u1u2),
+        (-2, u1sq_u2),
+        (1, cup(data, u.u2, u.u2)),
+        (2, cup(data, u.u1, u.u3)),
+        (-2, u.u4),
     )
+    total = 0
+    for k, x in bracket:
+        row = rows[x.degree]
+        if len(x.coords) != len(row):  # never cut short; worded as zclass words it
+            raise ValueError(f"expected {len(row)} coordinates, got {len(x.coords)}")
+        total += k * sum(map(mul, row, x.coords))
+    return Fraction(total, 12 * denominator)
 
 
 def rr_value(data: ManifoldData, u: ChernTuple, self_check: bool = False) -> Fraction:

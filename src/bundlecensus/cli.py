@@ -71,19 +71,29 @@ def _load(args: argparse.Namespace) -> ManifoldData:
     raise ManifoldParseError("no input: give a file or --builtin NAME")
 
 
+# A --chern vector whose repr is longer is described in errors, not echoed.
+_ECHO_LIMIT = 100
+
+
 def _parse_vector(text: str, expected: int, degree: int) -> tuple[int, ...]:
-    if text == "-":
-        coords: tuple[int, ...] = ()
-    else:
+    tokens = [] if text == "-" else text.split(",")
+    shown = repr(text) if len(repr(text)) <= _ECHO_LIMIT else None
+    coords = []
+    for k, token in enumerate(tokens, 1):
         try:
-            coords = tuple(parse_int(t) for t in text.split(","))
+            coords.append(parse_int(token))
         except ManifoldParseError:
-            raise ManifoldParseError(f"bad coordinate vector {text!r}") from None
+            raise ManifoldParseError(
+                f"bad coordinate vector {shown}" if shown else
+                f"bad coordinate vector for degree {degree}: entry {k} of {len(tokens)}"
+                f" (length {len(token)}) is not an accepted integer"
+            ) from None
     if len(coords) != expected:
         raise ManifoldParseError(
-            f"degree {degree} expects {expected} coordinates, got {len(coords)} in {text!r}"
+            f"degree {degree} expects {expected} coordinates, got {len(coords)}"
+            + (f" in {shown}" if shown else f" in a vector of length {len(text)}")
         )
-    return coords
+    return tuple(coords)
 
 
 def _chern_classes(data: ManifoldData, vectors: list[str], degrees: tuple[int, ...]):

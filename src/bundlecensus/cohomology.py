@@ -156,8 +156,7 @@ class ManifoldData:
     # -- class constructors and arithmetic -----------------------------
 
     def zclass(self, degree: int, coords: Iterable[int]) -> CohomologyClass:
-        elt = self.group(degree).element(coords)
-        return CohomologyClass(degree, "Z", elt.coords)
+        return CohomologyClass(degree, "Z", self.group(degree).reduce(coords))
 
     def m2class(self, degree: int, bits: Iterable[int]) -> CohomologyClass:
         b = tuple(int(x) % 2 for x in bits)
@@ -211,6 +210,12 @@ class ManifoldData:
         """``classify.compute_B``, which no Chern tuple changes, kept as ``compiled`` is."""
         from .classify import compute_B  # classify imports this module
         return compute_B(self)
+
+    @cached_property
+    def todd_rows(self) -> tuple[dict[int, tuple[int, ...]], int]:
+        """``charclass.compute_todd_rows``, which no Chern tuple changes, kept as ``B`` is."""
+        from .charclass import compute_todd_rows  # charclass imports this module
+        return compute_todd_rows(self)
 
 
 # -- the four operations ------------------------------------------------
@@ -354,7 +359,7 @@ class CompiledManifold(NamedTuple):
     c: Coords
 
     def reduce(self, degree: int, coords) -> Coords:
-        """Integral coordinates reduced as ``FGAbelianGroup.element`` does."""
+        """Integral coordinates reduced as ``FGAbelianGroup.reduce`` does."""
         factors = self.factors[degree]
         if len(coords) != len(factors):
             raise ValueError(f"expected {len(factors)} coordinates, got {len(coords)}")
@@ -473,7 +478,7 @@ def _beta_bit_matrix(data: ManifoldData, degree: int, M: IntMatrix) -> IntMatrix
     rows = [j for j, h in enumerate(halves) if h]
     bits = []
     for i in range(M.cols):
-        col = group.element(M.column(i)).coords
+        col = group.reduce(M.column(i))
         if any(c and c != h for c, h in zip(col, halves)):
             return None
         bits.append([1 if col[j] else 0 for j in rows])
@@ -587,7 +592,7 @@ def _beta_torsion(data: ManifoldData) -> Iterator[LawResult]:
         f"degree {degree} basis element {data.mod2.names[degree][i]}"
         for degree, B in _matrices(data, "beta", below=TOP_DEGREE)
         for i in range(B.cols)
-        if any(data.group(degree + 1).element(2 * v for v in B.column(i)).coords)
+        if any(data.group(degree + 1).reduce(2 * v for v in B.column(i)))
     ))
 
 
@@ -597,7 +602,7 @@ def _beta_rho2(data: ManifoldData) -> Iterator[LawResult]:
         f"degree {degree} generator {data.integral.names[degree][j]}"
         for degree, R, B in _matrices(data, "rho2", "beta", below=TOP_DEGREE)
         for j in range(R.cols)
-        if any(data.group(degree + 1).element(B.apply([x % 2 for x in R.column(j)])).coords)
+        if any(data.group(degree + 1).reduce(B.apply([x % 2 for x in R.column(j)])))
     ))
 
 

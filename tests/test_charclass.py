@@ -128,7 +128,7 @@ def test_rr_value_denominator_divides_24():
             assert 24 % value.denominator == 0
 
 
-@pytest.mark.parametrize("name", ["cp4", "hp2", "cp2xcp2", "cp1xcp3", "s8"])
+@pytest.mark.parametrize("name", ["cp4", "hp2", "cp2xcp2", "cp1xcp3", "s8", "torsion-demo"])
 def test_rr_value_matches_series_expansion(name):
     data = builtin(name)
     rng = random.Random(4)

@@ -101,8 +101,24 @@ def test_overlong_coordinate_is_a_bad_vector(capsys):
     digits = "1" * (sys.get_int_max_str_digits() + 1)
     code, out, err = run(capsys, "rank4", "--builtin", "cp4", "--chern", digits, "0", "0", "0")
     assert code == 2 and not out
-    assert f"error: bad coordinate vector {digits!r}" in err
+    # the error names the degree, the entry and its length, not the text
+    assert f"error: bad coordinate vector for degree 2: entry 1 of 1 (length {len(digits)})" in err
     assert "set_int_max_str_digits" not in err
+    assert max(map(len, err.splitlines())) < 200
+
+
+def test_long_vector_errors_stay_short(capsys):
+    # 2,000 valid coordinates where cp4 wants one, then the same with a bad
+    # last entry: the count and the position are named, the text is not
+    many = ",".join(["12345"] * 2000)
+    for vector, message in (
+        (many, "degree 2 expects 1 coordinates, got 2000 in a vector of length 11999"),
+        (many + ",x", "degree 2: entry 2001 of 2001 (length 1)"),
+    ):
+        code, out, err = run(capsys, "rank4", "--builtin", "cp4", "--chern", vector, "0", "0", "0")
+        assert code == 2 and not out
+        assert message in err
+        assert max(map(len, err.splitlines())) < 200
 
 
 def test_internal_inconsistency_exit_three(capsys, tmp_path, cp4):
