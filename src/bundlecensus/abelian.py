@@ -33,7 +33,7 @@ inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Sequence
 
 VERIFY_POSTCONDITIONS = False
@@ -48,23 +48,22 @@ class ContainmentError(ValueError):
     """A denominator generator escapes the subgroup spanned by the numerator."""
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
     """Dense integer matrix, row-major, arbitrary precision."""
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(int(e) for e in self.entries))
-        if self.rows < 0 or self.cols < 0:
+    def __new__(cls, rows: int, cols: int, entries: Iterable[int]):
+        entries = tuple(map(int, entries))
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
+        if len(entries) != rows * cols:
             raise ValueError(
-                f"expected {self.rows * self.cols} entries for a "
-                f"{self.rows}x{self.cols} matrix, got {len(self.entries)}"
+                f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(entries)}"
             )
+        return tuple.__new__(cls, (rows, cols, entries))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
@@ -304,18 +303,18 @@ def _verify_snf(A: IntMatrix, U: IntMatrix, D: IntMatrix, V: IntMatrix) -> None:
             raise AssertionError("SNF postcondition violated: divisibility chain broken")
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(namedtuple("GroupElement", "coords")):
     """Coordinates of an element with respect to an ambient group's generators."""
 
-    coords: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+    def __new__(cls, coords: Iterable[int]):
+        return tuple.__new__(cls, (tuple(map(int, coords)),))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@dataclass(frozen=True)
-class FGAbelianGroup:
+class FGAbelianGroup(namedtuple("FGAbelianGroup", "invariant_factors")):
     """Finitely generated abelian group in canonical invariant-factor form.
 
     ``invariant_factors`` lists finite factors (each at least 2, each
@@ -324,11 +323,10 @@ class FGAbelianGroup:
     these tuples.
     """
 
-    invariant_factors: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        factors = tuple(int(d) for d in self.invariant_factors)
-        object.__setattr__(self, "invariant_factors", factors)
+    def __new__(cls, invariant_factors: Iterable[int] = ()):
+        factors = tuple(map(int, invariant_factors))
         finite = [d for d in factors if d != 0]
         if any(d < 2 for d in finite):
             raise ValueError(f"finite invariant factors must be >= 2, got {factors}")
@@ -337,6 +335,9 @@ class FGAbelianGroup:
         for a, b in zip(finite, finite[1:]):
             if b % a:
                 raise ValueError(f"invariant factors must form a divisibility chain, got {factors}")
+        return tuple.__new__(cls, (factors,))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @classmethod
     def canonical(cls, factors: Iterable[int]) -> "FGAbelianGroup":

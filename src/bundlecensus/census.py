@@ -21,9 +21,9 @@ bug in one of the two paths.
 from __future__ import annotations
 
 import builtins
-from dataclasses import dataclass
 from itertools import product
 from operator import mul
+from typing import NamedTuple
 
 from .charclass import DEGREE8_TABLE, pair_monomials
 from .classify import condition1_lhs, condition1_rhs, integral_rhs3, rank4_conditions
@@ -46,15 +46,13 @@ def cp4_rank3_admissible(a1: int, a2: int, a3: int) -> bool:
     return cp4_rank4_admissible(a1, a2, a3, 0)
 
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(NamedTuple):
     coefficients: tuple[int, ...]
     closed_form: bool
     generic: bool
 
 
-@dataclass(frozen=True)
-class CensusResult:
+class CensusResult(NamedTuple):
     bound: int
     rank: int
     rows: tuple[CensusRow, ...]

@@ -14,7 +14,7 @@ three dot products with the rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, lcm
@@ -88,24 +88,25 @@ def pair_monomials(m: CompiledManifold, products: Products, monomials: tuple[Mon
     return [m.pair(products[mono]) for mono in monomials]
 
 
-@dataclass(frozen=True)
-class RationalClassPolynomial:
+class RationalClassPolynomial(namedtuple("RationalClassPolynomial", "terms")):
     """Formal sum of rational multiples of degree-8 monomials.
 
     Each term is a pair (coefficient, monomial), the monomial a tuple of
     symbols from u1..u4, p1, c whose degrees add up to 8.  Evaluation
     substitutes the coordinates of actual classes, cups the factors
     together on the compiled data and pairs the result against the
-    fundamental class.
+    fundamental class.  No ``__slots__``: ``_integer_form`` is kept in the
+    instance dict.
     """
 
-    terms: tuple[tuple[Fraction, Monomial], ...]
-
-    def __post_init__(self):
-        for coeff, mono in self.terms:
+    def __new__(cls, terms: tuple[tuple[Fraction, Monomial], ...]):
+        for coeff, mono in terms:
             degree = sum(SYMBOL_DEGREES[s] for s in mono)
             if degree != 8:
                 raise ValueError(f"monomial {mono} has degree {degree}, expected 8")
+        return tuple.__new__(cls, (terms,))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @cached_property
     def _integer_form(self) -> tuple[tuple[Monomial, ...], tuple[int, ...], int]:

@@ -21,9 +21,9 @@ rank 4, ``compute_B x compute_T`` for rank 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import add, mul
+from typing import NamedTuple
 
 from .abelian import FGAbelianGroup, GroupElement, subgroup_quotient
 from .charclass import CONDITION_COLUMNS, MONOMIALS, pair_monomials, symbol_products
@@ -41,15 +41,13 @@ class OddGeneratorsMissing(LookupError):
     """The rank-3 fiber group needs the odd unitary generators as input."""
 
 
-@dataclass(frozen=True)
-class Condition1:
+class Condition1(NamedTuple):
     passed: bool
     lhs: CohomologyClass
     rhs: CohomologyClass
 
 
-@dataclass(frozen=True)
-class Condition2:
+class Condition2(NamedTuple):
     passed: bool
     lhs_value: int
     rhs_value: int
@@ -57,16 +55,14 @@ class Condition2:
     rhs_mod3: int
 
 
-@dataclass(frozen=True)
-class Condition3:
+class Condition3(NamedTuple):
     passed: bool
     rhs_exact: Fraction
     lhs_mod2: int
     rhs_mod2: int
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Realizability decision with a per-condition breakdown.
 
     ``condition2`` and ``condition3`` are None when condition (1) already
@@ -185,7 +181,7 @@ def check_rank3(
     """Rank-3 realizability: (u1, u2, u3, 0) must be realizable in rank 4."""
     padded = ChernTuple(u1, u2, u3, data.zero(8))
     verdict = check_rank4(data, padded)
-    return replace(verdict, rank=3)
+    return verdict._replace(rank=3)
 
 
 def compute_B(data: ManifoldData) -> FGAbelianGroup:

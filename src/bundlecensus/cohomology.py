@@ -9,10 +9,18 @@ satisfy; everything else trusts validated data.
 
 Classes are stored with coordinates reduced modulo the invariant factor
 of each generator, so equality of classes is a plain tuple comparison.
+
+Every record of the package but ``ManifoldData`` is a tuple: a
+``NamedTuple``, or a ``namedtuple`` subclass whose ``__new__`` checks its
+fields and whose ``_make`` is the constructor, so that ``_replace`` checks
+too.  Creating a dataclass runs generated source at every import of the
+package, about a millisecond each; ``ManifoldData`` stays a frozen
+dataclass for ``dataclasses.replace`` and its cached properties.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import mul
@@ -41,69 +49,75 @@ class ManifoldValidationError(ValueError):
         super().__init__(f"manifold data failed validation: {failed}")
 
 
-@dataclass(frozen=True)
-class CohomologyClass:
+class CohomologyClass(namedtuple("CohomologyClass", "degree ring coords")):
     """A cohomology class as reduced coordinates in a fixed graded basis."""
 
-    degree: int
-    ring: Ring
-    coords: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+    def __new__(cls, degree: int, ring: Ring, coords: Iterable[int]):
+        self = tuple.__new__(cls, (degree, ring, tuple(map(int, coords))))
+        self.__post_init__()
+        return self
+
+    def __post_init__(self):  # its own method: perfbench's tracer counts classes by it
         if self.ring not in ("Z", "Z2"):
             raise ValueError(f"unknown coefficient ring {self.ring!r}")
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def is_zero(self) -> bool:
         return not any(self.coords)
 
 
-@dataclass(frozen=True)
-class GradedGroupZ:
+class GradedGroupZ(namedtuple("GradedGroupZ", "groups names")):
     """Integral cohomology: one presented group per degree 0..8."""
 
-    groups: tuple[FGAbelianGroup, ...]
-    names: tuple[tuple[str, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.groups) != TOP_DEGREE + 1 or len(self.names) != TOP_DEGREE + 1:
+    def __new__(cls, groups: tuple[FGAbelianGroup, ...], names: tuple[tuple[str, ...], ...]):
+        if len(groups) != TOP_DEGREE + 1 or len(names) != TOP_DEGREE + 1:
             raise ValueError("need groups and generator names for degrees 0..8")
-        for n, (g, nm) in enumerate(zip(self.groups, self.names)):
+        for n, (g, nm) in enumerate(zip(groups, names)):
             if len(nm) != g.num_generators:
                 raise ValueError(
                     f"degree {n}: {g.num_generators} generators but {len(nm)} names"
                 )
+        return tuple.__new__(cls, (groups, names))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@dataclass(frozen=True)
-class GradedGroupMod2:
+class GradedGroupMod2(namedtuple("GradedGroupMod2", "dims names")):
     """Mod-2 cohomology: one F2 vector space dimension per degree 0..8."""
 
-    dims: tuple[int, ...]
-    names: tuple[tuple[str, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.dims) != TOP_DEGREE + 1 or len(self.names) != TOP_DEGREE + 1:
+    def __new__(cls, dims: tuple[int, ...], names: tuple[tuple[str, ...], ...]):
+        if len(dims) != TOP_DEGREE + 1 or len(names) != TOP_DEGREE + 1:
             raise ValueError("need dimensions and basis names for degrees 0..8")
-        for n, (d, nm) in enumerate(zip(self.dims, self.names)):
+        for n, (d, nm) in enumerate(zip(dims, names)):
             if d < 0 or len(nm) != d:
                 raise ValueError(f"degree {n}: dimension {d} but {len(nm)} names")
+        return tuple.__new__(cls, (dims, names))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@dataclass(frozen=True)
-class ChernTuple:
+class ChernTuple(namedtuple("ChernTuple", "u1 u2 u3 u4")):
     """Candidate Chern classes (u1, u2, u3, u4) in degrees 2, 4, 6, 8."""
 
-    u1: CohomologyClass
-    u2: CohomologyClass
-    u3: CohomologyClass
-    u4: CohomologyClass
+    __slots__ = ()
 
-    def __post_init__(self):
-        for u, deg in zip(self.classes(), (2, 4, 6, 8)):
+    def __new__(
+        cls, u1: CohomologyClass, u2: CohomologyClass, u3: CohomologyClass, u4: CohomologyClass
+    ):
+        for u, deg in zip((u1, u2, u3, u4), (2, 4, 6, 8)):
             if u.degree != deg or u.ring != "Z":
                 raise ValueError(f"component of degree {u.degree}/{u.ring}, expected integral degree {deg}")
+        return tuple.__new__(cls, (u1, u2, u3, u4))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def classes(self) -> tuple[CohomologyClass, ...]:
         return (self.u1, self.u2, self.u3, self.u4)
@@ -291,6 +305,9 @@ def cup(data: ManifoldData, x: CohomologyClass, y: CohomologyClass) -> Cohomolog
     n = a + b
     if n > TOP_DEGREE:
         raise ValueError(f"cup product in degree {n} exceeds the dimension of the manifold")
+    for z in (x, y):
+        if len(z.coords) != data.dim(z.degree, ring):  # worded as ``reduce`` words it
+            raise ValueError(f"expected {data.dim(z.degree, ring)} coordinates, got {len(z.coords)}")
     if a == 0 or b == 0:
         scalar_cls, other = (x, y) if a == 0 else (y, x)
         coeff = scalar_cls.coords[0] if scalar_cls.coords else 0
@@ -334,9 +351,8 @@ Rows = tuple[Coords, ...]
 class CompiledManifold(NamedTuple):
     """What conditions (1)-(3) and the Riemann-Roch closed form read of a
     manifold, as plain int tuples, so that they run on coordinate tuples
-    without building classes.  Immutable; a NamedTuple rather than a frozen
-    dataclass, whose creation adds over a millisecond to every import of
-    the package.
+    without building classes.  Immutable; a NamedTuple, as every record
+    but ``ManifoldData`` is.
 
     ``factors[n]`` are the invariant factors of H^n.  ``cups[a, b]`` is the
     integral product H^a x H^b -> H^(a+b) for even a, b >= 2, transposed
@@ -432,15 +448,13 @@ def _compile(data: ManifoldData) -> CompiledManifold:
 
 # -- validation ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class LawResult:
+class LawResult(NamedTuple):
     name: str
     passed: bool
     witness: str | None = None
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     results: tuple[LawResult, ...]
 
     @property

@@ -104,7 +104,7 @@ def _with_torsion(data, degree, d):
     """H^degree with its first free generator made cyclic of order d."""
     groups = list(data.integral.groups)
     groups[degree] = FGAbelianGroup((d,) + groups[degree].invariant_factors[1:])
-    return replace(data, integral=replace(data.integral, groups=tuple(groups)))
+    return replace(data, integral=data.integral._replace(groups=tuple(groups)))
 
 
 def _odd_torsion_in_h6(data, rng):
@@ -143,7 +143,7 @@ def _drop_or_misshape_matrix(data, rng):
 def _shift_p1_and_c(data, rng):
     # moves rhs(3) off the integers on some tuples that pass (1)
     def shift(x):
-        return replace(x, coords=tuple(c + rng.randint(-2, 2) for c in x.coords))
+        return x._replace(coords=tuple(c + rng.randint(-2, 2) for c in x.coords))
 
     return replace(data, p1=shift(data.p1), spinc_class=shift(data.spinc_class))
 

@@ -1,0 +1,234 @@
+"""The records of the package: every one but ``ManifoldData`` is a tuple.
+
+They keep the behaviour of the frozen dataclasses they replaced: the repr
+text (each literal below was taken from the dataclass), same-type equality
+and hash, read-only fields, pickling, and every check the validating ones
+made in ``__post_init__``, with its message; ``_replace`` checks as the
+constructor does.  Creating a dataclass costs about a millisecond at every
+import of the package, so ``ManifoldData`` stays the only one.
+"""
+
+import dataclasses
+import importlib
+import inspect
+import pickle
+import pkgutil
+from fractions import Fraction
+
+import pytest
+
+import bundlecensus
+from bundlecensus.abelian import FGAbelianGroup, GroupElement, IntMatrix
+from bundlecensus.census import CensusResult, CensusRow
+from bundlecensus.charclass import RationalClassPolynomial
+from bundlecensus.classify import Condition1, Condition2, Condition3, Verdict
+from bundlecensus.cohomology import (
+    ChernTuple,
+    CohomologyClass,
+    GradedGroupMod2,
+    GradedGroupZ,
+    LawResult,
+    ValidationReport,
+)
+
+
+def z(degree, *coords):
+    return CohomologyClass(degree, "Z", coords)
+
+
+def m2(*bits):
+    return CohomologyClass(6, "Z2", bits)
+
+
+def point_groups():
+    return GradedGroupZ((FGAbelianGroup((0,)),) + (FGAbelianGroup(),) * 8, (("1",),) + ((),) * 8)
+
+
+def point_mod2():
+    return GradedGroupMod2((1,) + (0,) * 8, (("1",),) + ((),) * 8)
+
+
+# (record, a function making a sample of it afresh, the sample's repr)
+RECORDS = [
+    (IntMatrix, lambda: IntMatrix(1, 2, [3, -4]), "IntMatrix(rows=1, cols=2, entries=(3, -4))"),
+    (GroupElement, lambda: GroupElement([1, 0]), "GroupElement(coords=(1, 0))"),
+    (FGAbelianGroup, lambda: FGAbelianGroup((2,)), "FGAbelianGroup(invariant_factors=(2,))"),
+    (
+        CohomologyClass,
+        lambda: CohomologyClass(2, "Z", [1, -1]),
+        "CohomologyClass(degree=2, ring='Z', coords=(1, -1))",
+    ),
+    (
+        GradedGroupZ,
+        point_groups,
+        "GradedGroupZ(groups=(FGAbelianGroup(invariant_factors=(0,)), "
+        + ", ".join(["FGAbelianGroup(invariant_factors=())"] * 8)
+        + "), names=(('1',), (), (), (), (), (), (), (), ()))",
+    ),
+    (
+        GradedGroupMod2,
+        point_mod2,
+        "GradedGroupMod2(dims=(1, 0, 0, 0, 0, 0, 0, 0, 0), names=(('1',), (), (), (), (), (), (), (), ()))",
+    ),
+    (
+        ChernTuple,
+        lambda: ChernTuple(z(2, 1), z(4, 2), z(6, 3), z(8, 4)),
+        "ChernTuple(u1=CohomologyClass(degree=2, ring='Z', coords=(1,)), "
+        "u2=CohomologyClass(degree=4, ring='Z', coords=(2,)), "
+        "u3=CohomologyClass(degree=6, ring='Z', coords=(3,)), "
+        "u4=CohomologyClass(degree=8, ring='Z', coords=(4,)))",
+    ),
+    (
+        RationalClassPolynomial,
+        lambda: RationalClassPolynomial(((Fraction(1, 24), ("u4",)),)),
+        "RationalClassPolynomial(terms=((Fraction(1, 24), ('u4',)),))",
+    ),
+    (
+        CensusRow,
+        lambda: CensusRow((1, 0, 0, 1), True, False),
+        "CensusRow(coefficients=(1, 0, 0, 1), closed_form=True, generic=False)",
+    ),
+    (
+        CensusResult,
+        lambda: CensusResult(0, 3, (CensusRow((0, 0, 0), True, True),)),
+        "CensusResult(bound=0, rank=3, rows=(CensusRow(coefficients=(0, 0, 0), closed_form=True, generic=True),))",
+    ),
+    (
+        LawResult,
+        lambda: LawResult("h0_is_Z", False, "H^0 = 0"),
+        "LawResult(name='h0_is_Z', passed=False, witness='H^0 = 0')",
+    ),
+    (
+        ValidationReport,
+        lambda: ValidationReport((LawResult("shape", True),)),
+        "ValidationReport(results=(LawResult(name='shape', passed=True, witness=None),))",
+    ),
+    (
+        Condition1,
+        lambda: Condition1(True, m2(1), m2(1)),
+        "Condition1(passed=True, lhs=CohomologyClass(degree=6, ring='Z2', coords=(1,)), "
+        "rhs=CohomologyClass(degree=6, ring='Z2', coords=(1,)))",
+    ),
+    (
+        Condition2,
+        lambda: Condition2(False, 5, 1, 2, 1),
+        "Condition2(passed=False, lhs_value=5, rhs_value=1, lhs_mod3=2, rhs_mod3=1)",
+    ),
+    (
+        Condition3,
+        lambda: Condition3(True, Fraction(3, 2), 1, 1),
+        "Condition3(passed=True, rhs_exact=Fraction(3, 2), lhs_mod2=1, rhs_mod2=1)",
+    ),
+    (
+        Verdict,
+        lambda: Verdict(4, False, Condition1(False, m2(1), m2(0)), None, None, ("n",)),
+        "Verdict(rank=4, realizable=False, condition1=Condition1(passed=False, "
+        "lhs=CohomologyClass(degree=6, ring='Z2', coords=(1,)), "
+        "rhs=CohomologyClass(degree=6, ring='Z2', coords=(0,))), "
+        "condition2=None, condition3=None, notes=('n',))",
+    ),
+]
+IDS = [record.__name__ for record, *_ in RECORDS]
+
+
+@pytest.mark.parametrize("record, make, text", RECORDS, ids=IDS)
+def test_repr_is_the_dataclass_repr(record, make, text):
+    assert type(make()) is record and repr(make()) == text
+
+
+@pytest.mark.parametrize("record, make, text", RECORDS, ids=IDS)
+def test_same_values_are_equal_and_hash_alike(record, make, text):
+    a, b = make(), make()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert not a != b
+
+
+@pytest.mark.parametrize("record, make, text", RECORDS, ids=IDS)
+def test_fields_are_read_only(record, make, text):
+    x = make()
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(x, name, getattr(x, name))
+    assert repr(x) == text
+
+
+@pytest.mark.parametrize("record, make, text", RECORDS, ids=IDS)
+def test_pickle_round_trip(record, make, text):
+    copy = pickle.loads(pickle.dumps(make()))
+    assert type(copy) is record and copy == make() and repr(copy) == text
+
+
+def test_keywords_and_defaults_construct():
+    assert FGAbelianGroup() == FGAbelianGroup(invariant_factors=())
+    assert LawResult("shape", True) == LawResult(name="shape", passed=True, witness=None)
+    assert Verdict(3, True, None, None, None).notes == ()
+    assert CohomologyClass(degree=2, ring="Z", coords=[1.0]).coords == (1,)
+
+
+# (valid sample, field, value, the message of the old __post_init__)
+INVALID = [
+    (IntMatrix(0, 0, ()), "rows", -1, "matrix dimensions must be nonnegative"),
+    (IntMatrix(2, 2, (1, 2, 3, 4)), "entries", (1, 2, 3), "expected 4 entries for a 2x2 matrix, got 3"),
+    (FGAbelianGroup((2,)), "invariant_factors", (1,), "finite invariant factors must be >= 2, got (1,)"),
+    (FGAbelianGroup((2,)), "invariant_factors", (0, 2), "finite factors must precede infinite (0) factors"),
+    (
+        FGAbelianGroup((2,)),
+        "invariant_factors",
+        (2, 3),
+        "invariant factors must form a divisibility chain, got (2, 3)",
+    ),
+    (z(2, 1), "ring", "Q", "unknown coefficient ring 'Q'"),
+    (point_groups(), "names", ((),) * 8, "need groups and generator names for degrees 0..8"),
+    (point_groups(), "names", ((),) * 9, "degree 0: 1 generators but 0 names"),
+    (point_mod2(), "dims", (1,) * 8, "need dimensions and basis names for degrees 0..8"),
+    (point_mod2(), "dims", (-1,) + (0,) * 8, "degree 0: dimension -1 but 1 names"),
+    (
+        ChernTuple(z(2, 1), z(4, 2), z(6, 3), z(8, 4)),
+        "u1",
+        z(4, 2),
+        "component of degree 4/Z, expected integral degree 2",
+    ),
+    (
+        ChernTuple(z(2, 1), z(4, 2), z(6, 3), z(8, 4)),
+        "u3",
+        m2(1),
+        "component of degree 6/Z2, expected integral degree 6",
+    ),
+    (
+        RationalClassPolynomial(((Fraction(1, 24), ("u4",)),)),
+        "terms",
+        ((Fraction(1), ("u4",)), (Fraction(1), ("u1", "u2"))),
+        "monomial ('u1', 'u2') has degree 6, expected 8",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "sample, field, value, message", INVALID, ids=[f"{type(s).__name__}-{m[:24]}" for s, _, _, m in INVALID]
+)
+def test_invalid_fields_raise_the_old_message(sample, field, value, message):
+    fields = {**sample._asdict(), field: value}
+    with pytest.raises(ValueError) as made:
+        type(sample)(**fields)
+    with pytest.raises(ValueError) as replaced:
+        sample._replace(**{field: value})
+    assert str(made.value) == str(replaced.value) == message
+
+
+def test_coercing_records_store_int_tuples():
+    assert IntMatrix(1, 2, [True, 2.0]).entries == (1, 2)
+    assert GroupElement([True]).coords == (1,)
+    assert FGAbelianGroup([2.0, 0]).invariant_factors == (2, 0)
+    assert z(2, 1)._replace(coords=[3.0]).coords == (3,)
+
+
+def test_manifold_data_is_the_only_dataclass():
+    """Each dataclass is created by running generated source when the
+    package is imported, about a millisecond apiece; records are tuples."""
+    dataclasses_found = []
+    for info in pkgutil.iter_modules(bundlecensus.__path__, "bundlecensus."):
+        module = importlib.import_module(info.name)
+        for name, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ == module.__name__ and dataclasses.is_dataclass(cls):
+                dataclasses_found.append(name)
+    assert dataclasses_found == ["ManifoldData"]
