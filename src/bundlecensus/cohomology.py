@@ -10,18 +10,17 @@ satisfy; everything else trusts validated data.
 Classes are stored with coordinates reduced modulo the invariant factor
 of each generator, so equality of classes is a plain tuple comparison.
 
-Every record of the package but ``ManifoldData`` is a tuple: a
-``NamedTuple``, or a ``namedtuple`` subclass whose ``__new__`` checks its
-fields and whose ``_make`` is the constructor, so that ``_replace`` checks
-too.  Creating a dataclass runs generated source at every import of the
-package, about a millisecond each; ``ManifoldData`` stays a frozen
-dataclass for ``dataclasses.replace`` and its cached properties.
+Every record of the package is a tuple: a ``NamedTuple``, or a
+``namedtuple`` subclass whose ``__new__`` checks or fills in its fields and
+whose ``_make`` is the constructor, so that ``_replace`` does too.  Derive a
+variant with ``record._replace(field=value)``.  No record is a dataclass:
+importing ``dataclasses`` (and with it ``inspect``) and creating one would
+cost every cold start of the package about 10 ms.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import mul
 from typing import Iterable, Iterator, Literal, NamedTuple
@@ -126,9 +125,20 @@ class ChernTuple(namedtuple("ChernTuple", "u1 u2 u3 u4")):
 OddQuadruple = tuple[CohomologyClass, CohomologyClass, CohomologyClass, CohomologyClass]
 
 
-@dataclass(frozen=True)
-class ManifoldData:
+class ManifoldData(
+    namedtuple(
+        "ManifoldData",
+        "name integral mod2 cup_z rho2 beta sq2 pairing p1 spinc_class w2 odd_generators cup_m2",
+    )
+):
     """Full finite description of the cohomology of a closed oriented 8-manifold.
+
+    Fields: ``name: str``; ``integral: GradedGroupZ``; ``mod2:
+    GradedGroupMod2``; ``cup_z: dict[tuple[int, int], CupTable]``; ``rho2``,
+    ``beta``, ``sq2: dict[int, IntMatrix]``; ``pairing: tuple[int, ...]``;
+    ``p1``, ``spinc_class: CohomologyClass``; ``w2: CohomologyClass | None =
+    None``; ``odd_generators: tuple[OddQuadruple, ...] | None = None``;
+    ``cup_m2: dict[tuple[int, int], CupTable]``, a fresh ``{}`` when omitted.
 
     ``cup_z[(a, b)]`` maps generator index pairs (i, j) to the coordinates
     of the product in degree a+b.  ``rho2[n]``, ``beta[n]`` and ``sq2[n]``
@@ -137,21 +147,28 @@ class ManifoldData:
     ``odd_generators`` lists quadruples of classes in degrees 1, 3, 5, 7
     generating the image of the odd-degree unitary transgressions; None
     means this information was not supplied.
+
+    Read-only: assigning or deleting any attribute raises ``AttributeError``.
+    There are no ``__slots__``, so the cached properties live in the
+    instance dict, and a ``_replace``d instance computes them afresh.
     """
 
-    name: str
-    integral: GradedGroupZ
-    mod2: GradedGroupMod2
-    cup_z: dict[tuple[int, int], CupTable]
-    rho2: dict[int, IntMatrix]
-    beta: dict[int, IntMatrix]
-    sq2: dict[int, IntMatrix]
-    pairing: tuple[int, ...]
-    p1: CohomologyClass
-    spinc_class: CohomologyClass
-    w2: CohomologyClass | None = None
-    odd_generators: tuple[OddQuadruple, ...] | None = None
-    cup_m2: dict[tuple[int, int], CupTable] = field(default_factory=dict)
+    def __new__(
+        cls, name, integral, mod2, cup_z, rho2, beta, sq2, pairing, p1, spinc_class,
+        w2=None, odd_generators=None, cup_m2=None,
+    ):
+        return tuple.__new__(cls, (
+            name, integral, mod2, cup_z, rho2, beta, sq2, pairing, p1, spinc_class,
+            w2, odd_generators, {} if cup_m2 is None else cup_m2,
+        ))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     # -- shape helpers -------------------------------------------------
 
@@ -214,10 +231,16 @@ class ManifoldData:
     def compiled(self) -> "CompiledManifold":
         """The integer form of this data, built on first use and kept.
 
-        ``dataclasses.replace`` makes a new instance and so a new
-        compilation; the dicts of an instance must not be mutated in place
-        once it has been compiled."""
+        ``_replace`` makes a new instance and so a new compilation; the
+        dicts of an instance must not be mutated in place once it has been
+        compiled."""
         return _compile(self)
+
+    @cached_property
+    def shape(self) -> tuple[tuple[tuple, str], ...]:
+        """What ``shape_problems`` finds, kept as ``compiled`` is: the parser
+        checks it and the ``shape`` law reports it, one pass for both."""
+        return tuple(shape_problems(self))
 
     @cached_property
     def B(self) -> FGAbelianGroup:
@@ -351,8 +374,7 @@ Rows = tuple[Coords, ...]
 class CompiledManifold(NamedTuple):
     """What conditions (1)-(3) and the Riemann-Roch closed form read of a
     manifold, as plain int tuples, so that they run on coordinate tuples
-    without building classes.  Immutable; a NamedTuple, as every record
-    but ``ManifoldData`` is.
+    without building classes.  Immutable; a NamedTuple, like every record.
 
     ``factors[n]`` are the invariant factors of H^n.  ``cups[a, b]`` is the
     integral product H^a x H^b -> H^(a+b) for even a, b >= 2, transposed
@@ -702,7 +724,7 @@ LAWS = (
 def validate_manifold(data: ManifoldData, strict: bool = False) -> ValidationReport:
     """Check the algebraic laws the encoded data must satisfy.
 
-    Always checked: the shape (``shape_problems`` finds nothing), H^0 = Z,
+    Always checked: the shape (``data.shape`` is empty), H^0 = Z,
     H^8 = Z, rho2 composed with doubling vanishes, Bockstein images are
     2-torsion, beta after rho2 vanishes, rho2(c) = w2 when w2 is given,
     the pairing hits +-1, cup tables given in both orientations agree, and
@@ -711,7 +733,7 @@ def validate_manifold(data: ManifoldData, strict: bool = False) -> ValidationRep
     im rho2 = ker beta, is verified degree by degree by mod-2 rank
     counting.  When the shape law fails, the report holds it alone.
     """
-    problems = [message for _, message in shape_problems(data)]
+    problems = [message for _, message in data.shape]
     shape = LawResult("shape", not problems, "; ".join(problems) or None)
     if problems:
         return ValidationReport((shape,))

@@ -23,7 +23,7 @@ def builtin(name: str) -> ManifoldData:
 
     Parsed and validated once per process, so also compiled at most once:
     every call returns the same shared instance, which is read-only.
-    Derive variants with ``dataclasses.replace``; never mutate its dicts."""
+    Derive variants with ``data._replace(...)``; never mutate its dicts."""
     if name not in BUILTIN_NAMES:
         raise ValueError(
             f"unknown builtin {name!r} (choose from {', '.join(BUILTIN_NAMES)})"

@@ -43,14 +43,15 @@ DEG", "map OP DEG", "cup A B I J", ...); only oddgen blocks repeat.
 "free" appears at most once on an integral line.  A free rank, a number
 of torsion factors or a mod-2 dimension above MAX_GENERATORS is
 rejected.  The shape rules (matrix sizes, complete cup tables, vector
-lengths) are ``cohomology.shape_problems``, which the ``shape`` law runs
-too.  Every ManifoldParseError except a missing section names its line.
+lengths) are ``cohomology.shape_problems``; the parser checks them in
+``ManifoldData.shape``, which the ``shape`` law of a parsed file reads
+again without a second pass.  Every ManifoldParseError except a missing
+section names its line.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import replace
 from pathlib import Path
 
 from .abelian import FGAbelianGroup, IntMatrix
@@ -63,7 +64,6 @@ from .cohomology import (
     ManifoldValidationError,
     TOP_DEGREE,
     _OP_SPECS,
-    shape_problems,
     validate_manifold,
 )
 
@@ -279,6 +279,13 @@ def parse_manifold_text(text: str) -> ManifoldData:
                 by_pair.setdefault((a, b), {})[(i, j)] = coords
         return dict(sorted(by_pair.items()))
 
+    def zclass(degree: int, coords: tuple[int, ...]) -> CohomologyClass:
+        """Classes are stored reduced; one of the wrong length is left for the shape check."""
+        group = groups[degree]
+        if len(coords) == group.num_generators:
+            coords = group.reduce(coords)
+        return CohomologyClass(degree, "Z", coords)
+
     w2 = sections.get(("w2",))
     data = ManifoldData(
         name=sections[("manifold",)][1],
@@ -288,28 +295,19 @@ def parse_manifold_text(text: str) -> ManifoldData:
         cup_m2=tables("cup2"),
         **matrices,
         pairing=sections[("pairing",)][1],
-        p1=CohomologyClass(4, "Z", sections[("p1",)][1]),
-        spinc_class=CohomologyClass(2, "Z", sections[("spinc",)][1]),
+        p1=zclass(4, sections[("p1",)][1]),
+        spinc_class=zclass(2, sections[("spinc",)][1]),
         w2=None if w2 is None else CohomologyClass(2, "Z2", tuple(x % 2 for x in w2[1])),
         odd_generators=None if ("oddgen",) not in sections else tuple(
-            tuple(CohomologyClass(deg, "Z", sections[("oddgen", q, deg)][1]) for deg in (1, 3, 5, 7))
+            tuple(zclass(deg, sections[("oddgen", q, deg)][1]) for deg in (1, 3, 5, 7))
             for q in range(blocks)
         ),
     )
-    problem = next(shape_problems(data), None)
-    if problem is not None:
-        section, message = problem
+    if data.shape:
+        section, message = data.shape[0]
         numbers = [n for s, (n, _) in sections.items() if s[: len(section)] == section]
         raise ManifoldParseError(message, min(numbers))  # a whole table's first line
-    # classes are stored reduced; only well-shaped ones can be
-    return replace(
-        data,
-        p1=data.zclass(4, data.p1.coords),
-        spinc_class=data.zclass(2, data.spinc_class.coords),
-        odd_generators=data.odd_generators and tuple(
-            tuple(data.zclass(g.degree, g.coords) for g in block) for block in data.odd_generators
-        ),
-    )
+    return data
 
 
 def parse_manifold(path, validate: bool = True, strict: bool = False) -> ManifoldData:

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 from hypothesis import settings
 
@@ -121,7 +119,7 @@ def misshape(data: ManifoldData, rng) -> ManifoldData:
     if edit == 0:
         op, degree = rng.choice(("rho2", "beta", "sq2")), rng.randrange(9)
         rows, cols = rng.randrange(4), rng.randrange(4)
-        return replace(data, **{op: {**getattr(data, op), degree: IntMatrix(rows, cols, vec(rows * cols))}})
+        return data._replace(**{op: {**getattr(data, op), degree: IntMatrix(rows, cols, vec(rows * cols))}})
     field, ring = rng.choice((("cup_z", "Z"), ("cup_m2", "Z2")))
     tables = getattr(data, field)
     if edit == 1:
@@ -135,23 +133,23 @@ def misshape(data: ManifoldData, rng) -> ManifoldData:
             ab = (a, rng.randrange(9 - a))
             ij = (rng.randrange(data.dim(ab[0], ring) + 1), rng.randrange(data.dim(ab[1], ring) + 1))
             table = {**tables.get(ab, {}), ij: vec(data.dim(sum(ab), ring), ring)}
-        return replace(data, **{field: {**tables, ab: table}})
+        return data._replace(**{field: {**tables, ab: table}})
     if edit == 2 and tables:
         ab = rng.choice(sorted(tables))
         ij = rng.choice(sorted(tables[ab]))
-        return replace(data, **{field: {**tables, ab: {**tables[ab], ij: wrong_length(tables[ab][ij], ring)}}})
+        return data._replace(**{field: {**tables, ab: {**tables[ab], ij: wrong_length(tables[ab][ij], ring)}}})
     targets = ["pairing", "p1"] + ["w2"] * (data.w2 is not None) + ["oddgen"] * bool(data.odd_generators)
     target = rng.choice(targets)
     if target == "pairing":
-        return replace(data, pairing=wrong_length(data.pairing))
+        return data._replace(pairing=wrong_length(data.pairing))
     if target == "p1":
-        return replace(data, p1=CohomologyClass(4, "Z", wrong_length(data.p1.coords)))
+        return data._replace(p1=CohomologyClass(4, "Z", wrong_length(data.p1.coords)))
     if target == "w2":
-        return replace(data, w2=CohomologyClass(2, "Z2", wrong_length(data.w2.coords, "Z2")))
+        return data._replace(w2=CohomologyClass(2, "Z2", wrong_length(data.w2.coords, "Z2")))
     q = rng.randrange(len(data.odd_generators))
     k = rng.randrange(4)
     block = list(data.odd_generators[q])
     block[k] = CohomologyClass(block[k].degree, "Z", wrong_length(block[k].coords))
     blocks = list(data.odd_generators)
     blocks[q] = tuple(block)
-    return replace(data, odd_generators=tuple(blocks))
+    return data._replace(odd_generators=tuple(blocks))

@@ -10,7 +10,6 @@ to see all ten lines together with the timing of the exhaustive sweeps.
 import itertools
 import random
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -182,7 +181,7 @@ def test_06_decision_independent_of_spinc_class():
                 shifted_c = data.zclass(
                     2, [c + 2 * x for c, x in zip(data.spinc_class.coords, d)]
                 )
-                shifted = check_rank4(replace(data, spinc_class=shifted_c), u)
+                shifted = check_rank4(data._replace(spinc_class=shifted_c), u)
                 if shifted.decision_fields() != base:
                     failures.append((name, u, tuple(d)))
     report(
@@ -309,14 +308,13 @@ def test_10_validation_laws(cp4, torsion_demo):
         if not report_.ok:
             failures.append((name, [r.name for r in report_.failures()]))
 
-    wrong_c = validate_manifold(replace(cp4, spinc_class=cp4.zclass(2, (4,))))
+    wrong_c = validate_manifold(cp4._replace(spinc_class=cp4.zclass(2, (4,))))
     if wrong_c.law("spinc_reduction").passed:
         failures.append("wrong spin^c class not caught")
 
     groups = list(torsion_demo.integral.groups)
     groups[6] = FGAbelianGroup((0,))
-    free_h6 = replace(
-        torsion_demo,
+    free_h6 = torsion_demo._replace(
         integral=GradedGroupZ(tuple(groups), torsion_demo.integral.names),
     )
     bad_beta = validate_manifold(free_h6)
@@ -324,7 +322,7 @@ def test_10_validation_laws(cp4, torsion_demo):
         failures.append("non-torsion Bockstein not caught")
 
     mismatched = validate_manifold(
-        replace(cp4, rho2={**cp4.rho2, 2: IntMatrix(1, 3, (1, 0, 0))})
+        cp4._replace(rho2={**cp4.rho2, 2: IntMatrix(1, 3, (1, 0, 0))})
     )
     shape = mismatched.law("shape")
     if shape.passed or "rho2 at degree 2" not in (shape.witness or ""):

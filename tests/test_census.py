@@ -2,7 +2,6 @@ import hashlib
 import itertools
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from conftest import make_h7_demo
@@ -104,7 +103,7 @@ def _with_torsion(data, degree, d):
     """H^degree with its first free generator made cyclic of order d."""
     groups = list(data.integral.groups)
     groups[degree] = FGAbelianGroup((d,) + groups[degree].invariant_factors[1:])
-    return replace(data, integral=data.integral._replace(groups=tuple(groups)))
+    return data._replace(integral=data.integral._replace(groups=tuple(groups)))
 
 
 def _odd_torsion_in_h6(data, rng):
@@ -115,21 +114,21 @@ def _odd_torsion_in_h6(data, rng):
     rows = [[rng.choice((1, 3, -1, 0, 2)) for _ in range(data.ngens(6))] for _ in range(data.m2dim(6))]
     rows[0][0] = 1
     rho2 = {**data.rho2, 6: IntMatrix.from_rows(rows, data.ngens(6))}
-    return replace(_with_torsion(data, 6, rng.choice((3, 5))), rho2=rho2)
+    return _with_torsion(data, 6, rng.choice((3, 5)))._replace(rho2=rho2)
 
 
 def _torsion_in_h8(data, rng):
     if data.group(8).invariant_factors[:1] != (0,):
         return data
     pairing = (rng.choice((1, 2, 3)),) + data.pairing[1:]
-    return replace(_with_torsion(data, 8, rng.choice((2, 3, 4, 6))), pairing=pairing)
+    return _with_torsion(data, 8, rng.choice((2, 3, 4, 6)))._replace(pairing=pairing)
 
 
 def _drop_cup_table(data, rng):
     if not data.cup_z:
         return data
     key = rng.choice(sorted(data.cup_z))
-    return replace(data, cup_z={k: v for k, v in data.cup_z.items() if k != key})
+    return data._replace(cup_z={k: v for k, v in data.cup_z.items() if k != key})
 
 
 def _drop_or_misshape_matrix(data, rng):
@@ -137,7 +136,7 @@ def _drop_or_misshape_matrix(data, rng):
     matrices = {k: v for k, v in getattr(data, op).items() if k != degree}
     if rng.random() < 0.3:
         matrices[degree] = IntMatrix.zeros(1, 7)
-    return replace(data, **{op: matrices})
+    return data._replace(**{op: matrices})
 
 
 def _shift_p1_and_c(data, rng):
@@ -145,7 +144,7 @@ def _shift_p1_and_c(data, rng):
     def shift(x):
         return x._replace(coords=tuple(c + rng.randint(-2, 2) for c in x.coords))
 
-    return replace(data, p1=shift(data.p1), spinc_class=shift(data.spinc_class))
+    return data._replace(p1=shift(data.p1), spinc_class=shift(data.spinc_class))
 
 
 MUTATIONS = (

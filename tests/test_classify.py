@@ -1,6 +1,5 @@
 import random
 import re
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -163,7 +162,7 @@ def test_census_generic_column_matches_generic_operations(cp4, bound, rank):
     ],
 )
 def test_missing_operations_raise_on_every_path(cp4, field, message):
-    stripped = replace(cp4, **{field: {}})
+    stripped = cp4._replace(**{field: {}})
     u = cp4_tuple(stripped, 1, 1, 1, 0)
     with pytest.raises(MissingOperationError, match=re.escape(message)):
         check_rank4(stripped, u)
@@ -189,19 +188,19 @@ def test_replaced_manifold_is_compiled_afresh(cp4):
     assert check_rank4(cp4, u).realizable
     # p1 + 12 t^2 moves the right-hand side of (3) by 3*a2 = 3, which is odd,
     # and that of (2) by 12*a2, a multiple of 3
-    shifted = replace(cp4, p1=cp4.zclass(4, (17,)))
+    shifted = cp4._replace(p1=cp4.zclass(4, (17,)))
     verdict = check_rank4(shifted, u)
     assert not verdict.realizable
     assert (verdict.condition2, verdict.condition3) == paper_conditions_2_3(shifted, u)
     with pytest.raises(InternalInconsistencyError):
-        check_rank4(replace(cp4, p1=cp4.zclass(4, (2,))), cp4_tuple(cp4, 0, 1, 0, 0))
+        check_rank4(cp4._replace(p1=cp4.zclass(4, (2,))), cp4_tuple(cp4, 0, 1, 0, 0))
     assert check_rank4(cp4, u).realizable
 
 
 def test_internal_inconsistency_raises(cp4):
     # p1 = 2 t^2 breaks the integrality of the condition-(3) expression
     # for (0, t^2, 0, 0) although condition (1) holds
-    corrupted = replace(cp4, p1=cp4.zclass(4, (2,)))
+    corrupted = cp4._replace(p1=cp4.zclass(4, (2,)))
     with pytest.raises(InternalInconsistencyError, match="not an integer"):
         check_rank4(corrupted, cp4_tuple(corrupted, 0, 1, 0, 0))
 
@@ -280,7 +279,7 @@ def test_compute_T_depends_on_chern_classes():
 
 
 def test_compute_T_requires_odd_generators(cp4):
-    stripped = replace(cp4, odd_generators=None)
+    stripped = cp4._replace(odd_generators=None)
     with pytest.raises(OddGeneratorsMissing, match="odd unitary generators"):
         compute_T(stripped, cp4.zero(2), cp4.zero(4), cp4.zero(6))
 
@@ -305,16 +304,16 @@ def test_B_is_computed_afresh_for_replaced_operations(torsion_demo):
     zero = torsion_demo.chern_tuple((), (), (0,), (0,))
     assert count_classes(torsion_demo, zero, 4) == FGAbelianGroup((2,))
     assert count_classes(torsion_demo, zero, 3) == FGAbelianGroup((2,))
-    killed_beta = replace(torsion_demo, beta={5: IntMatrix.zeros(1, 1)})
+    killed_beta = torsion_demo._replace(beta={5: IntMatrix.zeros(1, 1)})
     assert count_classes(killed_beta, zero, 4) == FGAbelianGroup(())
     integral, mod2 = graded_pair(
         {0: ((0,), ("1",)), 3: ((0,), ("y",)), 6: ((2,), ("s",)), 8: ((0,), ("v",))},
         {0: ("1",), 3: ("y",), 5: ("x5",), 6: ("x6",), 8: ("v",)},
     )
     rho2 = {**torsion_demo.rho2, 3: IntMatrix.identity(1)}
-    with_h3 = replace(torsion_demo, integral=integral, mod2=mod2, rho2=rho2, sq2={3: IntMatrix.identity(1)})
+    with_h3 = torsion_demo._replace(integral=integral, mod2=mod2, rho2=rho2, sq2={3: IntMatrix.identity(1)})
     assert count_classes(with_h3, zero, 4) == FGAbelianGroup(())
-    assert count_classes(replace(with_h3, sq2={3: IntMatrix.zeros(1, 1)}), zero, 4) == FGAbelianGroup((2,))
+    assert count_classes(with_h3._replace(sq2={3: IntMatrix.zeros(1, 1)}), zero, 4) == FGAbelianGroup((2,))
     assert count_classes(with_h3, zero, 3) == FGAbelianGroup(())
     assert count_classes(torsion_demo, zero, 4) == torsion_demo.B == compute_B(torsion_demo)
 
@@ -333,8 +332,8 @@ def test_spinc_class_shift_leaves_decision_unchanged(cp4):
         u = cp4_tuple(cp4, *coeffs)
         base = check_rank4(cp4, u)
         d = rng.randint(-4, 4)
-        shifted_data = replace(
-            cp4, spinc_class=cp4.zclass(2, (cp4.spinc_class.coords[0] + 2 * d,))
+        shifted_data = cp4._replace(
+            spinc_class=cp4.zclass(2, (cp4.spinc_class.coords[0] + 2 * d,))
         )
         shifted = check_rank4(shifted_data, u)
         assert base.decision_fields() == shifted.decision_fields()

@@ -1,6 +1,5 @@
 import pickle
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -29,7 +28,7 @@ def test_builtins_pass_strict_validation(name):
 
 def test_wrong_spinc_class_is_caught(cp4):
     # rho2(4t) = 0, whereas w2(cp4) = t mod 2
-    corrupted = replace(cp4, spinc_class=cp4.zclass(2, (4,)))
+    corrupted = cp4._replace(spinc_class=cp4.zclass(2, (4,)))
     report = validate_manifold(corrupted)
     assert not report.law("spinc_reduction").passed
     assert report.ok is False
@@ -39,8 +38,7 @@ def test_non_torsion_bockstein_is_caught(torsion_demo):
     # make H^6 infinite cyclic so beta(x5) has infinite order
     groups = list(torsion_demo.integral.groups)
     groups[6] = groups[6].canonical((0,))
-    corrupted = replace(
-        torsion_demo,
+    corrupted = torsion_demo._replace(
         integral=GradedGroupZ(tuple(groups), torsion_demo.integral.names),
     )
     report = validate_manifold(corrupted)
@@ -50,7 +48,7 @@ def test_non_torsion_bockstein_is_caught(torsion_demo):
 
 
 def test_dimension_mismatch_is_caught(cp4):
-    corrupted = replace(cp4, rho2={**cp4.rho2, 2: IntMatrix(1, 3, (1, 0, 0))})
+    corrupted = cp4._replace(rho2={**cp4.rho2, 2: IntMatrix(1, 3, (1, 0, 0))})
     report = validate_manifold(corrupted)
     law = report.law("shape")
     assert not law.passed
@@ -58,7 +56,7 @@ def test_dimension_mismatch_is_caught(cp4):
     # a matrix keyed outside 0..8 fails the shape law and only that law
     for op in ("rho2", "beta", "sq2"):
         for degree in (9, -1):
-            corrupted = replace(cp4, **{op: {**getattr(cp4, op), degree: IntMatrix.identity(1)}})
+            corrupted = cp4._replace(**{op: {**getattr(cp4, op), degree: IntMatrix.identity(1)}})
             for strict in (False, True):
                 report = validate_manifold(corrupted, strict=strict)
                 assert [r.name for r in report.failures()] == ["shape"]
@@ -67,11 +65,11 @@ def test_dimension_mismatch_is_caught(cp4):
 
 MISSHAPEN = {
     # rho2 applied to a spin^c class of the wrong length
-    "spinc-length": lambda cp4: replace(cp4, spinc_class=CohomologyClass(2, "Z", (1, 0))),
+    "spinc-length": lambda cp4: cp4._replace(spinc_class=CohomologyClass(2, "Z", (1, 0))),
     # H^9 and H^-1 looked up for a table keyed outside 0..8
-    "cup-degree": lambda cp4: replace(cp4, cup_z={**cp4.cup_z, (9, -1): {(0, 0): (1,)}}),
+    "cup-degree": lambda cp4: cp4._replace(cup_z={**cp4.cup_z, (9, -1): {(0, 0): (1,)}}),
     # a square read off a cup2 entry with too many coordinates
-    "cup2-length": lambda cp4: replace(cp4, cup_m2={(2, 2): {(0, 0): (1, 0)}}),
+    "cup2-length": lambda cp4: cp4._replace(cup_m2={(2, 2): {(0, 0): (1, 0)}}),
 }
 
 
@@ -86,18 +84,18 @@ def test_misshapen_data_is_reported_by_shape_alone(case, strict, cp4):
 def _odd_block(size):
     h7 = make_h7_demo()
     (block,) = h7.odd_generators
-    return replace(h7, odd_generators=((block + block)[:size],))
+    return h7._replace(odd_generators=((block + block)[:size],))
 
 
 @pytest.mark.parametrize(
     "make, witness",
     [
         (
-            lambda: replace(builtin("cp4"), cup_z={**builtin("cp4").cup_z, (2, 2): {}}),
+            lambda: builtin("cp4")._replace(cup_z={**builtin("cp4").cup_z, (2, 2): {}}),
             "cup table (2, 2): missing entry for generator pair (0, 0)",
         ),
         (
-            lambda: replace(builtin("cp4"), cup_z={**builtin("cp4").cup_z, (0, -1): {(0, 0): (1,)}}),
+            lambda: builtin("cp4")._replace(cup_z={**builtin("cp4").cup_z, (0, -1): {(0, 0): (1,)}}),
             "cup table (0, -1): degree out of range",
         ),
         (lambda: _odd_block(3), "oddgen block 0: expected 4 classes, got 3"),
@@ -113,7 +111,7 @@ def test_shape_requires_complete_tables_in_range_and_blocks_of_four(make, witnes
 def test_strict_mode_catches_broken_exactness(torsion_demo):
     # drop the rho2 matrix hitting H^6(Z/2): its image no longer fills ker beta
     rho2 = {n: M for n, M in torsion_demo.rho2.items() if n != 6}
-    corrupted = replace(torsion_demo, rho2={**rho2, 6: IntMatrix.zeros(1, 1)})
+    corrupted = torsion_demo._replace(rho2={**rho2, 6: IntMatrix.zeros(1, 1)})
     report = validate_manifold(corrupted, strict=True)
     assert not report.law("bockstein_exact_deg6").passed
 
@@ -134,7 +132,7 @@ def test_cup_with_zero_and_unit(cp4):
 
 
 def test_cup_missing_table(cp4):
-    stripped = replace(cp4, cup_z={})
+    stripped = cp4._replace(cup_z={})
     t = stripped.zclass(2, (1,))
     with pytest.raises(MissingOperationError, match=r"\(2, 2\)"):
         cup(stripped, t, t)
@@ -264,7 +262,7 @@ def test_apply_op_ring_and_range_errors(cp4):
 
 
 def test_apply_op_missing_matrix(cp4):
-    stripped = replace(cp4, sq2={})
+    stripped = cp4._replace(sq2={})
     with pytest.raises(MissingOperationError, match="sq2"):
         apply_op(stripped, "sq2", stripped.m2class(4, (1,)))
 
@@ -307,4 +305,4 @@ def test_compiled_data_pickles(name):
     assert data.compiled is compiled
     copy = pickle.loads(pickle.dumps(data))
     assert copy == data and copy.compiled == compiled
-    assert replace(data).compiled is not compiled
+    assert data._replace().compiled is not compiled

@@ -7,7 +7,8 @@ import pytest
 
 import bundlecensus
 from bundlecensus.cli import main
-from bundlecensus.cohomology import ManifoldValidationError, cup, shape_problems
+from bundlecensus import cohomology
+from bundlecensus.cohomology import ManifoldValidationError, cup, shape_problems, validate_manifold
 from bundlecensus.fixtures import BUILTIN_NAMES, builtin
 from bundlecensus.manifold_io import (
     MAX_GENERATORS,
@@ -364,6 +365,24 @@ def test_shape_problems_are_the_parser_errors():
         assert info.value.message in problems, (text, problems)
         assert info.value.line is not None
     assert 500 < failed < 1000  # the edits neither all fail nor all pass
+
+
+def test_parse_and_validate_check_the_shape_once(monkeypatch, tmp_path, cp4):
+    passes = []
+    counted = cohomology.shape_problems
+    monkeypatch.setattr(cohomology, "shape_problems", lambda data: passes.append(data.name) or counted(data))
+    path = tmp_path / "cp4.manifold"
+    path.write_text(serialize_manifold(cp4))
+    data = parse_manifold(path, strict=True)
+    assert passes == ["cp4"] and validate_manifold(data).ok and passes == ["cp4"]
+    # data built in Python, a _replace variant among it, still gets the shape law
+    h7 = make_h7_demo()
+    assert validate_manifold(h7).ok and validate_manifold(h7, strict=True).ok
+    bad = cp4._replace(pairing=(1, 0))
+    report = validate_manifold(bad)
+    assert passes == ["cp4", "h7-demo", "cp4"]
+    assert [(r.name, r.passed) for r in report.results] == [("shape", False)]
+    assert report.law("shape").witness == "pairing vector has 2 entries, H^8 has 1 generators"
 
 
 def test_overlong_integer_is_an_error_on_its_line():

@@ -1,35 +1,48 @@
-"""The records of the package: every one but ``ManifoldData`` is a tuple.
+"""The records of the package: every one is a tuple.
 
 They keep the behaviour of the frozen dataclasses they replaced: the repr
-text (each literal below was taken from the dataclass), same-type equality
-and hash, read-only fields, pickling, and every check the validating ones
-made in ``__post_init__``, with its message; ``_replace`` checks as the
-constructor does.  Creating a dataclass costs about a millisecond at every
-import of the package, so ``ManifoldData`` stays the only one.
+text (each literal and digest below was taken from the dataclass),
+same-type equality and hash (``ManifoldData``, whose fields hold dicts,
+stays unhashable), read-only attributes, pickling, and every check the
+validating ones made in ``__post_init__``, with its message; ``_replace``
+checks as the constructor does.  ``ManifoldData`` keeps its cached
+properties in the instance dict, so a ``_replace``d copy computes them
+afresh.  No record is a dataclass, so importing the package loads neither
+``dataclasses`` nor ``inspect``, about 10 ms of every cold start.
 """
 
 import dataclasses
+import hashlib
 import importlib
 import inspect
+import os
 import pickle
 import pkgutil
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+from conftest import make_h7_demo
 
 import bundlecensus
 from bundlecensus.abelian import FGAbelianGroup, GroupElement, IntMatrix
 from bundlecensus.census import CensusResult, CensusRow
-from bundlecensus.charclass import RationalClassPolynomial
-from bundlecensus.classify import Condition1, Condition2, Condition3, Verdict
+from bundlecensus.charclass import RationalClassPolynomial, rr_value
+from bundlecensus.classify import Condition1, Condition2, Condition3, Verdict, check_rank4, count_classes
 from bundlecensus.cohomology import (
     ChernTuple,
     CohomologyClass,
     GradedGroupMod2,
     GradedGroupZ,
     LawResult,
+    ManifoldData,
     ValidationReport,
 )
+from bundlecensus.fixtures import BUILTIN_NAMES, builtin
+from bundlecensus.manifold_io import parse_manifold_text, serialize_manifold
 
 
 def z(degree, *coords):
@@ -222,13 +235,110 @@ def test_coercing_records_store_int_tuples():
     assert z(2, 1)._replace(coords=[3.0]).coords == (3,)
 
 
-def test_manifold_data_is_the_only_dataclass():
-    """Each dataclass is created by running generated source when the
-    package is imported, about a millisecond apiece; records are tuples."""
+def test_no_dataclass_in_the_package():
+    """Importing ``dataclasses`` (it loads ``inspect``) and creating a
+    dataclass, which runs generated source, cost every cold start of the
+    package; records are tuples."""
     dataclasses_found = []
     for info in pkgutil.iter_modules(bundlecensus.__path__, "bundlecensus."):
         module = importlib.import_module(info.name)
         for name, cls in inspect.getmembers(module, inspect.isclass):
             if cls.__module__ == module.__name__ and dataclasses.is_dataclass(cls):
                 dataclasses_found.append(name)
-    assert dataclasses_found == ["ManifoldData"]
+    assert dataclasses_found == []
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """A fresh interpreter that imports the CLI loads no module of these
+    beyond what a bare interpreter (with its ``site``) already has."""
+    src = str(Path(bundlecensus.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def loaded(statement: str) -> set[str]:
+        code = f"import sys; {statement}; print(' '.join(sys.modules))"
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        return set(run.stdout.split())
+
+    extra = loaded("import bundlecensus.cli") - loaded("pass")
+    assert "bundlecensus.cli" in extra
+    assert not extra & {"dataclasses", "inspect"}
+
+
+# -- ManifoldData ------------------------------------------------------------
+
+# sha256 of the reprs of the six builtins (concatenated in BUILTIN_NAMES
+# order) and of h7-demo, taken when ManifoldData was a frozen dataclass
+BUILTIN_REPRS_SHA256 = "beba3b9fe30e6e186f9a73281dfbd83071a66ffa5e4afa2c5f0050cbdd22ba88"
+H7_REPR_SHA256 = "58b0add9689da166f9e15d42fa994f2a7763e4769223aa83523e392ea2b1515b"
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def all_data() -> list[ManifoldData]:
+    return [builtin(name) for name in BUILTIN_NAMES] + [make_h7_demo()]
+
+
+def answers(data: ManifoldData) -> list[str]:
+    """check_rank4, rr_value and count_classes on a few tuples."""
+    out = []
+    for k in (0, 1, -2):
+        u = data.chern_tuple(*([k] * data.ngens(degree) for degree in (2, 4, 6, 8)))
+        out += map(repr, (check_rank4(data, u), rr_value(data, u, self_check=True), count_classes(data, u, 4)))
+    return out
+
+
+def test_manifold_data_repr_is_the_dataclass_repr():
+    assert sha256("".join(repr(builtin(name)) for name in BUILTIN_NAMES)) == BUILTIN_REPRS_SHA256
+    assert sha256(repr(make_h7_demo())) == H7_REPR_SHA256
+
+
+def test_manifold_data_equals_a_reparsed_copy():
+    for data in all_data():
+        copy = parse_manifold_text(serialize_manifold(data))
+        assert copy is not data and copy == data and not copy != data
+        assert copy == tuple(data)  # a tuple: equal to a plain one with the same values
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(copy)
+
+
+def test_manifold_data_is_read_only():
+    data = make_h7_demo()
+    data.compiled  # a cached property still fills the instance dict
+    for name in (*ManifoldData._fields, "compiled", "B", "todd_rows", "shape", "new_name"):
+        with pytest.raises(AttributeError):
+            setattr(data, name, None)
+        with pytest.raises(AttributeError):
+            delattr(data, name)
+    assert data == make_h7_demo() and "compiled" in vars(data)
+
+
+def test_manifold_data_pickles_with_its_answers():
+    for data in all_data():
+        fresh = pickle.loads(pickle.dumps(data))
+        expected = answers(data)  # compiles data and fills its caches
+        cached = pickle.loads(pickle.dumps(data))
+        for copy in (fresh, cached):
+            assert type(copy) is ManifoldData and copy == data and repr(copy) == repr(data)
+            assert answers(copy) == expected
+
+
+def test_replace_recomputes_the_cached_properties():
+    data = builtin("cp2xcp2")
+    names = ("compiled", "B", "todd_rows", "shape")
+    cached = [getattr(data, name) for name in names]
+    copy = data._replace()
+    assert copy == data and copy is not data and not vars(copy)  # no cache carried over
+    assert [getattr(copy, name) for name in names] == cached
+    assert copy.compiled is not data.compiled and copy.B is not data.B and copy.todd_rows is not data.todd_rows
+
+
+def test_manifold_data_keywords_and_defaults_construct():
+    data = builtin("cp4")
+    assert ManifoldData(**data._asdict()) == ManifoldData(*data) == ManifoldData._make(data) == data
+    required = data[: ManifoldData._fields.index("w2")]
+    a, b = ManifoldData(*required), ManifoldData(*required)
+    assert a.w2 is None and a.odd_generators is None
+    assert a.cup_m2 == {} and a.cup_m2 is not b.cup_m2
+    assert a._replace(w2=data.w2, odd_generators=data.odd_generators, cup_m2=data.cup_m2) == data
