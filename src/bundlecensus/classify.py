@@ -25,9 +25,9 @@ from fractions import Fraction
 from operator import add, mul
 from typing import NamedTuple
 
-from .abelian import FGAbelianGroup, GroupElement, subgroup_quotient
+from .abelian import FGAbelianGroup, GroupElement, IntMatrix, subgroup_quotient
 from .charclass import CONDITION_COLUMNS, MONOMIALS, pair_monomials, symbol_products
-from .cohomology import ChernTuple, CohomologyClass, Coords, ManifoldData, apply_op, cup
+from .cohomology import ChernTuple, CohomologyClass, Coords, ManifoldData, _operation_matrix, cup
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -90,24 +90,24 @@ class Verdict(NamedTuple):
         )
 
 
-def _mod2_image(data: ManifoldData, op: str, degree: int, ring: str, rows, x: Coords) -> Coords:
+def _mod2_image(data: ManifoldData, op: str, degree: int, rows, x: Coords) -> Coords:
     """``apply_op`` of a compiled matrix on coordinates; without one (absent
-    or misshapen), ``apply_op`` itself runs and raises what it raises."""
+    or misshapen), ``_operation_matrix`` raises what ``apply_op`` raises."""
     if rows is None:
-        return apply_op(data, op, CohomologyClass(degree, ring, x)).coords
+        _operation_matrix(data, op, degree)
     return tuple([sum(map(mul, row, x)) % 2 for row in rows])
 
 
 def condition1_lhs(data: ManifoldData, u2: Coords) -> Coords:
     """Sq^2 rho2(u2), the left-hand side of condition (1)."""
     m = data.compiled
-    return _mod2_image(data, "sq2", 4, "Z2", m.sq2_4, _mod2_image(data, "rho2", 4, "Z", m.rho2_4, u2))
+    return _mod2_image(data, "sq2", 4, m.sq2_4, _mod2_image(data, "rho2", 4, m.rho2_4, u2))
 
 
 def condition1_rhs(data: ManifoldData, u1u2: Coords, u3: Coords) -> Coords:
     """rho2(u3 + u1*u2), the right-hand side of condition (1)."""
     m = data.compiled
-    return _mod2_image(data, "rho2", 6, "Z", m.rho2_6, m.reduce(6, tuple(map(add, u3, u1u2))))
+    return _mod2_image(data, "rho2", 6, m.rho2_6, m.reduce(6, tuple(map(add, u3, u1u2))))
 
 
 def integral_rhs3(rhs3_times4: int, name: str) -> int:
@@ -192,15 +192,15 @@ def compute_B(data: ManifoldData) -> FGAbelianGroup:
     group in which every element has order dividing 2.
     """
     h6 = data.group(6)
-    numerator = []
-    for i in range(data.m2dim(5)):
-        basis = data.m2class(5, (1 if k == i else 0 for k in range(data.m2dim(5))))
-        numerator.append(GroupElement(apply_op(data, "beta", basis).coords))
-    denominator = []
-    for j in range(data.ngens(3)):
-        gen = data.zclass(3, (1 if k == j else 0 for k in range(data.ngens(3))))
-        image = apply_op(data, "beta", apply_op(data, "sq2", apply_op(data, "rho2", gen)))
-        denominator.append(GroupElement(image.coords))
+
+    def image(op: str, degree: int, x: list[int]):
+        """``apply_op`` on coordinates: mod 2 after rho2 and Sq^2, reduced in H^6 after beta."""
+        y = _operation_matrix(data, op, degree).apply(x)
+        return GroupElement(h6.reduce(y)) if op == "beta" else [v % 2 for v in y]
+
+    numerator = [image("beta", 5, e) for e in IntMatrix.identity(data.m2dim(5)).to_rows()]
+    h3_units = IntMatrix.identity(data.ngens(3)).to_rows()
+    denominator = [image("beta", 5, image("sq2", 3, image("rho2", 3, e))) for e in h3_units]
     return subgroup_quotient(h6, numerator, denominator)
 
 
@@ -253,7 +253,9 @@ def count_classes(
             return None
         return data.B
     if rank == 3:
-        u1, u2, u3 = u if not isinstance(u, ChernTuple) else (u.u1, u.u2, u.u3)
+        if isinstance(u, ChernTuple) and any(data.compiled.chern_coords(u)[3]):
+            return None  # a rank-3 bundle has c4 = 0
+        u1, u2, u3 = u[:3] if isinstance(u, ChernTuple) else u
         if not check_rank3(data, u1, u2, u3).realizable:
             return None
         return data.B.direct_sum(compute_T(data, u1, u2, u3))

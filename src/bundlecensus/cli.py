@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from pathlib import Path
 
 from .abelian import ContainmentError
 from .census import enumerate_cp4
@@ -39,7 +40,7 @@ from .cohomology import (
     validate_manifold,
 )
 from .fixtures import BUILTIN_NAMES, builtin
-from .manifold_io import ManifoldParseError, parse_int, parse_manifold
+from .manifold_io import ManifoldParseError, parse_int, parse_manifold, parse_manifold_text
 
 EXIT_OK = 0
 EXIT_UNREALIZABLE = 1
@@ -52,13 +53,9 @@ held in memory, about 260 bytes each, so the box is checked before any row
 is built."""
 
 
-def _add_source(parser: argparse.ArgumentParser, no_validate: bool = True) -> None:
+def _add_source(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("file", nargs="?", help="manifold description file")
     parser.add_argument("--builtin", choices=BUILTIN_NAMES, help="use a built-in manifold")
-    if no_validate:
-        parser.add_argument(
-            "--no-validate", action="store_true", help="skip validation after parsing"
-        )
 
 
 def _load(args: argparse.Namespace) -> ManifoldData:
@@ -67,7 +64,7 @@ def _load(args: argparse.Namespace) -> ManifoldData:
     if args.builtin:
         return builtin(args.builtin)
     if args.file:
-        return parse_manifold(args.file, validate=not args.no_validate)
+        return parse_manifold(args.file)
     raise ManifoldParseError("no input: give a file or --builtin NAME")
 
 
@@ -153,7 +150,9 @@ def _group_str(group) -> str:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    data = _load(args)
+    # a file is read unvalidated, so that the report lists every failed law
+    reads_file = args.file and not args.builtin
+    data = parse_manifold_text(Path(args.file).read_text()) if reads_file else _load(args)
     report = validate_manifold(data, strict=args.strict)
     print(f"manifold {data.name}")
     print(report)
@@ -260,10 +259,9 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check the algebraic laws of a manifold description")
-    _add_source(p, no_validate=False)
+    _add_source(p)
     p.add_argument("--strict", action="store_true", help="also check Bockstein exactness")
-    # a file is loaded unvalidated, so that the report lists every failed law
-    p.set_defaults(func=cmd_validate, no_validate=True)
+    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("rank4", help="decide rank-4 realizability of (u1, u2, u3, u4)")
     _add_source(p)

@@ -310,13 +310,12 @@ def parse_manifold_text(text: str) -> ManifoldData:
     return data
 
 
-def parse_manifold(path, validate: bool = True, strict: bool = False) -> ManifoldData:
-    """Parse a manifold file and (by default) validate its laws."""
+def parse_manifold(path, strict: bool = False) -> ManifoldData:
+    """Parse a manifold file and validate its laws (``parse_manifold_text`` does not)."""
     data = parse_manifold_text(Path(path).read_text())
-    if validate:
-        report = validate_manifold(data, strict=strict)
-        if not report.ok:
-            raise ManifoldValidationError(report)
+    report = validate_manifold(data, strict=strict)
+    if not report.ok:
+        raise ManifoldValidationError(report)
     return data
 
 

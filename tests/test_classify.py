@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from bundlecensus.abelian import FGAbelianGroup
+from bundlecensus.abelian import FGAbelianGroup, IntMatrix
 from bundlecensus.census import cp4_rank3_admissible, cp4_rank4_admissible, enumerate_cp4
 from bundlecensus.charclass import chern_inverse, chern_product, rr_value
 from bundlecensus.classify import (
@@ -30,6 +30,8 @@ from bundlecensus.cohomology import (
     pair_top,
 )
 from bundlecensus.fixtures import BUILTIN_NAMES, builtin
+
+from conftest import graded_pair
 
 
 def cp4_tuple(data, a1, a2, a3, a4):
@@ -295,23 +297,25 @@ def test_count_classes(cp4, torsion_demo, h7_demo):
         count_classes(cp4, cp4_tuple(cp4, 0, 0, 0, 0), 2)
 
 
-def test_B_is_computed_afresh_for_replaced_operations(torsion_demo):
-    # B = beta(H^5) / beta Sq^2 rho2(H^3), cached per instance: a class y in
-    # H^3 with Sq^2 rho2 y = x5 kills B = Z/2, a zero Sq^2 or beta restores it
-    from bundlecensus.abelian import IntMatrix
-    from conftest import graded_pair
-
-    zero = torsion_demo.chern_tuple((), (), (0,), (0,))
-    assert count_classes(torsion_demo, zero, 4) == FGAbelianGroup((2,))
-    assert count_classes(torsion_demo, zero, 3) == FGAbelianGroup((2,))
-    killed_beta = torsion_demo._replace(beta={5: IntMatrix.zeros(1, 1)})
-    assert count_classes(killed_beta, zero, 4) == FGAbelianGroup(())
+def torsion_demo_with_h3(torsion_demo):
+    """torsion-demo with H^3 = Z on y, rho2 y = y and Sq^2 y = x5, which kills B."""
     integral, mod2 = graded_pair(
         {0: ((0,), ("1",)), 3: ((0,), ("y",)), 6: ((2,), ("s",)), 8: ((0,), ("v",))},
         {0: ("1",), 3: ("y",), 5: ("x5",), 6: ("x6",), 8: ("v",)},
     )
     rho2 = {**torsion_demo.rho2, 3: IntMatrix.identity(1)}
-    with_h3 = torsion_demo._replace(integral=integral, mod2=mod2, rho2=rho2, sq2={3: IntMatrix.identity(1)})
+    return torsion_demo._replace(integral=integral, mod2=mod2, rho2=rho2, sq2={3: IntMatrix.identity(1)})
+
+
+def test_B_is_computed_afresh_for_replaced_operations(torsion_demo):
+    # B = beta(H^5) / beta Sq^2 rho2(H^3), cached per instance: a class y in
+    # H^3 with Sq^2 rho2 y = x5 kills B = Z/2, a zero Sq^2 or beta restores it
+    zero = torsion_demo.chern_tuple((), (), (0,), (0,))
+    assert count_classes(torsion_demo, zero, 4) == FGAbelianGroup((2,))
+    assert count_classes(torsion_demo, zero, 3) == FGAbelianGroup((2,))
+    killed_beta = torsion_demo._replace(beta={5: IntMatrix.zeros(1, 1)})
+    assert count_classes(killed_beta, zero, 4) == FGAbelianGroup(())
+    with_h3 = torsion_demo_with_h3(torsion_demo)
     assert count_classes(with_h3, zero, 4) == FGAbelianGroup(())
     assert count_classes(with_h3._replace(sq2={3: IntMatrix.zeros(1, 1)}), zero, 4) == FGAbelianGroup((2,))
     assert count_classes(with_h3, zero, 3) == FGAbelianGroup(())
@@ -323,6 +327,62 @@ def test_count_classes_rank3_uses_padded_tuple(cp4):
     assert count_classes(cp4, triple, 3) == FGAbelianGroup(())
     bad = (cp4.zclass(2, (0,)), cp4.zclass(4, (1,)), cp4.zclass(6, (0,)))
     assert count_classes(cp4, bad, 3) is None
+
+
+def test_count_classes_rank3_needs_u4_zero(cp4):
+    # a rank-3 bundle has c4 = 0: a ChernTuple with u4 != 0 has no rank-3 bundle
+    nonzero_u4 = cp4_tuple(cp4, 0, 0, 0, 5)
+    assert not check_rank4(cp4, nonzero_u4).realizable
+    assert count_classes(cp4, nonzero_u4, 3) is None
+    zero_u4 = cp4_tuple(cp4, 0, 2, 2, 0)
+    assert count_classes(cp4, zero_u4, 3) == count_classes(cp4, zero_u4[:3], 3) == FGAbelianGroup(())
+    long_u4 = ChernTuple(*zero_u4[:3], CohomologyClass(8, "Z", (0, 0)))
+    for rank in (4, 3):
+        with pytest.raises(ValueError, match=re.escape("expected 1 coordinates, got 2")):
+            count_classes(cp4, long_u4, rank)
+
+
+def test_compute_B_builds_no_classes(monkeypatch, torsion_demo, h7_demo):
+    manifolds = [builtin(name) for name in BUILTIN_NAMES] + [h7_demo, torsion_demo_with_h3(torsion_demo)]
+    made = []
+    post_init = CohomologyClass.__post_init__
+    monkeypatch.setattr(CohomologyClass, "__post_init__", lambda self: made.append(self) or post_init(self))
+    groups = [compute_B(data) for data in manifolds]
+    assert made == []
+    assert groups[BUILTIN_NAMES.index("torsion-demo")] == FGAbelianGroup((2,))
+
+
+def test_compute_B_raises_for_the_first_matrix_it_applies(torsion_demo, h7_demo):
+    # beta at 5 per generator of H^5 mod 2, then rho2 at 3, Sq^2 at 3 and beta
+    # at 5 per generator of H^3: a matrix is looked up only where it is applied
+    with_h3 = torsion_demo_with_h3(torsion_demo)
+    wide = IntMatrix.zeros(2, 3)
+
+    def missing(op, degree):
+        return MissingOperationError, f"missing {op} matrix at degree {degree}"
+
+    def misshapen(op, degree):
+        return ValueError, f"{op} matrix at degree {degree}: expected a 1x1 matrix, got 2x3"
+
+    def check(data, edits, expected):
+        for op, degree, matrix in edits:
+            kept = {k: v for k, v in getattr(data, op).items() if k != degree}
+            data = data._replace(**{op: kept if matrix is None else {**kept, degree: matrix}})
+        if isinstance(expected, FGAbelianGroup):
+            assert compute_B(data) == expected
+        else:
+            with pytest.raises(Exception) as info:
+                compute_B(data)
+            assert (type(info.value), str(info.value)) == expected
+
+    for op, degree in (("beta", 5), ("rho2", 3), ("sq2", 3)):
+        for matrix, error in ((None, missing), (wide, misshapen)):
+            edits = [(op, degree, matrix)]
+            check(torsion_demo, edits, error(op, degree) if op == "beta" else FGAbelianGroup((2,)))
+            check(with_h3, edits, error(op, degree))
+            check(h7_demo, edits, FGAbelianGroup(()))
+    check(with_h3, [("beta", 5, None), ("rho2", 3, None), ("sq2", 3, None)], missing("beta", 5))
+    check(with_h3, [("rho2", 3, None), ("sq2", 3, None)], missing("rho2", 3))
 
 
 def test_spinc_class_shift_leaves_decision_unchanged(cp4):

@@ -1,3 +1,5 @@
+import random
+import re
 import sys
 
 import pytest
@@ -6,6 +8,8 @@ from bundlecensus import cli
 from bundlecensus.cli import main
 from bundlecensus.fixtures import BUILTIN_NAMES, builtin
 from bundlecensus.manifold_io import serialize_manifold
+
+from test_manifold_io import SHIPPED, mutate
 
 
 def run(capsys, *argv):
@@ -290,3 +294,97 @@ def test_interrupt_and_exit_pass_through(monkeypatch, exc):
     monkeypatch.setattr(cli, "cmd_rank4", stop)
     with pytest.raises(exc):
         main(["rank4", "--builtin", "cp4", "--chern", "0", "0", "0", "0"])
+
+
+# every subcommand that reads a manifold, with the rest of a valid cp4 question
+QUESTIONS = {
+    "validate": (),
+    "rank4": ("--chern", "0", "0", "0", "0"),
+    "rank3": ("--chern", "0", "0", "0"),
+    "count": ("--rank", "4", "--chern", "0", "0", "0", "0"),
+    "groups": (),
+    "oracle": ("--chern", "0", "0", "0", "0"),
+}
+
+
+@pytest.mark.parametrize("command", QUESTIONS)
+def test_no_validate_is_a_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main([command, str(SHIPPED / "cp4.manifold"), "--no-validate", *QUESTIONS[command]])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --no-validate" in capsys.readouterr().err
+
+
+def test_a_file_failing_a_law_gets_no_answer(capsys, tmp_path, cp4):
+    # w2 flipped fails spinc_reduction, pairing 2 fails pairing_surjective
+    path = tmp_path / "unlawful.manifold"
+    path.write_text(serialize_manifold(cp4).replace("w2 1", "w2 0").replace("pairing 1", "pairing 2"))
+    failed = ("FAIL  spinc_reduction", "FAIL  pairing_surjective")
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 2 and all(line in out for line in failed)
+    rank3_count = ("--rank", "3", "--chern", "0", "0", "0")
+    for command, rest in [*QUESTIONS.items(), ("count", rank3_count)]:
+        if command != "validate":
+            code, out, err = run(capsys, command, str(path), *rest)
+            assert (code, out) == (2, ""), command
+            assert all(line in err for line in failed), command
+            assert "error: manifold data failed validation: spinc_reduction, pairing_surjective" in err
+
+
+# the values of a file: matrix rows, and what follows these line heads
+VALUES = re.compile(r"(?:(?:pairing|p1|spinc|w2|g\d)\s|cup2? .*->\s|(?=-?\d))(.*)")
+
+
+def nudge(text: str, rng: random.Random) -> str:
+    """Add -1, 1 or 2 to one seeded value: a matrix entry, a cup coefficient,
+    or an entry of the pairing, p1, spinc, w2 or an odd generator."""
+    lines = text.splitlines()
+    spots = []
+    for i, line in enumerate(lines):
+        values = VALUES.fullmatch(line)
+        if values:
+            head, tail = line[: values.start(1)], values[1].split()
+            spots += [(i, head, tail, k) for k, token in enumerate(tail) if re.fullmatch(r"-?\d+", token)]
+    i, head, tail, k = rng.choice(spots)
+    tail[k] = str(int(tail[k]) + rng.choice((-1, 1, 2)))
+    lines[i] = head + " ".join(tail)
+    return "\n".join(lines) + "\n"
+
+
+def test_mutated_files_get_only_documented_outcomes(capsys, tmp_path):
+    # parse, validate, then answer: a file that loads is answered (0 or 1) or
+    # refused (2); 3 only for data that passes every law and is still
+    # inconsistent; never a crash
+    rng = random.Random(1414)
+    path = tmp_path / "mutated.manifold"
+    codes = []
+    for _ in range(200):
+        name = rng.choice(BUILTIN_NAMES)
+        text = (SHIPPED / f"{name}.manifold").read_text()
+        for _ in range(rng.randint(1, 2)):
+            text = mutate(text, rng) if rng.randrange(4) == 0 else nudge(text, rng)
+        path.write_text(text)
+        base = builtin(name)
+
+        def chern(*degrees):
+            vectors = []
+            for d in degrees:
+                n = max(0, base.ngens(d) + (rng.choice((-1, 1)) if rng.randrange(16) == 0 else 0))
+                vectors.append(",".join(str(rng.randint(-3, 3)) for _ in range(n)) or "-")
+            return ("--chern", *vectors)
+
+        argv = rng.choice([
+            ("validate", "--strict"),
+            ("rank4", *chern(2, 4, 6, 8)),
+            ("rank3", *chern(2, 4, 6)),
+            ("count", "--rank", "3", *chern(2, 4, 6)),
+            ("count", "--rank", "4", *chern(2, 4, 6, 8)),
+            ("groups",),
+            ("groups", *chern(2, 4, 6)),
+            ("oracle", *chern(2, 4, 6, 8)),
+        ])
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code in (0, 1, 2) or (code == 3 and err.startswith("internal inconsistency")), (argv, err)
+        assert "internal error" not in err and "Traceback" not in err, (argv, err)
+        codes.append(code)
+    assert {0, 1, 2} <= set(codes), codes
