@@ -345,6 +345,9 @@ def cup(data: ManifoldData, x: CohomologyClass, y: CohomologyClass) -> Cohomolog
         if data.dim(a, ring) == 0 or data.dim(b, ring) == 0 or data.dim(n, ring) == 0:
             return data.zero(n, ring)
         raise MissingOperationError(f"missing cup product table for degrees ({a}, {b})")
+    kind = "cup" if ring == "Z" else "cup2"
+    if data.shape and (problem := _shape_problem(data, kind, *((b, a) if swapped else (a, b)))):
+        raise ValueError(problem)
     sign = -1 if (swapped and a % 2 and b % 2 and ring == "Z") else 1
     acc = [0] * data.dim(n, ring)
     for (i, j), coords in table.items():
@@ -378,17 +381,18 @@ class CompiledManifold(NamedTuple):
 
     ``factors[n]`` are the invariant factors of H^n.  ``cups[a, b]`` is the
     integral product H^a x H^b -> H^(a+b) for even a, b >= 2, transposed
-    when only the (b, a) table is given, empty when a side is trivial and
-    None when the table is missing.  ``rho2_4``, ``sq2_4`` and ``rho2_6``
-    are the rows of the operation matrices of condition (1), None when a
-    matrix is missing or misshapen (``apply_op`` then raises for it).
+    when only the (b, a) table is given, empty when a side is trivial,
+    None when the table is missing and the shape law's message when it is
+    misshapen.  ``rho2_4``, ``sq2_4`` and ``rho2_6`` are the rows of the
+    operation matrices of condition (1), None when a matrix is missing or
+    misshapen (``apply_op`` then raises for it).
     Every result is reduced where ``cup`` reduces it, so the two agree
     bit for bit.
     """
 
     name: str
     factors: tuple[tuple[int, ...], ...]
-    cups: dict[tuple[int, int], SparseTable | None]
+    cups: dict[tuple[int, int], SparseTable | str | None]
     rho2_4: Rows | None
     sq2_4: Rows | None
     rho2_6: Rows | None
@@ -412,8 +416,10 @@ class CompiledManifold(NamedTuple):
     def cup(self, a: int, x: Coords, b: int, y: Coords) -> Coords:
         """``cup`` of integral classes of even degrees a, b >= 2."""
         table = self.cups[a, b]
-        if table is None:
-            raise MissingOperationError(f"missing cup product table for degrees ({a}, {b})")
+        if table.__class__ is not tuple:
+            if table is None:
+                raise MissingOperationError(f"missing cup product table for degrees ({a}, {b})")
+            raise ValueError(table)
         acc = [0] * len(self.factors[a + b])
         for i, j, terms in table:
             coeff = x[i] * y[j]
@@ -429,7 +435,15 @@ class CompiledManifold(NamedTuple):
         return sum(map(mul, x, self.pairing))
 
 
-def _sparse_table(data: ManifoldData, a: int, b: int) -> SparseTable | None:
+def _shape_problem(data: ManifoldData, *section) -> str | None:
+    """The shape law's message for the first problem in a section of the
+    data (see ``shape_problems``; a cup table's include its entries'), or
+    None.  Products read off a misshapen table or class would be wrong or
+    raise ``IndexError``."""
+    return next((message for key, message in data.shape if key[: len(section)] == section), None)
+
+
+def _sparse_table(data: ManifoldData, a: int, b: int) -> SparseTable | str | None:
     if (a, b) in data.cup_z:
         entries = data.cup_z[(a, b)].items()
     elif (b, a) in data.cup_z:
@@ -438,13 +452,20 @@ def _sparse_table(data: ManifoldData, a: int, b: int) -> SparseTable | None:
         return ()
     else:
         return None
+    if problem := _shape_problem(data, "cup", *((a, b) if (a, b) in data.cup_z else (b, a))):
+        return problem
     return tuple(
         (i, j, tuple((k, c) for k, c in enumerate(coords) if c)) for (i, j), coords in entries
     )
 
 
 def _compile(data: ManifoldData) -> CompiledManifold:
-    """The compiled form of the data; ``data.compiled`` caches it."""
+    """The compiled form of the data; ``data.compiled`` caches it.  Raises
+    ValueError when p1 or c, which every degree-8 evaluation cups, is
+    misshapen."""
+    for section in ("p1", "spinc"):
+        if problem := _shape_problem(data, section):
+            raise ValueError(problem)
 
     def rows(op: str, degree: int) -> Rows | None:
         M = _available_matrix(data, op, degree)

@@ -1,5 +1,8 @@
+import hashlib
+import math
 import random
 import re
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -100,6 +103,52 @@ def test_transform_free_smith_matches_full_form():
         assert abelian._smith(A, False) == (None, smith_normal_form(A)[1], None)
 
 
+def test_smith_diagonal_is_the_quotient_of_determinantal_divisors():
+    # d_1 * ... * d_k is the gcd of the k x k minors, whatever the elimination
+    rng = random.Random(20261020)
+
+    def entries(r, c, bound):
+        return IntMatrix(r, c, tuple(rng.randint(-bound, bound) for _ in range(r * c)))
+
+    for _ in range(120):
+        r, c = rng.randint(1, 4), rng.randint(1, 5)
+        bound = rng.choice((1, 4, 30))
+        if rng.random() < 0.3:  # rank below min(r, c)
+            k = rng.randint(0, min(r, c) - 1)
+            A = entries(r, k, bound) @ entries(k, c, bound)
+        else:
+            A = entries(r, c, bound)
+        divisors = [1]
+        for k in range(1, min(r, c) + 1):
+            minors = (
+                IntMatrix.from_rows([[A.at(i, j) for j in cols] for i in rows]).determinant()
+                for rows in combinations(range(r), k)
+                for cols in combinations(range(c), k)
+            )
+            divisors.append(math.gcd(*minors))
+        expected = tuple(b // a if a else 0 for a, b in zip(divisors, divisors[1:]))
+        assert abelian._smith(A, False)[1].diagonal() == expected
+        assert smith_normal_form(A)[1].diagonal() == expected
+
+
+def test_smith_diagonals_are_pinned():
+    # presentations-shaped matrices: square, wide, tall and rank-deficient;
+    # the digest of their diagonals was taken with the earlier elimination
+    rng = random.Random(20261020)
+
+    def entries(r, c, bound):
+        return IntMatrix(r, c, tuple(rng.randint(-bound, bound) for _ in range(r * c)))
+
+    cases = [entries(16, 16, 1000), entries(12, 28, 1000), entries(28, 6, 1000)]
+    cases.append(entries(14, 7, 9) @ entries(7, 14, 9))
+    pinned = "b5bbf4f64b0f308fb53a2511413010617fca765ab46346dfdcc88b69d4d0cb89"
+    for smith in (lambda A: abelian._smith(A, False), smith_normal_form):
+        digest = hashlib.sha256()
+        for A in cases:
+            digest.update(repr(smith(A)[1].diagonal()).encode())
+        assert digest.hexdigest() == pinned
+
+
 def test_matrix_validation():
     with pytest.raises(ValueError):
         IntMatrix(2, 2, (1, 2, 3))
@@ -167,6 +216,15 @@ def test_group_canonical_recombination():
     assert FGAbelianGroup.canonical((4, 2)) == FGAbelianGroup((2, 4))
     assert FGAbelianGroup.canonical((1, 1)) == FGAbelianGroup(())
     assert FGAbelianGroup.canonical((0, 6, 4)) == FGAbelianGroup((2, 12, 0))
+    # the same group as the cokernel of the diagonal relation matrix
+    rng = random.Random(20261021)
+    for _ in range(300):
+        pool = (0, 1, -1, 2, -4, 6, 9, 12, rng.randint(-500, 500))
+        factors = [rng.choice(pool) for _ in range(rng.randint(0, 6))]
+        k = len(factors)
+        columns = [[d * (i == j) for i in range(k)] for j, d in enumerate(factors)]
+        relations = IntMatrix.from_columns(columns, k)
+        assert FGAbelianGroup.canonical(factors) == cokernel_presentation(k, relations)
 
 
 def test_group_basics():

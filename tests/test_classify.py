@@ -31,7 +31,7 @@ from bundlecensus.cohomology import (
 )
 from bundlecensus.fixtures import BUILTIN_NAMES, builtin
 
-from conftest import graded_pair
+from conftest import graded_pair, misshape
 
 
 def cp4_tuple(data, a1, a2, a3, a4):
@@ -383,6 +383,44 @@ def test_compute_B_raises_for_the_first_matrix_it_applies(torsion_demo, h7_demo)
             check(h7_demo, edits, FGAbelianGroup(()))
     check(with_h3, [("beta", 5, None), ("rho2", 3, None), ("sq2", 3, None)], missing("beta", 5))
     check(with_h3, [("rho2", 3, None), ("sq2", 3, None)], missing("rho2", 3))
+
+
+def test_misshapen_cup_entries_raise_the_shape_message(cp4):
+    # data built in Python whose cup entry has the wrong length or an out of
+    # range generator pair: the compiled and the class-based cup raise the
+    # shape law's ValueError for it, never IndexError, and a short entry of
+    # a table the degree-8 evaluation reads is never taken for an answer
+    short = re.compile(
+        r"cup table \(([246]), ([246])\) pair \(\d+, \d+\): expected (\d+) coordinates, got (\d+)"
+    )
+    rng = random.Random(5)
+    raised = 0
+    for _ in range(300):
+        data = misshape(cp4, rng)
+        problems = [message for _, message in data.shape]
+        reads_short = any((m := short.fullmatch(p)) and int(m[4]) < int(m[3]) for p in problems)
+        u = cp4_tuple(data, 4, 6, 4, 1)
+        for query in (
+            lambda: check_rank4(data, u),
+            lambda: count_classes(data, u, 4),
+            lambda: rr_value(data, u, self_check=True),
+        ):
+            try:
+                query()
+            except ValueError as exc:
+                raised += str(exc) in problems
+                assert not reads_short or str(exc) in problems
+            else:
+                assert not reads_short, problems
+    assert raised > 100
+    long_entry = cp4._replace(cup_z={**cp4.cup_z, (2, 4): {(0, 0): (1, 1)}})
+    message = "cup table (2, 4) pair (0, 0): expected 1 coordinates, got 2"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        long_entry.compiled.cup(2, (1,), 4, (1,))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cup(long_entry, long_entry.zclass(2, (1,)), long_entry.zclass(4, (1,)))
+    with pytest.raises(ValueError, match=re.escape("p1: expected 1 coordinates in degree 4, got 0")):
+        check_rank4(cp4._replace(p1=CohomologyClass(4, "Z", ())), cp4_tuple(cp4, 4, 6, 4, 1))
 
 
 def test_spinc_class_shift_leaves_decision_unchanged(cp4):
