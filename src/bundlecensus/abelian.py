@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from itertools import chain
+from operator import index
 from typing import Iterable, Sequence
 
 VERIFY_POSTCONDITIONS = False
@@ -58,7 +59,7 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
     __slots__ = ()
 
     def __new__(cls, rows: int, cols: int, entries: Iterable[int]):
-        entries = tuple(map(int, entries))
+        entries = tuple(map(index, entries))
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         if len(entries) != rows * cols:
@@ -338,7 +339,7 @@ class GroupElement(namedtuple("GroupElement", "coords")):
     __slots__ = ()
 
     def __new__(cls, coords: Iterable[int]):
-        return tuple.__new__(cls, (tuple(map(int, coords)),))
+        return tuple.__new__(cls, (tuple(map(index, coords)),))
 
     _make = classmethod(lambda cls, fields: cls(*fields))
 
@@ -355,7 +356,7 @@ class FGAbelianGroup(namedtuple("FGAbelianGroup", "invariant_factors")):
     __slots__ = ()
 
     def __new__(cls, invariant_factors: Iterable[int] = ()):
-        factors = tuple(map(int, invariant_factors))
+        factors = tuple(map(index, invariant_factors))
         finite = [d for d in factors if d != 0]
         if any(d < 2 for d in finite):
             raise ValueError(f"finite invariant factors must be >= 2, got {factors}")
@@ -376,7 +377,7 @@ class FGAbelianGroup(namedtuple("FGAbelianGroup", "invariant_factors")):
         (3, 2) becomes (6,): the divisibility chain that ends every Smith
         form, with units dropped.
         """
-        return cls(d for d in _divisibility_chain([abs(int(d)) for d in factors]) if d != 1)
+        return cls(d for d in _divisibility_chain([abs(index(d)) for d in factors]) if d != 1)
 
     @property
     def num_generators(self) -> int:
@@ -394,7 +395,7 @@ class FGAbelianGroup(namedtuple("FGAbelianGroup", "invariant_factors")):
 
     def reduce(self, coords: Iterable[int]) -> tuple[int, ...]:
         """Coordinates reduced modulo the finite invariant factors."""
-        c = [int(x) for x in coords]
+        c = [index(x) for x in coords]
         if len(c) != self.num_generators:
             raise ValueError(
                 f"expected {self.num_generators} coordinates, got {len(c)}"

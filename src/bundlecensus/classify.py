@@ -91,8 +91,8 @@ class Verdict(NamedTuple):
 
 
 def _mod2_image(data: ManifoldData, op: str, degree: int, rows, x: Coords) -> Coords:
-    """``apply_op`` of a compiled matrix on coordinates; without one (absent
-    or misshapen), ``_operation_matrix`` raises what ``apply_op`` raises."""
+    """``apply_op`` of a compiled matrix on coordinates; without one,
+    ``_operation_matrix`` raises the ``MissingOperationError`` of ``apply_op``."""
     if rows is None:
         _operation_matrix(data, op, degree)
     return tuple([sum(map(mul, row, x)) % 2 for row in rows])

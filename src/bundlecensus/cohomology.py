@@ -4,6 +4,8 @@ A ``ManifoldData`` bundles the integral and mod-2 cohomology groups in
 degrees 0..8, cup product structure constants, the operations rho2
 (mod-2 reduction), beta (Bockstein) and Sq^2, the first Pontryagin class,
 a spin^c characteristic class, and the evaluation against the fundamental
+class.  The constructor rejects data whose sections do not fit its groups
+(``shape_problems``), so no query meets a misshapen matrix, table or
 class.  ``validate_manifold`` checks the algebraic laws this data must
 satisfy; everything else trusts validated data.
 
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Iterator, Literal, NamedTuple
 
 from .abelian import FGAbelianGroup, IntMatrix, rank_mod2
@@ -37,6 +39,15 @@ CupTable = dict[tuple[int, int], tuple[int, ...]]
 
 class MissingOperationError(LookupError):
     """A cup table or operation matrix needed for a computation is absent."""
+
+
+class ManifoldShapeError(ValueError):
+    """Raised when building ManifoldData whose sections do not fit its groups:
+    the first problem ``shape_problems`` finds, with its ``section`` key."""
+
+    def __init__(self, section: tuple, message: str):
+        self.section = section
+        super().__init__(message)
 
 
 class ManifoldValidationError(ValueError):
@@ -54,7 +65,7 @@ class CohomologyClass(namedtuple("CohomologyClass", "degree ring coords")):
     __slots__ = ()
 
     def __new__(cls, degree: int, ring: Ring, coords: Iterable[int]):
-        self = tuple.__new__(cls, (degree, ring, tuple(map(int, coords))))
+        self = tuple.__new__(cls, (degree, ring, tuple(map(index, coords))))
         self.__post_init__()
         return self
 
@@ -148,6 +159,8 @@ class ManifoldData(
     generating the image of the odd-degree unitary transgressions; None
     means this information was not supplied.
 
+    Construction, and so ``_replace``, ``_make`` and unpickling, raises
+    ``ManifoldShapeError`` for the first problem ``shape_problems`` finds.
     Read-only: assigning or deleting any attribute raises ``AttributeError``.
     There are no ``__slots__``, so the cached properties live in the
     instance dict, and a ``_replace``d instance computes them afresh.
@@ -157,10 +170,13 @@ class ManifoldData(
         cls, name, integral, mod2, cup_z, rho2, beta, sq2, pairing, p1, spinc_class,
         w2=None, odd_generators=None, cup_m2=None,
     ):
-        return tuple.__new__(cls, (
-            name, integral, mod2, cup_z, rho2, beta, sq2, pairing, p1, spinc_class,
+        self = tuple.__new__(cls, (
+            name, integral, mod2, cup_z, rho2, beta, sq2, tuple(map(index, pairing)), p1, spinc_class,
             w2, odd_generators, {} if cup_m2 is None else cup_m2,
         ))
+        for section, message in shape_problems(self):
+            raise ManifoldShapeError(section, message)
+        return self
 
     _make = classmethod(lambda cls, fields: cls(*fields))
 
@@ -190,7 +206,7 @@ class ManifoldData(
         return CohomologyClass(degree, "Z", self.group(degree).reduce(coords))
 
     def m2class(self, degree: int, bits: Iterable[int]) -> CohomologyClass:
-        b = tuple(int(x) % 2 for x in bits)
+        b = tuple(index(x) % 2 for x in bits)
         if len(b) != self.m2dim(degree):
             raise ValueError(
                 f"expected {self.m2dim(degree)} mod-2 coordinates in degree {degree}, got {len(b)}"
@@ -237,12 +253,6 @@ class ManifoldData(
         return _compile(self)
 
     @cached_property
-    def shape(self) -> tuple[tuple[tuple, str], ...]:
-        """What ``shape_problems`` finds, kept as ``compiled`` is: the parser
-        checks it and the ``shape`` law reports it, one pass for both."""
-        return tuple(shape_problems(self))
-
-    @cached_property
     def B(self) -> FGAbelianGroup:
         """``classify.compute_B``, which no Chern tuple changes, kept as ``compiled`` is."""
         from .classify import compute_B  # classify imports this module
@@ -264,38 +274,29 @@ _OP_SPECS = {
 }
 
 
-def _op_dims(data: ManifoldData, op: str, degree: int) -> tuple[int, int]:
-    """(source, target) dimensions of op at degree."""
+def _op_shape(data: ManifoldData, op: str, degree: int) -> tuple[int, int]:
+    """(rows, cols) of op's matrix at degree: its target and source dimensions."""
     src_ring, tgt_ring, shift = _OP_SPECS[op]
-    src = data.dim(degree, src_ring)
     tgt_degree = degree + shift
     tgt = data.dim(tgt_degree, tgt_ring) if tgt_degree <= TOP_DEGREE else 0
-    return src, tgt
+    return tgt, data.dim(degree, src_ring)
 
 
 def _available_matrix(data: ManifoldData, op: str, degree: int) -> IntMatrix | None:
     """The matrix of an operation, a canonical zero matrix when either side
-    is trivial, or None when it was not supplied or is misshapen."""
-    src, tgt = _op_dims(data, op, degree)
+    is trivial, or None when it was not supplied."""
     M = getattr(data, op).get(degree)
     if M is None:
-        return IntMatrix.zeros(tgt, src) if src == 0 or tgt == 0 else None
-    return M if (M.rows, M.cols) == (tgt, src) else None
-
-
-def _misshapen(data: ManifoldData, op: str, degree: int, M: IntMatrix) -> str:
-    src, tgt = _op_dims(data, op, degree)
-    return f"expected a {tgt}x{src} matrix, got {M.rows}x{M.cols}"
+        shape = _op_shape(data, op, degree)
+        return IntMatrix.zeros(*shape) if 0 in shape else None
+    return M
 
 
 def _operation_matrix(data: ManifoldData, op: str, degree: int) -> IntMatrix:
     """``_available_matrix``, raising where it gives None."""
     M = _available_matrix(data, op, degree)
     if M is None:
-        supplied = getattr(data, op).get(degree)
-        if supplied is None:
-            raise MissingOperationError(f"missing {op} matrix at degree {degree}")
-        raise ValueError(f"{op} matrix at degree {degree}: {_misshapen(data, op, degree, supplied)}")
+        raise MissingOperationError(f"missing {op} matrix at degree {degree}")
     return M
 
 
@@ -345,9 +346,6 @@ def cup(data: ManifoldData, x: CohomologyClass, y: CohomologyClass) -> Cohomolog
         if data.dim(a, ring) == 0 or data.dim(b, ring) == 0 or data.dim(n, ring) == 0:
             return data.zero(n, ring)
         raise MissingOperationError(f"missing cup product table for degrees ({a}, {b})")
-    kind = "cup" if ring == "Z" else "cup2"
-    if data.shape and (problem := _shape_problem(data, kind, *((b, a) if swapped else (a, b)))):
-        raise ValueError(problem)
     sign = -1 if (swapped and a % 2 and b % 2 and ring == "Z") else 1
     acc = [0] * data.dim(n, ring)
     for (i, j), coords in table.items():
@@ -381,18 +379,17 @@ class CompiledManifold(NamedTuple):
 
     ``factors[n]`` are the invariant factors of H^n.  ``cups[a, b]`` is the
     integral product H^a x H^b -> H^(a+b) for even a, b >= 2, transposed
-    when only the (b, a) table is given, empty when a side is trivial,
-    None when the table is missing and the shape law's message when it is
-    misshapen.  ``rho2_4``, ``sq2_4`` and ``rho2_6`` are the rows of the
-    operation matrices of condition (1), None when a matrix is missing or
-    misshapen (``apply_op`` then raises for it).
+    when only the (b, a) table is given, empty when a side is trivial and
+    None when the table is missing.  ``rho2_4``, ``sq2_4`` and ``rho2_6``
+    are the rows of the operation matrices of condition (1), None when a
+    matrix is missing (``apply_op`` then raises for it).
     Every result is reduced where ``cup`` reduces it, so the two agree
     bit for bit.
     """
 
     name: str
     factors: tuple[tuple[int, ...], ...]
-    cups: dict[tuple[int, int], SparseTable | str | None]
+    cups: dict[tuple[int, int], SparseTable | None]
     rho2_4: Rows | None
     sq2_4: Rows | None
     rho2_6: Rows | None
@@ -416,10 +413,8 @@ class CompiledManifold(NamedTuple):
     def cup(self, a: int, x: Coords, b: int, y: Coords) -> Coords:
         """``cup`` of integral classes of even degrees a, b >= 2."""
         table = self.cups[a, b]
-        if table.__class__ is not tuple:
-            if table is None:
-                raise MissingOperationError(f"missing cup product table for degrees ({a}, {b})")
-            raise ValueError(table)
+        if table is None:
+            raise MissingOperationError(f"missing cup product table for degrees ({a}, {b})")
         acc = [0] * len(self.factors[a + b])
         for i, j, terms in table:
             coeff = x[i] * y[j]
@@ -435,15 +430,7 @@ class CompiledManifold(NamedTuple):
         return sum(map(mul, x, self.pairing))
 
 
-def _shape_problem(data: ManifoldData, *section) -> str | None:
-    """The shape law's message for the first problem in a section of the
-    data (see ``shape_problems``; a cup table's include its entries'), or
-    None.  Products read off a misshapen table or class would be wrong or
-    raise ``IndexError``."""
-    return next((message for key, message in data.shape if key[: len(section)] == section), None)
-
-
-def _sparse_table(data: ManifoldData, a: int, b: int) -> SparseTable | str | None:
+def _sparse_table(data: ManifoldData, a: int, b: int) -> SparseTable | None:
     if (a, b) in data.cup_z:
         entries = data.cup_z[(a, b)].items()
     elif (b, a) in data.cup_z:
@@ -452,20 +439,13 @@ def _sparse_table(data: ManifoldData, a: int, b: int) -> SparseTable | str | Non
         return ()
     else:
         return None
-    if problem := _shape_problem(data, "cup", *((a, b) if (a, b) in data.cup_z else (b, a))):
-        return problem
     return tuple(
         (i, j, tuple((k, c) for k, c in enumerate(coords) if c)) for (i, j), coords in entries
     )
 
 
 def _compile(data: ManifoldData) -> CompiledManifold:
-    """The compiled form of the data; ``data.compiled`` caches it.  Raises
-    ValueError when p1 or c, which every degree-8 evaluation cups, is
-    misshapen."""
-    for section in ("p1", "spinc"):
-        if problem := _shape_problem(data, section):
-            raise ValueError(problem)
+    """The compiled form of the data; ``data.compiled`` caches it."""
 
     def rows(op: str, degree: int) -> Rows | None:
         M = _available_matrix(data, op, degree)
@@ -573,8 +553,9 @@ def _class_problem(
 def shape_problems(data: ManifoldData) -> Iterator[tuple[tuple, str]]:
     """(section, message) for each shape problem of data, in the order and
     wording of the manifold parser, which raises the first on its section's
-    line.  ``section`` is the parser's key: ("map", op, degree); (kind, a, b)
-    for a whole cup table and (kind, a, b, i, j) for one entry, kind "cup" or
+    line, and ``ManifoldData`` raises the first when it is built.
+    ``section`` is the parser's key: ("map", op, degree); (kind, a, b) for a
+    whole cup table and (kind, a, b, i, j) for one entry, kind "cup" or
     "cup2"; ("pairing",), ("p1",), ("spinc",), ("w2",); ("oddgen", block,
     degree) for an odd generator and ("oddgen", block) for a whole block.
     A table reports its first missing generator pair only."""
@@ -582,8 +563,10 @@ def shape_problems(data: ManifoldData) -> Iterator[tuple[tuple, str]]:
         for degree, M in sorted(getattr(data, op).items()):
             if degree not in DEGREES:
                 yield ("map", op, degree), f"{op} at degree {degree}: degree out of range"
-            elif _available_matrix(data, op, degree) is None:
-                yield ("map", op, degree), f"{op} at degree {degree}: {_misshapen(data, op, degree, M)}"
+            elif (M.rows, M.cols) != (shape := _op_shape(data, op, degree)):
+                yield ("map", op, degree), (
+                    f"{op} at degree {degree}: expected a {shape[0]}x{shape[1]} matrix, got {M.rows}x{M.cols}"
+                )
     for kind, ring, tables in (("cup", "Z", data.cup_z), ("cup2", "Z2", data.cup_m2)):
         for (a, b), table in sorted(tables.items()):
             name = f"{kind} table ({a}, {b})"
@@ -728,7 +711,7 @@ def _bockstein_exact(data: ManifoldData) -> Iterator[LawResult]:
 
 
 # Each law yields its results: none when it does not apply.  Every law reads
-# only well-shaped data: ``validate_manifold`` runs them after the shape law.
+# well-shaped data, which ``ManifoldData`` checks when it is built.
 LAWS = (
     _h0_is_Z,
     _h8_is_Z,
@@ -745,18 +728,14 @@ LAWS = (
 def validate_manifold(data: ManifoldData, strict: bool = False) -> ValidationReport:
     """Check the algebraic laws the encoded data must satisfy.
 
-    Always checked: the shape (``data.shape`` is empty), H^0 = Z,
-    H^8 = Z, rho2 composed with doubling vanishes, Bockstein images are
-    2-torsion, beta after rho2 vanishes, rho2(c) = w2 when w2 is given,
-    the pairing hits +-1, cup tables given in both orientations agree, and
-    (when a mod-2 degree-2 product table exists) Sq^2 squares degree-2
-    classes.  With ``strict=True`` the exactness of the Bockstein sequence,
-    im rho2 = ker beta, is verified degree by degree by mod-2 rank
-    counting.  When the shape law fails, the report holds it alone.
+    Always checked: H^0 = Z, H^8 = Z, rho2 composed with doubling
+    vanishes, Bockstein images are 2-torsion, beta after rho2 vanishes,
+    rho2(c) = w2 when w2 is given, the pairing hits +-1, cup tables given
+    in both orientations agree, and (when a mod-2 degree-2 product table
+    exists) Sq^2 squares degree-2 classes.  With ``strict=True`` the
+    exactness of the Bockstein sequence, im rho2 = ker beta, is verified
+    degree by degree by mod-2 rank counting.  The shape is not a law: the
+    constructor of ``ManifoldData`` has checked it.
     """
-    problems = [message for _, message in data.shape]
-    shape = LawResult("shape", not problems, "; ".join(problems) or None)
-    if problems:
-        return ValidationReport((shape,))
     laws = LAWS + (_bockstein_exact,) if strict else LAWS
-    return ValidationReport((shape, *(r for law in laws for r in law(data))))
+    return ValidationReport(tuple(r for law in laws for r in law(data)))

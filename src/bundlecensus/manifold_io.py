@@ -43,10 +43,10 @@ DEG", "map OP DEG", "cup A B I J", ...); only oddgen blocks repeat.
 "free" appears at most once on an integral line.  A free rank, a number
 of torsion factors or a mod-2 dimension above MAX_GENERATORS is
 rejected.  The shape rules (matrix sizes, complete cup tables, vector
-lengths) are ``cohomology.shape_problems``; the parser checks them in
-``ManifoldData.shape``, which the ``shape`` law of a parsed file reads
-again without a second pass.  Every ManifoldParseError except a missing
-section names its line.
+lengths) are ``cohomology.shape_problems``, which the ``ManifoldData``
+constructor checks; the parser reports its ``ManifoldShapeError`` on the
+first line of the section it names.  Every ManifoldParseError except a
+missing section names its line.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ from .cohomology import (
     GradedGroupMod2,
     GradedGroupZ,
     ManifoldData,
+    ManifoldShapeError,
     ManifoldValidationError,
     TOP_DEGREE,
     _OP_SPECS,
@@ -280,34 +281,33 @@ def parse_manifold_text(text: str) -> ManifoldData:
         return dict(sorted(by_pair.items()))
 
     def zclass(degree: int, coords: tuple[int, ...]) -> CohomologyClass:
-        """Classes are stored reduced; one of the wrong length is left for the shape check."""
+        """Classes are stored reduced; one of the wrong length is left for the constructor."""
         group = groups[degree]
         if len(coords) == group.num_generators:
             coords = group.reduce(coords)
         return CohomologyClass(degree, "Z", coords)
 
     w2 = sections.get(("w2",))
-    data = ManifoldData(
-        name=sections[("manifold",)][1],
-        integral=GradedGroupZ(tuple(groups), tuple(znames)),
-        mod2=GradedGroupMod2(tuple(dims), tuple(mnames)),
-        cup_z=tables("cup"),
-        cup_m2=tables("cup2"),
-        **matrices,
-        pairing=sections[("pairing",)][1],
-        p1=zclass(4, sections[("p1",)][1]),
-        spinc_class=zclass(2, sections[("spinc",)][1]),
-        w2=None if w2 is None else CohomologyClass(2, "Z2", tuple(x % 2 for x in w2[1])),
-        odd_generators=None if ("oddgen",) not in sections else tuple(
-            tuple(zclass(deg, sections[("oddgen", q, deg)][1]) for deg in (1, 3, 5, 7))
-            for q in range(blocks)
-        ),
-    )
-    if data.shape:
-        section, message = data.shape[0]
-        numbers = [n for s, (n, _) in sections.items() if s[: len(section)] == section]
-        raise ManifoldParseError(message, min(numbers))  # a whole table's first line
-    return data
+    try:
+        return ManifoldData(
+            name=sections[("manifold",)][1],
+            integral=GradedGroupZ(tuple(groups), tuple(znames)),
+            mod2=GradedGroupMod2(tuple(dims), tuple(mnames)),
+            cup_z=tables("cup"),
+            cup_m2=tables("cup2"),
+            **matrices,
+            pairing=sections[("pairing",)][1],
+            p1=zclass(4, sections[("p1",)][1]),
+            spinc_class=zclass(2, sections[("spinc",)][1]),
+            w2=None if w2 is None else CohomologyClass(2, "Z2", tuple(x % 2 for x in w2[1])),
+            odd_generators=None if ("oddgen",) not in sections else tuple(
+                tuple(zclass(deg, sections[("oddgen", q, deg)][1]) for deg in (1, 3, 5, 7))
+                for q in range(blocks)
+            ),
+        )
+    except ManifoldShapeError as exc:
+        numbers = [n for s, (n, _) in sections.items() if s[: len(exc.section)] == exc.section]
+        raise ManifoldParseError(str(exc), min(numbers)) from None  # a whole table's first line
 
 
 def parse_manifold(path, strict: bool = False) -> ManifoldData:

@@ -102,12 +102,19 @@ def h7_demo():
     return make_h7_demo()
 
 
+def unchecked(data: ManifoldData, **fields) -> ManifoldData:
+    """data with fields replaced, built without the constructor's shape
+    check: misshapen data for tests to serialize or to ask ``shape_problems``
+    about.  ``unchecked(...)._replace()`` runs the check."""
+    return tuple.__new__(ManifoldData, {**data._asdict(), **fields}.values())
+
+
 def misshape(data: ManifoldData, rng) -> ManifoldData:
-    """One seeded ``replace`` of data that may break its shape: a matrix of
-    random shape at a degree in 0..8, a dropped or added cup entry, a cup
-    entry of the wrong length, or a pairing, p1, w2 or odd generator of the
-    wrong length.  Entries are dropped only from tables of two or more, since
-    an empty table serializes to nothing."""
+    """One seeded edit of data that may break its shape, built ``unchecked``:
+    a matrix of random shape at a degree in 0..8, a dropped or added cup
+    entry, a cup entry of the wrong length, or a pairing, p1, w2 or odd
+    generator of the wrong length.  Entries are dropped only from tables of
+    two or more, since an empty table serializes to nothing."""
 
     def vec(n: int, ring: str = "Z") -> tuple[int, ...]:
         return tuple(rng.randrange(2) if ring == "Z2" else rng.randrange(-3, 4) for _ in range(n))
@@ -119,7 +126,7 @@ def misshape(data: ManifoldData, rng) -> ManifoldData:
     if edit == 0:
         op, degree = rng.choice(("rho2", "beta", "sq2")), rng.randrange(9)
         rows, cols = rng.randrange(4), rng.randrange(4)
-        return data._replace(**{op: {**getattr(data, op), degree: IntMatrix(rows, cols, vec(rows * cols))}})
+        return unchecked(data, **{op: {**getattr(data, op), degree: IntMatrix(rows, cols, vec(rows * cols))}})
     field, ring = rng.choice((("cup_z", "Z"), ("cup_m2", "Z2")))
     tables = getattr(data, field)
     if edit == 1:
@@ -133,23 +140,23 @@ def misshape(data: ManifoldData, rng) -> ManifoldData:
             ab = (a, rng.randrange(9 - a))
             ij = (rng.randrange(data.dim(ab[0], ring) + 1), rng.randrange(data.dim(ab[1], ring) + 1))
             table = {**tables.get(ab, {}), ij: vec(data.dim(sum(ab), ring), ring)}
-        return data._replace(**{field: {**tables, ab: table}})
+        return unchecked(data, **{field: {**tables, ab: table}})
     if edit == 2 and tables:
         ab = rng.choice(sorted(tables))
         ij = rng.choice(sorted(tables[ab]))
-        return data._replace(**{field: {**tables, ab: {**tables[ab], ij: wrong_length(tables[ab][ij], ring)}}})
+        return unchecked(data, **{field: {**tables, ab: {**tables[ab], ij: wrong_length(tables[ab][ij], ring)}}})
     targets = ["pairing", "p1"] + ["w2"] * (data.w2 is not None) + ["oddgen"] * bool(data.odd_generators)
     target = rng.choice(targets)
     if target == "pairing":
-        return data._replace(pairing=wrong_length(data.pairing))
+        return unchecked(data, pairing=wrong_length(data.pairing))
     if target == "p1":
-        return data._replace(p1=CohomologyClass(4, "Z", wrong_length(data.p1.coords)))
+        return unchecked(data, p1=CohomologyClass(4, "Z", wrong_length(data.p1.coords)))
     if target == "w2":
-        return data._replace(w2=CohomologyClass(2, "Z2", wrong_length(data.w2.coords, "Z2")))
+        return unchecked(data, w2=CohomologyClass(2, "Z2", wrong_length(data.w2.coords, "Z2")))
     q = rng.randrange(len(data.odd_generators))
     k = rng.randrange(4)
     block = list(data.odd_generators[q])
     block[k] = CohomologyClass(block[k].degree, "Z", wrong_length(block[k].coords))
     blocks = list(data.odd_generators)
     blocks[q] = tuple(block)
-    return data._replace(odd_generators=tuple(blocks))
+    return unchecked(data, odd_generators=tuple(blocks))

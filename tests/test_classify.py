@@ -24,10 +24,12 @@ from bundlecensus.classify import (
 from bundlecensus.cohomology import (
     ChernTuple,
     CohomologyClass,
+    ManifoldShapeError,
     MissingOperationError,
     apply_op,
     cup,
     pair_top,
+    shape_problems,
 )
 from bundlecensus.fixtures import BUILTIN_NAMES, builtin
 
@@ -361,13 +363,9 @@ def test_compute_B_raises_for_the_first_matrix_it_applies(torsion_demo, h7_demo)
     def missing(op, degree):
         return MissingOperationError, f"missing {op} matrix at degree {degree}"
 
-    def misshapen(op, degree):
-        return ValueError, f"{op} matrix at degree {degree}: expected a 1x1 matrix, got 2x3"
-
-    def check(data, edits, expected):
-        for op, degree, matrix in edits:
-            kept = {k: v for k, v in getattr(data, op).items() if k != degree}
-            data = data._replace(**{op: kept if matrix is None else {**kept, degree: matrix}})
+    def check(data, dropped, expected):
+        for op, degree in dropped:
+            data = data._replace(**{op: {k: v for k, v in getattr(data, op).items() if k != degree}})
         if isinstance(expected, FGAbelianGroup):
             assert compute_B(data) == expected
         else:
@@ -376,51 +374,43 @@ def test_compute_B_raises_for_the_first_matrix_it_applies(torsion_demo, h7_demo)
             assert (type(info.value), str(info.value)) == expected
 
     for op, degree in (("beta", 5), ("rho2", 3), ("sq2", 3)):
-        for matrix, error in ((None, missing), (wide, misshapen)):
-            edits = [(op, degree, matrix)]
-            check(torsion_demo, edits, error(op, degree) if op == "beta" else FGAbelianGroup((2,)))
-            check(with_h3, edits, error(op, degree))
-            check(h7_demo, edits, FGAbelianGroup(()))
-    check(with_h3, [("beta", 5, None), ("rho2", 3, None), ("sq2", 3, None)], missing("beta", 5))
-    check(with_h3, [("rho2", 3, None), ("sq2", 3, None)], missing("rho2", 3))
+        dropped = [(op, degree)]
+        check(torsion_demo, dropped, missing(op, degree) if op == "beta" else FGAbelianGroup((2,)))
+        check(with_h3, dropped, missing(op, degree))
+        check(h7_demo, dropped, FGAbelianGroup(()))
+        # a misshapen matrix is refused where it is put in, whether B applies it or not
+        for data in (torsion_demo, with_h3, h7_demo):
+            with pytest.raises(ManifoldShapeError, match=rf"^{op} at degree {degree}: expected a \dx\d matrix, got 2x3$"):
+                data._replace(**{op: {**getattr(data, op), degree: wide}})
+    check(with_h3, [("beta", 5), ("rho2", 3), ("sq2", 3)], missing("beta", 5))
+    check(with_h3, [("rho2", 3), ("sq2", 3)], missing("rho2", 3))
 
 
 def test_misshapen_cup_entries_raise_the_shape_message(cp4):
-    # data built in Python whose cup entry has the wrong length or an out of
-    # range generator pair: the compiled and the class-based cup raise the
-    # shape law's ValueError for it, never IndexError, and a short entry of
-    # a table the degree-8 evaluation reads is never taken for an answer
-    short = re.compile(
-        r"cup table \(([246]), ([246])\) pair \(\d+, \d+\): expected (\d+) coordinates, got (\d+)"
-    )
+    # data whose cup entry has the wrong length or an out of range generator
+    # pair cannot be built: the _replace raises the shape message, so no
+    # query reads a short entry, and every query on what builds answers
     rng = random.Random(5)
-    raised = 0
+    raised = answered = 0
     for _ in range(300):
-        data = misshape(cp4, rng)
-        problems = [message for _, message in data.shape]
-        reads_short = any((m := short.fullmatch(p)) and int(m[4]) < int(m[3]) for p in problems)
+        bad = misshape(cp4, rng)
+        problems = [message for _, message in shape_problems(bad)]
+        if problems:
+            with pytest.raises(ManifoldShapeError) as info:
+                bad._replace()
+            assert str(info.value) == problems[0]
+            raised += 1
+            continue
+        data = bad._replace()
         u = cp4_tuple(data, 4, 6, 4, 1)
-        for query in (
-            lambda: check_rank4(data, u),
-            lambda: count_classes(data, u, 4),
-            lambda: rr_value(data, u, self_check=True),
-        ):
-            try:
-                query()
-            except ValueError as exc:
-                raised += str(exc) in problems
-                assert not reads_short or str(exc) in problems
-            else:
-                assert not reads_short, problems
-    assert raised > 100
-    long_entry = cp4._replace(cup_z={**cp4.cup_z, (2, 4): {(0, 0): (1, 1)}})
+        check_rank4(data, u), count_classes(data, u, 4), rr_value(data, u, self_check=True)
+        answered += 1
+    assert raised > 100 and answered > 10
     message = "cup table (2, 4) pair (0, 0): expected 1 coordinates, got 2"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        long_entry.compiled.cup(2, (1,), 4, (1,))
-    with pytest.raises(ValueError, match=re.escape(message)):
-        cup(long_entry, long_entry.zclass(2, (1,)), long_entry.zclass(4, (1,)))
-    with pytest.raises(ValueError, match=re.escape("p1: expected 1 coordinates in degree 4, got 0")):
-        check_rank4(cp4._replace(p1=CohomologyClass(4, "Z", ())), cp4_tuple(cp4, 4, 6, 4, 1))
+    with pytest.raises(ManifoldShapeError, match=re.escape(message)):
+        cp4._replace(cup_z={**cp4.cup_z, (2, 4): {(0, 0): (1, 1)}})
+    with pytest.raises(ManifoldShapeError, match=re.escape("p1: expected 1 coordinates in degree 4, got 0")):
+        cp4._replace(p1=CohomologyClass(4, "Z", ()))
 
 
 def test_spinc_class_shift_leaves_decision_unchanged(cp4):

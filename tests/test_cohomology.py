@@ -8,16 +8,18 @@ from bundlecensus.abelian import IntMatrix
 from bundlecensus.cohomology import (
     CohomologyClass,
     GradedGroupZ,
-    LawResult,
+    ManifoldShapeError,
     MissingOperationError,
     apply_op,
     cup,
     pair_top,
+    shape_problems,
     validate_manifold,
 )
 from bundlecensus.fixtures import BUILTIN_NAMES, builtin
+from bundlecensus.manifold_io import ManifoldParseError, parse_manifold, serialize_manifold
 
-from conftest import graded_pair, make_h7_demo
+from conftest import graded_pair, make_h7_demo, misshape, unchecked
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -48,37 +50,59 @@ def test_non_torsion_bockstein_is_caught(torsion_demo):
 
 
 def test_dimension_mismatch_is_caught(cp4):
-    corrupted = cp4._replace(rho2={**cp4.rho2, 2: IntMatrix(1, 3, (1, 0, 0))})
-    report = validate_manifold(corrupted)
-    law = report.law("shape")
-    assert not law.passed
-    assert "rho2 at degree 2" in law.witness
-    # a matrix keyed outside 0..8 fails the shape law and only that law
+    with pytest.raises(ManifoldShapeError) as info:
+        cp4._replace(rho2={**cp4.rho2, 2: IntMatrix(1, 3, (1, 0, 0))})
+    assert str(info.value) == "rho2 at degree 2: expected a 1x1 matrix, got 1x3"
+    assert info.value.section == ("map", "rho2", 2)
+    # so is a matrix keyed outside 0..8
     for op in ("rho2", "beta", "sq2"):
         for degree in (9, -1):
-            corrupted = cp4._replace(**{op: {**getattr(cp4, op), degree: IntMatrix.identity(1)}})
-            for strict in (False, True):
-                report = validate_manifold(corrupted, strict=strict)
-                assert [r.name for r in report.failures()] == ["shape"]
-                assert f"{op} at degree {degree}: degree out of range" in report.law("shape").witness
+            with pytest.raises(ManifoldShapeError, match=f"^{op} at degree {degree}: degree out of range$"):
+                cp4._replace(**{op: {**getattr(cp4, op), degree: IntMatrix.identity(1)}})
 
 
 MISSHAPEN = {
     # rho2 applied to a spin^c class of the wrong length
-    "spinc-length": lambda cp4: cp4._replace(spinc_class=CohomologyClass(2, "Z", (1, 0))),
+    "spinc-length": lambda cp4: {"spinc_class": CohomologyClass(2, "Z", (1, 0))},
     # H^9 and H^-1 looked up for a table keyed outside 0..8
-    "cup-degree": lambda cp4: cp4._replace(cup_z={**cp4.cup_z, (9, -1): {(0, 0): (1,)}}),
+    "cup-degree": lambda cp4: {"cup_z": {**cp4.cup_z, (9, -1): {(0, 0): (1,)}}},
     # a square read off a cup2 entry with too many coordinates
-    "cup2-length": lambda cp4: cp4._replace(cup_m2={(2, 2): {(0, 0): (1, 0)}}),
+    "cup2-length": lambda cp4: {"cup_m2": {(2, 2): {(0, 0): (1, 0)}}},
 }
 
 
 @pytest.mark.parametrize("strict", [False, True], ids=["default", "strict"])
 @pytest.mark.parametrize("case", MISSHAPEN)
-def test_misshapen_data_is_reported_by_shape_alone(case, strict, cp4):
-    report = validate_manifold(MISSHAPEN[case](cp4), strict=strict)
-    assert [r.name for r in report.results] == ["shape"]
-    assert not report.ok
+def test_misshapen_data_is_reported_by_shape_alone(case, strict, cp4, tmp_path):
+    # no law ever reads it: it cannot be built, and a file holding it fails
+    # to parse, in either mode, before validation begins
+    fields = MISSHAPEN[case](cp4)
+    with pytest.raises(ManifoldShapeError):
+        cp4._replace(**fields)
+    path = tmp_path / "misshapen.manifold"
+    path.write_text(serialize_manifold(unchecked(cp4, **fields)))
+    with pytest.raises(ManifoldParseError) as info:
+        parse_manifold(path, strict=strict)
+    assert info.value.line is not None
+
+
+def test_misshapen_data_cannot_be_built():
+    # each seeded edit either builds well-shaped data or raises, at the
+    # _replace, the first problem shape_problems finds in the same fields
+    rng = random.Random(16)
+    bases = [builtin(name) for name in BUILTIN_NAMES] + [make_h7_demo()]
+    raised = 0
+    for _ in range(1000):
+        bad = misshape(rng.choice(bases), rng)
+        problems = list(shape_problems(bad))
+        if not problems:
+            assert bad._replace() == bad
+            continue
+        raised += 1
+        with pytest.raises(ManifoldShapeError) as info:
+            bad._replace()
+        assert (info.value.section, str(info.value)) == problems[0]
+    assert 500 < raised < 1000  # the edits neither all fail nor all pass
 
 
 def _odd_block(size):
@@ -104,8 +128,9 @@ def _odd_block(size):
     ids=["missing-entry", "negative-degree", "block-of-3", "block-of-5"],
 )
 def test_shape_requires_complete_tables_in_range_and_blocks_of_four(make, witness):
-    report = validate_manifold(make(), strict=True)
-    assert report.results == (LawResult("shape", False, witness),)
+    with pytest.raises(ManifoldShapeError) as info:
+        make()
+    assert str(info.value) == witness
 
 
 def test_strict_mode_catches_broken_exactness(torsion_demo):
@@ -282,7 +307,7 @@ def test_chern_tuple_degree_checks(cp4):
 def test_validation_report_rendering(cp4):
     report = validate_manifold(cp4)
     text = str(report)
-    assert "PASS  shape" in text
+    assert text.splitlines()[0] == "PASS  h0_is_Z"  # the shape is no law: the constructor checked it
     assert report.law("h0_is_Z").passed
     with pytest.raises(KeyError):
         report.law("nonexistent")

@@ -8,7 +8,13 @@ import pytest
 import bundlecensus
 from bundlecensus.cli import main
 from bundlecensus import cohomology
-from bundlecensus.cohomology import ManifoldValidationError, cup, shape_problems, validate_manifold
+from bundlecensus.cohomology import (
+    ManifoldShapeError,
+    ManifoldValidationError,
+    cup,
+    shape_problems,
+    validate_manifold,
+)
 from bundlecensus.fixtures import BUILTIN_NAMES, builtin
 from bundlecensus.manifold_io import (
     MAX_GENERATORS,
@@ -276,8 +282,39 @@ def test_names_count_rejected_on_its_line(ring):
             r"cup table \(2, 2\): missing entry for generator pair \(0, 1\)",
             END + 2,
         ),
+        (MINIMAL + "map sq2 0 rows 1 cols 1\n1\n", r"sq2 at degree 0: expected a 0x1 matrix, got 1x1", END + 1),
+        (
+            MINIMAL + "integral 2 free 2\nintegral 4 free 1\n"
+            "cup 2 2 0 0 -> 1\ncup 2 2 0 1 -> 1 0\ncup 2 2 1 0 -> 1\ncup 2 2 1 1 -> 1\n",
+            r"cup table \(2, 2\) pair \(0, 1\): expected 1 coordinates, got 2",
+            END + 4,
+        ),
+        (
+            MINIMAL + "integral 2 free 1\nintegral 4 free 1\ncup 2 2 0 0 -> 1\ncup 2 2 0 1 -> 1\n",
+            r"cup table \(2, 2\): generator pair \(0, 1\) out of range",
+            END + 4,
+        ),
+        (
+            MINIMAL + "mod2 2 dim 1\nmod2 4 dim 1\ncup2 2 2 0 0 -> 1 1\n",
+            r"cup2 table \(2, 2\) pair \(0, 0\): expected 1 coordinates, got 2",
+            END + 3,
+        ),
+        (
+            MINIMAL.replace("p1 -", "p1 1"),
+            "p1: expected 0 coordinates in degree 4, got 1",
+            MINIMAL.splitlines().index("p1 -") + 1,
+        ),
+        (
+            MINIMAL.replace("spinc -", "spinc 1"),
+            "spinc: expected 0 coordinates in degree 2, got 1",
+            MINIMAL.splitlines().index("spinc -") + 1,
+        ),
+        (MINIMAL + "w2 1\n", "w2: expected 0 mod-2 coordinates, got 1", END + 1),
     ],
-    ids=["divisibility", "pairing", "oddgen", "cup-missing"],
+    ids=[
+        "divisibility", "pairing", "oddgen", "cup-missing",
+        "map", "cup-length", "cup-range", "cup2-length", "p1", "spinc", "w2",
+    ],
 )
 def test_checks_after_reading_name_their_line(text, message, line):
     with pytest.raises(ManifoldParseError, match=message) as info:
@@ -375,14 +412,15 @@ def test_parse_and_validate_check_the_shape_once(monkeypatch, tmp_path, cp4):
     path.write_text(serialize_manifold(cp4))
     data = parse_manifold(path, strict=True)
     assert passes == ["cp4"] and validate_manifold(data).ok and passes == ["cp4"]
-    # data built in Python, a _replace variant among it, still gets the shape law
+    # data built in Python, a _replace variant among it, is checked once, when it is built
     h7 = make_h7_demo()
     assert validate_manifold(h7).ok and validate_manifold(h7, strict=True).ok
-    bad = cp4._replace(pairing=(1, 0))
-    report = validate_manifold(bad)
+    assert passes == ["cp4", "h7-demo"]
+    with pytest.raises(ManifoldShapeError) as info:
+        cp4._replace(pairing=(1, 0))
     assert passes == ["cp4", "h7-demo", "cp4"]
-    assert [(r.name, r.passed) for r in report.results] == [("shape", False)]
-    assert report.law("shape").witness == "pairing vector has 2 entries, H^8 has 1 generators"
+    assert info.value.section == ("pairing",)
+    assert str(info.value) == "pairing vector has 2 entries, H^8 has 1 generators"
 
 
 def test_overlong_integer_is_an_error_on_its_line():
