@@ -59,7 +59,7 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
     __slots__ = ()
 
     def __new__(cls, rows: int, cols: int, entries: Iterable[int]):
-        entries = tuple(map(index, entries))
+        rows, cols, entries = index(rows), index(cols), tuple(map(index, entries))
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         if len(entries) != rows * cols:

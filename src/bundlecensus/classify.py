@@ -17,6 +17,10 @@ so evaluating it earlier would raise spurious errors.  A rank-3 tuple
 The number of isomorphism classes sharing a realizable tuple is carried
 by quotient groups computed from the manifold data: ``compute_B`` for
 rank 4, ``compute_B x compute_T`` for rank 3.
+
+Condition (1) and ``compute_B`` apply rho2, Sq^2 and beta to coordinate
+tuples through one evaluator, ``CompiledManifold.apply``, which reduces and
+raises as ``apply_op`` does; neither builds a class to reach a matrix.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import NamedTuple
 
 from .abelian import FGAbelianGroup, GroupElement, IntMatrix, subgroup_quotient
 from .charclass import CONDITION_COLUMNS, MONOMIALS, pair_monomials, symbol_products
-from .cohomology import ChernTuple, CohomologyClass, Coords, ManifoldData, _operation_matrix, cup
+from .cohomology import ChernTuple, CohomologyClass, Coords, ManifoldData, cup
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -90,24 +94,16 @@ class Verdict(NamedTuple):
         )
 
 
-def _mod2_image(data: ManifoldData, op: str, degree: int, rows, x: Coords) -> Coords:
-    """``apply_op`` of a compiled matrix on coordinates; without one,
-    ``_operation_matrix`` raises the ``MissingOperationError`` of ``apply_op``."""
-    if rows is None:
-        _operation_matrix(data, op, degree)
-    return tuple([sum(map(mul, row, x)) % 2 for row in rows])
-
-
 def condition1_lhs(data: ManifoldData, u2: Coords) -> Coords:
     """Sq^2 rho2(u2), the left-hand side of condition (1)."""
     m = data.compiled
-    return _mod2_image(data, "sq2", 4, m.sq2_4, _mod2_image(data, "rho2", 4, m.rho2_4, u2))
+    return m.apply("sq2", 4, m.apply("rho2", 4, u2))
 
 
 def condition1_rhs(data: ManifoldData, u1u2: Coords, u3: Coords) -> Coords:
     """rho2(u3 + u1*u2), the right-hand side of condition (1)."""
     m = data.compiled
-    return _mod2_image(data, "rho2", 6, m.rho2_6, m.reduce(6, tuple(map(add, u3, u1u2))))
+    return m.apply("rho2", 6, m.reduce(6, tuple(map(add, u3, u1u2))))
 
 
 def integral_rhs3(rhs3_times4: int, name: str) -> int:
@@ -191,17 +187,13 @@ def compute_B(data: ManifoldData) -> FGAbelianGroup:
     Sq^2 rho2 applied to the integral generators of H^3.  Always a finite
     group in which every element has order dividing 2.
     """
-    h6 = data.group(6)
-
-    def image(op: str, degree: int, x: list[int]):
-        """``apply_op`` on coordinates: mod 2 after rho2 and Sq^2, reduced in H^6 after beta."""
-        y = _operation_matrix(data, op, degree).apply(x)
-        return GroupElement(h6.reduce(y)) if op == "beta" else [v % 2 for v in y]
-
-    numerator = [image("beta", 5, e) for e in IntMatrix.identity(data.m2dim(5)).to_rows()]
+    m = data.compiled
+    numerator = [GroupElement(m.apply("beta", 5, e)) for e in IntMatrix.identity(data.m2dim(5)).to_rows()]
     h3_units = IntMatrix.identity(data.ngens(3)).to_rows()
-    denominator = [image("beta", 5, image("sq2", 3, image("rho2", 3, e))) for e in h3_units]
-    return subgroup_quotient(h6, numerator, denominator)
+    denominator = [
+        GroupElement(m.apply("beta", 5, m.apply("sq2", 3, m.apply("rho2", 3, e)))) for e in h3_units
+    ]
+    return subgroup_quotient(data.group(6), numerator, denominator)
 
 
 def compute_T(

@@ -65,7 +65,7 @@ class CohomologyClass(namedtuple("CohomologyClass", "degree ring coords")):
     __slots__ = ()
 
     def __new__(cls, degree: int, ring: Ring, coords: Iterable[int]):
-        self = tuple.__new__(cls, (degree, ring, tuple(map(index, coords))))
+        self = tuple.__new__(cls, (index(degree), ring, tuple(map(index, coords))))
         self.__post_init__()
         return self
 
@@ -104,6 +104,7 @@ class GradedGroupMod2(namedtuple("GradedGroupMod2", "dims names")):
     __slots__ = ()
 
     def __new__(cls, dims: tuple[int, ...], names: tuple[tuple[str, ...], ...]):
+        dims = tuple(map(index, dims))
         if len(dims) != TOP_DEGREE + 1 or len(names) != TOP_DEGREE + 1:
             raise ValueError("need dimensions and basis names for degrees 0..8")
         for n, (d, nm) in enumerate(zip(dims, names)):
@@ -292,14 +293,6 @@ def _available_matrix(data: ManifoldData, op: str, degree: int) -> IntMatrix | N
     return M
 
 
-def _operation_matrix(data: ManifoldData, op: str, degree: int) -> IntMatrix:
-    """``_available_matrix``, raising where it gives None."""
-    M = _available_matrix(data, op, degree)
-    if M is None:
-        raise MissingOperationError(f"missing {op} matrix at degree {degree}")
-    return M
-
-
 def apply_op(data: ManifoldData, op: str, x: CohomologyClass) -> CohomologyClass:
     """Apply rho2, beta or sq2 to a class of the matching coefficient ring."""
     if op not in _OP_SPECS:
@@ -310,9 +303,10 @@ def apply_op(data: ManifoldData, op: str, x: CohomologyClass) -> CohomologyClass
     tgt_degree = x.degree + shift
     if tgt_degree > TOP_DEGREE:
         raise ValueError(f"{op} applied in degree {x.degree} lands beyond degree 8")
-    M = _operation_matrix(data, op, x.degree)
-    image = M.apply(list(x.coords))
-    return data.make_class(tgt_degree, tgt_ring, image)
+    M = _available_matrix(data, op, x.degree)
+    if M is None:
+        raise MissingOperationError(f"missing {op} matrix at degree {x.degree}")
+    return data.make_class(tgt_degree, tgt_ring, M.apply(list(x.coords)))
 
 
 def cup(data: ManifoldData, x: CohomologyClass, y: CohomologyClass) -> CohomologyClass:
@@ -380,19 +374,17 @@ class CompiledManifold(NamedTuple):
     ``factors[n]`` are the invariant factors of H^n.  ``cups[a, b]`` is the
     integral product H^a x H^b -> H^(a+b) for even a, b >= 2, transposed
     when only the (b, a) table is given, empty when a side is trivial and
-    None when the table is missing.  ``rho2_4``, ``sq2_4`` and ``rho2_6``
-    are the rows of the operation matrices of condition (1), None when a
-    matrix is missing (``apply_op`` then raises for it).
-    Every result is reduced where ``cup`` reduces it, so the two agree
-    bit for bit.
+    None when the table is missing.  ``ops[op][n]`` are the rows of the
+    matrix of rho2, beta or Sq^2 at each degree n whose target degree is
+    at most 8: empty or zero rows when a side is trivial, None when the
+    matrix is missing.  Every result is reduced where ``cup`` and
+    ``apply_op`` reduce it, so they agree bit for bit.
     """
 
     name: str
     factors: tuple[tuple[int, ...], ...]
     cups: dict[tuple[int, int], SparseTable | None]
-    rho2_4: Rows | None
-    sq2_4: Rows | None
-    rho2_6: Rows | None
+    ops: dict[str, tuple[Rows | None, ...]]
     pairing: Coords
     p1: Coords
     c: Coords
@@ -422,6 +414,17 @@ class CompiledManifold(NamedTuple):
                 for k, c in terms:
                     acc[k] += coeff * c
         return self.reduce(a + b, acc)
+
+    def apply(self, op: str, degree: int, x: Coords) -> Coords:
+        """``apply_op`` of op at degree on coordinates: reduced mod 2 after
+        rho2 and Sq^2, in H^(degree+1) after beta; raising its
+        ``MissingOperationError`` where the matrix is missing."""
+        rows = self.ops[op][degree]
+        if rows is None:
+            raise MissingOperationError(f"missing {op} matrix at degree {degree}")
+        if op == "beta":
+            return self.reduce(degree + 1, [sum(map(mul, row, x)) for row in rows])
+        return tuple([sum(map(mul, row, x)) % 2 for row in rows])
 
     def pair(self, x: Coords) -> int:
         """``pair_top`` of a degree-8 coordinate tuple."""
@@ -460,9 +463,10 @@ def _compile(data: ManifoldData) -> CompiledManifold:
             for b in (2, 4, 6)
             if a + b <= TOP_DEGREE
         },
-        rho2_4=rows("rho2", 4),
-        sq2_4=rows("sq2", 4),
-        rho2_6=rows("rho2", 6),
+        ops={
+            op: tuple(rows(op, n) for n in range(TOP_DEGREE + 1 - shift))
+            for op, (_, _, shift) in _OP_SPECS.items()
+        },
         pairing=data.pairing,
         p1=data.p1.coords,
         c=data.spinc_class.coords,

@@ -1,3 +1,4 @@
+import itertools
 import pickle
 import random
 
@@ -331,3 +332,43 @@ def test_compiled_data_pickles(name):
     copy = pickle.loads(pickle.dumps(data))
     assert copy == data and copy.compiled == compiled
     assert data._replace().compiled is not compiled
+
+
+SOURCE_RING = {"rho2": "Z", "beta": "Z2", "sq2": "Z2"}
+
+
+def _outcome(evaluate):
+    """The coordinates evaluate() gives, or the (type, message) it raises."""
+    try:
+        result = evaluate()
+    except MissingOperationError as exc:
+        return type(exc), str(exc)
+    return getattr(result, "coords", result)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ("h7-demo",))
+def test_compiled_apply_matches_apply_op(name):
+    # every op at every degree whose target is at most 8, on unit vectors and
+    # seeded vectors up to 10^40; then with each supplied matrix dropped.  The
+    # compiled side gets the vector as drawn, apply_op its reduced class: valid
+    # data (rho2_times2, beta_torsion) makes the reduction immaterial
+    data = make_h7_demo() if name == "h7-demo" else builtin(name)
+    rng = random.Random(17)
+    applied = raised = 0
+    for op, by_degree in data.compiled.ops.items():
+        for degree in range(len(by_degree)):
+            n = data.dim(degree, SOURCE_RING[op])
+            vectors = [[int(i == j) for j in range(n)] for i in range(n)]
+            vectors += [[rng.randint(-10**40, 10**40) for _ in range(n)] for _ in range(4)]
+            dropped = data._replace(**{op: {k: M for k, M in getattr(data, op).items() if k != degree}})
+            for case, v in itertools.product((data, dropped), vectors):
+                x = case.make_class(degree, SOURCE_RING[op], v)
+                generic = _outcome(lambda: apply_op(case, op, x))
+                assert _outcome(lambda: case.compiled.apply(op, degree, v)) == generic, (op, degree)
+                if generic[:1] == (MissingOperationError,):
+                    assert generic[1] == f"missing {op} matrix at degree {degree}"
+                    raised += 1
+                else:
+                    applied += 1
+    assert applied > 0 and raised > 0
+    assert {op: len(by_degree) for op, by_degree in data.compiled.ops.items()} == {"rho2": 9, "beta": 8, "sq2": 7}

@@ -235,6 +235,12 @@ def test_coercing_records_store_int_tuples():
     assert GroupElement([True]).coords == (1,)
     assert FGAbelianGroup([True + True, 0]).invariant_factors == (2, 0)
     assert z(2, 1)._replace(coords=[True]).coords == (1,)
+    sizes = (
+        IntMatrix(True, True, (3,))[:2]
+        + GradedGroupMod2((True,) + (False,) * 8, (("1",),) + ((),) * 8).dims
+        + z(True + True, 1)[:1]
+    )
+    assert sizes == (1, 1, 1) + (0,) * 8 + (2,) and {type(n) for n in sizes} == {int}
 
 
 @pytest.mark.parametrize("value", [4.5, Fraction(9, 2), "4", 4.0], ids=repr)
@@ -254,6 +260,27 @@ def test_non_integral_coordinates_raise(value):
     ):
         with pytest.raises(TypeError):
             make()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: IntMatrix(1.0, 1, (1,)),
+        lambda: IntMatrix(1, 1.0, (1,)),
+        lambda: IntMatrix(1, 1, (1,))._replace(rows=1.0),
+        lambda: GradedGroupMod2((1.0,) + (0,) * 8, (("1",),) + ((),) * 8),
+        lambda: point_mod2()._replace(dims=(1,) + (0.0,) * 8),
+        lambda: CohomologyClass(2.0, "Z", (1,)),
+        lambda: z(2, 1)._replace(degree="2"),
+    ],
+    ids=["IntMatrix-rows", "IntMatrix-cols", "IntMatrix-replace", "GradedGroupMod2-dims",
+         "GradedGroupMod2-replace", "CohomologyClass-degree", "CohomologyClass-replace"],
+)
+def test_non_integral_sizes_raise(make):
+    # refused when built: a size or degree of 1.0 used to be stored as given,
+    # and the data holding it failed later inside validate_manifold or check_rank4
+    with pytest.raises(TypeError):
+        make()
 
 
 def test_no_dataclass_in_the_package():
