@@ -4,13 +4,16 @@ A ``ManifoldData`` bundles the integral and mod-2 cohomology groups in
 degrees 0..8, cup product structure constants, the operations rho2
 (mod-2 reduction), beta (Bockstein) and Sq^2, the first Pontryagin class,
 a spin^c characteristic class, and the evaluation against the fundamental
-class.  The constructor rejects data whose sections do not fit its groups
-(``shape_problems``), so no query meets a misshapen matrix, table or
-class.  ``validate_manifold`` checks the algebraic laws this data must
-satisfy; everything else trusts validated data.
+class.  Who checks what: the parser (``manifold_io``) checks a file's
+tokens, declared sizes and duplicate sections, and gives line numbers.
+The ``ManifoldData`` constructor rejects data whose sections do not fit
+its groups (``shape_problems``), so no query meets a misshapen matrix,
+table or class.  ``validate_manifold`` checks the algebraic laws this
+data must satisfy; everything else trusts validated data.
 
 Classes are stored with coordinates reduced modulo the invariant factor
-of each generator, so equality of classes is a plain tuple comparison.
+of each generator, or mod 2, so equality of classes is a plain tuple
+comparison: the ``ManifoldData`` constructor reduces the classes it holds.
 
 Every record of the package is a tuple: a ``NamedTuple``, or a
 ``namedtuple`` subclass whose ``__new__`` checks or fills in its fields and
@@ -161,7 +164,8 @@ class ManifoldData(
     means this information was not supplied.
 
     Construction, and so ``_replace``, ``_make`` and unpickling, raises
-    ``ManifoldShapeError`` for the first problem ``shape_problems`` finds.
+    ``ManifoldShapeError`` for the first problem ``shape_problems`` finds,
+    then reduces ``p1``, ``spinc_class``, ``w2`` and ``odd_generators``.
     Read-only: assigning or deleting any attribute raises ``AttributeError``.
     There are no ``__slots__``, so the cached properties live in the
     instance dict, and a ``_replace``d instance computes them afresh.
@@ -171,13 +175,20 @@ class ManifoldData(
         cls, name, integral, mod2, cup_z, rho2, beta, sq2, pairing, p1, spinc_class,
         w2=None, odd_generators=None, cup_m2=None,
     ):
-        self = tuple.__new__(cls, (
-            name, integral, mod2, cup_z, rho2, beta, sq2, tuple(map(index, pairing)), p1, spinc_class,
-            w2, odd_generators, {} if cup_m2 is None else cup_m2,
-        ))
+        fields = (name, integral, mod2, cup_z, rho2, beta, sq2, tuple(map(index, pairing)))
+        cup_m2 = {} if cup_m2 is None else cup_m2
+        self = tuple.__new__(cls, (*fields, p1, spinc_class, w2, odd_generators, cup_m2))
         for section, message in shape_problems(self):
             raise ManifoldShapeError(section, message)
-        return self
+
+        def reduce(x: CohomologyClass) -> CohomologyClass:
+            return self.make_class(x.degree, x.ring, x.coords)
+
+        return tuple.__new__(cls, (
+            *fields, reduce(p1), reduce(spinc_class), None if w2 is None else reduce(w2),
+            None if odd_generators is None else tuple(tuple(map(reduce, q)) for q in odd_generators),
+            cup_m2,
+        ))
 
     _make = classmethod(lambda cls, fields: cls(*fields))
 
@@ -283,13 +294,18 @@ def _op_shape(data: ManifoldData, op: str, degree: int) -> tuple[int, int]:
     return tgt, data.dim(degree, src_ring)
 
 
+def _zero_shape(data: ManifoldData, op: str, degree: int) -> tuple[int, int] | None:
+    """The shape of op's matrix at degree when a side is trivial, else None:
+    if not supplied, the matrix is zero in the first case, missing in the second."""
+    shape = _op_shape(data, op, degree)
+    return shape if 0 in shape else None
+
+
 def _available_matrix(data: ManifoldData, op: str, degree: int) -> IntMatrix | None:
-    """The matrix of an operation, a canonical zero matrix when either side
-    is trivial, or None when it was not supplied."""
+    """The matrix of an operation as supplied, else zero of ``_zero_shape``, else None."""
     M = getattr(data, op).get(degree)
-    if M is None:
-        shape = _op_shape(data, op, degree)
-        return IntMatrix.zeros(*shape) if 0 in shape else None
+    if M is None and (shape := _zero_shape(data, op, degree)):
+        return IntMatrix.zeros(*shape)
     return M
 
 
@@ -451,8 +467,11 @@ def _compile(data: ManifoldData) -> CompiledManifold:
     """The compiled form of the data; ``data.compiled`` caches it."""
 
     def rows(op: str, degree: int) -> Rows | None:
-        M = _available_matrix(data, op, degree)
-        return None if M is None else tuple(M.row(i) for i in range(M.rows))
+        M = getattr(data, op).get(degree)
+        if M is not None:
+            return tuple(M.row(i) for i in range(M.rows))
+        shape = _zero_shape(data, op, degree)
+        return None if shape is None else ((0,) * shape[1],) * shape[0]
 
     return CompiledManifold(
         name=data.name,

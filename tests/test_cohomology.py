@@ -9,6 +9,7 @@ from bundlecensus.abelian import IntMatrix
 from bundlecensus.cohomology import (
     CohomologyClass,
     GradedGroupZ,
+    ManifoldData,
     ManifoldShapeError,
     MissingOperationError,
     apply_op,
@@ -18,7 +19,12 @@ from bundlecensus.cohomology import (
     validate_manifold,
 )
 from bundlecensus.fixtures import BUILTIN_NAMES, builtin
-from bundlecensus.manifold_io import ManifoldParseError, parse_manifold, serialize_manifold
+from bundlecensus.manifold_io import (
+    ManifoldParseError,
+    parse_manifold,
+    parse_manifold_text,
+    serialize_manifold,
+)
 
 from conftest import graded_pair, make_h7_demo, misshape, unchecked
 
@@ -298,6 +304,53 @@ def test_classes_stored_reduced(torsion_demo):
     assert torsion_demo.zclass(6, (7,)) == torsion_demo.zclass(6, (1,))
     assert torsion_demo.zclass(6, (-4,)).is_zero
     assert torsion_demo.m2class(5, (3,)) == torsion_demo.m2class(5, (1,))
+
+
+@pytest.mark.parametrize("w2", [(3,), (-1,)])
+def test_manifold_data_stores_w2_reduced(cp4, w2):
+    data = cp4._replace(w2=CohomologyClass(2, "Z2", w2))
+    assert data.w2 == cp4.w2 == CohomologyClass(2, "Z2", (1,))
+    assert validate_manifold(data, strict=True).ok
+    assert parse_manifold_text(serialize_manifold(data)) == data == cp4
+
+
+def test_manifold_data_stores_integral_classes_reduced():
+    # H^2 = Z/4 + Z, H^4 = Z/6, H^5 = Z/2 + Z: every coordinate on a Z/d
+    # generator is stored in range(d), a free one as given
+    integral, mod2 = graded_pair(
+        {0: ((0,), ("1",)), 2: ((4, 0), ("a", "t")), 4: ((6,), ("b",)), 5: ((2, 0), ("e", "f")),
+         8: ((0,), ("v",))},
+        {2: ("x",)},
+    )
+    data = ManifoldData(
+        name="unreduced",
+        integral=integral,
+        mod2=mod2,
+        cup_z={},
+        rho2={},
+        beta={},
+        sq2={},
+        pairing=(1,),
+        p1=CohomologyClass(4, "Z", (-1,)),
+        spinc_class=CohomologyClass(2, "Z", (9, -7)),
+        odd_generators=(
+            (
+                CohomologyClass(1, "Z", ()),
+                CohomologyClass(3, "Z", ()),
+                CohomologyClass(5, "Z", (5, -3)),
+                CohomologyClass(7, "Z", ()),
+            ),
+        ),
+    )
+    assert data.p1.coords == (5,)
+    assert data.spinc_class.coords == (1, -7)
+    assert data.odd_generators[0][2].coords == (1, -3)
+    assert data == data._replace() == parse_manifold_text(serialize_manifold(data))
+    # unchecked still builds the tuple as given, without the constructor
+    raw = unchecked(data, p1=CohomologyClass(4, "Z", (-1,)), w2=CohomologyClass(2, "Z2", (3,)))
+    assert raw.p1.coords == (-1,) and raw.w2.coords == (3,)
+    fixed = raw._replace()
+    assert (fixed.p1.coords, fixed.w2.coords) == ((5,), (1,))
 
 
 def test_chern_tuple_degree_checks(cp4):

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from itertools import product
 from pathlib import Path
@@ -214,6 +215,23 @@ def test_parse_manifold_validates_by_default(tmp_path, cp4):
     assert data.spinc_class.coords == (4,)
 
 
+@pytest.mark.parametrize("name", ["cp4#x", "my cp4", "", "cp4\n", "a\u2028b"])
+def test_serializer_rejects_a_manifold_name_that_is_no_token(cp4, name):
+    # "cp4#x" would parse back as cp4, "my cp4" not at all
+    with pytest.raises(ValueError, match=f"^name: {re.escape(repr(name))} is not a name"):
+        serialize_manifold(cp4._replace(name=name))
+
+
+@pytest.mark.parametrize("bad", ["x y", "", "t#2", "\tt"])
+@pytest.mark.parametrize("ring", ["integral", "mod2"])
+def test_serializer_rejects_a_generator_name_that_is_no_token(cp4, ring, bad):
+    graded = getattr(cp4, ring)
+    names = list(graded.names)
+    names[2] = (bad,)
+    with pytest.raises(ValueError, match=f"^{ring}.names\\[2\\]: {re.escape(repr(bad))} is not a name"):
+        serialize_manifold(cp4._replace(**{ring: graded._replace(names=tuple(names))}))
+
+
 def test_serializer_is_stable(cp4):
     text = serialize_manifold(cp4)
     assert serialize_manifold(parse_manifold_text(text)) == text
@@ -379,6 +397,24 @@ def test_seeded_mutations_fail_on_a_line_or_round_trip():
         accepted += 1
         assert parse_manifold_text(serialize_manifold(data)) == data, text
     assert 50 < accepted < 950  # the edits neither all fail nor all pass
+
+
+def test_seeded_mutation_errors_point_at_a_read_line():
+    # an error's line is one the parser read: never blank, never a comment
+    rng = random.Random(2020)
+    bases = [(SHIPPED / f"{name}.manifold").read_text() for name in BUILTIN_NAMES]
+    located = 0
+    for _ in range(1000):
+        text = mutate(rng.choice(bases), rng)
+        try:
+            parse_manifold_text(text)
+        except ManifoldParseError as exc:
+            if exc.line is None:
+                continue
+            located += 1
+            assert 1 <= exc.line <= len(text.splitlines()), text
+            assert text.splitlines()[exc.line - 1].split("#", 1)[0].strip(), (exc, text)
+    assert located > 500
 
 
 def test_shape_problems_are_the_parser_errors():
