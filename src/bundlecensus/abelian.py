@@ -504,10 +504,15 @@ def subgroup_quotient(
 
 def rank_mod2(A: IntMatrix) -> int:
     """Rank of ``A`` viewed over Z/2."""
+    return rank_mod2_rows(map(A.row, range(A.rows)))
+
+
+def rank_mod2_rows(rows: Iterable[Sequence[int]]) -> int:
+    """Rank over Z/2 of the matrix with these rows."""
     masks = []
-    for i in range(A.rows):
+    for row in rows:
         mask = 0
-        for j, v in enumerate(A.row(i)):
+        for j, v in enumerate(row):
             if v % 2:
                 mask |= 1 << j
         if mask:

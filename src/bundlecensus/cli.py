@@ -20,7 +20,6 @@ import re
 import sys
 from pathlib import Path
 
-from .abelian import ContainmentError
 from .census import enumerate_cp4
 from .charclass import rr_value
 from .classify import (
@@ -311,15 +310,7 @@ def main(argv: list[str] | None = None) -> int:
     except InternalInconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    except (
-        ManifoldParseError,
-        ManifoldValidationError,
-        MissingOperationError,
-        ContainmentError,
-        OddGeneratorsMissing,
-        OSError,
-        ValueError,
-    ) as exc:
+    except (MissingOperationError, OddGeneratorsMissing, OSError, ValueError) as exc:
         if isinstance(exc, ManifoldValidationError):
             print(exc.report, file=sys.stderr)
         print(f"error: {exc}", file=sys.stderr)

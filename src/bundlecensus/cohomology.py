@@ -9,7 +9,8 @@ tokens, declared sizes and duplicate sections, and gives line numbers.
 The ``ManifoldData`` constructor rejects data whose sections do not fit
 its groups (``shape_problems``), so no query meets a misshapen matrix,
 table or class.  ``validate_manifold`` checks the algebraic laws this
-data must satisfy; everything else trusts validated data.
+data must satisfy, on the compiled form that every query reads too, so a
+validated manifold is compiled once; everything else trusts validated data.
 
 Classes are stored with coordinates reduced modulo the invariant factor
 of each generator, or mod 2, so equality of classes is a plain tuple
@@ -30,7 +31,7 @@ from functools import cached_property
 from operator import index, mul
 from typing import Iterable, Iterator, Literal, NamedTuple
 
-from .abelian import FGAbelianGroup, IntMatrix, rank_mod2
+from .abelian import FGAbelianGroup, IntMatrix, rank_mod2_rows
 
 TOP_DEGREE = 8
 DEGREES = range(TOP_DEGREE + 1)
@@ -257,7 +258,7 @@ class ManifoldData(
 
     @cached_property
     def compiled(self) -> "CompiledManifold":
-        """The integer form of this data, built on first use and kept.
+        """The integer form of this data, built on first use (validating is one) and kept.
 
         ``_replace`` makes a new instance and so a new compilation; the
         dicts of an instance must not be mutated in place once it has been
@@ -301,14 +302,6 @@ def _zero_shape(data: ManifoldData, op: str, degree: int) -> tuple[int, int] | N
     return shape if 0 in shape else None
 
 
-def _available_matrix(data: ManifoldData, op: str, degree: int) -> IntMatrix | None:
-    """The matrix of an operation as supplied, else zero of ``_zero_shape``, else None."""
-    M = getattr(data, op).get(degree)
-    if M is None and (shape := _zero_shape(data, op, degree)):
-        return IntMatrix.zeros(*shape)
-    return M
-
-
 def apply_op(data: ManifoldData, op: str, x: CohomologyClass) -> CohomologyClass:
     """Apply rho2, beta or sq2 to a class of the matching coefficient ring."""
     if op not in _OP_SPECS:
@@ -319,7 +312,9 @@ def apply_op(data: ManifoldData, op: str, x: CohomologyClass) -> CohomologyClass
     tgt_degree = x.degree + shift
     if tgt_degree > TOP_DEGREE:
         raise ValueError(f"{op} applied in degree {x.degree} lands beyond degree 8")
-    M = _available_matrix(data, op, x.degree)
+    M = getattr(data, op).get(x.degree)
+    if M is None and (shape := _zero_shape(data, op, x.degree)):
+        M = IntMatrix.zeros(*shape)
     if M is None:
         raise MissingOperationError(f"missing {op} matrix at degree {x.degree}")
     return data.make_class(tgt_degree, tgt_ring, M.apply(list(x.coords)))
@@ -383,9 +378,9 @@ Rows = tuple[Coords, ...]
 
 
 class CompiledManifold(NamedTuple):
-    """What conditions (1)-(3) and the Riemann-Roch closed form read of a
-    manifold, as plain int tuples, so that they run on coordinate tuples
-    without building classes.  Immutable; a NamedTuple, like every record.
+    """What the validation laws, conditions (1)-(3), B and the Riemann-Roch
+    closed form read of a manifold, as plain int tuples, so that they run on
+    coordinate tuples without building classes.  Immutable; a NamedTuple.
 
     ``factors[n]`` are the invariant factors of H^n.  ``cups[a, b]`` is the
     integral product H^a x H^b -> H^(a+b) for even a, b >= 2, transposed
@@ -525,40 +520,10 @@ class ValidationReport(NamedTuple):
         return "\n".join(lines)
 
 
-def _beta_bit_matrix(data: ManifoldData, degree: int, M: IntMatrix) -> IntMatrix | None:
-    """Rewrite a Bockstein matrix over the 2-torsion basis of the target.
-
-    Returns None when some column is not 2-torsion (the torsion law
-    reports that separately)."""
-    if degree >= TOP_DEGREE:
-        return IntMatrix.zeros(0, M.cols)
-    group = data.group(degree + 1)
-    # the element of order 2 of Z/d for even d; Z and Z/odd have none
-    halves = [d // 2 if d % 2 == 0 else 0 for d in group.invariant_factors]
-    rows = [j for j, h in enumerate(halves) if h]
-    bits = []
-    for i in range(M.cols):
-        col = group.reduce(M.column(i))
-        if any(c and c != h for c, h in zip(col, halves)):
-            return None
-        bits.append([1 if col[j] else 0 for j in rows])
-    return IntMatrix.from_columns(bits, len(rows))
-
-
 def _counterexample(name: str, witnesses: Iterable[str]) -> LawResult:
     """The result of a law that holds unless it has a witness: the first one."""
     witness = next(iter(witnesses), None)
     return LawResult(name, witness is None, witness)
-
-
-def _matrices(data: ManifoldData, *ops: str, below: int = TOP_DEGREE + 1):
-    """(degree, one matrix per op) at each degree below ``below`` where the
-    first op's matrix is supplied and all are available: the canonical zero
-    matrix of an unsupplied one has no counterexample to give."""
-    for degree in sorted(getattr(data, ops[0]).keys() & range(below)):
-        matrices = [_available_matrix(data, op, degree) for op in ops]
-        if None not in matrices:
-            yield degree, *matrices
 
 
 def _class_problem(
@@ -630,66 +595,85 @@ def shape_problems(data: ManifoldData) -> Iterator[tuple[tuple, str]]:
 
 
 def _h0_is_Z(data: ManifoldData) -> Iterator[LawResult]:
-    yield LawResult("h0_is_Z", data.group(0).invariant_factors == (0,), f"H^0 = {data.group(0)}")
+    yield LawResult("h0_is_Z", data.compiled.factors[0] == (0,), f"H^0 = {data.group(0)}")
 
 
 def _h8_is_Z(data: ManifoldData) -> Iterator[LawResult]:
-    top = data.group(TOP_DEGREE)
-    yield LawResult("h8_is_Z", top.invariant_factors == (0,), f"H^8 = {top}")
+    top = data.compiled.factors[TOP_DEGREE]
+    yield LawResult("h8_is_Z", top == (0,), f"H^8 = {data.group(TOP_DEGREE)}")
 
+
+def _mod2_dims(data: ManifoldData) -> Iterator[LawResult]:
+    # Universal coefficients: H^n(Z/2) = H^n (x) Z/2 + Tor(H^(n+1), Z/2), one
+    # dimension per free or even factor of H^n and per even finite factor of
+    # H^(n+1); H^9 = 0.
+    factors = data.compiled.factors
+    tensor = [sum(d % 2 == 0 for d in f) for f in factors]
+    tor = [sum(d % 2 == 0 for d in f if d) for f in factors[1:]] + [0]
+    yield _counterexample("mod2_dims", (
+        f"degree {n}: dim H^{n}(Z/2) = {dim}, expected {t + r}"
+        for n, (dim, t, r) in enumerate(zip(data.mod2.dims, tensor, tor))
+        if dim != t + r
+    ))
+
+
+# The laws below read a matrix's columns off its compiled rows as zip(*rows);
+# zero rows, where a side is trivial, give no counterexample.
 
 def _rho2_times2(data: ManifoldData) -> Iterator[LawResult]:
     # rho2 after multiplication by 2 vanishes: equivalently each generator
     # of odd finite order must have an even rho2 column.
+    m = data.compiled
     yield _counterexample("rho2_times2", (
         f"degree {degree} generator {data.integral.names[degree][j]}"
-        for degree, R in _matrices(data, "rho2")
-        for j, d in enumerate(data.group(degree).invariant_factors)
-        if any((d * v) % 2 for v in R.column(j))
+        for degree, R in enumerate(m.ops["rho2"]) if R
+        for j, (d, column) in enumerate(zip(m.factors[degree], zip(*R)))
+        if any((d * v) % 2 for v in column)
     ))
 
 
 def _beta_torsion(data: ManifoldData) -> Iterator[LawResult]:
     # Bockstein image is 2-torsion.
+    m = data.compiled
     yield _counterexample("beta_torsion", (
         f"degree {degree} basis element {data.mod2.names[degree][i]}"
-        for degree, B in _matrices(data, "beta", below=TOP_DEGREE)
-        for i in range(B.cols)
-        if any(data.group(degree + 1).reduce(2 * v for v in B.column(i)))
+        for degree, B in enumerate(m.ops["beta"]) if B
+        for i, column in enumerate(zip(*B))
+        if any(m.reduce(degree + 1, [2 * v for v in column]))
     ))
 
 
 def _beta_rho2(data: ManifoldData) -> Iterator[LawResult]:
     # beta after rho2 vanishes.
+    m = data.compiled
     yield _counterexample("beta_rho2", (
         f"degree {degree} generator {data.integral.names[degree][j]}"
-        for degree, R, B in _matrices(data, "rho2", "beta", below=TOP_DEGREE)
-        for j in range(R.cols)
-        if any(data.group(degree + 1).reduce(B.apply([x % 2 for x in R.column(j)])))
+        for degree, (R, B) in enumerate(zip(m.ops["rho2"], m.ops["beta"])) if R and B
+        for j, column in enumerate(zip(*R))
+        if any(m.apply("beta", degree, [x % 2 for x in column]))
     ))
 
 
 def _spinc_reduction(data: ManifoldData) -> Iterator[LawResult]:
     if data.w2 is None:
         return
-    R = _available_matrix(data, "rho2", 2)
-    if R is None:
+    m = data.compiled
+    if m.ops["rho2"][2] is None:
         yield LawResult("spinc_reduction", False, "rho2 at degree 2 unavailable")
     else:
-        reduced = data.m2class(2, R.apply(list(data.spinc_class.coords)))
-        witness = f"rho2(c) = {reduced.coords}, w2 = {data.w2.coords}"
-        yield LawResult("spinc_reduction", reduced == data.w2, witness)
+        reduced = m.apply("rho2", 2, m.c)
+        witness = f"rho2(c) = {reduced}, w2 = {data.w2.coords}"
+        yield LawResult("spinc_reduction", reduced == data.w2.coords, witness)
 
 
 def _pairing_surjective(data: ManifoldData) -> Iterator[LawResult]:
-    yield LawResult(
-        "pairing_surjective", any(abs(w) == 1 for w in data.pairing), f"pairing = {data.pairing}"
-    )
+    pairing = data.compiled.pairing
+    yield LawResult("pairing_surjective", any(abs(w) == 1 for w in pairing), f"pairing = {pairing}")
 
 
 def _cup_commutes(data: ManifoldData) -> Iterator[LawResult]:
-    # Tables supplied in both orientations must agree (even degrees only;
-    # odd-degree pairs would differ by the graded sign).
+    # Tables supplied in both orientations (the compiled form keeps one) must
+    # agree; even degrees only, as odd-degree pairs differ by the graded sign.
     yield _counterexample("cup_commutes", (
         f"cup ({a},{b}) entry ({i},{j}) disagrees with cup ({b},{a})"
         for (a, b), table in sorted(data.cup_z.items())
@@ -700,37 +684,39 @@ def _cup_commutes(data: ManifoldData) -> Iterator[LawResult]:
 
 
 def _sq2_squares_deg2(data: ManifoldData) -> Iterator[LawResult]:
+    # Sq^2 of basis element i, column i of the matrix, is its square, the
+    # (i, i) entry of the cup2 table.
     if (2, 2) not in data.cup_m2:
         return
-    S = _available_matrix(data, "sq2", 2)
+    S = data.compiled.ops["sq2"][2]
     if S is None:
         yield LawResult("sq2_squares_deg2", False, "sq2 at degree 2 unavailable")
         return
-    n = data.m2dim(2)
-    basis = (data.m2class(2, [int(k == i) for k in range(n)]) for i in range(n))
+    squares = data.cup_m2[2, 2]
     yield _counterexample("sq2_squares_deg2", (
         f"basis element {name}"
-        for name, x in zip(data.mod2.names[2], basis)
-        if data.m2class(4, S.apply(x.coords)) != cup(data, x, x)
+        for i, (name, column) in enumerate(zip(data.mod2.names[2], zip(*S)))
+        if [v % 2 for v in column] != [v % 2 for v in squares[i, i]]
     ))
 
 
 def _bockstein_exact(data: ManifoldData) -> Iterator[LawResult]:
-    # im rho2 = ker beta, degree by degree, by mod-2 rank counting.
-    for degree in DEGREES:
-        R, B = _available_matrix(data, "rho2", degree), _available_matrix(data, "beta", degree)
+    # im rho2 = ker beta, degree by degree, by mod-2 rank counting, with
+    # beta's columns read over the elements of order 2 of its target: d/2 in
+    # Z/d for even d; Z and Z/odd have none.  beta at degree 8 lands in H^9 = 0.
+    m = data.compiled
+    for degree, (R, B) in enumerate(zip(m.ops["rho2"], (*m.ops["beta"], ()))):
         if R is None or B is None:
             continue
         name = f"bockstein_exact_deg{degree}"
-        bits = _beta_bit_matrix(data, degree, B)
-        if bits is None:
+        halves = [d // 2 if d % 2 == 0 else 0 for d in m.factors[degree + 1]] if B else ()
+        columns = [m.reduce(degree + 1, column) for column in zip(*B)]
+        if any(c and c != h for column in columns for c, h in zip(column, halves)):
             yield LawResult(name, False, "beta image not 2-torsion")
             continue
-        im_rho2 = rank_mod2(R)
-        ker_beta = data.m2dim(degree) - rank_mod2(bits)
-        yield LawResult(
-            name, im_rho2 == ker_beta, f"dim im rho2 = {im_rho2}, dim ker beta = {ker_beta}"
-        )
+        im_rho2 = rank_mod2_rows(R)
+        ker_beta = data.m2dim(degree) - rank_mod2_rows([[1 if c else 0 for c in column] for column in columns])
+        yield LawResult(name, im_rho2 == ker_beta, f"dim im rho2 = {im_rho2}, dim ker beta = {ker_beta}")
 
 
 # Each law yields its results: none when it does not apply.  Every law reads
@@ -738,6 +724,7 @@ def _bockstein_exact(data: ManifoldData) -> Iterator[LawResult]:
 LAWS = (
     _h0_is_Z,
     _h8_is_Z,
+    _mod2_dims,
     _rho2_times2,
     _beta_torsion,
     _beta_rho2,
@@ -751,14 +738,15 @@ LAWS = (
 def validate_manifold(data: ManifoldData, strict: bool = False) -> ValidationReport:
     """Check the algebraic laws the encoded data must satisfy.
 
-    Always checked: H^0 = Z, H^8 = Z, rho2 composed with doubling
-    vanishes, Bockstein images are 2-torsion, beta after rho2 vanishes,
-    rho2(c) = w2 when w2 is given, the pairing hits +-1, cup tables given
-    in both orientations agree, and (when a mod-2 degree-2 product table
-    exists) Sq^2 squares degree-2 classes.  With ``strict=True`` the
-    exactness of the Bockstein sequence, im rho2 = ker beta, is verified
-    degree by degree by mod-2 rank counting.  The shape is not a law: the
-    constructor of ``ManifoldData`` has checked it.
+    Always checked: H^0 = Z, H^8 = Z, the mod-2 dimensions are those of
+    universal coefficients, rho2 composed with doubling vanishes, Bockstein
+    images are 2-torsion, beta after rho2 vanishes, rho2(c) = w2 when w2 is
+    given, the pairing hits +-1, cup tables given in both orientations
+    agree, and (when a mod-2 degree-2 product table exists) Sq^2 squares
+    degree-2 classes.  With ``strict=True`` the exactness of the Bockstein
+    sequence, im rho2 = ker beta, is verified degree by degree by mod-2
+    rank counting.  The shape is not a law: the constructor of
+    ``ManifoldData`` has checked it.
     """
     laws = LAWS + (_bockstein_exact,) if strict else LAWS
     return ValidationReport(tuple(r for law in laws for r in law(data)))

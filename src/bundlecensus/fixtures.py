@@ -21,7 +21,7 @@ _DATA = Path(__file__).parent / "data"
 def builtin(name: str) -> ManifoldData:
     """A validated built-in ManifoldData by name.
 
-    Parsed and validated once per process, so also compiled at most once:
+    Parsed, validated and so compiled once per process:
     every call returns the same shared instance, which is read-only.
     Derive variants with ``data._replace(...)``; never mutate its dicts."""
     if name not in BUILTIN_NAMES:

@@ -45,7 +45,7 @@ a missing section names its line.  ``ManifoldData`` checks the shape
 (``cohomology.shape_problems``: matrix sizes, complete cup tables, vector
 lengths), which the parser reports on the first line of the section it
 names, and stores the classes reduced.  ``parse_manifold`` also runs
-``validate_manifold``, which checks the laws.
+``validate_manifold``, which checks the laws on the compiled form.
 """
 
 from __future__ import annotations

@@ -5,8 +5,12 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from bundlecensus import census, cohomology
 from bundlecensus.abelian import IntMatrix
+from bundlecensus.charclass import rr_value, zero_tuple
+from bundlecensus.classify import check_rank4, count_classes
 from bundlecensus.cohomology import (
+    DEGREES,
     CohomologyClass,
     GradedGroupZ,
     ManifoldData,
@@ -16,9 +20,11 @@ from bundlecensus.cohomology import (
     cup,
     pair_top,
     shape_problems,
+    _OP_SPECS,
+    _zero_shape,
     validate_manifold,
 )
-from bundlecensus.fixtures import BUILTIN_NAMES, builtin
+from bundlecensus.fixtures import _DATA, BUILTIN_NAMES, builtin
 from bundlecensus.manifold_io import (
     ManifoldParseError,
     parse_manifold,
@@ -425,3 +431,39 @@ def test_compiled_apply_matches_apply_op(name):
                     applied += 1
     assert applied > 0 and raised > 0
     assert {op: len(by_degree) for op, by_degree in data.compiled.ops.items()} == {"rho2": 9, "beta": 8, "sq2": 7}
+
+
+@pytest.mark.parametrize("name", ["cp4", "torsion-demo"])
+def test_validation_compiles_once(name, monkeypatch):
+    # parse_manifold validates, the laws read the compiled form, and every
+    # later question on that instance reads the same compilation
+    compiled = []
+    compile_once = cohomology._compile
+    monkeypatch.setattr(cohomology, "_compile", lambda data: compiled.append(data) or compile_once(data))
+    data = parse_manifold(_DATA / f"{name}.manifold")
+    assert "compiled" in vars(data) and compiled == [data]
+    u = zero_tuple(data)
+    assert check_rank4(data, u).realizable
+    assert count_classes(data, u, 4) is not None and count_classes(data, u, 3) is not None
+    rr_value(data, u, self_check=True)
+    for rank in (4, 3):
+        census.enumerate(data, 1, rank)
+    assert len(compiled) == 1
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ("h7-demo",))
+def test_supplied_zero_matrices_are_omitted_ones(name):
+    # the laws read an omitted matrix with a trivial side as its zero rows,
+    # which must give the same report as that zero matrix supplied
+    data = make_h7_demo() if name == "h7-demo" else builtin(name)
+    supplied = data._replace(**{
+        op: {
+            **{n: IntMatrix.zeros(*shape) for n in DEGREES if (shape := _zero_shape(data, op, n))},
+            **getattr(data, op),
+        }
+        for op in _OP_SPECS
+    })
+    assert any(getattr(supplied, op) != getattr(data, op) for op in _OP_SPECS)
+    for strict in (False, True):
+        assert validate_manifold(supplied, strict) == validate_manifold(data, strict)
+    assert supplied.compiled == data.compiled

@@ -56,3 +56,17 @@ def test_file_format_example_is_a_complete_file():
     assert cup(data, t, t) == data.zclass(4, (1,))
     assert apply_op(data, "rho2", data.spinc_class) == data.w2
     assert data.odd_generators == ()
+
+
+def test_file_format_example_needs_its_mod2_groups():
+    # without the mod-2 groups of degrees 0, 1, 4 and 8 and the beta that
+    # lands in H^2, the example fails the universal-coefficient law alone
+    lines = file_format_example().splitlines()
+    beta = next(k for k, line in enumerate(lines) if line.startswith("map beta 1"))
+    old = [
+        line for k, line in enumerate(lines)
+        if not (beta <= k <= beta + 2 or line[:6] in ("mod2 0", "mod2 1", "mod2 4", "mod2 8"))
+    ]
+    report = validate_manifold(parse_manifold_text("\n".join(old)), strict=True)
+    assert report.failures() == (report.law("mod2_dims"),)
+    assert report.law("mod2_dims").witness == "degree 0: dim H^0(Z/2) = 0, expected 1"

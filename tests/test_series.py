@@ -167,8 +167,9 @@ def test_replace_gets_fresh_todd_rows(cp4):
 
 @pytest.mark.parametrize("name", ["cp4", "torsion-demo"])
 def test_todd_rows_are_lazy_and_independent_of_the_closed_form(name, monkeypatch):
-    data = parse_manifold(_DATA / f"{name}.manifold")
-    assert "todd_rows" not in vars(data)
+    # validating a file compiles it, so the series runs on a fresh instance
+    data = parse_manifold(_DATA / f"{name}.manifold")._replace()
+    assert not vars(data)
     u = data.chern_tuple(*coordinates(data, random.Random(11_0006), 9))
     expected = reference_series(data, u)
     assert "todd_rows" not in vars(data)
