@@ -502,11 +502,6 @@ def subgroup_quotient(
     )
 
 
-def rank_mod2(A: IntMatrix) -> int:
-    """Rank of ``A`` viewed over Z/2."""
-    return rank_mod2_rows(map(A.row, range(A.rows)))
-
-
 def rank_mod2_rows(rows: Iterable[Sequence[int]]) -> int:
     """Rank over Z/2 of the matrix with these rows."""
     masks = []

@@ -1,9 +1,14 @@
 """Exhaustive Chern-tuple census over a coordinate box.
 
-``enumerate`` decides every tuple of a box on any manifold in stages by
-degree: in ``DEGREE8_TABLE`` u4 enters only as <u4>, the left-hand side of
-(2) and (3), and u3 only through rho2(u3 + u1*u2), u1*u3 and c*u3.  Per u4
-it compares <u4> mod 3 and mod 2 only, through a precomputed row of verdicts.
+``enumerate`` pairs each monomial of ``DEGREE8_TABLE`` exactly, once per
+distinct value of the census variables it reads: the ``_STAGES`` reading
+u2 or u3 alone once per value, (u1, u3) once per u1, (u1, u2) once per
+pair; per u4 it selects a precomputed row of verdicts.  Condition (1) is
+Sq^2 rho2(u2), once per u2, against rho2(u3 + u1*u2).  Where rho2 at degree 6
+commutes with reduction (d times the rho2 column of each finite factor d of
+H^6 is even: law ``rho2_times2``), it looks up Sq^2 rho2(u2) + rho2(u1*u2)
+in the u3s indexed by rho2(u3), else compares per u3.  ``rank4_conditions``
+runs once, at the first tuple passing (1): errors are ``check_rank4``'s.
 
 On cp4 every class is an integer multiple of a power of the hyperplane
 class, so a candidate tuple is four integers (a1, a2, a3, a4).  The
@@ -21,18 +26,22 @@ bug in one of the two paths.
 from __future__ import annotations
 
 import builtins
-from itertools import product
-from operator import mul
-from typing import NamedTuple
+from itertools import chain, product
+from operator import mul, xor
+from typing import Callable, NamedTuple
 
 from .charclass import DEGREE8_TABLE, pair_monomials
 from .classify import condition1_lhs, condition1_rhs, integral_rhs3, rank4_conditions
 from .cohomology import CompiledManifold, Coords, ManifoldData
 from .fixtures import builtin
 
-# the u3 monomials' columns of rhs(2) and 4*rhs(3); the test of the table
-# checks that <u4> is the whole left-hand side and absent from the right
-_U3_MONOMIALS, _, _, *_U3_COLUMNS = zip(*(row for row in DEGREE8_TABLE if "u3" in row[0]))
+# the rows of DEGREE8_TABLE but <u4>'s, as columns, grouped by the census
+# variables they read; the census tests check that they add up to the table
+_READS = {mono: tuple(u for u in ("u1", "u2", "u3", "u4") if u in mono) for mono, *_ in DEGREE8_TABLE}
+_STAGES = {
+    reads: tuple(zip(*(row for row in DEGREE8_TABLE if _READS[row[0]] == reads)))
+    for reads in dict.fromkeys(_READS.values()) if "u4" not in reads
+}
 
 
 def cp4_rank4_admissible(a1: int, a2: int, a3: int, a4: int) -> bool:
@@ -64,10 +73,22 @@ class CensusResult(NamedTuple):
         return [r.coefficients for r in self.rows if r.generic != r.closed_form]
 
 
-def _u3_terms(m: CompiledManifold, u1: Coords, u3: Coords) -> list[int]:
-    """The u3 monomials' share of rhs(2) and 4*rhs(3)."""
-    pairings = pair_monomials(m, {("u1",): u1, ("c",): m.c, ("u3",): u3}, _U3_MONOMIALS)
-    return [sum(map(mul, column, pairings)) for column in _U3_COLUMNS]
+def _share(m: CompiledManifold, reads: tuple[str, ...], products: dict, base=(0, 0)) -> list[int]:
+    """``base`` plus the share of rhs(2) and 4*rhs(3) of the monomials reading ``reads``."""
+    monomials, _, _, *columns = _STAGES[reads]
+    pairings = pair_monomials(m, {("p1",): m.p1, ("c",): m.c, **products}, monomials)
+    return [b + sum(map(mul, column, pairings)) for b, column in zip(base, columns)]
+
+
+def _condition1(data: ManifoldData, u3s: list[Coords]) -> Callable[[Coords, Coords], list[int]]:
+    """(Sq^2 rho2(u2), u1*u2) -> indices of the u3s passing (1); a lookup if rho2 commutes with reduction."""
+    m = data.compiled
+    index: dict[Coords, list[int]] = {}
+    for i, u3 in builtins.enumerate(u3s):
+        index.setdefault(m.apply("rho2", 6, u3), []).append(i)
+    if any(d * v % 2 for row in m.ops["rho2"][6] for d, v in zip(m.factors[6], row)):
+        return lambda lhs1, u1u2: [i for i in range(len(u3s)) if condition1_rhs(data, u1u2, u3s[i]) == lhs1]
+    return lambda lhs1, u1u2: index.get(tuple(map(xor, lhs1, m.apply("rho2", 6, u1u2))), [])
 
 
 def enumerate(data: ManifoldData, bound: int, rank: int) -> list[tuple[Coords, bool]]:
@@ -87,25 +108,34 @@ def enumerate(data: ManifoldData, bound: int, rank: int) -> list[tuple[Coords, b
     lhs = [m.pair(u4) for u4 in u4s]
     verdicts = {(a, b): [x % 3 == a and x % 2 == b for x in lhs] for a in range(3) for b in range(2)}
     failed = [False] * len(u4s)
-    flags: list[bool] = []
+    blocks: list[list[bool]] = []
+    lhs1s = by_u2 = None
     for u1 in u1s:
+        u1u2s = [m.cup(2, u1, 4, u2) for u2 in u2s]
+        if lhs1s is None:  # check_rank4's order: u1*u2, then each side of (1)
+            lhs1s = [condition1_lhs(data, u2) for u2 in u2s]
+            passing = _condition1(data, u3s)
         u3_terms = None
-        for u2 in u2s:
-            u1u2 = m.cup(2, u1, 4, u2)
-            lhs1 = condition1_lhs(data, u2)
-            rest = None
-            for i, u3 in builtins.enumerate(u3s):
-                if condition1_rhs(data, u1u2, u3) != lhs1:
-                    flags += failed
-                    continue
-                if rest is None:  # first at a tuple passing (1): errors are its own
-                    _, rhs2, rhs3 = rank4_conditions(data, u1, u2, u3, u4s[0])[2]
-                    u3_terms = u3_terms or [_u3_terms(m, u1, x) for x in u3s]
-                    rest = (rhs2 - u3_terms[i][0], 4 * rhs3 - u3_terms[i][1])
-                t2, t3 = u3_terms[i]
-                rhs3 = integral_rhs3(rest[1] + t3, m.name)
-                flags += verdicts[(rest[0] + t2) % 3, rhs3 % 2]
-    return list(zip(product(*(r for rs in ranges[:rank] for r in rs)), flags))
+        for j, (u2, u1u2) in builtins.enumerate(zip(u2s, u1u2s)):
+            matches = passing(lhs1s[j], u1u2)
+            if not matches:
+                blocks += [failed] * len(u3s)
+                continue
+            if by_u2 is None:  # first tuple passing (1): check_rank4's errors; it reaches every cup table
+                rank4_conditions(data, u1, u2, u3s[matches[0]], u4s[0])
+                by_u2 = [_share(m, ("u2",), {("u2",): x}) for x in u2s]
+                by_u3 = [_share(m, ("u3",), {("u3",): x}) for x in u3s]
+            if u3_terms is None:
+                u1u1 = m.cup(2, u1, 2, u1)
+                u3_terms = [_share(m, ("u1", "u3"), {("u1",): u1, ("u3",): x}, s) for x, s in zip(u3s, by_u3)]
+            products = {("u1",): u1, ("u2",): u2, ("u1", "u1"): u1u1, ("u1", "u2"): u1u2}
+            t2, t3 = _share(m, ("u1", "u2"), products, by_u2[j])
+            rows = [failed] * len(u3s)
+            for i in matches:
+                rhs3 = integral_rhs3(t3 + u3_terms[i][1], m.name)
+                rows[i] = verdicts[(t2 + u3_terms[i][0]) % 3, rhs3 % 2]
+            blocks += rows
+    return list(zip(product(*(r for rs in ranges[:rank] for r in rs)), chain.from_iterable(blocks)))
 
 
 def enumerate_cp4(bound: int, rank: int, data: ManifoldData | None = None) -> CensusResult:

@@ -1,5 +1,7 @@
 import hashlib
 import itertools
+import math
+import operator
 import os
 import random
 import subprocess
@@ -17,7 +19,8 @@ from bundlecensus.census import (
     cp4_rank4_admissible,
     enumerate_cp4,
 )
-from bundlecensus.classify import check_rank4
+from bundlecensus.charclass import CONDITION_COLUMNS, DEGREE8_TABLE, MONOMIALS, pair_monomials, symbol_products
+from bundlecensus.classify import check_rank4, condition1_rhs
 from bundlecensus.fixtures import BUILTIN_NAMES, builtin
 
 
@@ -76,6 +79,56 @@ def test_cp4_census_is_pinned(rank):
     rows = enumerate_cp4(6, rank).rows
     key = repr([(r.coefficients, r.closed_form, r.generic) for r in rows]).encode()
     assert hashlib.sha256(key).hexdigest() == CP4_CENSUS_SHA256[rank]
+
+
+# sha256 of repr(census.enumerate(data, bound, rank)) off cp4, recorded
+# before the census was staged by the variables each monomial reads
+CENSUS_SHA256 = {
+    ("s8", 1, 4): "b14619a2d7bcea1279ec60ded25b5d34d49ff0adcfa7ee0ca4fc191e52cb9f10",
+    ("s8", 1, 3): "2a2691ef67527b5138d7de87d6367878f1893b77d48777d69d0d55d5ffb081d9",
+    ("hp2", 1, 4): "45e6db005440aa08cbf24953659be472dd8978f23d116d2edd72d5998efda771",
+    ("hp2", 1, 3): "6b988323a9e919d0ea95a18cd4878d764cc22cfe29c8dd92f8418be1fa9ce865",
+    ("cp2xcp2", 1, 4): "4030325405be319b38f33d56e2679008a0096ce7054ef53401cbd82609a447e7",
+    ("cp2xcp2", 1, 3): "ec2eb7f29449e7a8ace06d5e171d784d88c58d54e563d895f62497ce3f58fe31",
+    ("cp1xcp3", 1, 4): "cb6d3a922fe346323372cf5c592cc8d93fb045e4f76291332bcf1f26fb1c5c2b",
+    ("cp1xcp3", 1, 3): "007cb069da431782e5d958818d53b82a41032b2f2708a058db4e4e1f070d7ec2",
+    ("h7-demo", 1, 4): "b14619a2d7bcea1279ec60ded25b5d34d49ff0adcfa7ee0ca4fc191e52cb9f10",
+    ("h7-demo", 1, 3): "2a2691ef67527b5138d7de87d6367878f1893b77d48777d69d0d55d5ffb081d9",
+    ("torsion-demo", 3, 4): "ecd4158d6f5c26f5fe789aa4adf3fcb5323a69239594835e42f68b04b307621a",
+    ("torsion-demo", 3, 3): "e6ba8e47d592bf9ebb55e870c222b56c6ddb7d24e9d0375bac4c7f8a9d51d56c",
+}
+
+
+@pytest.mark.parametrize("name, bound, rank", sorted(CENSUS_SHA256))
+def test_census_is_pinned_off_cp4(name, bound, rank):
+    data = make_h7_demo() if name == "h7-demo" else builtin(name)
+    digest = hashlib.sha256(repr(census.enumerate(data, bound, rank)).encode()).hexdigest()
+    assert digest == CENSUS_SHA256[name, bound, rank]
+
+
+def test_stages_split_the_table():
+    # every monomial but <u4> lies in exactly the stage of the variables it reads
+    staged = [row for stage in census._STAGES.values() for row in zip(*stage)]
+    assert sorted(staged) == sorted(row for row in DEGREE8_TABLE if "u4" not in row[0])
+    for reads, (monomials, *_) in census._STAGES.items():
+        assert {tuple(u for u in ("u1", "u2", "u3") if u in mono) for mono in monomials} == {reads}
+    assert sorted(census._STAGES) == [("u1", "u2"), ("u1", "u3"), ("u2",), ("u3",)]
+
+
+@pytest.mark.parametrize("name", ["cp2xcp2", "cp1xcp3", "torsion-demo"])
+def test_stage_shares_sum_to_the_right_hand_sides(name):
+    # the shares, on the coordinates as the census pairs them, add up to
+    # rhs(2) and 4*rhs(3) over the whole table
+    data = builtin(name)
+    m = data.compiled
+    rng = random.Random(5)
+    for _ in range(20):
+        u = [tuple(rng.randrange(d) if d else rng.randint(-3, 3) for d in m.factors[n]) for n in (2, 4, 6, 8)]
+        products = symbol_products(m, *u)
+        pairings = pair_monomials(m, products, MONOMIALS)
+        shares = [census._share(m, reads, dict(products)) for reads in census._STAGES]
+        expected = [sum(map(operator.mul, column, pairings)) for column in CONDITION_COLUMNS[1:]]
+        assert [sum(column) for column in zip(*shares)] == expected
 
 
 def per_tuple_census(data, bound, rank):
@@ -188,6 +241,75 @@ def test_census_matches_per_tuple_evaluation_on_unvalidated_data():
             outcomes[expected[0].__name__ if isinstance(expected, tuple) else "answered"] += 1
     # every kind of outcome is exercised
     assert set(outcomes) == {"answered", "MissingOperationError", "InternalInconsistencyError"}, outcomes
+
+
+def _box_size(data, bound, rank):
+    return math.prod(d or 2 * bound + 1 for n in (2, 4, 6, 8)[:rank] for d in data.compiled.factors[n])
+
+
+def test_census_matches_per_tuple_evaluation_on_unvalidated_data_at_bound_2():
+    for data in mutated_manifolds(120, seed=23):
+        for rank in (4, 3):
+            if _box_size(data, 2, rank) <= 20_000:
+                assert staged_census(data, 2, rank) == per_tuple_census(data, 2, rank), (data.name, rank)
+
+
+@pytest.fixture
+def per_u3_comparisons(monkeypatch):
+    """The calls of condition1_rhs the census makes: none where it looks (1) up."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return condition1_rhs(*args)
+
+    monkeypatch.setattr(census, "condition1_rhs", counted)
+    return calls
+
+
+def _rho2_commutes_with_reduction(data):
+    m = data.compiled
+    return not any(d * v % 2 for row in m.ops["rho2"][6] for d, v in zip(m.factors[6], row))
+
+
+@pytest.mark.parametrize(
+    "name, seed, bound",
+    [("cp4", 0, 2), ("cp4", 1, 2), ("cp1xcp3", 0, 1), ("cp1xcp3", 1, 1)],
+    ids=["cp4-Z5", "cp4-Z3", "cp1xcp3-Z5", "cp1xcp3-Z3"],
+)
+def test_census_compares_per_u3_where_rho2_does_not_commute_with_reduction(
+    name, seed, bound, per_u3_comparisons
+):
+    # an odd finite factor of H^6 with an odd rho2 column: rho2(u3 + u1*u2)
+    # is not rho2(u3) + rho2(u1*u2) once the sum is reduced
+    data = _odd_torsion_in_h6(builtin(name), random.Random(seed))
+    assert data.compiled.factors[6][0] == (5, 3)[seed]
+    assert not _rho2_commutes_with_reduction(data)
+    for rank in (4, 3):
+        assert staged_census(data, bound, rank) == per_tuple_census(data, bound, rank)
+    assert per_u3_comparisons
+
+
+@pytest.mark.parametrize("name, ranks", [("torsion-demo", (4, 3)), ("cp2xcp2", (3,))])
+def test_census_looks_condition_1_up_where_rho2_commutes_with_reduction(name, ranks, per_u3_comparisons):
+    data = builtin(name)
+    assert _rho2_commutes_with_reduction(data)
+    for rank in ranks:
+        expected = per_tuple_census(data, 2, rank)
+        assert any(g for _, g in expected) and not all(g for _, g in expected)
+        assert census.enumerate(data, 2, rank) == expected
+    assert per_u3_comparisons == []
+
+
+def test_census_raises_the_first_missing_table_check_rank4_reaches():
+    # without (2, 2) and (4, 4), check_rank4 reaches u1*u1 first; the stages
+    # alone would reach u2*u2 first
+    cp4 = builtin("cp4")
+    data = cp4._replace(cup_z={k: v for k, v in cp4.cup_z.items() if k not in ((2, 2), (4, 4))})
+    for rank in (4, 3):
+        expected = per_tuple_census(data, 1, rank)
+        assert expected[1] == "missing cup product table for degrees (2, 2)"
+        assert staged_census(data, 1, rank) == expected
 
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "cp4_census.py"
