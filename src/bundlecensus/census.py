@@ -1,14 +1,10 @@
 """Exhaustive Chern-tuple census over a coordinate box.
 
-``enumerate`` pairs each monomial of ``DEGREE8_TABLE`` exactly, once per
-distinct value of the census variables it reads: the ``_STAGES`` reading
-u2 or u3 alone once per value, (u1, u3) once per u1, (u1, u2) once per
-pair; per u4 it selects a precomputed row of verdicts.  Condition (1) is
-Sq^2 rho2(u2), once per u2, against rho2(u3 + u1*u2).  Where rho2 at degree 6
-commutes with reduction (d times the rho2 column of each finite factor d of
-H^6 is even: law ``rho2_times2``), it looks up Sq^2 rho2(u2) + rho2(u1*u2)
-in the u3s indexed by rho2(u3), else compares per u3.  ``rank4_conditions``
-runs once, at the first tuple passing (1): errors are ``check_rank4``'s.
+``enumerate`` pairs the monomials of ``DEGREE8_TABLE`` by the census variables they
+read (``_STAGES``): (u2) and (u3) once per value; (u1, u3) and (u1, u2) as exact linear
+forms (``CompiledManifold.pair_form``) contracted once per u1, plus a term mod each finite
+factor of H^8.  Condition (1) is looked up by rho2(u3) where rho2 at degree 6 commutes with
+reduction, else compared per u3.  ``rank4_conditions`` runs at the first pass of (1).
 
 On cp4 every class is an integer multiple of a power of the hyperplane
 class, so a candidate tuple is four integers (a1, a2, a3, a4).  The
@@ -30,7 +26,7 @@ from itertools import chain, product
 from operator import mul, xor
 from typing import Callable, NamedTuple
 
-from .charclass import DEGREE8_TABLE, pair_monomials
+from .charclass import DEGREE8_TABLE, MONOMIALS, _steps, pair_monomials
 from .classify import condition1_lhs, condition1_rhs, integral_rhs3, rank4_conditions
 from .cohomology import CompiledManifold, Coords, ManifoldData
 from .fixtures import builtin
@@ -42,6 +38,7 @@ _STAGES = {
     reads: tuple(zip(*(row for row in DEGREE8_TABLE if _READS[row[0]] == reads)))
     for reads in dict.fromkeys(_READS.values()) if "u4" not in reads
 }
+_LAST_CUPS = {step[0]: step[1:] for step in _steps(MONOMIALS)}  # product -> its last cup, as _steps cups it
 
 
 def cp4_rank4_admissible(a1: int, a2: int, a3: int, a4: int) -> bool:
@@ -73,11 +70,26 @@ class CensusResult(NamedTuple):
         return [r.coefficients for r in self.rows if r.generic != r.closed_form]
 
 
-def _share(m: CompiledManifold, reads: tuple[str, ...], products: dict, base=(0, 0)) -> list[int]:
-    """``base`` plus the share of rhs(2) and 4*rhs(3) of the monomials reading ``reads``."""
+def _share(m: CompiledManifold, reads: tuple[str, ...], products: dict) -> list[int]:
+    """The share of rhs(2) and 4*rhs(3) of the monomials reading ``reads``."""
     monomials, _, _, *columns = _STAGES[reads]
     pairings = pair_monomials(m, {("p1",): m.p1, ("c",): m.c, **products}, monomials)
-    return [b + sum(map(mul, column, pairings)) for b, column in zip(base, columns)]
+    return [sum(map(mul, column, pairings)) for column in columns]
+
+
+def _stage(m: CompiledManifold, reads: tuple[str, ...], fixed: dict, operands: dict, totals: list) -> list:
+    """``totals`` plus the stage's share of rhs(2) and 4*rhs(3) at each index of the value lists
+    in ``operands``: each monomial's last cup as a linear form in its operand that ``fixed`` lacks."""
+    monomials, _, _, *columns = _STAGES[reads]
+    for mono, k2, k3 in zip(monomials, *columns):
+        prefix, a, factor, b = _LAST_CUPS[mono]
+        weights, finite = m.pair_form(a, fixed.get(prefix), b, fixed.get(factor))
+        values = operands[factor if prefix in fixed else prefix]
+        pairings = [sum(map(mul, weights, v)) for v in values]
+        for w, d, row in finite:  # a finite factor of H^8: none on validated data
+            pairings = [p + w * (sum(map(mul, row, v)) % d) for p, v in zip(pairings, values)]
+        totals = [(t2 + k2 * p, t3 + k3 * p) for (t2, t3), p in zip(totals, pairings)]
+    return totals
 
 
 def _condition1(data: ManifoldData, u3s: list[Coords]) -> Callable[[Coords, Coords], list[int]]:
@@ -126,10 +138,10 @@ def enumerate(data: ManifoldData, bound: int, rank: int) -> list[tuple[Coords, b
                 by_u2 = [_share(m, ("u2",), {("u2",): x}) for x in u2s]
                 by_u3 = [_share(m, ("u3",), {("u3",): x}) for x in u3s]
             if u3_terms is None:
-                u1u1 = m.cup(2, u1, 2, u1)
-                u3_terms = [_share(m, ("u1", "u3"), {("u1",): u1, ("u3",): x}, s) for x, s in zip(u3s, by_u3)]
-            products = {("u1",): u1, ("u2",): u2, ("u1", "u1"): u1u1, ("u1", "u2"): u1u2}
-            t2, t3 = _share(m, ("u1", "u2"), products, by_u2[j])
+                fixed = {("u1",): u1, ("u1", "u1"): m.cup(2, u1, 2, u1), ("c",): m.c}
+                u2_terms = _stage(m, ("u1", "u2"), fixed, {("u2",): u2s, ("u1", "u2"): u1u2s}, by_u2)
+                u3_terms = _stage(m, ("u1", "u3"), fixed, {("u3",): u3s}, by_u3)
+            t2, t3 = u2_terms[j]
             rows = [failed] * len(u3s)
             for i in matches:
                 rhs3 = integral_rhs3(t3 + u3_terms[i][1], m.name)

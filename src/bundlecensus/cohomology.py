@@ -443,6 +443,23 @@ class CompiledManifold(NamedTuple):
             raise ValueError(f"expected {len(self.pairing)} coordinates in degree 8, got {len(x)}")
         return sum(map(mul, x, self.pairing))
 
+    def pair_form(self, a: int, x: Coords | None, b: int, y: Coords | None) -> tuple:
+        """(weights, finite) such that ``pair(cup(a, x, b, y))``, v for the operand given as None, is
+        sum(weights * v) + sum(w * (sum(row * v) % d) for w, d, row in finite), a + b = 8."""
+        table = self.cups[a, b]
+        if table is None:
+            raise MissingOperationError(f"missing cup product table for degrees ({a}, {b})")
+        n = len(self.factors[b if y is None else a])
+        weights, rows = [0] * n, {k: [0] * n for k, d in enumerate(self.factors[TOP_DEGREE]) if d}
+        for i, j, terms in table:
+            coeff, v = (x[i], j) if y is None else (y[j], i)
+            for k, c in terms:
+                if k in rows:  # a finite factor of H^8, reduced per value
+                    rows[k][v] += coeff * c
+                else:
+                    weights[v] += self.pairing[k] * coeff * c
+        return weights, [(self.pairing[k], self.factors[TOP_DEGREE][k], row) for k, row in rows.items()]
+
 
 def _sparse_table(data: ManifoldData, a: int, b: int) -> SparseTable | None:
     if (a, b) in data.cup_z:
@@ -706,9 +723,10 @@ def _bockstein_exact(data: ManifoldData) -> Iterator[LawResult]:
     # Z/d for even d; Z and Z/odd have none.  beta at degree 8 lands in H^9 = 0.
     m = data.compiled
     for degree, (R, B) in enumerate(zip(m.ops["rho2"], (*m.ops["beta"], ()))):
-        if R is None or B is None:
-            continue
         name = f"bockstein_exact_deg{degree}"
+        if missing := [op for op, M in (("rho2", R), ("beta", B)) if M is None]:  # both its sides nontrivial
+            yield LawResult(name, False, "missing " + " and ".join(missing))
+            continue
         halves = [d // 2 if d % 2 == 0 else 0 for d in m.factors[degree + 1]] if B else ()
         columns = [m.reduce(degree + 1, column) for column in zip(*B)]
         if any(c and c != h for column in columns for c, h in zip(column, halves)):
@@ -745,8 +763,8 @@ def validate_manifold(data: ManifoldData, strict: bool = False) -> ValidationRep
     agree, and (when a mod-2 degree-2 product table exists) Sq^2 squares
     degree-2 classes.  With ``strict=True`` the exactness of the Bockstein
     sequence, im rho2 = ker beta, is verified degree by degree by mod-2
-    rank counting.  The shape is not a law: the constructor of
-    ``ManifoldData`` has checked it.
+    rank counting, and a degree whose rho2 or beta matrix is missing fails.
+    The shape is not a law: the constructor of ``ManifoldData`` has checked it.
     """
     laws = LAWS + (_bockstein_exact,) if strict else LAWS
     return ValidationReport(tuple(r for law in laws for r in law(data)))

@@ -21,6 +21,7 @@ from bundlecensus.census import (
 )
 from bundlecensus.charclass import CONDITION_COLUMNS, DEGREE8_TABLE, MONOMIALS, pair_monomials, symbol_products
 from bundlecensus.classify import check_rank4, condition1_rhs
+from bundlecensus.cohomology import MissingOperationError
 from bundlecensus.fixtures import BUILTIN_NAMES, builtin
 
 
@@ -299,6 +300,74 @@ def test_census_looks_condition_1_up_where_rho2_commutes_with_reduction(name, ra
         assert any(g for _, g in expected) and not all(g for _, g in expected)
         assert census.enumerate(data, 2, rank) == expected
     assert per_u3_comparisons == []
+
+
+@pytest.mark.parametrize("name", ["cp4", "cp1xcp3", "cp2xcp2", "hp2"])
+def test_census_reduces_the_pairing_mod_a_finite_factor_of_h8(name):
+    # H^8 = Z/4 with pairing weight 3: <x*y> is w * (its coordinate mod 4),
+    # which no single linear form gives; the census adds it per value
+    data = _torsion_in_h8(builtin(name), random.Random(5))
+    assert (data.compiled.factors[8], data.pairing) == ((4,), (3,))
+    for rank in (4, 3):
+        expected = per_tuple_census(data, 1, rank)
+        assert isinstance(expected, list) and any(g for _, g in expected)
+        assert census.enumerate(data, 1, rank) == expected
+
+
+def _form_value(form, v):
+    weights, finite = form
+    return sum(map(operator.mul, weights, v)) + sum(w * (sum(map(operator.mul, row, v)) % d) for w, d, row in finite)
+
+
+@pytest.mark.parametrize("mutate", [None, _torsion_in_h8, _odd_torsion_in_h6], ids=["as-is", "h8", "h6"])
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ("h7-demo",))
+def test_pair_form_is_the_pairing_of_the_cup(name, mutate):
+    data = make_h7_demo() if name == "h7-demo" else builtin(name)
+    rng = random.Random(7)
+    if mutate:
+        data = mutate(data, rng)
+    m = data.compiled
+
+    def coords(n):
+        return tuple(rng.randint(-5, 5) for _ in m.factors[n])
+
+    for a, b in ((2, 6), (4, 4), (6, 2)):
+        for _ in range(10):
+            x, y = coords(a), coords(b)
+            right, left = m.pair_form(a, x, b, None), m.pair_form(a, None, b, y)
+            for _ in range(5):
+                v, w = coords(b), coords(a)
+                assert _form_value(right, v) == m.pair(m.cup(a, x, b, v))
+                assert _form_value(left, w) == m.pair(m.cup(a, w, b, y))
+    cp4 = builtin("cp4")
+    missing = cp4._replace(cup_z={k: v for k, v in cp4.cup_z.items() if k != (2, 6)}).compiled
+    with pytest.raises(MissingOperationError, match=r"missing cup product table for degrees \(2, 6\)"):
+        missing.pair_form(2, (1,), 6, None)
+
+
+@pytest.fixture
+def share_calls(monkeypatch):
+    """The stages ``census._share`` pairs, one entry per call."""
+    calls = []
+    share = census._share
+
+    def counted(m, reads, products):
+        calls.append(reads)
+        return share(m, reads, products)
+
+    monkeypatch.setattr(census, "_share", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name, bound, rank", [("cp4", 2, 4), ("cp4", 4, 3), ("cp2xcp2", 1, 4), ("cp2xcp2", 2, 3)]
+)
+def test_census_shares_once_per_u2_and_per_u3(name, bound, rank, share_calls):
+    # the stages reading u1 are linear forms, applied per value: no _share
+    data = builtin(name)
+    census.enumerate(data, bound, rank)
+    sizes = [math.prod(d or 2 * bound + 1 for d in data.compiled.factors[n]) for n in (4, 6)]
+    assert Counter(share_calls) == {("u2",): sizes[0], ("u3",): sizes[1]}
 
 
 def test_census_raises_the_first_missing_table_check_rank4_reaches():

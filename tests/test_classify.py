@@ -257,7 +257,7 @@ def test_compute_T_depends_on_chern_classes():
         mod2=mod2,
         cup_z={(2, 5): {(0, 0): (1,)}},
         rho2={n: IntMatrix.identity(1) for n in (0, 2, 5, 7, 8)},
-        beta={},
+        beta={7: IntMatrix.zeros(1, 1)},  # strict validation needs it: H^7(Z/2) -> H^8 = Z
         sq2={},
         pairing=(1,),
         p1=CohomologyClass(4, "Z", ()),

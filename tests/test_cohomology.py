@@ -13,6 +13,7 @@ from bundlecensus.cohomology import (
     DEGREES,
     CohomologyClass,
     GradedGroupZ,
+    LawResult,
     ManifoldData,
     ManifoldShapeError,
     MissingOperationError,
@@ -39,6 +40,10 @@ from conftest import graded_pair, make_h7_demo, misshape, unchecked
 def test_builtins_pass_strict_validation(name):
     report = validate_manifold(builtin(name), strict=True)
     assert report.ok, str(report)
+    # exactness is checked in every degree: no builtin leaves a matrix out
+    assert [r.name for r in report.results if r.name.startswith("bockstein")] == [
+        f"bockstein_exact_deg{n}" for n in range(9)
+    ]
 
 
 def test_wrong_spinc_class_is_caught(cp4):
@@ -152,6 +157,25 @@ def test_strict_mode_catches_broken_exactness(torsion_demo):
     corrupted = torsion_demo._replace(rho2={**rho2, 6: IntMatrix.zeros(1, 1)})
     report = validate_manifold(corrupted, strict=True)
     assert not report.law("bockstein_exact_deg6").passed
+
+
+@pytest.mark.parametrize(
+    "name, drop, witness",
+    [
+        ("torsion-demo", {"rho2": 6}, "missing rho2"),
+        ("torsion-demo", {"beta": 5}, "missing beta"),
+        ("h7-demo", {"rho2": 7, "beta": 7}, "missing rho2 and beta"),
+    ],
+)
+def test_strict_mode_fails_a_degree_whose_matrix_is_missing(name, drop, witness):
+    # both sides of each dropped matrix are nontrivial, so exactness at its
+    # degree cannot be checked; the other laws do not need it
+    data = make_h7_demo() if name == "h7-demo" else builtin(name)
+    data = data._replace(**{op: {n: M for n, M in getattr(data, op).items() if n != k} for op, k in drop.items()})
+    assert validate_manifold(data).ok
+    report = validate_manifold(data, strict=True)
+    (degree,) = set(drop.values())
+    assert report.failures() == (LawResult(f"bockstein_exact_deg{degree}", False, witness),)
 
 
 def test_cup_examples(cp4, hp2):

@@ -47,7 +47,11 @@ def file_format_example() -> str:
 
 def test_file_format_example_is_a_complete_file():
     data = parse_manifold_text(file_format_example())
-    assert validate_manifold(data, strict=True).ok
+    report = validate_manifold(data, strict=True)
+    assert report.ok
+    assert [r.name for r in report.results if r.name.startswith("bockstein")] == [
+        f"bockstein_exact_deg{n}" for n in range(9)
+    ]
     # what its comments say
     assert data.name == "example"
     assert data.group(2).invariant_factors == (2, 0) and data.integral.names[2] == ("a", "t")
@@ -59,13 +63,16 @@ def test_file_format_example_is_a_complete_file():
 
 
 def test_file_format_example_needs_its_mod2_groups():
-    # without the mod-2 groups of degrees 0, 1, 4 and 8 and the beta that
-    # lands in H^2, the example fails the universal-coefficient law alone
+    # without the mod-2 groups of degrees 0, 1, 4 and 8, the beta that lands
+    # in H^2 and the rho2 into those groups, the example fails the
+    # universal-coefficient law alone
     lines = file_format_example().splitlines()
     beta = next(k for k, line in enumerate(lines) if line.startswith("map beta 1"))
+    rho2 = [k for k, line in enumerate(lines) if line[:10] in ("map rho2 0", "map rho2 4", "map rho2 8")]
+    dropped = {beta, beta + 1, beta + 2, *rho2, *(k + 1 for k in rho2)}
     old = [
         line for k, line in enumerate(lines)
-        if not (beta <= k <= beta + 2 or line[:6] in ("mod2 0", "mod2 1", "mod2 4", "mod2 8"))
+        if not (k in dropped or line[:6] in ("mod2 0", "mod2 1", "mod2 4", "mod2 8"))
     ]
     report = validate_manifold(parse_manifold_text("\n".join(old)), strict=True)
     assert report.failures() == (report.law("mod2_dims"),)
