@@ -1,10 +1,17 @@
 """Exhaustive Chern-tuple census over a coordinate box.
 
-``enumerate`` pairs the monomials of ``DEGREE8_TABLE`` by the census variables they
-read (``_STAGES``): (u2) and (u3) once per value; (u1, u3) and (u1, u2) as exact linear
-forms (``CompiledManifold.pair_form``) contracted once per u1, plus a term mod each finite
-factor of H^8.  Condition (1) is looked up by rho2(u3) where rho2 at degree 6 commutes with
-reduction, else compared per u3.  ``rank4_conditions`` runs at the first pass of (1).
+One core, ``_census``, decides a box and returns two iterables: the coefficients (the
+product over the box) and their verdicts.  ``enumerate`` zips them; ``enumerate_cp4``
+builds its rows and its closed-form column from them by columns, with no Python frame
+per tuple but the one call of the closed form.
+
+The core pairs the monomials of ``DEGREE8_TABLE`` by the census variables they read
+(``_STAGES``): (u2) once per value, with c*c cupped once per box; every other one as an
+exact linear form (``CompiledManifold.pair_form``) in the operand of its last cup that
+varies, plus a term mod each finite factor of H^8, contracted once per box where the fixed
+operand is c and once per u1 where it reads u1.  Condition (1) is looked up by rho2(u3)
+where rho2 at degree 6 commutes with reduction, else compared per u3.
+``rank4_conditions`` runs at the first pass of (1).
 
 On cp4 every class is an integer multiple of a power of the hyperplane
 class, so a candidate tuple is four integers (a1, a2, a3, a4).  The
@@ -22,9 +29,9 @@ bug in one of the two paths.
 from __future__ import annotations
 
 import builtins
-from itertools import chain, product
+from itertools import chain, product, repeat
 from operator import mul, xor
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .charclass import DEGREE8_TABLE, MONOMIALS, _steps, pair_monomials
 from .classify import condition1_lhs, condition1_rhs, integral_rhs3, rank4_conditions
@@ -71,20 +78,32 @@ class CensusResult(NamedTuple):
 
 
 def _share(m: CompiledManifold, reads: tuple[str, ...], products: dict) -> list[int]:
-    """The share of rhs(2) and 4*rhs(3) of the monomials reading ``reads``."""
+    """The share of rhs(2) and 4*rhs(3) of the monomials reading ``reads``, from ``products``
+    as ``pair_monomials`` reads and fills it."""
     monomials, _, _, *columns = _STAGES[reads]
-    pairings = pair_monomials(m, {("p1",): m.p1, ("c",): m.c, **products}, monomials)
+    pairings = pair_monomials(m, products, monomials)
     return [sum(map(mul, column, pairings)) for column in columns]
 
 
-def _stage(m: CompiledManifold, reads: tuple[str, ...], fixed: dict, operands: dict, totals: list) -> list:
+def _forms(m: CompiledManifold, reads: tuple[str, ...], fixed: dict) -> dict:
+    """{monomial: (operand, weights, finite)} for each monomial of the stage whose last cup has an
+    operand in ``fixed``: that cup as a linear form in its other operand (``CompiledManifold.pair_form``)."""
+    forms = {}
+    for mono in _STAGES[reads][0]:
+        prefix, a, factor, b = _LAST_CUPS[mono]
+        if prefix in fixed or factor in fixed:
+            weights, finite = m.pair_form(a, fixed.get(prefix), b, fixed.get(factor))
+            forms[mono] = (factor if prefix in fixed else prefix, weights, finite)
+    return forms
+
+
+def _stage(reads: tuple[str, ...], forms: dict, operands: dict, totals: list) -> list:
     """``totals`` plus the stage's share of rhs(2) and 4*rhs(3) at each index of the value lists
-    in ``operands``: each monomial's last cup as a linear form in its operand that ``fixed`` lacks."""
+    in ``operands``, each monomial through its form in ``forms``."""
     monomials, _, _, *columns = _STAGES[reads]
     for mono, k2, k3 in zip(monomials, *columns):
-        prefix, a, factor, b = _LAST_CUPS[mono]
-        weights, finite = m.pair_form(a, fixed.get(prefix), b, fixed.get(factor))
-        values = operands[factor if prefix in fixed else prefix]
+        operand, weights, finite = forms[mono]
+        values = operands[operand]
         pairings = [sum(map(mul, weights, v)) for v in values]
         for w, d, row in finite:  # a finite factor of H^8: none on validated data
             pairings = [p + w * (sum(map(mul, row, v)) % d) for p, v in zip(pairings, values)]
@@ -103,11 +122,9 @@ def _condition1(data: ManifoldData, u3s: list[Coords]) -> Callable[[Coords, Coor
     return lambda lhs1, u1u2: index.get(tuple(map(xor, lhs1, m.apply("rho2", 6, u1u2))), [])
 
 
-def enumerate(data: ManifoldData, bound: int, rank: int) -> list[tuple[Coords, bool]]:
-    """(coefficients, realizable) for every rank-``rank`` tuple of the box:
-    free coordinates in [-bound, bound], torsion ones of order d in range(d),
-    flat over u1, u2, u3 (and u4), in lexicographic order.  Rank 3 decides
-    (u1, u2, u3, 0).  Verdicts and the first exception are ``check_rank4``'s."""
+def _census(data: ManifoldData, bound: int, rank: int) -> tuple[Iterable[Coords], Iterable[bool]]:
+    """The coefficients of the box and their verdicts, as ``enumerate`` pairs them; every
+    verdict is decided, and every error raised, before this returns."""
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     if rank not in (3, 4):
@@ -135,27 +152,42 @@ def enumerate(data: ManifoldData, bound: int, rank: int) -> list[tuple[Coords, b
                 continue
             if by_u2 is None:  # first tuple passing (1): check_rank4's errors; it reaches every cup table
                 rank4_conditions(data, u1, u2, u3s[matches[0]], u4s[0])
-                by_u2 = [_share(m, ("u2",), {("u2",): x}) for x in u2s]
-                by_u3 = [_share(m, ("u3",), {("u3",): x}) for x in u3s]
+                box = {("p1",): m.p1, ("c",): m.c, ("c", "c"): m.cup(2, m.c, 2, m.c)}
+                by_u2 = [_share(m, ("u2",), {("u2",): x, **box}) for x in u2s]
+                by_u3 = _stage(("u3",), _forms(m, ("u3",), box), {("u3",): u3s}, [(0, 0)] * len(u3s))
+                box_forms = _forms(m, ("u1", "u2"), box)
             if u3_terms is None:
-                fixed = {("u1",): u1, ("u1", "u1"): m.cup(2, u1, 2, u1), ("c",): m.c}
-                u2_terms = _stage(m, ("u1", "u2"), fixed, {("u2",): u2s, ("u1", "u2"): u1u2s}, by_u2)
-                u3_terms = _stage(m, ("u1", "u3"), fixed, {("u3",): u3s}, by_u3)
+                fixed = {("u1",): u1, ("u1", "u1"): m.cup(2, u1, 2, u1)}
+                forms = {**box_forms, **_forms(m, ("u1", "u2"), fixed)}
+                u2_terms = _stage(("u1", "u2"), forms, {("u2",): u2s, ("u1", "u2"): u1u2s}, by_u2)
+                u3_terms = _stage(("u1", "u3"), _forms(m, ("u1", "u3"), fixed), {("u3",): u3s}, by_u3)
             t2, t3 = u2_terms[j]
             rows = [failed] * len(u3s)
             for i in matches:
-                rhs3 = integral_rhs3(t3 + u3_terms[i][1], m.name)
-                rows[i] = verdicts[(t2 + u3_terms[i][0]) % 3, rhs3 % 2]
+                s2, s3 = u3_terms[i]
+                s3 += t3
+                if s3 % 4:
+                    integral_rhs3(s3, m.name)
+                rows[i] = verdicts[(t2 + s2) % 3, s3 // 4 % 2]
             blocks += rows
-    return list(zip(product(*(r for rs in ranges[:rank] for r in rs)), chain.from_iterable(blocks)))
+    return product(*(r for rs in ranges[:rank] for r in rs)), chain.from_iterable(blocks)
+
+
+def enumerate(data: ManifoldData, bound: int, rank: int) -> list[tuple[Coords, bool]]:
+    """(coefficients, realizable) for every rank-``rank`` tuple of the box:
+    free coordinates in [-bound, bound], torsion ones of order d in range(d),
+    flat over u1, u2, u3 (and u4), in lexicographic order.  Rank 3 decides
+    (u1, u2, u3, 0).  Verdicts and the first exception are ``check_rank4``'s."""
+    return list(zip(*_census(data, bound, rank)))
 
 
 def enumerate_cp4(bound: int, rank: int, data: ManifoldData | None = None) -> CensusResult:
     """Every tuple with coefficients in [-bound, bound], decided both ways: by
     ``enumerate`` on the built-in cp4 data and by the closed form, rank 3 as
     (a1, a2, a3, 0) as ``check_rank3`` does; lexicographic order."""
-    pad = (0,) * (4 - rank)
-    rows = enumerate(builtin("cp4") if data is None else data, bound, rank)
-    return CensusResult(
-        bound, rank, tuple(CensusRow(c, cp4_rank4_admissible(*c, *pad), g) for c, g in rows)
-    )
+    coefficients, verdicts = _census(builtin("cp4") if data is None else data, bound, rank)
+    coefficients = list(coefficients)
+    closed = map(cp4_rank4_admissible, *zip(*coefficients), *[repeat(0)] * (4 - rank))
+    # CensusRow._make without its Python frame per row
+    rows = tuple(map(tuple.__new__, repeat(CensusRow), zip(coefficients, closed, verdicts)))
+    return CensusResult(bound, rank, rows)

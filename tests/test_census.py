@@ -4,6 +4,7 @@ import math
 import operator
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -15,13 +16,14 @@ from conftest import make_h7_demo
 from bundlecensus import census
 from bundlecensus.abelian import FGAbelianGroup, IntMatrix
 from bundlecensus.census import (
+    CensusRow,
     cp4_rank3_admissible,
     cp4_rank4_admissible,
     enumerate_cp4,
 )
 from bundlecensus.charclass import CONDITION_COLUMNS, DEGREE8_TABLE, MONOMIALS, pair_monomials, symbol_products
 from bundlecensus.classify import check_rank4, condition1_rhs
-from bundlecensus.cohomology import MissingOperationError
+from bundlecensus.cohomology import CompiledManifold, MissingOperationError
 from bundlecensus.fixtures import BUILTIN_NAMES, builtin
 
 
@@ -346,28 +348,57 @@ def test_pair_form_is_the_pairing_of_the_cup(name, mutate):
 
 
 @pytest.fixture
-def share_calls(monkeypatch):
-    """The stages ``census._share`` pairs, one entry per call."""
-    calls = []
-    share = census._share
+def stage_calls(monkeypatch):
+    """What the census pairs: each ``census._share`` call as (stage, whether c*c came with the
+    products), and each ``CompiledManifold.pair_form`` contraction as its degrees (a, b)."""
+    shares, forms = [], []
+    share, pair_form = census._share, CompiledManifold.pair_form
 
-    def counted(m, reads, products):
-        calls.append(reads)
+    def counted_share(m, reads, products):
+        shares.append((reads, ("c", "c") in products))
         return share(m, reads, products)
 
-    monkeypatch.setattr(census, "_share", counted)
-    return calls
+    def counted_form(self, a, x, b, y):
+        forms.append((a, b))
+        return pair_form(self, a, x, b, y)
+
+    monkeypatch.setattr(census, "_share", counted_share)
+    monkeypatch.setattr(CompiledManifold, "pair_form", counted_form)
+    return shares, forms
 
 
 @pytest.mark.parametrize(
     "name, bound, rank", [("cp4", 2, 4), ("cp4", 4, 3), ("cp2xcp2", 1, 4), ("cp2xcp2", 2, 3)]
 )
-def test_census_shares_once_per_u2_and_per_u3(name, bound, rank, share_calls):
-    # the stages reading u1 are linear forms, applied per value: no _share
+def test_census_shares_once_per_u2_and_per_u3(name, bound, rank, stage_calls):
+    # each box-level stage is paired once per value, never per tuple or per u1: (u2) by one share
+    # per u2 with c*c cupped once per box; (u3) <c*u3> and <(u1*u2)*c> by one form per box; the
+    # stages reading u1 by one form per u1, <u1*u3> (2, 6) and <(u1*u1)*u2> (4, 4)
+    shares, forms = stage_calls
     data = builtin(name)
     census.enumerate(data, bound, rank)
-    sizes = [math.prod(d or 2 * bound + 1 for d in data.compiled.factors[n]) for n in (4, 6)]
-    assert Counter(share_calls) == {("u2",): sizes[0], ("u3",): sizes[1]}
+    u1s, u2s = [math.prod(d or 2 * bound + 1 for d in data.compiled.factors[n]) for n in (2, 4)]
+    assert Counter(shares) == {(("u2",), True): u2s}
+    assert Counter(forms) == {(2, 6): 1 + u1s, (4, 4): u1s, (6, 2): 1}
+
+
+def test_enumerate_cp4_evaluates_the_closed_form_per_tuple(monkeypatch):
+    # a wrong closed form, looked up in the module at call time, shows as disagreements
+    monkeypatch.setattr(census, "cp4_rank4_admissible", lambda *a: True)
+    assert enumerate_cp4(1, 4).disagreements()
+    assert enumerate_cp4(2, 3).disagreements()
+
+
+@pytest.mark.parametrize("rank", [4, 3])
+@pytest.mark.parametrize("bound", range(4))
+def test_cp4_rows_are_census_rows_of_enumerate_and_the_closed_form(bound, rank):
+    pad = (0,) * (4 - rank)
+    rows = enumerate_cp4(bound, rank).rows
+    pairs = census.enumerate(builtin("cp4"), bound, rank)
+    assert len(rows) == len(pairs) == (2 * bound + 1) ** rank
+    for row, (c, generic) in zip(rows, pairs):
+        assert type(row) is CensusRow
+        assert (row.coefficients, row.closed_form, row.generic) == (c, cp4_rank4_admissible(*c, *pad), generic)
 
 
 def test_census_raises_the_first_missing_table_check_rank4_reaches():
@@ -392,6 +423,8 @@ def test_census_script_runs(args):
         [sys.executable, str(SCRIPT), "--bound", "1", *args], env=env, capture_output=True, text=True, timeout=60
     )
     assert run.returncode == 0, run.stderr
-    if not args:  # both ranks cross-checked, and the sample rr values printed
+    if not args:  # both ranks timed both ways and cross-checked, and the sample rr values printed
         assert run.stdout.count(", 0 cross-check disagreements\n") == 2, run.stdout
+        timed = r"rank [43]: .* [\d.]+ us per tuple in census\.enumerate, [\d.]+ in enumerate_cp4, "
+        assert len(re.findall(timed, run.stdout)) == 2, run.stdout
         assert "rr(4, 6, 4, 1) = -53\n" in run.stdout, run.stdout
