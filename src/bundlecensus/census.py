@@ -5,13 +5,14 @@ product over the box) and their verdicts.  ``enumerate`` zips them; ``enumerate_
 builds its rows and its closed-form column from them by columns, with no Python frame
 per tuple but the one call of the closed form.
 
-The core pairs the monomials of ``DEGREE8_TABLE`` by the census variables they read
-(``_STAGES``): (u2) once per value, with c*c cupped once per box; every other one as an
-exact linear form (``CompiledManifold.pair_form``) in the operand of its last cup that
-varies, plus a term mod each finite factor of H^8, contracted once per box where the fixed
-operand is c and once per u1 where it reads u1.  Condition (1) is looked up by rho2(u3)
-where rho2 at degree 6 commutes with reduction, else compared per u3.
-``rank4_conditions`` runs at the first pass of (1).
+The census decides validated data only: data whose report (``data.report``) fails a law
+raises ``ManifoldValidationError`` before any verdict.  The core pairs the monomials of
+``DEGREE8_TABLE`` by the census variables they read (``_STAGES``): (u2) once per value,
+with c*c cupped once per box; every other one as an exact linear form
+(``CompiledManifold.pair_form``, exact as H^8 = Z) in the operand of its last cup that
+varies, contracted once per box where the fixed operand is c and once per u1 where it
+reads u1.  Condition (1) is looked up by rho2(u3), which commutes with reduction on
+validated data (the law ``rho2_times2``).
 
 On cp4 every class is an integer multiple of a power of the hyperplane
 class, so a candidate tuple is four integers (a1, a2, a3, a4).  The
@@ -31,11 +32,11 @@ from __future__ import annotations
 import builtins
 from itertools import chain, product, repeat
 from operator import mul, xor
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .charclass import DEGREE8_TABLE, MONOMIALS, _steps, pair_monomials
-from .classify import condition1_lhs, condition1_rhs, integral_rhs3, rank4_conditions
-from .cohomology import CompiledManifold, Coords, ManifoldData
+from .classify import condition1_lhs, integral_rhs3
+from .cohomology import CompiledManifold, Coords, ManifoldData, ManifoldValidationError
 from .fixtures import builtin
 
 # the rows of DEGREE8_TABLE but <u4>'s, as columns, grouped by the census
@@ -86,14 +87,14 @@ def _share(m: CompiledManifold, reads: tuple[str, ...], products: dict) -> list[
 
 
 def _forms(m: CompiledManifold, reads: tuple[str, ...], fixed: dict) -> dict:
-    """{monomial: (operand, weights, finite)} for each monomial of the stage whose last cup has an
+    """{monomial: (operand, weights)} for each monomial of the stage whose last cup has an
     operand in ``fixed``: that cup as a linear form in its other operand (``CompiledManifold.pair_form``)."""
     forms = {}
     for mono in _STAGES[reads][0]:
         prefix, a, factor, b = _LAST_CUPS[mono]
         if prefix in fixed or factor in fixed:
-            weights, finite = m.pair_form(a, fixed.get(prefix), b, fixed.get(factor))
-            forms[mono] = (factor if prefix in fixed else prefix, weights, finite)
+            weights = m.pair_form(a, fixed.get(prefix), b, fixed.get(factor))
+            forms[mono] = (factor if prefix in fixed else prefix, weights)
     return forms
 
 
@@ -102,24 +103,10 @@ def _stage(reads: tuple[str, ...], forms: dict, operands: dict, totals: list) ->
     in ``operands``, each monomial through its form in ``forms``."""
     monomials, _, _, *columns = _STAGES[reads]
     for mono, k2, k3 in zip(monomials, *columns):
-        operand, weights, finite = forms[mono]
-        values = operands[operand]
-        pairings = [sum(map(mul, weights, v)) for v in values]
-        for w, d, row in finite:  # a finite factor of H^8: none on validated data
-            pairings = [p + w * (sum(map(mul, row, v)) % d) for p, v in zip(pairings, values)]
+        operand, weights = forms[mono]
+        pairings = [sum(map(mul, weights, v)) for v in operands[operand]]
         totals = [(t2 + k2 * p, t3 + k3 * p) for (t2, t3), p in zip(totals, pairings)]
     return totals
-
-
-def _condition1(data: ManifoldData, u3s: list[Coords]) -> Callable[[Coords, Coords], list[int]]:
-    """(Sq^2 rho2(u2), u1*u2) -> indices of the u3s passing (1); a lookup if rho2 commutes with reduction."""
-    m = data.compiled
-    index: dict[Coords, list[int]] = {}
-    for i, u3 in builtins.enumerate(u3s):
-        index.setdefault(m.apply("rho2", 6, u3), []).append(i)
-    if any(d * v % 2 for row in m.ops["rho2"][6] for d, v in zip(m.factors[6], row)):
-        return lambda lhs1, u1u2: [i for i in range(len(u3s)) if condition1_rhs(data, u1u2, u3s[i]) == lhs1]
-    return lambda lhs1, u1u2: index.get(tuple(map(xor, lhs1, m.apply("rho2", 6, u1u2))), [])
 
 
 def _census(data: ManifoldData, bound: int, rank: int) -> tuple[Iterable[Coords], Iterable[bool]]:
@@ -129,6 +116,8 @@ def _census(data: ManifoldData, bound: int, rank: int) -> tuple[Iterable[Coords]
         raise ValueError("bound must be nonnegative")
     if rank not in (3, 4):
         raise ValueError("rank must be 3 or 4")
+    if not data.report.ok:
+        raise ManifoldValidationError(data.report)
     m = data.compiled
     ranges = [[range(d) if d else range(-bound, bound + 1) for d in m.factors[n]] for n in (2, 4, 6, 8)]
     if rank == 3:
@@ -137,33 +126,24 @@ def _census(data: ManifoldData, bound: int, rank: int) -> tuple[Iterable[Coords]
     lhs = [m.pair(u4) for u4 in u4s]
     verdicts = {(a, b): [x % 3 == a and x % 2 == b for x in lhs] for a in range(3) for b in range(2)}
     failed = [False] * len(u4s)
+    by_rho2: dict[Coords, list[int]] = {}  # rho2(u3) -> the indices of those u3s
+    for i, u3 in builtins.enumerate(u3s):
+        by_rho2.setdefault(m.apply("rho2", 6, u3), []).append(i)
+    lhs1s = [condition1_lhs(data, u2) for u2 in u2s]
+    box = {("p1",): m.p1, ("c",): m.c, ("c", "c"): m.cup(2, m.c, 2, m.c)}
+    by_u2 = [_share(m, ("u2",), {("u2",): x, **box}) for x in u2s]
+    by_u3 = _stage(("u3",), _forms(m, ("u3",), box), {("u3",): u3s}, [(0, 0)] * len(u3s))
+    box_forms = _forms(m, ("u1", "u2"), box)
     blocks: list[list[bool]] = []
-    lhs1s = by_u2 = None
     for u1 in u1s:
         u1u2s = [m.cup(2, u1, 4, u2) for u2 in u2s]
-        if lhs1s is None:  # check_rank4's order: u1*u2, then each side of (1)
-            lhs1s = [condition1_lhs(data, u2) for u2 in u2s]
-            passing = _condition1(data, u3s)
-        u3_terms = None
-        for j, (u2, u1u2) in builtins.enumerate(zip(u2s, u1u2s)):
-            matches = passing(lhs1s[j], u1u2)
-            if not matches:
-                blocks += [failed] * len(u3s)
-                continue
-            if by_u2 is None:  # first tuple passing (1): check_rank4's errors; it reaches every cup table
-                rank4_conditions(data, u1, u2, u3s[matches[0]], u4s[0])
-                box = {("p1",): m.p1, ("c",): m.c, ("c", "c"): m.cup(2, m.c, 2, m.c)}
-                by_u2 = [_share(m, ("u2",), {("u2",): x, **box}) for x in u2s]
-                by_u3 = _stage(("u3",), _forms(m, ("u3",), box), {("u3",): u3s}, [(0, 0)] * len(u3s))
-                box_forms = _forms(m, ("u1", "u2"), box)
-            if u3_terms is None:
-                fixed = {("u1",): u1, ("u1", "u1"): m.cup(2, u1, 2, u1)}
-                forms = {**box_forms, **_forms(m, ("u1", "u2"), fixed)}
-                u2_terms = _stage(("u1", "u2"), forms, {("u2",): u2s, ("u1", "u2"): u1u2s}, by_u2)
-                u3_terms = _stage(("u1", "u3"), _forms(m, ("u1", "u3"), fixed), {("u3",): u3s}, by_u3)
-            t2, t3 = u2_terms[j]
+        fixed = {("u1",): u1, ("u1", "u1"): m.cup(2, u1, 2, u1)}
+        forms = {**box_forms, **_forms(m, ("u1", "u2"), fixed)}
+        u2_terms = _stage(("u1", "u2"), forms, {("u2",): u2s, ("u1", "u2"): u1u2s}, by_u2)
+        u3_terms = _stage(("u1", "u3"), _forms(m, ("u1", "u3"), fixed), {("u3",): u3s}, by_u3)
+        for lhs1, u1u2, (t2, t3) in zip(lhs1s, u1u2s, u2_terms):
             rows = [failed] * len(u3s)
-            for i in matches:
+            for i in by_rho2.get(tuple(map(xor, lhs1, m.apply("rho2", 6, u1u2))), ()):
                 s2, s3 = u3_terms[i]
                 s3 += t3
                 if s3 % 4:
@@ -177,7 +157,8 @@ def enumerate(data: ManifoldData, bound: int, rank: int) -> list[tuple[Coords, b
     """(coefficients, realizable) for every rank-``rank`` tuple of the box:
     free coordinates in [-bound, bound], torsion ones of order d in range(d),
     flat over u1, u2, u3 (and u4), in lexicographic order.  Rank 3 decides
-    (u1, u2, u3, 0).  Verdicts and the first exception are ``check_rank4``'s."""
+    (u1, u2, u3, 0).  Raises ``ManifoldValidationError`` on data that fails a law;
+    otherwise the verdicts and the first exception are ``check_rank4``'s."""
     return list(zip(*_census(data, bound, rank)))
 
 

@@ -100,12 +100,6 @@ def condition1_lhs(data: ManifoldData, u2: Coords) -> Coords:
     return m.apply("sq2", 4, m.apply("rho2", 4, u2))
 
 
-def condition1_rhs(data: ManifoldData, u1u2: Coords, u3: Coords) -> Coords:
-    """rho2(u3 + u1*u2), the right-hand side of condition (1)."""
-    m = data.compiled
-    return m.apply("rho2", 6, m.reduce(6, tuple(map(add, u3, u1u2))))
-
-
 def integral_rhs3(rhs3_times4: int, name: str) -> int:
     """The right-hand side of (3) from 4 times it, which (1) makes an integer."""
     if rhs3_times4 % 4:
@@ -129,7 +123,7 @@ def rank4_conditions(
     """
     m = data.compiled
     u1u2 = m.cup(2, u1, 4, u2)
-    lhs1, rhs1 = condition1_lhs(data, u2), condition1_rhs(data, u1u2, u3)
+    lhs1, rhs1 = condition1_lhs(data, u2), m.apply("rho2", 6, m.reduce(6, tuple(map(add, u3, u1u2))))
     if lhs1 != rhs1:
         return lhs1, rhs1, None
 

@@ -10,7 +10,9 @@ The ``ManifoldData`` constructor rejects data whose sections do not fit
 its groups (``shape_problems``), so no query meets a misshapen matrix,
 table or class.  ``validate_manifold`` checks the algebraic laws this
 data must satisfy, on the compiled form that every query reads too, so a
-validated manifold is compiled once; everything else trusts validated data.
+validated manifold is compiled once; one law, ``tables_complete``, asks for
+every table a query reads, so validated also means complete.  Everything
+else trusts validated data, and the census decides nothing else.
 
 Classes are stored with coordinates reduced modulo the invariant factor
 of each generator, or mod 2, so equality of classes is a plain tuple
@@ -266,6 +268,11 @@ class ManifoldData(
         return _compile(self)
 
     @cached_property
+    def report(self) -> "ValidationReport":
+        """``validate_manifold(self)``, not strict, kept as ``B`` is: what the census requires."""
+        return validate_manifold(self)
+
+    @cached_property
     def B(self) -> FGAbelianGroup:
         """``classify.compute_B``, which no Chern tuple changes, kept as ``compiled`` is."""
         from .classify import compute_B  # classify imports this module
@@ -443,22 +450,18 @@ class CompiledManifold(NamedTuple):
             raise ValueError(f"expected {len(self.pairing)} coordinates in degree 8, got {len(x)}")
         return sum(map(mul, x, self.pairing))
 
-    def pair_form(self, a: int, x: Coords | None, b: int, y: Coords | None) -> tuple:
-        """(weights, finite) such that ``pair(cup(a, x, b, y))``, v for the operand given as None, is
-        sum(weights * v) + sum(w * (sum(row * v) % d) for w, d, row in finite), a + b = 8."""
+    def pair_form(self, a: int, x: Coords | None, b: int, y: Coords | None) -> list[int]:
+        """The weights such that ``pair(cup(a, x, b, y))``, v for the operand given as None, is
+        sum(weights * v), a + b = 8: exact unless H^8 has a finite factor, which the law
+        ``h8_is_Z`` excludes."""
         table = self.cups[a, b]
         if table is None:
             raise MissingOperationError(f"missing cup product table for degrees ({a}, {b})")
-        n = len(self.factors[b if y is None else a])
-        weights, rows = [0] * n, {k: [0] * n for k, d in enumerate(self.factors[TOP_DEGREE]) if d}
+        weights = [0] * len(self.factors[b if y is None else a])
         for i, j, terms in table:
             coeff, v = (x[i], j) if y is None else (y[j], i)
-            for k, c in terms:
-                if k in rows:  # a finite factor of H^8, reduced per value
-                    rows[k][v] += coeff * c
-                else:
-                    weights[v] += self.pairing[k] * coeff * c
-        return weights, [(self.pairing[k], self.factors[TOP_DEGREE][k], row) for k, row in rows.items()]
+            weights[v] += coeff * sum(self.pairing[k] * c for k, c in terms)
+        return weights
 
 
 def _sparse_table(data: ManifoldData, a: int, b: int) -> SparseTable | None:
@@ -717,6 +720,26 @@ def _sq2_squares_deg2(data: ManifoldData) -> Iterator[LawResult]:
     ))
 
 
+# The matrices that condition (1) and B apply, as (op, degree), and the products
+# of u1, u2, u3 with the odd generators g5, g3, g1 that T takes.
+QUERIED_MATRICES = (("rho2", 3), ("rho2", 4), ("rho2", 6), ("sq2", 3), ("sq2", 4), ("beta", 5))
+ODD_CUPS = ((2, 5), (4, 3), (6, 1))
+
+
+def _tables_complete(data: ManifoldData) -> Iterator[LawResult]:
+    # Every table a query reads is given where it is not trivially zero, so no
+    # query on validated data raises MissingOperationError; each witness is the
+    # message that query would raise.
+    m = data.compiled
+    cups = [ab for ab, table in m.cups.items() if table is None]
+    if data.odd_generators is not None:
+        cups += [ab for ab in ODD_CUPS if _sparse_table(data, *ab) is None]
+    yield _counterexample("tables_complete", (
+        *(f"missing cup product table for degrees {ab}" for ab in cups),
+        *(f"missing {op} matrix at degree {n}" for op, n in QUERIED_MATRICES if m.ops[op][n] is None),
+    ))
+
+
 def _bockstein_exact(data: ManifoldData) -> Iterator[LawResult]:
     # im rho2 = ker beta, degree by degree, by mod-2 rank counting, with
     # beta's columns read over the elements of order 2 of its target: d/2 in
@@ -750,6 +773,7 @@ LAWS = (
     _pairing_surjective,
     _cup_commutes,
     _sq2_squares_deg2,
+    _tables_complete,
 )
 
 
@@ -760,10 +784,13 @@ def validate_manifold(data: ManifoldData, strict: bool = False) -> ValidationRep
     universal coefficients, rho2 composed with doubling vanishes, Bockstein
     images are 2-torsion, beta after rho2 vanishes, rho2(c) = w2 when w2 is
     given, the pairing hits +-1, cup tables given in both orientations
-    agree, and (when a mod-2 degree-2 product table exists) Sq^2 squares
-    degree-2 classes.  With ``strict=True`` the exactness of the Bockstein
-    sequence, im rho2 = ker beta, is verified degree by degree by mod-2
-    rank counting, and a degree whose rho2 or beta matrix is missing fails.
+    agree, (when a mod-2 degree-2 product table exists) Sq^2 squares
+    degree-2 classes, and every table a query reads is given where it is not
+    trivially zero (``tables_complete``), so no query on validated data
+    raises ``MissingOperationError``; ``data.report`` keeps this report.
+    With ``strict=True`` the exactness of the Bockstein sequence, im rho2 =
+    ker beta, is verified degree by degree by mod-2 rank counting, and a
+    degree whose rho2 or beta matrix is missing fails.
     The shape is not a law: the constructor of ``ManifoldData`` has checked it.
     """
     laws = LAWS + (_bockstein_exact,) if strict else LAWS

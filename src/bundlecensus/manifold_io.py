@@ -289,7 +289,7 @@ def parse_manifold_text(text: str) -> ManifoldData:
 def parse_manifold(path, strict: bool = False) -> ManifoldData:
     """Parse a manifold file and validate its laws (``parse_manifold_text`` does not)."""
     data = parse_manifold_text(Path(path).read_text())
-    report = validate_manifold(data, strict=strict)
+    report = validate_manifold(data, strict=True) if strict else data.report
     if not report.ok:
         raise ManifoldValidationError(report)
     return data

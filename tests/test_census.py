@@ -21,9 +21,22 @@ from bundlecensus.census import (
     cp4_rank4_admissible,
     enumerate_cp4,
 )
-from bundlecensus.charclass import CONDITION_COLUMNS, DEGREE8_TABLE, MONOMIALS, pair_monomials, symbol_products
-from bundlecensus.classify import check_rank4, condition1_rhs
-from bundlecensus.cohomology import CompiledManifold, MissingOperationError
+from bundlecensus.charclass import (
+    CONDITION_COLUMNS,
+    DEGREE8_TABLE,
+    MONOMIALS,
+    chern_product,
+    pair_monomials,
+    rr_value,
+    symbol_products,
+)
+from bundlecensus.classify import InternalInconsistencyError, OddGeneratorsMissing, check_rank4, count_classes
+from bundlecensus.cohomology import (
+    CompiledManifold,
+    ManifoldValidationError,
+    MissingOperationError,
+    validate_manifold,
+)
 from bundlecensus.fixtures import BUILTIN_NAMES, builtin
 
 
@@ -235,93 +248,96 @@ def test_census_matches_per_tuple_evaluation(name, bound, rank):
     assert census.enumerate(data, bound, rank) == expected
 
 
+def missing_tables(data, u):
+    """The MissingOperationError messages the queries raise on tuple u; an
+    InternalInconsistencyError or OddGeneratorsMissing is an answer here."""
+    queries = (
+        lambda: check_rank4(data, u),
+        lambda: count_classes(data, u, 4),
+        lambda: count_classes(data, u[:3], 3),
+        lambda: rr_value(data, u, self_check=True),
+        lambda: chern_product(u, u, data),
+        lambda: census.enumerate(data, 0, 4),
+    )
+    messages = []
+    for query in queries:
+        try:
+            query()
+        except MissingOperationError as exc:
+            messages.append(str(exc))
+        except (InternalInconsistencyError, OddGeneratorsMissing):
+            pass
+    return messages
+
+
+def census_matches_on_validated_data(data, bound, rank):
+    """The census raises ManifoldValidationError exactly when data fails a law;
+    otherwise it is ``per_tuple_census``.  The outcome's name."""
+    report = validate_manifold(data)
+    got = staged_census(data, bound, rank)
+    if not report.ok:
+        assert got == (ManifoldValidationError, str(ManifoldValidationError(report))), (data.name, rank)
+        return "ManifoldValidationError"
+    expected = per_tuple_census(data, bound, rank)
+    assert got == expected, (data.name, rank)
+    assert got[:1] != (MissingOperationError,), (data.name, rank)  # validated data has every table
+    return expected[0].__name__ if isinstance(expected, tuple) else "answered"
+
+
 def test_census_matches_per_tuple_evaluation_on_unvalidated_data():
     outcomes = Counter()
+    rng = random.Random(3)
     for data in mutated_manifolds(200, seed=11):
         for rank in (4, 3):
-            expected = per_tuple_census(data, 1, rank)
-            assert staged_census(data, 1, rank) == expected, (data.name, rank)
-            outcomes[expected[0].__name__ if isinstance(expected, tuple) else "answered"] += 1
-    # every kind of outcome is exercised
-    assert set(outcomes) == {"answered", "MissingOperationError", "InternalInconsistencyError"}, outcomes
+            outcomes[census_matches_on_validated_data(data, 1, rank)] += 1
+        if validate_manifold(data).ok:  # and no query on it misses a table
+            m = data.compiled
+            coords = [[rng.randrange(d) if d else rng.randint(-3, 3) for d in m.factors[n]] for n in (2, 4, 6, 8)]
+            for u in (data.chern_tuple(*coords), data.chern_tuple(*([0] * len(f) for f in m.factors[2:9:2]))):
+                assert missing_tables(data, u) == [], data.name
+    # every kind of outcome is exercised, and a missing table is none of them
+    assert set(outcomes) == {"answered", "ManifoldValidationError", "InternalInconsistencyError"}, outcomes
+
+
+@pytest.mark.parametrize("name, ranks", [("torsion-demo", (4, 3)), ("cp2xcp2", (3,))])
+def test_census_looks_condition_1_up_where_rho2_commutes_with_reduction(name, ranks, monkeypatch):
+    # rho2 at degree 6 commutes with reduction on validated data (rho2_times2), so the
+    # census applies it once per u3 and once per (u1, u2), never per tuple
+    data = builtin(name)
+    applied = Counter()
+    apply = CompiledManifold.apply
+
+    def counted(self, op, degree, x):
+        applied[op, degree] += 1
+        return apply(self, op, degree, x)
+
+    monkeypatch.setattr(CompiledManifold, "apply", counted)
+    for rank in ranks:
+        expected = per_tuple_census(data, 2, rank)
+        assert any(g for _, g in expected) and not all(g for _, g in expected)
+        applied.clear()
+        assert census.enumerate(data, 2, rank) == expected
+        u1s, u2s, u3s = (_box_size_of(data, 2, n) for n in (2, 4, 6))
+        assert applied["rho2", 6] == u3s + u1s * u2s
+
+
+def _box_size_of(data, bound, degree):
+    """The number of values of the census variable of that degree."""
+    return math.prod(d or 2 * bound + 1 for d in data.compiled.factors[degree])
 
 
 def _box_size(data, bound, rank):
-    return math.prod(d or 2 * bound + 1 for n in (2, 4, 6, 8)[:rank] for d in data.compiled.factors[n])
+    return math.prod(_box_size_of(data, bound, n) for n in (2, 4, 6, 8)[:rank])
 
 
 def test_census_matches_per_tuple_evaluation_on_unvalidated_data_at_bound_2():
     for data in mutated_manifolds(120, seed=23):
         for rank in (4, 3):
             if _box_size(data, 2, rank) <= 20_000:
-                assert staged_census(data, 2, rank) == per_tuple_census(data, 2, rank), (data.name, rank)
+                census_matches_on_validated_data(data, 2, rank)
 
 
-@pytest.fixture
-def per_u3_comparisons(monkeypatch):
-    """The calls of condition1_rhs the census makes: none where it looks (1) up."""
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return condition1_rhs(*args)
-
-    monkeypatch.setattr(census, "condition1_rhs", counted)
-    return calls
-
-
-def _rho2_commutes_with_reduction(data):
-    m = data.compiled
-    return not any(d * v % 2 for row in m.ops["rho2"][6] for d, v in zip(m.factors[6], row))
-
-
-@pytest.mark.parametrize(
-    "name, seed, bound",
-    [("cp4", 0, 2), ("cp4", 1, 2), ("cp1xcp3", 0, 1), ("cp1xcp3", 1, 1)],
-    ids=["cp4-Z5", "cp4-Z3", "cp1xcp3-Z5", "cp1xcp3-Z3"],
-)
-def test_census_compares_per_u3_where_rho2_does_not_commute_with_reduction(
-    name, seed, bound, per_u3_comparisons
-):
-    # an odd finite factor of H^6 with an odd rho2 column: rho2(u3 + u1*u2)
-    # is not rho2(u3) + rho2(u1*u2) once the sum is reduced
-    data = _odd_torsion_in_h6(builtin(name), random.Random(seed))
-    assert data.compiled.factors[6][0] == (5, 3)[seed]
-    assert not _rho2_commutes_with_reduction(data)
-    for rank in (4, 3):
-        assert staged_census(data, bound, rank) == per_tuple_census(data, bound, rank)
-    assert per_u3_comparisons
-
-
-@pytest.mark.parametrize("name, ranks", [("torsion-demo", (4, 3)), ("cp2xcp2", (3,))])
-def test_census_looks_condition_1_up_where_rho2_commutes_with_reduction(name, ranks, per_u3_comparisons):
-    data = builtin(name)
-    assert _rho2_commutes_with_reduction(data)
-    for rank in ranks:
-        expected = per_tuple_census(data, 2, rank)
-        assert any(g for _, g in expected) and not all(g for _, g in expected)
-        assert census.enumerate(data, 2, rank) == expected
-    assert per_u3_comparisons == []
-
-
-@pytest.mark.parametrize("name", ["cp4", "cp1xcp3", "cp2xcp2", "hp2"])
-def test_census_reduces_the_pairing_mod_a_finite_factor_of_h8(name):
-    # H^8 = Z/4 with pairing weight 3: <x*y> is w * (its coordinate mod 4),
-    # which no single linear form gives; the census adds it per value
-    data = _torsion_in_h8(builtin(name), random.Random(5))
-    assert (data.compiled.factors[8], data.pairing) == ((4,), (3,))
-    for rank in (4, 3):
-        expected = per_tuple_census(data, 1, rank)
-        assert isinstance(expected, list) and any(g for _, g in expected)
-        assert census.enumerate(data, 1, rank) == expected
-
-
-def _form_value(form, v):
-    weights, finite = form
-    return sum(map(operator.mul, weights, v)) + sum(w * (sum(map(operator.mul, row, v)) % d) for w, d, row in finite)
-
-
-@pytest.mark.parametrize("mutate", [None, _torsion_in_h8, _odd_torsion_in_h6], ids=["as-is", "h8", "h6"])
+@pytest.mark.parametrize("mutate", [None, _odd_torsion_in_h6], ids=["as-is", "h6"])
 @pytest.mark.parametrize("name", BUILTIN_NAMES + ("h7-demo",))
 def test_pair_form_is_the_pairing_of_the_cup(name, mutate):
     data = make_h7_demo() if name == "h7-demo" else builtin(name)
@@ -339,8 +355,8 @@ def test_pair_form_is_the_pairing_of_the_cup(name, mutate):
             right, left = m.pair_form(a, x, b, None), m.pair_form(a, None, b, y)
             for _ in range(5):
                 v, w = coords(b), coords(a)
-                assert _form_value(right, v) == m.pair(m.cup(a, x, b, v))
-                assert _form_value(left, w) == m.pair(m.cup(a, w, b, y))
+                assert sum(map(operator.mul, right, v)) == m.pair(m.cup(a, x, b, v))
+                assert sum(map(operator.mul, left, w)) == m.pair(m.cup(a, w, b, y))
     cp4 = builtin("cp4")
     missing = cp4._replace(cup_z={k: v for k, v in cp4.cup_z.items() if k != (2, 6)}).compiled
     with pytest.raises(MissingOperationError, match=r"missing cup product table for degrees \(2, 6\)"):
@@ -399,17 +415,6 @@ def test_cp4_rows_are_census_rows_of_enumerate_and_the_closed_form(bound, rank):
     for row, (c, generic) in zip(rows, pairs):
         assert type(row) is CensusRow
         assert (row.coefficients, row.closed_form, row.generic) == (c, cp4_rank4_admissible(*c, *pad), generic)
-
-
-def test_census_raises_the_first_missing_table_check_rank4_reaches():
-    # without (2, 2) and (4, 4), check_rank4 reaches u1*u1 first; the stages
-    # alone would reach u2*u2 first
-    cp4 = builtin("cp4")
-    data = cp4._replace(cup_z={k: v for k, v in cp4.cup_z.items() if k not in ((2, 2), (4, 4))})
-    for rank in (4, 3):
-        expected = per_tuple_census(data, 1, rank)
-        assert expected[1] == "missing cup product table for degrees (2, 2)"
-        assert staged_census(data, 1, rank) == expected
 
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "cp4_census.py"

@@ -125,6 +125,45 @@ def test_long_vector_errors_stay_short(capsys):
         assert max(map(len, err.splitlines())) < 200
 
 
+# each shipped file without a table its queries read; its --chern vectors
+MISSING_TABLES = {
+    "cp4": (("cup 4 4",), ("1", "1", "1", "0")),
+    "torsion-demo": (("map beta 5", "1"), ("-", "-", "0", "0")),
+}
+
+
+@pytest.mark.parametrize(
+    "command", ["validate", "rank4", "rank3", "count", "groups", "oracle"]
+)
+@pytest.mark.parametrize("name", sorted(MISSING_TABLES))
+def test_a_missing_table_fails_at_load(capsys, tmp_path, name, command):
+    # the file parses, but a query would miss the table: every subcommand
+    # refuses it as an input error, with tables_complete in the report
+    dropped, chern = MISSING_TABLES[name]
+    lines = (SHIPPED / f"{name}.manifold").read_text().splitlines()
+    if len(dropped) == 1:  # every line of a cup table
+        lines = [line for line in lines if not line.startswith(dropped[0])]
+    else:  # a matrix header and its rows
+        start = next(k for k, line in enumerate(lines) if line.startswith(dropped[0]))
+        del lines[start : start + len(dropped)]
+    path = tmp_path / f"{name}.manifold"
+    path.write_text("\n".join(lines) + "\n")
+    argv = {
+        "validate": (),
+        "rank4": ("--chern", *chern),
+        "rank3": ("--chern", *chern[:3]),
+        "count": ("--rank", "4", "--chern", *chern),
+        "groups": ("--chern", *chern[:3]),
+        "oracle": ("--chern", *chern),
+    }[command]
+    code, out, err = run(capsys, command, str(path), *argv)
+    assert code == 2
+    report = out if command == "validate" else err  # validate prints its report as its answer
+    assert "FAIL  tables_complete" in report, (out, err)
+    if command != "validate":
+        assert out == ""
+
+
 def test_internal_inconsistency_exit_three(capsys, tmp_path, cp4):
     path = tmp_path / "corrupt.manifold"
     path.write_text(serialize_manifold(cp4).replace("p1 5", "p1 2"))

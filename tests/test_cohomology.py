@@ -5,12 +5,15 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from bundlecensus import census, cohomology
+from bundlecensus import census, charclass, classify, cohomology
 from bundlecensus.abelian import IntMatrix
-from bundlecensus.charclass import rr_value, zero_tuple
-from bundlecensus.classify import check_rank4, count_classes
+from bundlecensus.charclass import chern_product, rr_value, zero_tuple
+from bundlecensus.classify import check_rank4, compute_T, count_classes
 from bundlecensus.cohomology import (
     DEGREES,
+    ODD_CUPS,
+    QUERIED_MATRICES,
+    CompiledManifold,
     CohomologyClass,
     GradedGroupZ,
     LawResult,
@@ -34,6 +37,7 @@ from bundlecensus.manifold_io import (
 )
 
 from conftest import graded_pair, make_h7_demo, misshape, unchecked
+from test_classify import torsion_demo_with_h3
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -169,13 +173,136 @@ def test_strict_mode_catches_broken_exactness(torsion_demo):
 )
 def test_strict_mode_fails_a_degree_whose_matrix_is_missing(name, drop, witness):
     # both sides of each dropped matrix are nontrivial, so exactness at its
-    # degree cannot be checked; the other laws do not need it
+    # degree cannot be checked; a matrix a query applies fails tables_complete too
     data = make_h7_demo() if name == "h7-demo" else builtin(name)
     data = data._replace(**{op: {n: M for n, M in getattr(data, op).items() if n != k} for op, k in drop.items()})
-    assert validate_manifold(data).ok
+    complete = tuple(
+        LawResult("tables_complete", False, f"missing {op} matrix at degree {k}")
+        for op, k in drop.items() if (op, k) in QUERIED_MATRICES
+    )
+    assert validate_manifold(data).failures() == complete
     report = validate_manifold(data, strict=True)
     (degree,) = set(drop.values())
-    assert report.failures() == (LawResult(f"bockstein_exact_deg{degree}", False, witness),)
+    assert report.failures() == complete + (LawResult(f"bockstein_exact_deg{degree}", False, witness),)
+
+
+def h7_demo_with_h1_h6() -> ManifoldData:
+    """h7-demo with H^1 = Z on a and H^6 = Z on b, b*a = w: T cups u3 with g1 = 0 by a
+    nontrivial (6, 1) table."""
+    h7 = make_h7_demo()
+    integral, mod2 = graded_pair(
+        {0: ((0,), ("1",)), 1: ((0,), ("a",)), 6: ((0,), ("b",)), 7: ((0,), ("w",)), 8: ((0,), ("v",))},
+        {0: ("1",), 1: ("a",), 6: ("b",), 7: ("w",), 8: ("v",)},
+    )
+    (g1, g3, g5, g7), = h7.odd_generators
+    return h7._replace(
+        integral=integral, mod2=mod2, cup_z={(6, 1): {(0, 0): (1,)}},
+        rho2={**h7.rho2, 6: IntMatrix.identity(1)}, odd_generators=((g1._replace(coords=(0,)), g3, g5, g7),),
+    )
+
+
+def complete_manifolds() -> list[ManifoldData]:
+    """Fresh instances, so no cached B or Todd rows hides a table: the builtins,
+    h7-demo and the two variants that make H^3 and the (6, 1) table nontrivial."""
+    bases = [builtin(name)._replace() for name in BUILTIN_NAMES] + [make_h7_demo()]
+    return bases + [torsion_demo_with_h3(builtin("torsion-demo")), h7_demo_with_h1_h6()]
+
+
+def _required_cups(data) -> set:
+    odd = ODD_CUPS if data.odd_generators is not None else ()
+    return {*data.compiled.cups, *odd, *((b, a) for a, b in odd)}
+
+
+def _nontrivial_cup(data, a: int, b: int) -> bool:
+    return a > 0 and b > 0 and all(data.ngens(n) for n in (a, b, a + b))
+
+
+@pytest.fixture
+def tables_read(monkeypatch):
+    """Each table a query reaches: (op, degree) for a matrix, ("cup", a, b) for a cup table."""
+    reached = set()
+    apply, compiled_cup, pair_form, class_cup = (
+        CompiledManifold.apply, CompiledManifold.cup, CompiledManifold.pair_form, cohomology.cup
+    )
+
+    def traced_apply(self, op, degree, x):
+        reached.add((op, degree))
+        return apply(self, op, degree, x)
+
+    def traced_cup(self, a, x, b, y):
+        reached.add(("cup", a, b))
+        return compiled_cup(self, a, x, b, y)
+
+    def traced_pair_form(self, a, x, b, y):
+        reached.add(("cup", a, b))
+        return pair_form(self, a, x, b, y)
+
+    def traced_class_cup(data, x, y):
+        reached.add(("cup", x.degree, y.degree))
+        return class_cup(data, x, y)
+
+    monkeypatch.setattr(CompiledManifold, "apply", traced_apply)
+    monkeypatch.setattr(CompiledManifold, "cup", traced_cup)
+    monkeypatch.setattr(CompiledManifold, "pair_form", traced_pair_form)
+    for module in (cohomology, classify, charclass):
+        monkeypatch.setattr(module, "cup", traced_class_cup)
+    return reached
+
+
+def test_tables_complete_requires_what_the_queries_read(tables_read):
+    # every nontrivial table the queries reach is one the law requires, and
+    # over these manifolds the queries reach every table it requires
+    rng = random.Random(23)
+    reached_anywhere = set()
+    for data in complete_manifolds():
+        assert data.report.ok, data.name  # the laws apply matrices too: kept before the queries
+        tables_read.clear()
+        m = data.compiled
+        for _ in range(3):
+            coords = [[rng.randrange(d) if d else rng.randint(-3, 3) for d in m.factors[n]] for n in (2, 4, 6, 8)]
+            u = data.chern_tuple(*coords)
+            check_rank4(data, u)
+            count_classes(data, u, 4)
+            count_classes(data, u[:3], 3)
+            if data.odd_generators is not None:  # T, which count_classes takes only where u is realizable
+                compute_T(data, *u[:3])
+            rr_value(data, u, self_check=True)
+            chern_product(u, u, data)
+        for rank in (4, 3):
+            census.enumerate(data, 1, rank)
+        for table in tables_read:
+            if table[0] == "cup":
+                if _nontrivial_cup(data, *table[1:]):
+                    assert table[1:] in _required_cups(data), (data.name, table)
+            elif _zero_shape(data, *table) is None:
+                assert table in QUERIED_MATRICES, (data.name, table)
+        reached_anywhere |= tables_read
+    required = {("cup", a, b) for a in (2, 4, 6) for b in (2, 4, 6) if a + b <= 8}
+    required |= {("cup", a, b) for a, b in ODD_CUPS} | set(QUERIED_MATRICES)
+    assert required <= reached_anywhere
+
+
+def test_dropping_a_required_table_fails_tables_complete():
+    # each required table that a manifold gives nontrivially, dropped alone
+    # (a cup table in both orientations), fails the law, which names it
+    dropped = 0
+    for data in complete_manifolds():
+        for op, degree in QUERIED_MATRICES:
+            if degree in getattr(data, op) and _zero_shape(data, op, degree) is None:
+                without = data._replace(**{op: {n: M for n, M in getattr(data, op).items() if n != degree}})
+                law = validate_manifold(without).law("tables_complete")
+                assert law == LawResult("tables_complete", False, f"missing {op} matrix at degree {degree}")
+                dropped += 1
+        for a, b in data.cup_z:
+            if (a, b) in _required_cups(data) and _nontrivial_cup(data, a, b):
+                without = data._replace(cup_z={k: v for k, v in data.cup_z.items() if k not in ((a, b), (b, a))})
+                law = validate_manifold(without).law("tables_complete")
+                assert not law.passed and law.witness in {
+                    f"missing cup product table for degrees ({a}, {b})",
+                    f"missing cup product table for degrees ({b}, {a})",
+                }, (data.name, a, b, law)
+                dropped += 1
+    assert dropped >= 20
 
 
 def test_cup_examples(cp4, hp2):
@@ -464,15 +591,19 @@ def test_validation_compiles_once(name, monkeypatch):
     compiled = []
     compile_once = cohomology._compile
     monkeypatch.setattr(cohomology, "_compile", lambda data: compiled.append(data) or compile_once(data))
+    validated = []
+    validate = cohomology.validate_manifold
+    monkeypatch.setattr(cohomology, "validate_manifold", lambda data: validated.append(data) or validate(data))
     data = parse_manifold(_DATA / f"{name}.manifold")
     assert "compiled" in vars(data) and compiled == [data]
+    assert vars(data)["report"].ok and validated == [data]  # the report the census reads
     u = zero_tuple(data)
     assert check_rank4(data, u).realizable
     assert count_classes(data, u, 4) is not None and count_classes(data, u, 3) is not None
     rr_value(data, u, self_check=True)
     for rank in (4, 3):
         census.enumerate(data, 1, rank)
-    assert len(compiled) == 1
+    assert len(compiled) == 1 and len(validated) == 1
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES + ("h7-demo",))

@@ -49,6 +49,7 @@ def test_file_format_example_is_a_complete_file():
     data = parse_manifold_text(file_format_example())
     report = validate_manifold(data, strict=True)
     assert report.ok
+    assert report.law("tables_complete").passed  # its cup 4 4 table is the one it needs
     assert [r.name for r in report.results if r.name.startswith("bockstein")] == [
         f"bockstein_exact_deg{n}" for n in range(9)
     ]
@@ -76,4 +77,5 @@ def test_file_format_example_needs_its_mod2_groups():
     ]
     report = validate_manifold(parse_manifold_text("\n".join(old)), strict=True)
     assert report.failures() == (report.law("mod2_dims"),)
+    assert report.law("tables_complete").passed
     assert report.law("mod2_dims").witness == "degree 0: dim H^0(Z/2) = 0, expected 1"
