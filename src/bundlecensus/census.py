@@ -6,13 +6,20 @@ builds its rows and its closed-form column from them by columns, with no Python 
 per tuple but the one call of the closed form.
 
 The census decides validated data only: data whose report (``data.report``) fails a law
-raises ``ManifoldValidationError`` before any verdict.  The core pairs the monomials of
-``DEGREE8_TABLE`` by the census variables they read (``_STAGES``): (u2) once per value,
-with c*c cupped once per box; every other one as an exact linear form
-(``CompiledManifold.pair_form``, exact as H^8 = Z) in the operand of its last cup that
-varies, contracted once per box where the fixed operand is c and once per u1 where it
-reads u1.  Condition (1) is looked up by rho2(u3), which commutes with reduction on
-validated data (the law ``rho2_times2``).
+raises ``ManifoldValidationError`` before any verdict.  Conditions (2) and (3) read rhs(2)
+mod 3 and 4*rhs(3) mod 8, which fold by CRT into one residue r mod 24: each monomial of
+``DEGREE8_TABLE`` but <u4> weighs (16*k2 + 9*k3) mod 24 in it (``_WEIGHTS``), and per u4
+the verdicts at each r are one precomputed row (``_table``), None where rhs(3) is not an
+integer.  The residue is a sum of exact linear forms: each monomial, its weight times the
+pairing, is pushed through its last cups as ``charclass._steps`` cups them (``_LAST_CUPS``)
+wherever the other operand has a known value (``CompiledManifold.form``): p1, c and c*c once
+per box (grouped by the variables each monomial reads, ``_STAGES``), u2 in <u2*u2> once per
+u2, and u1 and u1*u1 once per u1.  So per u1 the residue is one dot product with u2 plus one
+with u3.  <(u1*u2)*c> becomes a form on H^6 once per box and one on u2 once per u1 before
+u1*u2 is reduced: exact because a class of finite order pairs to 0 (the law
+``torsion_pairs_to_zero``).  Condition (1) depends on u1, u2 and u3 mod 2 alone, as the cup
+is bilinear and rho2 commutes with reduction (the law ``rho2_times2``), so each (u1, u2)
+row looks up at once the residues of the u3s whose rho2 (1) asks for; the other u3s fail (1).
 
 On cp4 every class is an integer multiple of a power of the hyperplane
 class, so a candidate tuple is four integers (a1, a2, a3, a4).  The
@@ -31,11 +38,11 @@ from __future__ import annotations
 
 import builtins
 from itertools import chain, product, repeat
-from operator import mul, xor
+from operator import add, itemgetter, mul, xor
 from typing import Iterable, NamedTuple
 
-from .charclass import DEGREE8_TABLE, MONOMIALS, _steps, pair_monomials
-from .classify import condition1_lhs, integral_rhs3
+from .charclass import DEGREE8_TABLE, MONOMIALS, Monomial, _steps
+from .classify import condition1_lhs, rank4_conditions
 from .cohomology import CompiledManifold, Coords, ManifoldData, ManifoldValidationError
 from .fixtures import builtin
 
@@ -47,6 +54,9 @@ _STAGES = {
     for reads in dict.fromkeys(_READS.values()) if "u4" not in reads
 }
 _LAST_CUPS = {step[0]: step[1:] for step in _steps(MONOMIALS)}  # product -> its last cup, as _steps cups it
+# the weight of each of those monomials in the residue r mod 24 that decides (2) and (3): r = rhs(2)
+# mod 3 and r = 4*rhs(3) mod 8 (by CRT, as 16 = 1 mod 3 and 0 mod 8, 9 = 0 mod 3 and 1 mod 8)
+_WEIGHTS = {mono: (16 * k2 + 9 * k3) % 24 for mono, _, _, k2, k3 in DEGREE8_TABLE if "u4" not in mono}
 
 
 def cp4_rank4_admissible(a1: int, a2: int, a3: int, a4: int) -> bool:
@@ -78,40 +88,74 @@ class CensusResult(NamedTuple):
         return [r.coefficients for r in self.rows if r.generic != r.closed_form]
 
 
-def _share(m: CompiledManifold, reads: tuple[str, ...], products: dict) -> list[int]:
-    """The share of rhs(2) and 4*rhs(3) of the monomials reading ``reads``, from ``products``
-    as ``pair_monomials`` reads and fills it."""
-    monomials, _, _, *columns = _STAGES[reads]
-    pairings = pair_monomials(m, products, monomials)
-    return [sum(map(mul, column, pairings)) for column in columns]
+def _value(m: CompiledManifold, fixed: dict, product: Monomial) -> Coords | None:
+    """The coordinates of ``product`` where each of its factors is in ``fixed``, cupped as
+    ``_steps`` cups it and kept in ``fixed``; None where one is not."""
+    if product not in fixed:
+        if product not in _LAST_CUPS:
+            return None
+        prefix, a, factor, b = _LAST_CUPS[product]
+        x, y = _value(m, fixed, prefix), _value(m, fixed, factor)
+        if x is None or y is None:
+            return None
+        fixed[product] = m.cup(a, x, b, y)
+    return fixed[product]
 
 
-def _forms(m: CompiledManifold, reads: tuple[str, ...], fixed: dict) -> dict:
-    """{monomial: (operand, weights)} for each monomial of the stage whose last cup has an
-    operand in ``fixed``: that cup as a linear form in its other operand (``CompiledManifold.pair_form``)."""
-    forms = {}
-    for mono in _STAGES[reads][0]:
-        prefix, a, factor, b = _LAST_CUPS[mono]
-        if prefix in fixed or factor in fixed:
-            weights = m.pair_form(a, fixed.get(prefix), b, fixed.get(factor))
-            forms[mono] = (factor if prefix in fixed else prefix, weights)
-    return forms
+def _contract(m: CompiledManifold, forms: Iterable, fixed: dict) -> dict:
+    """{product: weights}: each of ``forms``, a (product, weights) linear form in the product's
+    coordinates, pushed through each last cup of the product that has an operand of known value
+    (``_value`` in ``fixed``; ``CompiledManifold.form``), summed by the product it ends in."""
+    sums: dict = {}
+    for product, weights in forms:
+        while product in _LAST_CUPS:
+            prefix, a, factor, b = _LAST_CUPS[product]
+            if (x := _value(m, fixed, prefix)) is not None:
+                product, weights = factor, m.form(a, x, b, None, weights)
+            elif (y := _value(m, fixed, factor)) is not None:
+                product, weights = prefix, m.form(a, None, b, y, weights)
+            else:
+                break
+        sums[product] = list(map(add, sums[product], weights)) if product in sums else weights
+    return sums
 
 
-def _stage(reads: tuple[str, ...], forms: dict, operands: dict, totals: list) -> list:
-    """``totals`` plus the stage's share of rhs(2) and 4*rhs(3) at each index of the value lists
-    in ``operands``, each monomial through its form in ``forms``."""
-    monomials, _, _, *columns = _STAGES[reads]
-    for mono, k2, k3 in zip(monomials, *columns):
-        operand, weights = forms[mono]
-        pairings = [sum(map(mul, weights, v)) for v in operands[operand]]
-        totals = [(t2 + k2 * p, t3 + k3 * p) for (t2, t3), p in zip(totals, pairings)]
-    return totals
+def _box_forms(m: CompiledManifold, box: dict) -> dict:
+    """{reads: forms} for each stage: the residue weight times the pairing of each of its
+    monomials, contracted with the classes fixed for the whole box."""
+    return {
+        reads: _contract(m, [(mono, [_WEIGHTS[mono] * w for w in m.pairing]) for mono in monomials], box)
+        for reads, (monomials, *_) in _STAGES.items()
+    }
+
+
+def _residues(m: CompiledManifold, forms: dict, var: Monomial, values: list[Coords]) -> list[int]:
+    """The residue of a stage that reads ``var`` alone at each of ``values``, from its ``forms``:
+    those in ``var`` as they are, the others contracted with each value."""
+    base = forms.get(var, ())
+    rest = [form for form in forms.items() if form[0] != var]
+    if not rest:
+        return [sum(map(mul, base, v)) % 24 for v in values]
+    return [(sum(map(mul, base, v)) + sum(map(mul, _contract(m, rest, {var: v})[var], v))) % 24 for v in values]
+
+
+def _table(lhs: list[int]) -> list:
+    """For each residue r mod 24, the verdicts at the values ``lhs`` of <u4>: conditions (2) and
+    (3) compare them with rhs(2) = r mod 3 and rhs(3) = r mod 8 // 4; None where r mod 4 is not 0,
+    where rhs(3) is not an integer."""
+    return [[x % 3 == r % 3 and x % 2 == r % 8 // 4 for x in lhs] if r % 4 == 0 else None for r in range(24)]
+
+
+def _getter(indices: list[int]):
+    """``itemgetter(*indices)``, which returns a sequence also for one index."""
+    return itemgetter(*indices) if len(indices) > 1 else itemgetter(slice(indices[0], indices[0] + 1))
 
 
 def _census(data: ManifoldData, bound: int, rank: int) -> tuple[Iterable[Coords], Iterable[bool]]:
     """The coefficients of the box and their verdicts, as ``enumerate`` pairs them; every
-    verdict is decided, and every error raised, before this returns."""
+    verdict is decided, and every error raised, before this returns: where rhs(3) is not an
+    integer but (1) holds, ``rank4_conditions`` raises at the first such tuple, as
+    ``check_rank4`` does."""
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     if rank not in (3, 4):
@@ -123,33 +167,43 @@ def _census(data: ManifoldData, bound: int, rank: int) -> tuple[Iterable[Coords]
     if rank == 3:
         ranges[3] = [range(1)] * len(m.factors[8])
     u1s, u2s, u3s, u4s = (list(product(*r)) for r in ranges)
-    lhs = [m.pair(u4) for u4 in u4s]
-    verdicts = {(a, b): [x % 3 == a and x % 2 == b for x in lhs] for a in range(3) for b in range(2)}
-    failed = [False] * len(u4s)
-    by_rho2: dict[Coords, list[int]] = {}  # rho2(u3) -> the indices of those u3s
-    for i, u3 in builtins.enumerate(u3s):
-        by_rho2.setdefault(m.apply("rho2", 6, u3), []).append(i)
-    lhs1s = [condition1_lhs(data, u2) for u2 in u2s]
-    box = {("p1",): m.p1, ("c",): m.c, ("c", "c"): m.cup(2, m.c, 2, m.c)}
-    by_u2 = [_share(m, ("u2",), {("u2",): x, **box}) for x in u2s]
-    by_u3 = _stage(("u3",), _forms(m, ("u3",), box), {("u3",): u3s}, [(0, 0)] * len(u3s))
-    box_forms = _forms(m, ("u1", "u2"), box)
-    blocks: list[list[bool]] = []
-    for u1 in u1s:
-        u1u2s = [m.cup(2, u1, 4, u2) for u2 in u2s]
-        fixed = {("u1",): u1, ("u1", "u1"): m.cup(2, u1, 2, u1)}
-        forms = {**box_forms, **_forms(m, ("u1", "u2"), fixed)}
-        u2_terms = _stage(("u1", "u2"), forms, {("u2",): u2s, ("u1", "u2"): u1u2s}, by_u2)
-        u3_terms = _stage(("u1", "u3"), _forms(m, ("u1", "u3"), fixed), {("u3",): u3s}, by_u3)
-        for lhs1, u1u2, (t2, t3) in zip(lhs1s, u1u2s, u2_terms):
-            rows = [failed] * len(u3s)
-            for i in by_rho2.get(tuple(map(xor, lhs1, m.apply("rho2", 6, u1u2))), ()):
-                s2, s3 = u3_terms[i]
-                s3 += t3
-                if s3 % 4:
-                    integral_rhs3(s3, m.name)
-                rows[i] = verdicts[(t2 + s2) % 3, s3 // 4 % 2]
-            blocks += rows
+    table = _table([m.pair(u4) for u4 in u4s])
+    # the table turned by t, so that entry s is the verdicts at residue t + s; entry 24 fails (1)
+    turns, failed = table + table, [[False] * len(u4s)]
+    tables = [turns[t : t + 24] + failed for t in range(24)]
+    box = {("p1",): m.p1, ("c",): m.c}
+    forms = _box_forms(m, box)
+    r2s = _residues(m, forms["u2",], ("u2",), u2s)
+    r3s = _residues(m, forms["u3",], ("u3",), u3s)
+    by_u1 = [*forms["u1", "u2"].items(), *forms["u1", "u3"].items()]
+    # condition (1) asks rho2(u3) = Sq^2 rho2(u2) + rho2(u1*u2), which depends on the values mod 2
+    # alone: the cup is bilinear and rho2 commutes with reduction on validated data (rho2_times2)
+    p1s, p2s, p3s = ([tuple([x % 2 for x in u]) for u in us] for us in (u1s, u2s, u3s))
+    rho2s = {p: m.apply("rho2", 6, p) for p in dict.fromkeys(p3s)}
+    number = {key: k for k, key in builtins.enumerate(dict.fromkeys(rho2s.values()))}
+    classes = [number[rho2s[p]] for p in p3s]
+    # for each value of rho2(u3), and last for any other, its u3s' indices and len(u3s) for the others
+    members = [
+        [i if c == k else len(u3s) for i, c in builtins.enumerate(classes)] for k in range(len(number) + 1)
+    ]
+    lhs1s = {q: condition1_lhs(data, q) for q in dict.fromkeys(p2s)}
+    keys = {  # the value of rho2(u3) that (1) asks for, by the parities of u1 and u2
+        (p, q): tuple(map(xor, lhs1, m.apply("rho2", 6, m.cup(2, p, 4, q))))
+        for p in dict.fromkeys(p1s) for q, lhs1 in lhs1s.items()
+    }
+    wanted = {p: [number.get(keys[p, q], len(number)) for q in p2s] for p in dict.fromkeys(p1s)}
+    blocks: list = []
+    for u1, p in zip(u1s, p1s):
+        weights = _contract(m, by_u1, {**box, ("u1",): u1})
+        w2, w3 = weights["u2",], weights["u3",]
+        s3s = [(r + sum(map(mul, w3, u3))) % 24 for r, u3 in zip(r3s, u3s)] + [24]
+        rows = [_getter([s3s[i] for i in indices]) for indices in members]
+        for k, r, u2 in zip(wanted[p], r2s, u2s):
+            blocks += rows[k](tables[(r + sum(map(mul, w2, u2))) % 24])
+    if None in blocks:
+        i1, i = divmod(blocks.index(None), len(u2s) * len(u3s))
+        rank4_conditions(data, u1s[i1], u2s[i // len(u3s)], u3s[i % len(u3s)], u4s[0])
+        raise AssertionError("rank4_conditions found rhs(3) integral where the census did not")
     return product(*(r for rs in ranges[:rank] for r in rs)), chain.from_iterable(blocks)
 
 

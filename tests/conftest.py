@@ -102,6 +102,31 @@ def h7_demo():
     return make_h7_demo()
 
 
+def make_cp4_with_h6_torsion(ts: int = 0) -> ManifoldData:
+    """cp4 with H^6 = Z/2<s> + Z<t^3> and t*t^2 = t^3 + s, so that u1*u2 reaches the torsion of
+    H^6; s is the Bockstein of b5 in H^5(Z/2), and t*s = ts*t^4.  Passes every law, strict
+    ones too, for ts = 0; with ts odd, s pairs to ts with t and fails torsion_pairs_to_zero."""
+    cp4 = builtin("cp4")
+    integral, mod2 = graded_pair(
+        {0: ((0,), ("1",)), 2: ((0,), ("t",)), 4: ((0,), ("t^2",)), 6: ((2, 0), ("s", "t^3")), 8: ((0,), ("t^4",))},
+        {0: ("1",), 2: ("t",), 4: ("t^2",), 5: ("b5",), 6: ("s", "t^3"), 8: ("t^4",)},
+    )
+    return cp4._replace(
+        name="cp4-h6-torsion",
+        integral=integral,
+        mod2=mod2,
+        cup_z={
+            (2, 2): {(0, 0): (1,)},
+            (2, 4): {(0, 0): (1, 1)},
+            (2, 6): {(0, 0): (ts,), (0, 1): (1,)},
+            (4, 4): {(0, 0): (1,)},
+        },
+        rho2={**cp4.rho2, 6: IntMatrix.identity(2)},
+        beta={5: IntMatrix.from_rows([[1], [0]], 1)},
+        sq2={**cp4.sq2, 4: IntMatrix.zeros(2, 1), 6: IntMatrix.from_rows([[0, 1]], 2)},
+    )
+
+
 def unchecked(data: ManifoldData, **fields) -> ManifoldData:
     """data with fields replaced, built without the constructor's shape
     check: misshapen data for tests to serialize or to ask ``shape_problems``

@@ -11,7 +11,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from conftest import make_h7_demo
+from conftest import make_cp4_with_h6_torsion, make_h7_demo
 
 from bundlecensus import census
 from bundlecensus.abelian import FGAbelianGroup, IntMatrix
@@ -133,18 +133,44 @@ def test_stages_split_the_table():
 
 @pytest.mark.parametrize("name", ["cp2xcp2", "cp1xcp3", "torsion-demo"])
 def test_stage_shares_sum_to_the_right_hand_sides(name):
-    # the shares, on the coordinates as the census pairs them, add up to
-    # rhs(2) and 4*rhs(3) over the whole table
+    # the stages' forms, contracted with the classes as the census fixes them (the box, then u1,
+    # then the last variable each stage reads), add up to the residue of rhs(2) and 4*rhs(3)
+    # over the whole table
     data = builtin(name)
     m = data.compiled
     rng = random.Random(5)
+    box = {("p1",): m.p1, ("c",): m.c}
+    forms = census._box_forms(m, box)
     for _ in range(20):
         u = [tuple(rng.randrange(d) if d else rng.randint(-3, 3) for d in m.factors[n]) for n in (2, 4, 6, 8)]
-        products = symbol_products(m, *u)
-        pairings = pair_monomials(m, products, MONOMIALS)
-        shares = [census._share(m, reads, dict(products)) for reads in census._STAGES]
-        expected = [sum(map(operator.mul, column, pairings)) for column in CONDITION_COLUMNS[1:]]
-        assert [sum(column) for column in zip(*shares)] == expected
+        pairings = pair_monomials(m, symbol_products(m, *u), MONOMIALS)
+        rhs2, rhs3_times4 = (sum(map(operator.mul, column, pairings)) for column in CONDITION_COLUMNS[1:])
+        values = dict(zip(("u1", "u2", "u3"), u))
+        shares = []
+        for reads, stage in forms.items():
+            *outer, last = reads
+            if outer:
+                stage = census._contract(m, stage.items(), {**box, ("u1",): values["u1"]})
+            shares += census._residues(m, stage, (last,), [values[last]])
+        assert sum(shares) % 24 == (16 * rhs2 + 9 * rhs3_times4) % 24
+
+
+def test_one_residue_mod_24_decides_conditions_2_and_3():
+    # the weight of each monomial is rhs(2) mod 3 and 4*rhs(3) mod 8 at once, and the table of
+    # verdicts at each residue is conditions (2) and (3), None where rhs(3) is not an integer
+    for mono, _, _, k2, k3 in DEGREE8_TABLE:
+        if "u4" not in mono:
+            assert (census._WEIGHTS[mono] % 3, census._WEIGHTS[mono] % 8) == (k2 % 3, k3 % 8)
+    assert list(census._WEIGHTS.values()) == [20, 4, 6, 18, 2, 21, 1]
+    lhs = list(range(-7, 8))
+    table = census._table(lhs)
+    for rhs2 in range(-6, 7):
+        for rhs3_times4 in range(-17, 18):
+            verdicts = table[(16 * rhs2 + 9 * rhs3_times4) % 24]
+            if rhs3_times4 % 4:
+                assert verdicts is None
+            else:
+                assert verdicts == [x % 3 == rhs2 % 3 and x % 2 == rhs3_times4 // 4 % 2 for x in lhs]
 
 
 def per_tuple_census(data, bound, rank):
@@ -301,8 +327,9 @@ def test_census_matches_per_tuple_evaluation_on_unvalidated_data():
 
 @pytest.mark.parametrize("name, ranks", [("torsion-demo", (4, 3)), ("cp2xcp2", (3,))])
 def test_census_looks_condition_1_up_where_rho2_commutes_with_reduction(name, ranks, monkeypatch):
-    # rho2 at degree 6 commutes with reduction on validated data (rho2_times2), so the
-    # census applies it once per u3 and once per (u1, u2), never per tuple
+    # rho2 at degree 6 commutes with reduction on validated data (rho2_times2) and the cup is
+    # bilinear, so condition (1) depends on u1, u2 and u3 mod 2 alone: the census applies rho2 at 6
+    # once per parity of u3 and once per parities of (u1, u2), never per tuple or per (u1, u2)
     data = builtin(name)
     applied = Counter()
     apply = CompiledManifold.apply
@@ -317,8 +344,8 @@ def test_census_looks_condition_1_up_where_rho2_commutes_with_reduction(name, ra
         assert any(g for _, g in expected) and not all(g for _, g in expected)
         applied.clear()
         assert census.enumerate(data, 2, rank) == expected
-        u1s, u2s, u3s = (_box_size_of(data, 2, n) for n in (2, 4, 6))
-        assert applied["rho2", 6] == u3s + u1s * u2s
+        p1s, p2s, p3s = (_parities_of(data, 2, n) for n in (2, 4, 6))
+        assert applied["rho2", 6] == p3s + p1s * p2s
 
 
 def _box_size_of(data, bound, degree):
@@ -326,8 +353,29 @@ def _box_size_of(data, bound, degree):
     return math.prod(d or 2 * bound + 1 for d in data.compiled.factors[degree])
 
 
+def _parities_of(data, bound, degree):
+    """The number of values mod 2 of the census variable of that degree."""
+    return math.prod(min(d or 2 * bound + 1, 2) for d in data.compiled.factors[degree])
+
+
 def _box_size(data, bound, rank):
     return math.prod(_box_size_of(data, bound, n) for n in (2, 4, 6, 8)[:rank])
+
+
+@pytest.mark.parametrize("rank", [4, 3])
+def test_census_matches_per_tuple_evaluation_where_u1_u2_reaches_torsion_in_h6(rank):
+    # t*t^2 = t^3 + s with s of order 2: u1*u2 is reduced at degree 6 before it is paired with c
+    # tuple by tuple, and not in the census's form, which torsion_pairs_to_zero makes the same
+    data = make_cp4_with_h6_torsion()
+    expected = per_tuple_census(data, 2, rank)
+    assert isinstance(expected, list) and any(g for _, g in expected) and not all(g for _, g in expected)
+    assert census.enumerate(data, 2, rank) == expected
+
+
+def test_census_refuses_a_torsion_class_that_pairs_to_nonzero():
+    mutant = make_cp4_with_h6_torsion(ts=1)
+    with pytest.raises(ManifoldValidationError, match="torsion_pairs_to_zero"):
+        census.enumerate(mutant, 1, 4)
 
 
 def test_census_matches_per_tuple_evaluation_on_unvalidated_data_at_bound_2():
@@ -365,37 +413,40 @@ def test_pair_form_is_the_pairing_of_the_cup(name, mutate):
 
 @pytest.fixture
 def stage_calls(monkeypatch):
-    """What the census pairs: each ``census._share`` call as (stage, whether c*c came with the
-    products), and each ``CompiledManifold.pair_form`` contraction as its degrees (a, b)."""
-    shares, forms = [], []
-    share, pair_form = census._share, CompiledManifold.pair_form
+    """What the census contracts and cups: each ``CompiledManifold.form`` and each
+    ``CompiledManifold.cup`` call, by its degrees (a, b)."""
+    forms, cups = Counter(), Counter()
+    form, cup = CompiledManifold.form, CompiledManifold.cup
 
-    def counted_share(m, reads, products):
-        shares.append((reads, ("c", "c") in products))
-        return share(m, reads, products)
+    def counted_form(self, a, x, b, y, functional):
+        forms[a, b] += 1
+        return form(self, a, x, b, y, functional)
 
-    def counted_form(self, a, x, b, y):
-        forms.append((a, b))
-        return pair_form(self, a, x, b, y)
+    def counted_cup(self, a, x, b, y):
+        cups[a, b] += 1
+        return cup(self, a, x, b, y)
 
-    monkeypatch.setattr(census, "_share", counted_share)
-    monkeypatch.setattr(CompiledManifold, "pair_form", counted_form)
-    return shares, forms
+    monkeypatch.setattr(CompiledManifold, "form", counted_form)
+    monkeypatch.setattr(CompiledManifold, "cup", counted_cup)
+    return forms, cups
 
 
 @pytest.mark.parametrize(
     "name, bound, rank", [("cp4", 2, 4), ("cp4", 4, 3), ("cp2xcp2", 1, 4), ("cp2xcp2", 2, 3)]
 )
 def test_census_shares_once_per_u2_and_per_u3(name, bound, rank, stage_calls):
-    # each box-level stage is paired once per value, never per tuple or per u1: (u2) by one share
-    # per u2 with c*c cupped once per box; (u3) <c*u3> and <(u1*u2)*c> by one form per box; the
-    # stages reading u1 by one form per u1, <u1*u3> (2, 6) and <(u1*u1)*u2> (4, 4)
-    shares, forms = stage_calls
+    # each monomial is contracted once per value of the classes its last cups fix, never per
+    # tuple or per (u1, u2): once per box <(c*c)*u2> and <p1*u2> (4, 4) with c*c cupped once,
+    # <c*u3> (2, 6) and <(u1*u2)*c> to a form on H^6 (6, 2); <u2*u2> once per u2 (4, 4); per u1
+    # <(u1*u1)*u2> (4, 4) with u1*u1 cupped, <u1*u3> (2, 6) and that form on H^6 to one on u2 (2, 4).
+    # Condition (1) cups u1*u2 once per parities of (u1, u2)
+    forms, cups = stage_calls
     data = builtin(name)
     census.enumerate(data, bound, rank)
-    u1s, u2s = [math.prod(d or 2 * bound + 1 for d in data.compiled.factors[n]) for n in (2, 4)]
-    assert Counter(shares) == {(("u2",), True): u2s}
-    assert Counter(forms) == {(2, 6): 1 + u1s, (4, 4): u1s, (6, 2): 1}
+    u1s, u2s = (_box_size_of(data, bound, n) for n in (2, 4))
+    assert forms == {(4, 4): 2 + u2s + u1s, (2, 6): 1 + u1s, (6, 2): 1, (2, 4): u1s}
+    assert cups == {(2, 2): 1 + u1s, (2, 4): _parities_of(data, bound, 2) * _parities_of(data, bound, 4)}
+    assert cups[2, 4] < u1s * u2s
 
 
 def test_enumerate_cp4_evaluates_the_closed_form_per_tuple(monkeypatch):

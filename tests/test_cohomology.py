@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from bundlecensus import census, charclass, classify, cohomology
+from bundlecensus import census, charclass, classify, cohomology, manifold_io
 from bundlecensus.abelian import IntMatrix
 from bundlecensus.charclass import chern_product, rr_value, zero_tuple
 from bundlecensus.classify import check_rank4, compute_T, count_classes
@@ -36,7 +36,7 @@ from bundlecensus.manifold_io import (
     serialize_manifold,
 )
 
-from conftest import graded_pair, make_h7_demo, misshape, unchecked
+from conftest import graded_pair, make_cp4_with_h6_torsion, make_h7_demo, misshape, unchecked
 from test_classify import torsion_demo_with_h3
 
 
@@ -604,6 +604,40 @@ def test_validation_compiles_once(name, monkeypatch):
     for rank in (4, 3):
         census.enumerate(data, 1, rank)
     assert len(compiled) == 1 and len(validated) == 1
+
+
+def test_strict_loading_validates_once(monkeypatch):
+    # strict validation extends the report that data.report keeps, so a census on strictly
+    # loaded data does not validate it a second time
+    calls = []
+    validate = cohomology.validate_manifold
+
+    def counted(data, strict=False):
+        calls.append(strict)
+        return validate(data, strict)
+
+    for module in (cohomology, manifold_io):
+        monkeypatch.setattr(module, "validate_manifold", counted)
+    data = parse_manifold(_DATA / "cp4.manifold", strict=True)
+    census.enumerate(data, 1, 4)
+    assert calls == [True]
+    report, strict = data.report, validate(data, strict=True)
+    assert strict.results[: len(report.results)] == report.results
+    assert [r.name for r in strict.results[len(report.results) :]] == [f"bockstein_exact_deg{n}" for n in range(9)]
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ("h7-demo", "cp4-h6-torsion"))
+def test_torsion_pairs_to_zero_holds_on_the_fixtures(name):
+    data = {"h7-demo": make_h7_demo, "cp4-h6-torsion": make_cp4_with_h6_torsion}.get(name, lambda: builtin(name))()
+    assert validate_manifold(data, strict=True).ok
+    assert validate_manifold(data).law("torsion_pairs_to_zero") == LawResult("torsion_pairs_to_zero", True)
+
+
+@pytest.mark.parametrize("ts", [1, 2, -1])
+def test_a_torsion_class_that_pairs_to_nonzero_fails_torsion_pairs_to_zero(ts):
+    # s of order 2 with <t*s, [M]> = ts: 2*ts = <t*(2s), [M]> = 0 is false in Z
+    report = validate_manifold(make_cp4_with_h6_torsion(ts))
+    assert report.failures() == (LawResult("torsion_pairs_to_zero", False, "degree 6 generator s"),)
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES + ("h7-demo",))
