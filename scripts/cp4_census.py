@@ -6,8 +6,9 @@ the time per tuple of each, the best of 5 runs.  On cp4 (the default) it
 times ``enumerate_cp4`` and, beside it, the generic census
 (``census.enumerate``) alone, so that the share of building rows and the
 closed-form column shows; it cross-checks the generic census against the
-closed-form congruences and tabulates which residue of a4 mod 6 is
-realizable for each (a1, a2, a3).
+closed-form congruences, prints the residue table of the closed form (for
+each residue t mod 12 that (a1, a2, a3) folds to, the admissible a4 mod 6)
+and checks the realizable rank-4 count of the box against the table's.
 With --builtin it runs the generic census (``census.enumerate``) alone on
 that builtin.
 
@@ -17,9 +18,10 @@ that builtin.
 
 import argparse
 import time
-from collections import Counter
+from itertools import product
 
 from bundlecensus import BUILTIN_NAMES, builtin, census, enumerate_cp4, rr_value
+from bundlecensus.census import cp4_rank4_admissible
 
 
 def best_of_5(run):
@@ -60,10 +62,21 @@ def main() -> int:
     if args.builtin:
         return 0
 
-    residues = Counter()
-    for coeffs in results[4].realizable():
-        residues[coeffs[3] % 6] += 1
-    print("realizable a4 residues mod 6:", dict(sorted(residues.items())))
+    # the closed form at (a1, a2, a3, a4) is its value at (1, 0, t, a4), which reads a4 mod 6
+    print("admissible a4 by t = (4*a1 + 9)*a3 - a2*(a2 + 1 + a1*(4*a1 + 9)) mod 12:")
+    residues = {t: [a4 for a4 in range(6) if cp4_rank4_admissible(1, 0, t, a4)] for t in range(12)}
+    for t, a4s in residues.items():
+        admissible = f"a4 = {', '.join(map(str, a4s))} mod 6" if a4s else "none, as 2*a4 = -t mod 4 needs t even"
+        print(f"  t = {t:2} mod 12: {admissible}")
+    box = range(-args.bound, args.bound + 1)
+    predicted = sum(
+        a4 % 6 in residues[((4 * a1 + 9) * a3 - a2 * (a2 + 1 + a1 * (4 * a1 + 9))) % 12]
+        for a1, a2, a3, a4 in product(box, repeat=4)
+    )
+    realizable = len(results[4].realizable())
+    print(f"rank 4: the table predicts {predicted} realizable tuples, the census found {realizable}")
+    if predicted != realizable:
+        return 1
 
     print("sample Riemann-Roch values:")
     for coeffs in ((0, 0, 0, 6), (0, 0, 0, 1), (4, 6, 4, 1), (0, 1, 0, 0)):

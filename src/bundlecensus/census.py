@@ -2,8 +2,8 @@
 
 One core, ``_census``, decides a box and returns two iterables: the coefficients (the
 product over the box) and their verdicts.  ``enumerate`` zips them; ``enumerate_cp4``
-builds its rows and its closed-form column from them by columns, with no Python frame
-per tuple but the one call of the closed form.
+builds its rows from them and its closed-form column from one residue mod 12, with no
+Python frame per tuple.
 
 The census decides validated data only: data whose report (``data.report``) fails a law
 raises ``ManifoldValidationError`` before any verdict.  Conditions (2) and (3) read rhs(2)
@@ -29,9 +29,17 @@ closed-form admissibility conditions are the classical congruences
              2*a4 == a2^2 + a2 + a1*a2 - a3        mod 4
     rank 3:  the rank-4 congruences at a4 = 0.
 
-``enumerate_cp4`` evaluates both the closed form and the generic census on
-the built-in cp4 data for every tuple in the box; any disagreement is a
-bug in one of the two paths.
+They fold by CRT into one residue t mod 12: with s = 4*a1 + 9 (a1 mod 3, 1 mod 4),
+
+    t = s*a3 - a2*(a2 + 1 + a1*s)   mod 12
+
+is minus the right side of the mod-3 congruence mod 3 and of the mod-4 one mod 4, so
+the closed form at (a1, a2, a3, a4) is its value at (1, 0, t, a4): 2*a4 == -t mod 12,
+no a4 for odd t and one residue of a4 mod 6 for even t.  ``enumerate_cp4`` decides the
+box both ways, by the generic census on cp4-shaped data (the built-in cp4 by default)
+and by the closed form, evaluated at (1, 0, t, a4) for each t and a4 of the box: one getter
+per (a1, a2) reads those 12 rows as the census core reads its table.  Any disagreement is
+a bug in one of the two paths.
 """
 
 from __future__ import annotations
@@ -218,11 +226,30 @@ def enumerate(data: ManifoldData, bound: int, rank: int) -> list[tuple[Coords, b
 
 def enumerate_cp4(bound: int, rank: int, data: ManifoldData | None = None) -> CensusResult:
     """Every tuple with coefficients in [-bound, bound], decided both ways: by
-    ``enumerate`` on the built-in cp4 data and by the closed form, rank 3 as
-    (a1, a2, a3, 0) as ``check_rank3`` does; lexicographic order."""
-    coefficients, verdicts = _census(builtin("cp4") if data is None else data, bound, rank)
-    coefficients = list(coefficients)
-    closed = map(cp4_rank4_admissible, *zip(*coefficients), *[repeat(0)] * (4 - rank))
+    ``enumerate`` on ``data`` (the built-in cp4 data by default) and by the closed
+    form, rank 3 as (a1, a2, a3, 0) as ``check_rank3`` does; lexicographic order.
+    Raises ``ValueError`` on data not shaped like cp4."""
+    data = builtin("cp4") if data is None else data
+    if any(data.group(n).invariant_factors != (0,) for n in (2, 4, 6, 8)):
+        groups = ", ".join(f"H^{n} = {data.group(n)}" for n in (2, 4, 6, 8))
+        raise ValueError(f"enumerate_cp4 needs H^2, H^4, H^6 and H^8 each Z, as on cp4; {data.name} has {groups}")
+    coefficients, verdicts = _census(data, bound, rank)
+    # the closed form at (a1, a2, a3, a4) is its value at (1, 0, t, a4), t = slope*a3 - base mod 12
+    # for slope = 4*a1 + 9 and base = a2*(a2 + 1 + a1*slope) (the module docstring)
+    box = range(-bound, bound + 1)
+    a4s = box if rank == 4 else range(1)
+    n = len(a4s)
+    values = [cp4_rank4_admissible(1, 0, t, a4) for t in range(12) for a4 in a4s] * 2
+    # the values turned by a base b: entry k*n + j is the value at t = k - b and a4s[j]
+    turns = [values[(12 - b) * n : (24 - b) * n] for b in range(12)]
+    getters = {  # by the slope, the entries of each (a3, a4) in turn
+        slope: _getter([slope * a3 % 12 * n + j for a3 in box for j in range(n)])
+        for slope in dict.fromkeys((4 * a1 + 9) % 12 for a1 in box)
+    }
+    blocks = [
+        getters[(4 * a1 + 9) % 12](turns[a2 * (a2 + 1 + a1 * (4 * a1 + 9)) % 12]) for a1 in box for a2 in box
+    ]
+    closed = chain.from_iterable(blocks)
     # CensusRow._make without its Python frame per row
     rows = tuple(map(tuple.__new__, repeat(CensusRow), zip(coefficients, closed, verdicts)))
     return CensusResult(bound, rank, rows)

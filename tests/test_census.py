@@ -449,11 +449,46 @@ def test_census_shares_once_per_u2_and_per_u3(name, bound, rank, stage_calls):
     assert cups[2, 4] < u1s * u2s
 
 
-def test_enumerate_cp4_evaluates_the_closed_form_per_tuple(monkeypatch):
+def test_enumerate_cp4_evaluates_the_closed_form_at_call_time(monkeypatch):
     # a wrong closed form, looked up in the module at call time, shows as disagreements
     monkeypatch.setattr(census, "cp4_rank4_admissible", lambda *a: True)
     assert enumerate_cp4(1, 4).disagreements()
     assert enumerate_cp4(2, 3).disagreements()
+
+
+@pytest.mark.parametrize("rank", [4, 3])
+def test_cp4_closed_form_column_is_the_closed_form_tuple_by_tuple(rank):
+    # bound 6 and up covers a full period of the residue: 12 in a1, a2 and a3, 6 in a4
+    pad = (0,) * (4 - rank)
+    for bound in range(8):
+        rows = enumerate_cp4(bound, rank).rows
+        assert [r.coefficients for r in rows] == list(itertools.product(range(-bound, bound + 1), repeat=rank))
+        assert [r.closed_form for r in rows] == [cp4_rank4_admissible(*r.coefficients, *pad) for r in rows]
+
+
+@pytest.mark.parametrize("rank", [4, 3])
+@pytest.mark.parametrize("bound", [0, 1, 3, 6])
+def test_cp4_closed_form_is_called_twelve_times_per_a4(bound, rank, monkeypatch):
+    calls = []
+    closed_form = census.cp4_rank4_admissible
+
+    def counted(*args):
+        calls.append(args)
+        return closed_form(*args)
+
+    monkeypatch.setattr(census, "cp4_rank4_admissible", counted)
+    assert enumerate_cp4(bound, rank).disagreements() == []
+    a4s = range(-bound, bound + 1) if rank == 4 else range(1)
+    assert len(calls) == 12 * len(a4s)
+    assert sorted(calls) == sorted((1, 0, t, a4) for t in range(12) for a4 in a4s)
+
+
+@pytest.mark.parametrize("name", [n for n in BUILTIN_NAMES if n != "cp4"])
+def test_enumerate_cp4_refuses_data_not_shaped_like_cp4(name, monkeypatch):
+    # refused before the census runs, where the closed form's four coordinates would not fit
+    monkeypatch.setattr(census, "_census", None)
+    with pytest.raises(ValueError, match=re.escape("needs H^2, H^4, H^6 and H^8 each Z, as on cp4; " + name)):
+        enumerate_cp4(1, 4, builtin(name))
 
 
 @pytest.mark.parametrize("rank", [4, 3])
@@ -483,4 +518,9 @@ def test_census_script_runs(args):
         assert run.stdout.count(", 0 cross-check disagreements\n") == 2, run.stdout
         timed = r"rank [43]: .* [\d.]+ us per tuple in census\.enumerate, [\d.]+ in enumerate_cp4, "
         assert len(re.findall(timed, run.stdout)) == 2, run.stdout
+        # the residue table: 2*a4 = -t mod 12 has one solution mod 6 for even t, none for odd t
+        odd = "none, as 2*a4 = -t mod 4 needs t even"
+        table = [f"  t = {t:2} mod 12: " + (odd if t % 2 else f"a4 = {-t // 2 % 6} mod 6") for t in range(12)]
+        assert re.findall(r"^  t = .*$", run.stdout, re.MULTILINE) == table, run.stdout
+        assert "rank 4: the table predicts 11 realizable tuples, the census found 11\n" in run.stdout, run.stdout
         assert "rr(4, 6, 4, 1) = -53\n" in run.stdout, run.stdout
