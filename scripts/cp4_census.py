@@ -6,9 +6,11 @@ the time per tuple of each, the best of 5 runs.  On cp4 (the default) it
 times ``enumerate_cp4`` and, beside it, the generic census
 (``census.enumerate``) alone, so that the share of building rows and the
 closed-form column shows; it cross-checks the generic census against the
-closed-form congruences, prints the residue table of the closed form (for
-each residue t mod 12 that (a1, a2, a3) folds to, the admissible a4 mod 6)
-and checks the realizable rank-4 count of the box against the table's.
+closed-form congruences, prints the congruences compiled from the data
+(``data.congruences``) in the paper's form and the residue table of the
+closed form (for each residue t mod 12 that (a1, a2, a3) folds to, the
+admissible a4 mod 6), and checks the realizable rank-4 count of the box
+against the table's.
 With --builtin it runs the generic census (``census.enumerate``) alone on
 that builtin.
 
@@ -32,6 +34,19 @@ def best_of_5(run):
         result = run()
         seconds.append(time.perf_counter() - start)
     return result, min(seconds)
+
+
+def congruence(congruences, column: tuple[int, ...], scale, modulus: int) -> str:
+    """2*a4 = scale * column mod modulus on cp4, whose flat coordinates are a1..a4, the
+    coefficients in (-modulus/2, modulus/2] and the terms by degree."""
+    terms = []
+    for mono, c in sorted(zip(congruences.monomials, column), key=lambda term: (-len(term[0]), term[0])):
+        c = scale * c % modulus
+        c -= modulus if c > modulus // 2 else 0
+        if c:
+            powers = [f"a{i + 1}" + (f"^{mono.count(i)}" if mono.count(i) > 1 else "") for i in sorted(set(mono))]
+            terms.append(("- " if c < 0 else "+ ") + (f"{abs(c)}*" if abs(c) != 1 else "") + "*".join(powers))
+    return f"2*a4 = {' '.join(terms).removeprefix('+ ') or '0'} mod {modulus}"
 
 
 def main() -> int:
@@ -62,6 +77,13 @@ def main() -> int:
     if args.builtin:
         return 0
 
+    # <u4> = a4 on cp4, so (2) is 2*a4 = 2*rhs(2) mod 3 and (3) is 2*a4 = 4*rhs(3)/2 mod 4
+    # (4*rhs(3) has even coefficients on cp4)
+    congruences = data.congruences
+    _, rhs2, rhs3_times4 = congruences.conditions
+    print("compiled congruences (data.congruences), where (1) holds, a3 = a1*a2 mod 2:")
+    print("  " + congruence(congruences, rhs2, 2, 3))
+    print("  " + congruence(congruences, [c // 2 for c in rhs3_times4], 1, 4))
     # the closed form at (a1, a2, a3, a4) is its value at (1, 0, t, a4), which reads a4 mod 6
     print("admissible a4 by t = (4*a1 + 9)*a3 - a2*(a2 + 1 + a1*(4*a1 + 9)) mod 12:")
     residues = {t: [a4 for a4 in range(6) if cp4_rank4_admissible(1, 0, t, a4)] for t in range(12)}

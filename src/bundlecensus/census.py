@@ -10,16 +10,15 @@ raises ``ManifoldValidationError`` before any verdict.  Conditions (2) and (3) r
 mod 3 and 4*rhs(3) mod 8, which fold by CRT into one residue r mod 24: each monomial of
 ``DEGREE8_TABLE`` but <u4> weighs (16*k2 + 9*k3) mod 24 in it (``_WEIGHTS``), and per u4
 the verdicts at each r are one precomputed row (``_table``), None where rhs(3) is not an
-integer.  The residue is a sum of exact linear forms: each monomial, its weight times the
-pairing, is pushed through its last cups as ``charclass._steps`` cups them (``_LAST_CUPS``)
-wherever the other operand has a known value (``CompiledManifold.form``): p1, c and c*c once
-per box (grouped by the variables each monomial reads, ``_STAGES``), u2 in <u2*u2> once per
-u2, and u1 and u1*u1 once per u1.  So per u1 the residue is one dot product with u2 plus one
-with u3.  <(u1*u2)*c> becomes a form on H^6 once per box and one on u2 once per u1 before
-u1*u2 is reduced: exact because a class of finite order pairs to 0 (the law
-``torsion_pairs_to_zero``).  Condition (1) depends on u1, u2 and u3 mod 2 alone, as the cup
-is bilinear and rho2 commutes with reduction (the law ``rho2_times2``), so each (u1, u2)
-row looks up at once the residues of the u3s whose rho2 (1) asks for; the other u3s fail (1).
+integer.  The residue is a polynomial in the coordinates of u1, u2 and u3, read off the
+manifold's compiled congruences (``data.congruences``), its terms split by the variables
+they read (``_stages``).  By degree each term reads u3 once, alone or after u1, or u2 once
+after u1, u1*u1 or u2, or u2 alone: per u2 and per u3 its share is one sum over the terms,
+and per u1 the terms that read u1 are one weight vector on u2 and one on u3 (``_weights``),
+so per u1 the residue is one dot product with u2 plus one with u3.  Condition (1) depends
+on u1, u2 and u3 mod 2 alone, as the cup is bilinear and rho2 commutes with reduction (the
+law ``rho2_times2``), so each (u1, u2) row looks up at once the residues of the u3s whose
+rho2 (1) asks for; the other u3s fail (1).
 
 On cp4 every class is an integer multiple of a power of the hyperplane
 class, so a candidate tuple is four integers (a1, a2, a3, a4).  The
@@ -46,24 +45,17 @@ from __future__ import annotations
 
 import builtins
 from itertools import chain, product, repeat
-from operator import add, itemgetter, mul, xor
+from math import prod
+from operator import itemgetter, mul, xor
 from typing import Iterable, NamedTuple
 
-from .charclass import DEGREE8_TABLE, MONOMIALS, Monomial, _steps
+from .charclass import DEGREE8_TABLE
 from .classify import condition1_lhs, rank4_conditions
-from .cohomology import CompiledManifold, Coords, ManifoldData, ManifoldValidationError
+from .cohomology import Coords, ManifoldData, ManifoldValidationError
 from .fixtures import builtin
 
-# the rows of DEGREE8_TABLE but <u4>'s, as columns, grouped by the census
-# variables they read; the census tests check that they add up to the table
-_READS = {mono: tuple(u for u in ("u1", "u2", "u3", "u4") if u in mono) for mono, *_ in DEGREE8_TABLE}
-_STAGES = {
-    reads: tuple(zip(*(row for row in DEGREE8_TABLE if _READS[row[0]] == reads)))
-    for reads in dict.fromkeys(_READS.values()) if "u4" not in reads
-}
-_LAST_CUPS = {step[0]: step[1:] for step in _steps(MONOMIALS)}  # product -> its last cup, as _steps cups it
-# the weight of each of those monomials in the residue r mod 24 that decides (2) and (3): r = rhs(2)
-# mod 3 and r = 4*rhs(3) mod 8 (by CRT, as 16 = 1 mod 3 and 0 mod 8, 9 = 0 mod 3 and 1 mod 8)
+# the weight of each monomial of DEGREE8_TABLE but <u4> in the residue r mod 24 that decides (2) and
+# (3): r = rhs(2) mod 3 and r = 4*rhs(3) mod 8 (by CRT, as 16 = 1 mod 3 and 0 mod 8, 9 = 0 mod 3 and 1 mod 8)
 _WEIGHTS = {mono: (16 * k2 + 9 * k3) % 24 for mono, _, _, k2, k3 in DEGREE8_TABLE if "u4" not in mono}
 
 
@@ -96,55 +88,37 @@ class CensusResult(NamedTuple):
         return [r.coefficients for r in self.rows if r.generic != r.closed_form]
 
 
-def _value(m: CompiledManifold, fixed: dict, product: Monomial) -> Coords | None:
-    """The coordinates of ``product`` where each of its factors is in ``fixed``, cupped as
-    ``_steps`` cups it and kept in ``fixed``; None where one is not."""
-    if product not in fixed:
-        if product not in _LAST_CUPS:
-            return None
-        prefix, a, factor, b = _LAST_CUPS[product]
-        x, y = _value(m, fixed, prefix), _value(m, fixed, factor)
-        if x is None or y is None:
-            return None
-        fixed[product] = m.cup(a, x, b, y)
-    return fixed[product]
+def _stages(data: ManifoldData) -> dict[tuple[str, ...], list[tuple[tuple[int, ...], int, int]]]:
+    """The residue r mod 24 as a polynomial, ``data.congruences`` weighed by ``_WEIGHTS``, by the
+    census variables its terms read: {reads: [(head, j, w)]} for w * prod(head) * v[j], v the
+    variable of the last factor and head the indices of the others, into u1 or else into v."""
+    m = data.compiled
+    congruences = data.congruences
+    residue = [0] * len(congruences.monomials)
+    for mono, weight in _WEIGHTS.items():
+        for k, c in congruences.pairings[mono]:
+            residue[k] += weight * c
+    # the variable of each flat coordinate and its index there
+    sizes = [len(m.factors[n]) for n in (2, 4, 6)]
+    variables = [u for u, n in zip(("u1", "u2", "u3"), sizes) for _ in range(n)]
+    indices = [i for n in sizes for i in range(n)]
+    stages = {reads: [] for reads in (("u2",), ("u3",), ("u1", "u2"), ("u1", "u3"))}
+    for mono, w in zip(congruences.monomials, residue):
+        if w % 24:
+            *head, last = mono
+            v = variables[last]
+            reads = (variables[head[0]], v) if head and variables[head[0]] != v else (v,)
+            stages[reads].append((tuple([indices[i] for i in head]), indices[last], w % 24))
+    return stages
 
 
-def _contract(m: CompiledManifold, forms: Iterable, fixed: dict) -> dict:
-    """{product: weights}: each of ``forms``, a (product, weights) linear form in the product's
-    coordinates, pushed through each last cup of the product that has an operand of known value
-    (``_value`` in ``fixed``; ``CompiledManifold.form``), summed by the product it ends in."""
-    sums: dict = {}
-    for product, weights in forms:
-        while product in _LAST_CUPS:
-            prefix, a, factor, b = _LAST_CUPS[product]
-            if (x := _value(m, fixed, prefix)) is not None:
-                product, weights = factor, m.form(a, x, b, None, weights)
-            elif (y := _value(m, fixed, factor)) is not None:
-                product, weights = prefix, m.form(a, None, b, y, weights)
-            else:
-                break
-        sums[product] = list(map(add, sums[product], weights)) if product in sums else weights
-    return sums
-
-
-def _box_forms(m: CompiledManifold, box: dict) -> dict:
-    """{reads: forms} for each stage: the residue weight times the pairing of each of its
-    monomials, contracted with the classes fixed for the whole box."""
-    return {
-        reads: _contract(m, [(mono, [_WEIGHTS[mono] * w for w in m.pairing]) for mono in monomials], box)
-        for reads, (monomials, *_) in _STAGES.items()
-    }
-
-
-def _residues(m: CompiledManifold, forms: dict, var: Monomial, values: list[Coords]) -> list[int]:
-    """The residue of a stage that reads ``var`` alone at each of ``values``, from its ``forms``:
-    those in ``var`` as they are, the others contracted with each value."""
-    base = forms.get(var, ())
-    rest = [form for form in forms.items() if form[0] != var]
-    if not rest:
-        return [sum(map(mul, base, v)) % 24 for v in values]
-    return [(sum(map(mul, base, v)) + sum(map(mul, _contract(m, rest, {var: v})[var], v))) % 24 for v in values]
+def _weights(terms: list, x: Coords, n: int) -> list[int]:
+    """The weights of the terms (head, j, w) of a stage on the n coordinates of the variable
+    they read last, their heads read at x."""
+    weights = [0] * n
+    for head, j, w in terms:
+        weights[j] += w * prod(map(x.__getitem__, head))
+    return weights
 
 
 def _table(lhs: list[int]) -> list:
@@ -179,11 +153,10 @@ def _census(data: ManifoldData, bound: int, rank: int) -> tuple[Iterable[Coords]
     # the table turned by t, so that entry s is the verdicts at residue t + s; entry 24 fails (1)
     turns, failed = table + table, [[False] * len(u4s)]
     tables = [turns[t : t + 24] + failed for t in range(24)]
-    box = {("p1",): m.p1, ("c",): m.c}
-    forms = _box_forms(m, box)
-    r2s = _residues(m, forms["u2",], ("u2",), u2s)
-    r3s = _residues(m, forms["u3",], ("u3",), u3s)
-    by_u1 = [*forms["u1", "u2"].items(), *forms["u1", "u3"].items()]
+    stages = _stages(data)
+    n2, n3 = len(m.factors[4]), len(m.factors[6])
+    r2s = [sum(map(mul, _weights(stages["u2",], u2, n2), u2)) % 24 for u2 in u2s]
+    r3s = [sum(map(mul, _weights(stages["u3",], u3, n3), u3)) % 24 for u3 in u3s]
     # condition (1) asks rho2(u3) = Sq^2 rho2(u2) + rho2(u1*u2), which depends on the values mod 2
     # alone: the cup is bilinear and rho2 commutes with reduction on validated data (rho2_times2)
     p1s, p2s, p3s = ([tuple([x % 2 for x in u]) for u in us] for us in (u1s, u2s, u3s))
@@ -202,8 +175,7 @@ def _census(data: ManifoldData, bound: int, rank: int) -> tuple[Iterable[Coords]
     wanted = {p: [number.get(keys[p, q], len(number)) for q in p2s] for p in dict.fromkeys(p1s)}
     blocks: list = []
     for u1, p in zip(u1s, p1s):
-        weights = _contract(m, by_u1, {**box, ("u1",): u1})
-        w2, w3 = weights["u2",], weights["u3",]
+        w2, w3 = _weights(stages["u1", "u2"], u1, n2), _weights(stages["u1", "u3"], u1, n3)
         s3s = [(r + sum(map(mul, w3, u3))) % 24 for r, u3 in zip(r3s, u3s)] + [24]
         rows = [_getter([s3s[i] for i in indices]) for indices in members]
         for k, r, u2 in zip(wanted[p], r2s, u2s):

@@ -2,28 +2,32 @@
 
 Products and inverses of total Chern classes, and the rational functional
 whose integrality on actual bundles drives the mod-2 and mod-3
-realizability congruences.  The functional is evaluated from its
-closed-form expansion; a self-check recomputes it by direct truncated
-multiplication of the A-roof series, exp(c/2) and the reduced Chern
-character, which must agree exactly.  The product td(M) of the first two
-does not depend on the tuple: it is built once per instance as the Todd
-rows (``data.todd_rows``), from the class-based ``cup`` and ``pair_top``
-only, and each self-check costs five class cups for the bracket plus
-three dot products with the rows.
+realizability congruences.  ``DEGREE8_TABLE`` writes every degree-8
+quantity down once, as integer combinations of eight pairings; each
+manifold compiles it once into integer polynomials in the coordinates of
+a Chern tuple (``data.congruences``), which conditions (2) and (3), the
+closed form of the functional and the census read.  A self-check
+recomputes the functional by direct truncated multiplication of the
+A-roof series, exp(c/2) and the reduced Chern character, which must
+agree exactly.  The product td(M) of the first two does not depend on the
+tuple: it is built once per instance as the Todd rows
+(``data.todd_rows``), from the class-based ``cup`` and ``pair_top`` only,
+and each self-check costs five class cups for the bracket plus three dot
+products with the rows.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from math import factorial, lcm
+from functools import cached_property
+from math import factorial, lcm, prod
 from operator import add, mul
+from typing import NamedTuple
 
 from .cohomology import (
     ChernTuple,
     CohomologyClass,
-    CompiledManifold,
     Coords,
     ManifoldData,
     cup,
@@ -36,8 +40,8 @@ SYMBOL_DEGREES = {"u1": 2, "u2": 4, "u3": 6, "u4": 8, "p1": 4, "c": 2}
 # Every degree-8 quantity here is an integer combination of the pairings of
 # these monomials with [M]: coefficients in 24*rr, in <u4,[M]> (the left-hand
 # side of conditions (2) and (3)), in the right-hand side of (2) and in 4 times
-# that of (3).  p2 never enters rr, whose bracket starts in degree 4.  u1*u2*c
-# starts with u1*u2, which condition (1) computes anyway.
+# that of (3).  p2 never enters rr, whose bracket starts in degree 4.  Each
+# manifold compiles the table once (``compile_congruences``).
 DEGREE8_TABLE = (
     # monomial           24*rr  lhs  rhs(2)  4*rhs(3)
     (("u1", "u1", "u2"),    -4,   0,    -1,      -4),
@@ -52,51 +56,67 @@ DEGREE8_TABLE = (
 MONOMIALS, _, *CONDITION_COLUMNS = zip(*DEGREE8_TABLE)
 
 Monomial = tuple[str, ...]
-Products = dict[Monomial, Coords]
 
 
-def symbol_products(
-    m: CompiledManifold, u1: Coords, u2: Coords, u3: Coords, u4: Coords
-) -> Products:
-    """The coordinates of each symbol, keyed as a one-factor product."""
-    return {("u1",): u1, ("u2",): u2, ("u3",): u3, ("u4",): u4, ("p1",): m.p1, ("c",): m.c}
+class Congruences(NamedTuple):
+    """``DEGREE8_TABLE`` compiled on one manifold (``data.congruences``): integer polynomials in
+    the flat coordinates x = u1 + u2 + u3 + u4 of a Chern tuple, the cup products, p1 and c
+    substituted.  ``monomials`` are sorted tuples of indices into x; ``pairings[mono]`` is <mono, [M]>
+    for each monomial of the table, as (k, coefficient of ``monomials[k]``) pairs, zeros left out;
+    ``conditions`` hold the coefficients of <u4>, rhs(2) and 4*rhs(3).  Exact on validated data:
+    reducing products term by term adds classes of finite order, which pair to 0 (the laws
+    ``h8_is_Z`` and ``torsion_pairs_to_zero``)."""
+
+    monomials: tuple[tuple[int, ...], ...]
+    pairings: dict[Monomial, tuple[tuple[int, int], ...]]
+    conditions: tuple[tuple[int, ...], ...]
+
+    def values(self, x: Coords) -> list[int]:
+        """Each coordinate monomial at the flat coordinates x."""
+        return [prod(map(x.__getitem__, mono)) for mono in self.monomials]
 
 
-@lru_cache(maxsize=32)
-def _steps(
-    monomials: tuple[Monomial, ...],
-) -> tuple[tuple[Monomial, Monomial, int, Monomial, int], ...]:
-    """(product, prefix, its degree, last factor, its degree) for each product
-    of two or more leading factors of the monomials, once, every prefix
-    before its extensions."""
-    steps = {}
-    for mono in monomials:
-        for k in range(2, len(mono) + 1):
-            prefix, factor = mono[: k - 1], mono[k - 1 : k]
-            a = sum(SYMBOL_DEGREES[s] for s in prefix)
-            steps.setdefault(mono[:k], (mono[:k], prefix, a, factor, SYMBOL_DEGREES[mono[k - 1]]))
-    return tuple(steps.values())
-
-
-def pair_monomials(m: CompiledManifold, products: Products, monomials: tuple[Monomial, ...]) -> list[int]:
-    """Pair each degree-8 monomial with [M].  ``products`` holds the symbols'
-    coordinates (``symbol_products``) and may hold longer products already
-    known; each missing product is cupped once, from its prefix, and stored."""
-    for product, prefix, a, factor, b in _steps(monomials):
-        if product not in products:
-            products[product] = m.cup(a, products[prefix], b, products[factor])
-    return [m.pair(products[mono]) for mono in monomials]
+def compile_congruences(data: ManifoldData) -> Congruences:
+    """Expand each monomial of the table multilinearly: a variable is the sum of its generators,
+    each times its own coordinate, and p1 and c are constants.  The factors are cupped left to
+    right, monomial by monomial in table order, so that a missing table raises the
+    ``MissingOperationError`` of the first product the table needs."""
+    m = data.compiled
+    symbols, offset = {"p1": [((), m.p1)], "c": [((), m.c)]}, 0  # each as (indices, coordinates) terms
+    for name in ("u1", "u2", "u3", "u4"):
+        n = len(m.factors[SYMBOL_DEGREES[name]])
+        symbols[name] = [((offset + i,), tuple([int(j == i) for j in range(n)])) for i in range(n)]
+        offset += n
+    expansions = {}
+    for mono in MONOMIALS:
+        terms, a = symbols[mono[0]], SYMBOL_DEGREES[mono[0]]
+        for symbol in mono[1:]:
+            b = SYMBOL_DEGREES[symbol]
+            terms, a = [(i + j, m.cup(a, x, b, y)) for i, x in terms for j, y in symbols[symbol]], a + b
+        expansion = expansions[mono] = {}
+        for i, x in terms:
+            key = tuple(sorted(i))
+            expansion[key] = expansion.get(key, 0) + m.pair(x)
+    monomials = sorted({key for expansion in expansions.values() for key, c in expansion.items() if c})
+    pairings = {
+        mono: tuple((k, expansion[key]) for k, key in enumerate(monomials) if expansion.get(key))
+        for mono, expansion in expansions.items()
+    }
+    conditions = [
+        tuple(sum(w * expansions[mono].get(key, 0) for mono, w in zip(MONOMIALS, column)) for key in monomials)
+        for column in CONDITION_COLUMNS
+    ]
+    return Congruences(tuple(monomials), pairings, tuple(conditions))
 
 
 class RationalClassPolynomial(namedtuple("RationalClassPolynomial", "terms")):
     """Formal sum of rational multiples of degree-8 monomials.
 
-    Each term is a pair (coefficient, monomial), the monomial a tuple of
-    symbols from u1..u4, p1, c whose degrees add up to 8.  Evaluation
-    substitutes the coordinates of actual classes, cups the factors
-    together on the compiled data and pairs the result against the
-    fundamental class.  No ``__slots__``: ``_integer_form`` is kept in the
-    instance dict.
+    Each term is a pair (coefficient, monomial), the monomial one of
+    ``DEGREE8_TABLE``'s.  Evaluation substitutes the coordinates of actual
+    classes into the pairing of each of its monomials, as the manifold's
+    ``data.congruences`` holds it.  No ``__slots__``: ``_integer_form`` is
+    kept in the instance dict.
     """
 
     def __new__(cls, terms: tuple[tuple[Fraction, Monomial], ...]):
@@ -104,6 +124,8 @@ class RationalClassPolynomial(namedtuple("RationalClassPolynomial", "terms")):
             degree = sum(SYMBOL_DEGREES[s] for s in mono)
             if degree != 8:
                 raise ValueError(f"monomial {mono} has degree {degree}, expected 8")
+            if mono not in MONOMIALS:
+                raise ValueError(f"monomial {mono} is not in DEGREE8_TABLE")
         return tuple.__new__(cls, (terms,))
 
     _make = classmethod(lambda cls, fields: cls(*fields))
@@ -117,9 +139,11 @@ class RationalClassPolynomial(namedtuple("RationalClassPolynomial", "terms")):
 
     def evaluate(self, data: ManifoldData, u: ChernTuple) -> Fraction:
         monomials, numerators, denominator = self._integer_form
-        m = data.compiled
-        pairings = pair_monomials(m, symbol_products(m, *m.chern_coords(u)), monomials)
-        return Fraction(sum(map(mul, numerators, pairings)), denominator)
+        x = sum(data.compiled.chern_coords(u), ())
+        congruences = data.congruences
+        values, pairings = congruences.values(x), congruences.pairings
+        total = sum([k * c * values[i] for k, mono in zip(numerators, monomials) for i, c in pairings[mono]])
+        return Fraction(total, denominator)
 
 
 RR_FUNCTIONAL = RationalClassPolynomial(

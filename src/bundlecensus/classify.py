@@ -21,6 +21,9 @@ rank 4, ``compute_B x compute_T`` for rank 3.
 Condition (1) and ``compute_B`` apply rho2, Sq^2 and beta to coordinate
 tuples through one evaluator, ``CompiledManifold.apply``, which reduces and
 raises as ``apply_op`` does; neither builds a class to reach a matrix.
+Conditions (2) and (3) read <u4,[M]> and their right-hand sides off the
+manifold's compiled congruences (``data.congruences``): three dot
+products with the values of its coordinate monomials, no cup.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from operator import add, mul
 from typing import NamedTuple
 
 from .abelian import FGAbelianGroup, GroupElement, IntMatrix, subgroup_quotient
-from .charclass import CONDITION_COLUMNS, MONOMIALS, pair_monomials, symbol_products
 from .cohomology import ChernTuple, CohomologyClass, Coords, ManifoldData, cup
 
 
@@ -127,10 +129,9 @@ def rank4_conditions(
     if lhs1 != rhs1:
         return lhs1, rhs1, None
 
-    products = symbol_products(m, u1, u2, u3, u4)
-    products["u1", "u2"] = u1u2
-    pairings = pair_monomials(m, products, MONOMIALS)
-    lhs, rhs2, rhs3_times4 = (sum(map(mul, column, pairings)) for column in CONDITION_COLUMNS)
+    congruences = data.congruences
+    values = congruences.values(u1 + u2 + u3 + u4)
+    lhs, rhs2, rhs3_times4 = (sum(map(mul, column, values)) for column in congruences.conditions)
     return lhs1, rhs1, (lhs, rhs2, integral_rhs3(rhs3_times4, m.name))
 
 

@@ -284,6 +284,13 @@ class ManifoldData(
         from .charclass import compute_todd_rows  # charclass imports this module
         return compute_todd_rows(self)
 
+    @cached_property
+    def congruences(self) -> "Congruences":
+        """``charclass.compile_congruences``, which no Chern tuple changes, kept as ``B`` is.
+        Not built by validation, so a missing table raises where a query first needs it."""
+        from .charclass import compile_congruences  # charclass imports this module
+        return compile_congruences(self)
+
 
 # -- the four operations ------------------------------------------------
 
@@ -450,10 +457,10 @@ class CompiledManifold(NamedTuple):
             raise ValueError(f"expected {len(self.pairing)} coordinates in degree 8, got {len(x)}")
         return sum(map(mul, x, self.pairing))
 
-    def form(self, a: int, x: Coords | None, b: int, y: Coords | None, functional: Coords) -> list[int]:
-        """The weights such that ``sum(functional * cup(a, x, b, v))``, v for the operand given as
-        None and the cup not reduced, is sum(weights * v): the same with the cup reduced wherever
-        ``functional`` vanishes on the finite factors of H^(a+b)."""
+    def pair_form(self, a: int, x: Coords | None, b: int, y: Coords | None) -> list[int]:
+        """The weights such that ``pair(cup(a, x, b, v))``, a + b = 8 and v for the operand given
+        as None, is sum(weights * v): exact unless H^8 has a finite factor, which the law
+        ``h8_is_Z`` excludes."""
         table = self.cups[a, b]
         if table is None:
             raise MissingOperationError(f"missing cup product table for degrees ({a}, {b})")
@@ -461,13 +468,8 @@ class CompiledManifold(NamedTuple):
         for i, j, terms in table:
             coeff, v = (x[i], j) if y is None else (y[j], i)
             for k, c in terms:
-                weights[v] += coeff * c * functional[k]
+                weights[v] += coeff * c * self.pairing[k]
         return weights
-
-    def pair_form(self, a: int, x: Coords | None, b: int, y: Coords | None) -> list[int]:
-        """``form`` of the pairing, a + b = 8: the weights such that ``pair(cup(a, x, b, v))`` is
-        sum(weights * v), exact unless H^8 has a finite factor, which the law ``h8_is_Z`` excludes."""
-        return self.form(a, x, b, y, self.pairing)
 
 
 def _sparse_table(data: ManifoldData, a: int, b: int) -> SparseTable | None:

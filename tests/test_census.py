@@ -10,10 +10,11 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import degree8_reference
 import pytest
 from conftest import make_cp4_with_h6_torsion, make_h7_demo
 
-from bundlecensus import census
+from bundlecensus import census, charclass
 from bundlecensus.abelian import FGAbelianGroup, IntMatrix
 from bundlecensus.census import (
     CensusRow,
@@ -21,15 +22,7 @@ from bundlecensus.census import (
     cp4_rank4_admissible,
     enumerate_cp4,
 )
-from bundlecensus.charclass import (
-    CONDITION_COLUMNS,
-    DEGREE8_TABLE,
-    MONOMIALS,
-    chern_product,
-    pair_monomials,
-    rr_value,
-    symbol_products,
-)
+from bundlecensus.charclass import DEGREE8_TABLE, chern_product, rr_value
 from bundlecensus.classify import InternalInconsistencyError, OddGeneratorsMissing, check_rank4, count_classes
 from bundlecensus.cohomology import (
     CompiledManifold,
@@ -123,35 +116,43 @@ def test_census_is_pinned_off_cp4(name, bound, rank):
 
 
 def test_stages_split_the_table():
-    # every monomial but <u4> lies in exactly the stage of the variables it reads
-    staged = [row for stage in census._STAGES.values() for row in zip(*stage)]
-    assert sorted(staged) == sorted(row for row in DEGREE8_TABLE if "u4" not in row[0])
-    for reads, (monomials, *_) in census._STAGES.items():
-        assert {tuple(u for u in ("u1", "u2", "u3") if u in mono) for mono in monomials} == {reads}
-    assert sorted(census._STAGES) == [("u1", "u2"), ("u1", "u3"), ("u2",), ("u3",)]
+    # every term of the residue polynomial, (16*rhs(2) + 9*4*rhs(3)) mod 24 as compiled, lies in
+    # exactly the stage of the variables it reads, and the stages hold every term
+    for data in [builtin(name) for name in BUILTIN_NAMES] + [make_h7_demo(), make_cp4_with_h6_torsion()]:
+        m = data.compiled
+        sizes = [len(m.factors[n]) for n in (2, 4, 6)]
+        offsets = dict(zip(("u1", "u2", "u3"), itertools.accumulate([0] + sizes)))
+        owner = [u for u, n in zip(("u1", "u2", "u3"), sizes) for _ in range(n)]
+        stages = census._stages(data)
+        assert sorted(stages) == [("u1", "u2"), ("u1", "u3"), ("u2",), ("u3",)]
+        terms = {}
+        for reads, stage in stages.items():
+            for head, j, w in stage:
+                mono = tuple(offsets[reads[0]] + i for i in head) + (offsets[reads[-1]] + j,)
+                assert mono not in terms and tuple(dict.fromkeys(owner[i] for i in mono)) == reads, data.name
+                terms[mono] = w
+        congruences = data.congruences
+        residue = [(16 * k2 + 9 * k3) % 24 for k2, k3 in zip(*congruences.conditions[1:])]
+        assert terms == {mono: r for mono, r in zip(congruences.monomials, residue) if r}, data.name
 
 
 @pytest.mark.parametrize("name", ["cp2xcp2", "cp1xcp3", "torsion-demo"])
 def test_stage_shares_sum_to_the_right_hand_sides(name):
-    # the stages' forms, contracted with the classes as the census fixes them (the box, then u1,
-    # then the last variable each stage reads), add up to the residue of rhs(2) and 4*rhs(3)
-    # over the whole table
+    # the stages, each read as the census reads it (per u1 a weight vector on the last variable it
+    # reads, or per value of that variable alone), add up to the residue of rhs(2) and 4*rhs(3)
+    # of the class-based reference over the whole table
     data = builtin(name)
     m = data.compiled
     rng = random.Random(5)
-    box = {("p1",): m.p1, ("c",): m.c}
-    forms = census._box_forms(m, box)
+    stages = census._stages(data)
     for _ in range(20):
-        u = [tuple(rng.randrange(d) if d else rng.randint(-3, 3) for d in m.factors[n]) for n in (2, 4, 6, 8)]
-        pairings = pair_monomials(m, symbol_products(m, *u), MONOMIALS)
-        rhs2, rhs3_times4 = (sum(map(operator.mul, column, pairings)) for column in CONDITION_COLUMNS[1:])
-        values = dict(zip(("u1", "u2", "u3"), u))
+        coords = [tuple(rng.randrange(d) if d else rng.randint(-3, 3) for d in m.factors[n]) for n in (2, 4, 6, 8)]
+        _, _, rhs2, rhs3_times4 = degree8_reference.columns(data, data.chern_tuple(*coords))
+        values = dict(zip(("u1", "u2", "u3"), coords))
         shares = []
-        for reads, stage in forms.items():
-            *outer, last = reads
-            if outer:
-                stage = census._contract(m, stage.items(), {**box, ("u1",): values["u1"]})
-            shares += census._residues(m, stage, (last,), [values[last]])
+        for reads, stage in stages.items():
+            v = values[reads[-1]]
+            shares.append(sum(map(operator.mul, census._weights(stage, values[reads[0]], len(v)), v)))
         assert sum(shares) % 24 == (16 * rhs2 + 9 * rhs3_times4) % 24
 
 
@@ -175,7 +176,9 @@ def test_one_residue_mod_24_decides_conditions_2_and_3():
 
 def per_tuple_census(data, bound, rank):
     """The box of ``census.enumerate`` decided tuple by tuple by
-    ``check_rank4``; the first exception as (type, message)."""
+    ``check_rank4``; the first exception as (type, message).  Both read
+    ``data.congruences`` for degree 8, which ``test_congruences`` holds to a
+    class-based reference."""
     m = data.compiled
     ranges = [[range(d) if d else range(-bound, bound + 1) for d in m.factors[n]] for n in (2, 4, 6, 8)]
     if rank == 3:
@@ -413,40 +416,52 @@ def test_pair_form_is_the_pairing_of_the_cup(name, mutate):
 
 @pytest.fixture
 def stage_calls(monkeypatch):
-    """What the census contracts and cups: each ``CompiledManifold.form`` and each
-    ``CompiledManifold.cup`` call, by its degrees (a, b)."""
-    forms, cups = Counter(), Counter()
-    form, cup = CompiledManifold.form, CompiledManifold.cup
+    """What the census contracts, cups and compiles: each ``CompiledManifold.pair_form`` and each
+    ``CompiledManifold.cup`` call, by its degrees (a, b), and the data of each
+    ``charclass.compile_congruences`` call."""
+    forms, cups, builds = Counter(), Counter(), []
+    pair_form, cup = CompiledManifold.pair_form, CompiledManifold.cup
+    compile_congruences = charclass.compile_congruences
 
-    def counted_form(self, a, x, b, y, functional):
+    def counted_form(self, a, x, b, y):
         forms[a, b] += 1
-        return form(self, a, x, b, y, functional)
+        return pair_form(self, a, x, b, y)
 
     def counted_cup(self, a, x, b, y):
         cups[a, b] += 1
         return cup(self, a, x, b, y)
 
-    monkeypatch.setattr(CompiledManifold, "form", counted_form)
+    def counted_compile(data):
+        builds.append(data)
+        return compile_congruences(data)
+
+    monkeypatch.setattr(CompiledManifold, "pair_form", counted_form)
     monkeypatch.setattr(CompiledManifold, "cup", counted_cup)
-    return forms, cups
+    monkeypatch.setattr(charclass, "compile_congruences", counted_compile)
+    return forms, cups, builds
 
 
 @pytest.mark.parametrize(
     "name, bound, rank", [("cp4", 2, 4), ("cp4", 4, 3), ("cp2xcp2", 1, 4), ("cp2xcp2", 2, 3)]
 )
 def test_census_shares_once_per_u2_and_per_u3(name, bound, rank, stage_calls):
-    # each monomial is contracted once per value of the classes its last cups fix, never per
-    # tuple or per (u1, u2): once per box <(c*c)*u2> and <p1*u2> (4, 4) with c*c cupped once,
-    # <c*u3> (2, 6) and <(u1*u2)*c> to a form on H^6 (6, 2); <u2*u2> once per u2 (4, 4); per u1
-    # <(u1*u1)*u2> (4, 4) with u1*u1 cupped, <u1*u3> (2, 6) and that form on H^6 to one on u2 (2, 4).
-    # Condition (1) cups u1*u2 once per parities of (u1, u2)
-    forms, cups = stage_calls
-    data = builtin(name)
+    # the residue is read off the compiled polynomial, built once per instance: per u2 and per u3
+    # one sum over its terms, per u1 one weight vector on u2 and one on u3.  Nothing is contracted
+    # and nothing cupped but u1*u2 for condition (1), once per parities of (u1, u2)
+    forms, cups, builds = stage_calls
+    data = builtin(name)._replace()
+    census.enumerate(data, bound, rank)
+    assert len(builds) == 1 and builds[0] is data
+    forms.clear()
+    cups.clear()
     census.enumerate(data, bound, rank)
     u1s, u2s = (_box_size_of(data, bound, n) for n in (2, 4))
-    assert forms == {(4, 4): 2 + u2s + u1s, (2, 6): 1 + u1s, (6, 2): 1, (2, 4): u1s}
-    assert cups == {(2, 2): 1 + u1s, (2, 4): _parities_of(data, bound, 2) * _parities_of(data, bound, 4)}
+    assert len(builds) == 1 and forms == {}
+    assert cups == {(2, 4): _parities_of(data, bound, 2) * _parities_of(data, bound, 4)}
     assert cups[2, 4] < u1s * u2s
+    moved = data._replace()
+    census.enumerate(moved, bound, rank)
+    assert len(builds) == 2 and builds[1] is moved
 
 
 def test_enumerate_cp4_evaluates_the_closed_form_at_call_time(monkeypatch):
@@ -518,6 +533,13 @@ def test_census_script_runs(args):
         assert run.stdout.count(", 0 cross-check disagreements\n") == 2, run.stdout
         timed = r"rank [43]: .* [\d.]+ us per tuple in census\.enumerate, [\d.]+ in enumerate_cp4, "
         assert len(re.findall(timed, run.stdout)) == 2, run.stdout
+        # cp4's compiled congruences in the paper's form; mod 4 they differ from the classical
+        # a2^2 + a2 + a1*a2 - a3 by 2*a1*(a1*a2 + a3), which is 0 mod 4 where (1) holds
+        assert (
+            "  2*a4 = a1^2*a2 - a1*a3 + a2^2 + a2 mod 3\n"
+            "  2*a4 = 2*a1^2*a2 + a1*a2 + 2*a1*a3 + a2^2 + a2 - a3 mod 4\n"
+            "admissible a4 by t = "
+        ) in run.stdout, run.stdout
         # the residue table: 2*a4 = -t mod 12 has one solution mod 6 for even t, none for odd t
         odd = "none, as 2*a4 = -t mod 4 needs t even"
         table = [f"  t = {t:2} mod 12: " + (odd if t % 2 else f"a4 = {-t // 2 % 6} mod 6") for t in range(12)]
