@@ -12,7 +12,6 @@ from .abelian import (
 from .census import CensusResult, cp4_rank3_admissible, cp4_rank4_admissible, enumerate_cp4
 from .charclass import RationalClassPolynomial, chern_inverse, chern_product, rr_value
 from .classify import (
-    InternalInconsistencyError,
     OddGeneratorsMissing,
     Verdict,
     check_rank3,
@@ -52,7 +51,6 @@ __all__ = [
     "GradedGroupZ",
     "GroupElement",
     "IntMatrix",
-    "InternalInconsistencyError",
     "ManifoldData",
     "ManifoldParseError",
     "ManifoldValidationError",

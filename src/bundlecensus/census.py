@@ -7,18 +7,18 @@ Python frame per tuple.
 
 The census decides validated data only: data whose report (``data.report``) fails a law
 raises ``ManifoldValidationError`` before any verdict.  Conditions (2) and (3) read rhs(2)
-mod 3 and 4*rhs(3) mod 8, which fold by CRT into one residue r mod 24: each monomial of
-``DEGREE8_TABLE`` but <u4> weighs (16*k2 + 9*k3) mod 24 in it (``_WEIGHTS``), and per u4
-the verdicts at each r are one precomputed row (``_table``), None where rhs(3) is not an
-integer.  The residue is a polynomial in the coordinates of u1, u2 and u3, read off the
-manifold's compiled congruences (``data.congruences``), its terms split by the variables
-they read (``_stages``).  By degree each term reads u3 once, alone or after u1, or u2 once
-after u1, u1*u1 or u2, or u2 alone: per u2 and per u3 its share is one sum over the terms,
-and per u1 the terms that read u1 are one weight vector on u2 and one on u3 (``_weights``),
-so per u1 the residue is one dot product with u2 plus one with u3.  Condition (1) depends
-on u1, u2 and u3 mod 2 alone, as the cup is bilinear and rho2 commutes with reduction (the
-law ``rho2_times2``), so each (u1, u2) row looks up at once the residues of the u3s whose
-rho2 (1) asks for; the other u3s fail (1).
+mod 3 and 4*rhs(3) mod 8, which fold by CRT into one residue r = 16*rhs(2) + 9*4*rhs(3)
+mod 24, and per u4 the verdicts at each r are one precomputed row (``_table``), None where
+rhs(3) is not an integer.  The residue is a polynomial in the coordinates of u1, u2 and u3,
+read off the manifold's compiled congruences (``data.congruences``), its terms split by the
+variables they read (``_stages``).  By degree each term reads u3 once, alone or after u1, or
+u2 once after u1, u1*u1 or u2, or u2 alone: per u2 and per u3 its share is one sum over the
+terms, and per u1 the terms that read u1 are one weight vector on u2 and one on u3
+(``_weights``), so per u1 the residue is one dot product with u2 plus one with u3.
+Condition (1) depends on u1, u2 and u3 mod 2 alone, as the cup is bilinear and rho2 commutes
+with reduction (the law ``rho2_times2``), so each (u1, u2) row looks up at once the residues
+of the u3s whose rho2 (1) asks for; the other u3s fail (1).  Validated data has no None
+verdict: the law ``rhs3_integral`` asks that rhs(3) be an integer wherever (1) holds.
 
 On cp4 every class is an integer multiple of a power of the hyperplane
 class, so a candidate tuple is four integers (a1, a2, a3, a4).  The
@@ -49,14 +49,9 @@ from math import prod
 from operator import itemgetter, mul, xor
 from typing import Iterable, NamedTuple
 
-from .charclass import DEGREE8_TABLE
-from .classify import condition1_lhs, rank4_conditions
+from .classify import condition1_lhs
 from .cohomology import Coords, ManifoldData, ManifoldValidationError
 from .fixtures import builtin
-
-# the weight of each monomial of DEGREE8_TABLE but <u4> in the residue r mod 24 that decides (2) and
-# (3): r = rhs(2) mod 3 and r = 4*rhs(3) mod 8 (by CRT, as 16 = 1 mod 3 and 0 mod 8, 9 = 0 mod 3 and 1 mod 8)
-_WEIGHTS = {mono: (16 * k2 + 9 * k3) % 24 for mono, _, _, k2, k3 in DEGREE8_TABLE if "u4" not in mono}
 
 
 def cp4_rank4_admissible(a1: int, a2: int, a3: int, a4: int) -> bool:
@@ -89,26 +84,24 @@ class CensusResult(NamedTuple):
 
 
 def _stages(data: ManifoldData) -> dict[tuple[str, ...], list[tuple[tuple[int, ...], int, int]]]:
-    """The residue r mod 24 as a polynomial, ``data.congruences`` weighed by ``_WEIGHTS``, by the
-    census variables its terms read: {reads: [(head, j, w)]} for w * prod(head) * v[j], v the
-    variable of the last factor and head the indices of the others, into u1 or else into v."""
+    """The residue r mod 24 as a polynomial, by the census variables its terms read: {reads: [(head,
+    j, w)]} for w * prod(head) * v[j], v the variable of the last factor and head the indices of the
+    others, into u1 or else into v.  r = rhs(2) mod 3 and r = 4*rhs(3) mod 8 (by CRT, as 16 = 1 mod 3
+    and 0 mod 8, 9 = 0 mod 3 and 1 mod 8)."""
     m = data.compiled
     congruences = data.congruences
-    residue = [0] * len(congruences.monomials)
-    for mono, weight in _WEIGHTS.items():
-        for k, c in congruences.pairings[mono]:
-            residue[k] += weight * c
+    residue = [(16 * k2 + 9 * k3) % 24 for k2, k3 in zip(*congruences.conditions[1:])]
     # the variable of each flat coordinate and its index there
     sizes = [len(m.factors[n]) for n in (2, 4, 6)]
     variables = [u for u, n in zip(("u1", "u2", "u3"), sizes) for _ in range(n)]
     indices = [i for n in sizes for i in range(n)]
     stages = {reads: [] for reads in (("u2",), ("u3",), ("u1", "u2"), ("u1", "u3"))}
     for mono, w in zip(congruences.monomials, residue):
-        if w % 24:
+        if w:
             *head, last = mono
             v = variables[last]
             reads = (variables[head[0]], v) if head and variables[head[0]] != v else (v,)
-            stages[reads].append((tuple([indices[i] for i in head]), indices[last], w % 24))
+            stages[reads].append((tuple([indices[i] for i in head]), indices[last], w))
     return stages
 
 
@@ -135,9 +128,7 @@ def _getter(indices: list[int]):
 
 def _census(data: ManifoldData, bound: int, rank: int) -> tuple[Iterable[Coords], Iterable[bool]]:
     """The coefficients of the box and their verdicts, as ``enumerate`` pairs them; every
-    verdict is decided, and every error raised, before this returns: where rhs(3) is not an
-    integer but (1) holds, ``rank4_conditions`` raises at the first such tuple, as
-    ``check_rank4`` does."""
+    verdict is decided, and every error raised, before this returns."""
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     if rank not in (3, 4):
@@ -180,10 +171,6 @@ def _census(data: ManifoldData, bound: int, rank: int) -> tuple[Iterable[Coords]
         rows = [_getter([s3s[i] for i in indices]) for indices in members]
         for k, r, u2 in zip(wanted[p], r2s, u2s):
             blocks += rows[k](tables[(r + sum(map(mul, w2, u2))) % 24])
-    if None in blocks:
-        i1, i = divmod(blocks.index(None), len(u2s) * len(u3s))
-        rank4_conditions(data, u1s[i1], u2s[i // len(u3s)], u3s[i % len(u3s)], u4s[0])
-        raise AssertionError("rank4_conditions found rhs(3) integral where the census did not")
     return product(*(r for rs in ranges[:rank] for r in rs)), chain.from_iterable(blocks)
 
 

@@ -30,6 +30,7 @@ from .cohomology import (
     CohomologyClass,
     Coords,
     ManifoldData,
+    ManifoldValidationError,
     cup,
     pair_top,
 )
@@ -238,7 +239,10 @@ def rr_value(data: ManifoldData, u: ChernTuple, self_check: bool = False) -> Fra
     The denominator always divides 24.  For a tuple realized by an actual
     bundle the value is an integer.  With ``self_check=True`` the value is
     recomputed by truncated series multiplication and compared exactly.
+    Raises ``ManifoldValidationError`` on data that fails a law.
     """
+    if not data.report.ok:
+        raise ManifoldValidationError(data.report)
     value = RR_FUNCTIONAL.evaluate(data, u)
     if self_check:
         recomputed = rr_value_by_series(data, u)

@@ -9,10 +9,12 @@ Chern classes of a rank-4 bundle by evaluating three conditions:
                   + [2*u2^2 + p1*u2 - 3*c^2*u2]/4
                   + c*(u1*u2 - u3)/2, [M]>                       mod 2.
 
-Conditions (2) and (3) are only evaluated once (1) holds; the rational
-right-hand side of (3) is guaranteed to be an integer exactly under (1),
-so evaluating it earlier would raise spurious errors.  A rank-3 tuple
-(u1, u2, u3) is realizable iff (u1, u2, u3, 0) is realizable in rank 4.
+Conditions (2) and (3) are only evaluated once (1) holds: on an actual
+manifold (1) makes the rational right-hand side of (3) an integer, and the
+law ``rhs3_integral`` checks that once, at load.  Every decision reads
+``data.report`` and raises ``ManifoldValidationError`` on data that fails a
+law.  A rank-3 tuple (u1, u2, u3) is realizable iff (u1, u2, u3, 0) is
+realizable in rank 4.
 
 The number of isomorphism classes sharing a realizable tuple is carried
 by quotient groups computed from the manifold data: ``compute_B`` for
@@ -33,14 +35,7 @@ from operator import add, mul
 from typing import NamedTuple
 
 from .abelian import FGAbelianGroup, GroupElement, IntMatrix, subgroup_quotient
-from .cohomology import ChernTuple, CohomologyClass, Coords, ManifoldData, cup
-
-
-class InternalInconsistencyError(RuntimeError):
-    """Condition (1) holds but the condition-(3) expression is not integral.
-
-    This cannot happen for data describing an actual closed oriented
-    spin^c 8-manifold; it signals corrupt ManifoldData."""
+from .cohomology import ChernTuple, CohomologyClass, Coords, ManifoldData, ManifoldValidationError, cup
 
 
 class OddGeneratorsMissing(LookupError):
@@ -102,16 +97,6 @@ def condition1_lhs(data: ManifoldData, u2: Coords) -> Coords:
     return m.apply("sq2", 4, m.apply("rho2", 4, u2))
 
 
-def integral_rhs3(rhs3_times4: int, name: str) -> int:
-    """The right-hand side of (3) from 4 times it, which (1) makes an integer."""
-    if rhs3_times4 % 4:
-        raise InternalInconsistencyError(
-            f"condition (3) right-hand side {Fraction(rhs3_times4, 4)} is not an integer "
-            f"although condition (1) holds; manifold data {name!r} is inconsistent"
-        )
-    return rhs3_times4 // 4
-
-
 def rank4_conditions(
     data: ManifoldData, u1: Coords, u2: Coords, u3: Coords, u4: Coords
 ) -> tuple[Coords, Coords, tuple[int, int, int] | None]:
@@ -120,9 +105,10 @@ def rank4_conditions(
     Returns the two sides of condition (1) as mod-2 coordinates and, when
     they agree, ``<u4,[M]>`` (the left-hand side of (2) and (3)) and the
     right-hand sides of (2) and (3); None in their place when (1) fails.
-    Raises InternalInconsistencyError when (1) holds and the right-hand
-    side of (3) is not an integer.
+    Raises ``ManifoldValidationError`` on data that fails a law.
     """
+    if not data.report.ok:
+        raise ManifoldValidationError(data.report)
     m = data.compiled
     u1u2 = m.cup(2, u1, 4, u2)
     lhs1, rhs1 = condition1_lhs(data, u2), m.apply("rho2", 6, m.reduce(6, tuple(map(add, u3, u1u2))))
@@ -132,7 +118,7 @@ def rank4_conditions(
     congruences = data.congruences
     values = congruences.values(u1 + u2 + u3 + u4)
     lhs, rhs2, rhs3_times4 = (sum(map(mul, column, values)) for column in congruences.conditions)
-    return lhs1, rhs1, (lhs, rhs2, integral_rhs3(rhs3_times4, m.name))
+    return lhs1, rhs1, (lhs, rhs2, rhs3_times4 // 4)
 
 
 def check_rank4(data: ManifoldData, u: ChernTuple) -> Verdict:

@@ -1,10 +1,10 @@
 """Command-line surface.
 
 Subcommands: validate, rank4, rank3, count, groups, oracle, enumerate.
-Exit codes: 0 success / realizable, 1 unrealizable, 2 input error,
-3 internal inconsistency (integrality of the mod-2 expression violated,
-or census cross-check disagreement) or any other internal error, which is
-reported in one line without a traceback: a crash never exits 0 or 1.
+Exit codes: 0 success / realizable, 1 unrealizable, 2 input error, which
+includes data that fails a law (``validate`` prints which), 3 a census
+cross-check disagreement or any other internal error, which is reported in
+one line without a traceback: a crash never exits 0 or 1.
 
 Chern classes are passed as one coordinate vector per degree, each vector
 comma-separated, '-' for a degree with no generators, e.g.
@@ -22,14 +22,7 @@ from pathlib import Path
 
 from .census import enumerate_cp4
 from .charclass import rr_value
-from .classify import (
-    InternalInconsistencyError,
-    OddGeneratorsMissing,
-    check_rank3,
-    check_rank4,
-    compute_T,
-    count_classes,
-)
+from .classify import OddGeneratorsMissing, check_rank3, check_rank4, compute_T, count_classes
 from .cohomology import (
     ChernTuple,
     CohomologyClass,
@@ -306,9 +299,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except InternalInconsistencyError as exc:
-        print(f"internal inconsistency: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
     except (OddGeneratorsMissing, OSError, ValueError) as exc:  # a missing table fails at load
         if isinstance(exc, ManifoldValidationError):
             print(exc.report, file=sys.stderr)

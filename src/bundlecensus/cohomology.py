@@ -11,8 +11,10 @@ its groups (``shape_problems``), so no query meets a misshapen matrix,
 table or class.  ``validate_manifold`` checks the algebraic laws this
 data must satisfy, on the compiled form that every query reads too, so a
 validated manifold is compiled once; one law, ``tables_complete``, asks for
-every table a query reads, so validated also means complete.  Everything
-else trusts validated data, and the census decides nothing else.
+every table a query reads, so validated also means complete, and one,
+``rhs3_integral``, that the right-hand side of (3) is an integer wherever
+condition (1) holds.  Every query of conditions (1)-(3) and rr reads
+``data.report`` and decides validated data only.
 
 Classes are stored with coordinates reduced modulo the invariant factor
 of each generator, or mod 2, so equality of classes is a plain tuple
@@ -30,7 +32,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property
-from operator import index, mul
+from itertools import chain
+from operator import add, index, mul
 from typing import Iterable, Iterator, Literal, NamedTuple
 
 from .abelian import FGAbelianGroup, IntMatrix, rank_mod2_rows
@@ -269,8 +272,9 @@ class ManifoldData(
 
     @cached_property
     def report(self) -> "ValidationReport":
-        """``validate_manifold(self)``, not strict, kept as ``B`` is: what the census requires."""
-        return validate_manifold(self)
+        """The results of ``LAWS``, kept as ``B`` is: what every query of conditions (1)-(3) and
+        rr requires, and what ``validate_manifold`` returns or extends."""
+        return ValidationReport(r for law in LAWS for r in law(self))
 
     @cached_property
     def B(self) -> FGAbelianGroup:
@@ -287,7 +291,7 @@ class ManifoldData(
     @cached_property
     def congruences(self) -> "Congruences":
         """``charclass.compile_congruences``, which no Chern tuple changes, kept as ``B`` is.
-        Not built by validation, so a missing table raises where a query first needs it."""
+        Not built by validation."""
         from .charclass import compile_congruences  # charclass imports this module
         return compile_congruences(self)
 
@@ -457,20 +461,6 @@ class CompiledManifold(NamedTuple):
             raise ValueError(f"expected {len(self.pairing)} coordinates in degree 8, got {len(x)}")
         return sum(map(mul, x, self.pairing))
 
-    def pair_form(self, a: int, x: Coords | None, b: int, y: Coords | None) -> list[int]:
-        """The weights such that ``pair(cup(a, x, b, v))``, a + b = 8 and v for the operand given
-        as None, is sum(weights * v): exact unless H^8 has a finite factor, which the law
-        ``h8_is_Z`` excludes."""
-        table = self.cups[a, b]
-        if table is None:
-            raise MissingOperationError(f"missing cup product table for degrees ({a}, {b})")
-        weights = [0] * len(self.factors[b if y is None else a])
-        for i, j, terms in table:
-            coeff, v = (x[i], j) if y is None else (y[j], i)
-            for k, c in terms:
-                weights[v] += coeff * c * self.pairing[k]
-        return weights
-
 
 def _sparse_table(data: ManifoldData, a: int, b: int) -> SparseTable | None:
     if (a, b) in data.cup_z:
@@ -523,12 +513,23 @@ class LawResult(NamedTuple):
     witness: str | None = None
 
 
-class ValidationReport(NamedTuple):
-    results: tuple[LawResult, ...]
+class ValidationReport(namedtuple("ValidationReport", "results")):
+    """The results of the laws, in order.  ``ok``, whether every law passed, is filled in when the
+    report is built, as every query reads it; no ``__slots__``, so it lives in the instance dict.
+    Read-only: assigning or deleting any attribute raises ``AttributeError``."""
 
-    @property
-    def ok(self) -> bool:
-        return all(r.passed for r in self.results)
+    def __new__(cls, results: Iterable[LawResult]):
+        self = tuple.__new__(cls, (tuple(results),))
+        vars(self)["ok"] = all(r.passed for r in self.results)
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def failures(self) -> tuple[LawResult, ...]:
         return tuple(r for r in self.results if not r.passed)
@@ -754,12 +755,88 @@ def _torsion_pairs_to_zero(data: ManifoldData) -> Iterator[LawResult]:
     # before it is reduced, as the census pairs u1*u2*c.  A missing table fails
     # tables_complete.
     m = data.compiled
+    units = {a: IntMatrix.identity(len(m.factors[a])).to_rows() for a in (2, 4, 6)}
     yield _counterexample("torsion_pairs_to_zero", (
         f"degree {a} generator {data.integral.names[a][i]}"
         for a in (2, 4, 6) if m.cups[a, 8 - a] is not None
         for i, d in enumerate(m.factors[a]) if d
-        if any(m.pair_form(a, tuple(int(k == i) for k in range(len(m.factors[a]))), 8 - a, None))
+        if any(m.pair(m.cup(a, units[a][i], 8 - a, y)) for y in units[8 - a])
     ))
+
+
+def _rhs3_integral(data: ManifoldData) -> Iterator[LawResult]:
+    # On an actual manifold condition (1) makes the right-hand side of (3) an integer.  By its column of
+    # DEGREE8_TABLE, 4*rhs(3) = 2<c*u3> + 2<u1*u2*c> + 2<u2*u2> + <s*u2> mod 4, s = p1 + c*c, and (1)
+    # reads u1, u2 and u3 mod 2: moving u1 or u3 by 2 keeps both, moving u2 by 2*z adds 2<s*z>.  So the
+    # law asks that each <s*e_j> be even, and then that half of 4*rhs(3), mod 2, vanish wherever (1)
+    # holds on the classes mod 2.  Moving u1 by e and u3 by e*u2 keeps (1) and the half, as <e*u2*c> =
+    # <c*(e*u2)>, so u1 = 0 decides.  There, as the cup commutes, the half and (1) are linear in x =
+    # (u2, u3) mod 2, and the half vanishes on the kernel of (1) if it does on a basis of it.  Exact,
+    # and every table it reads given, where the laws it needs hold; linear algebra over Z/2, so its
+    # cost is a polynomial in the number of generators.
+    needs = (_h8_is_Z, _rho2_times2, _cup_commutes, _tables_complete, _torsion_pairs_to_zero)
+    if not all(r.passed for law in needs for r in law(data)):
+        return
+    m = data.compiled
+    c, n2, n3 = m.c, len(m.factors[4]), len(m.factors[6])  # x holds u2 in its low n2 bits, u3 above
+
+    def bits(x: Iterable[int]) -> int:  # a mod-2 vector as the bits of an int
+        return sum((b % 2) << k for k, b in enumerate(x))
+
+    def rho2(n: int) -> list[int]:  # rho2(e_j) for each generator e_j of H^n, as bits
+        return [bits([row[j] for row in m.ops["rho2"][n]]) for j in range(len(m.factors[n]))]
+
+    def form(a: int) -> list[list[int]]:  # <e_i*e_j> for the generators of degrees a and 8 - a
+        form = [[0] * len(m.factors[8 - a]) for _ in m.factors[a]]
+        for i, j, terms in m.cups[a, 8 - a]:
+            form[i][j] += sum(v * m.pairing[k] for k, v in terms)
+        return form
+
+    def kernel(columns: list[int]) -> Iterator[int]:
+        """A basis of the x whose columns add up to 0 mod 2, by elimination on the lowest bit."""
+        echelon = []
+        for j, v in enumerate(columns):
+            x = 1 << j
+            for w, y in echelon:
+                if v & w & -w:
+                    v, x = v ^ w, x ^ y
+            if v:
+                echelon.append((v, x))
+            else:
+                yield x
+
+    # the columns of (1) in H^6(Z/2), Sq^2 rho2(e_j) and rho2(e_k); <s*e_j>, and where it is odd, so is
+    # 4*rhs(3), or else it is 2 mod 4 at u2 = 2e_j; the half, <e_j*e_j> + <s*e_j>/2 and <c*e_k>, mod 2
+    sq2 = [bits(row) for row in m.ops["sq2"][4]]
+    columns = [bits([(row & x).bit_count() for row in sq2]) for x in rho2(4)] + rho2(6)
+    s, form4, form2 = list(map(add, m.p1, m.cup(2, c, 2, c))), form(4), form(2)
+    sigma = [sum(x * row[j] for x, row in zip(s, form4)) for j in range(n2)]
+    odd = bits(sigma)
+    half = bits([form4[j][j] + sig // 2 for j, sig in enumerate(sigma)] + [
+        sum(x * row[k] for x, row in zip(c, form2)) for k in range(n3)
+    ])
+    zero1, zero3 = (0,) * len(m.factors[2]), (0,) * n3
+    failures = chain(
+        ((zero1, tuple(x >> j & 1 for j in range(n2)), tuple(x >> j & 1 for j in range(n2, n2 + n3)))
+         for x in kernel(columns) if ((odd or half) & x).bit_count() % 2),
+        ((zero1, tuple(2 * (k == j) for k in range(n2)), zero3) for j in range(n2) if odd >> j & 1),
+    )
+
+    def witness(us: tuple[Coords, Coords, Coords]) -> str:
+        from .charclass import DEGREE8_TABLE, SYMBOL_DEGREES  # charclass imports this module
+        classes = {"u1": us[0], "u2": us[1], "u3": us[2], "c": c, "p1": m.p1}
+
+        def pairing(mono: tuple[str, ...]) -> int:  # <mono, [M]> at us, cupped left to right
+            x, a = classes[mono[0]], SYMBOL_DEGREES[mono[0]]
+            for symbol in mono[1:]:
+                x, a = m.cup(a, x, SYMBOL_DEGREES[symbol], classes[symbol]), a + SYMBOL_DEGREES[symbol]
+            return m.pair(x)
+
+        rhs3_times4 = sum(w * pairing(mono) for mono, *_, w in DEGREE8_TABLE if w)
+        vectors = " ".join(",".join(map(str, u)) or "-" for u in us)
+        return f"(1) holds at --chern {vectors} but 4*rhs(3) = {rhs3_times4}"
+
+    yield _counterexample("rhs3_integral", map(witness, failures))
 
 
 def _bockstein_exact(data: ManifoldData) -> Iterator[LawResult]:
@@ -797,30 +874,19 @@ LAWS = (
     _sq2_squares_deg2,
     _tables_complete,
     _torsion_pairs_to_zero,
+    _rhs3_integral,
 )
 
 
 def validate_manifold(data: ManifoldData, strict: bool = False) -> ValidationReport:
-    """Check the algebraic laws the encoded data must satisfy.
-
-    Always checked: H^0 = Z, H^8 = Z, the mod-2 dimensions are those of
-    universal coefficients, rho2 composed with doubling vanishes, Bockstein
-    images are 2-torsion, beta after rho2 vanishes, rho2(c) = w2 when w2 is
-    given, the pairing hits +-1, cup tables given in both orientations
-    agree, (when a mod-2 degree-2 product table exists) Sq^2 squares
-    degree-2 classes, and every table a query reads is given where it is not
-    trivially zero (``tables_complete``), so no query on validated data
-    raises ``MissingOperationError``, and every class of finite order pairs
-    to 0 with the complementary degree (``torsion_pairs_to_zero``).  This
-    report is made once per instance and kept as ``data.report``.  With
-    ``strict=True`` it is extended: the exactness of the Bockstein sequence,
-    im rho2 = ker beta, is verified degree by degree by mod-2 rank counting,
-    and a degree whose rho2 or beta matrix is missing fails.
+    """The laws of ``LAWS``, in order, on the data: ``data.report``, made once per instance.  On
+    validated data no query raises ``MissingOperationError`` (``tables_complete``), classes of
+    finite order pair to 0 (``torsion_pairs_to_zero``), and the right-hand side of (3) is an
+    integer wherever condition (1) holds (``rhs3_integral``).  With ``strict=True`` the report is
+    extended: the exactness of the Bockstein sequence, im rho2 = ker beta, is verified degree by
+    degree by mod-2 rank counting, and a degree whose rho2 or beta matrix is missing fails.
     The shape is not a law: the constructor of ``ManifoldData`` has checked it.
     """
-    report = vars(data).get("report")
-    if report is None:  # kept where data.report keeps it, so that strict loading fills it too
-        report = vars(data)["report"] = ValidationReport(tuple(r for law in LAWS for r in law(data)))
     if not strict:
-        return report
-    return ValidationReport(report.results + tuple(_bockstein_exact(data)))
+        return data.report
+    return ValidationReport(data.report.results + tuple(_bockstein_exact(data)))

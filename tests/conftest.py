@@ -127,6 +127,69 @@ def make_cp4_with_h6_torsion(ts: int = 0) -> ManifoldData:
     )
 
 
+def connected_sum(name: str, *summands: ManifoldData) -> ManifoldData:
+    """The connected sum of data with torsion-free, even cohomology and pairing (1,): degrees 2
+    to 6 side by side, products across summands zero, H^0 and the top class shared; p1, c and
+    w2 add up.  A spin^c manifold again, so every law holds where it holds on each summand."""
+    sizes = [[d.ngens(n) if 0 < n < 8 else 0 for n in range(9)] for d in summands]
+    offsets = [[sum(s[n] for s in sizes[:k]) for n in range(9)] for k in range(len(summands))]
+    total = [sum(s[n] for s in sizes) if 0 < n < 8 else 1 for n in range(9)]
+
+    def place(k: int, n: int, coords) -> tuple[int, ...]:  # summand k's coordinates among the sum's
+        if not 0 < n < 8:
+            return tuple(coords)
+        out = [0] * total[n]
+        out[offsets[k][n] : offsets[k][n] + len(coords)] = coords
+        return tuple(out)
+
+    def tables(field: str) -> dict:
+        out = {}
+        for k, d in enumerate(summands):
+            for (a, b), table in getattr(d, field).items():
+                out.setdefault((a, b), {}).update(
+                    {(i + offsets[k][a], j + offsets[k][b]): place(k, a + b, v) for (i, j), v in table.items()}
+                )
+        zero = {(a, b): {(i, j): (0,) * total[a + b] for i in range(total[a]) for j in range(total[b])} for a, b in out}
+        return {ab: {**zero[ab], **table} for ab, table in out.items()}
+
+    def maps(field: str, shift: int, degrees) -> dict:
+        out = {}
+        for n in (n for n in degrees if total[n] and total[n + shift]):
+            rows = [[0] * total[n] for _ in range(total[n + shift])]
+            for k, d in enumerate(summands):
+                if n in getattr(d, field):
+                    matrix = getattr(d, field)[n]
+                    for i in range(matrix.rows):
+                        for j in range(matrix.cols):
+                            rows[offsets[k][n + shift] + i][offsets[k][n] + j] += matrix.at(i, j)
+            out[n] = IntMatrix.from_rows(rows, total[n])
+        return out
+
+    def added(field: str, n: int) -> tuple[int, ...]:
+        return tuple(map(sum, zip(*(place(k, n, (getattr(d, field) or d.zero(n)).coords) for k, d in enumerate(summands)))))
+
+    names = {n: tuple(f"{x}_{k}" for k, d in enumerate(summands) for x in d.integral.names[n]) for n in range(2, 8, 2)}
+    integral, mod2 = graded_pair(
+        {0: ((0,), ("1",)), **{n: ((0,) * len(x), x) for n, x in names.items() if x}, 8: ((0,), ("top",))},
+        {0: ("1",), **{n: x for n, x in names.items() if x}, 8: ("top",)},
+    )
+    return ManifoldData(
+        name=name,
+        integral=integral,
+        mod2=mod2,
+        cup_z=tables("cup_z"),
+        rho2={0: IntMatrix.identity(1), **maps("rho2", 0, range(2, 8, 2)), 8: IntMatrix.identity(1)},
+        beta={},
+        sq2=maps("sq2", 2, range(0, 7, 2)),
+        pairing=(1,),
+        p1=CohomologyClass(4, "Z", added("p1", 4)),
+        spinc_class=CohomologyClass(2, "Z", added("spinc_class", 2)),
+        w2=CohomologyClass(2, "Z2", added("w2", 2)),
+        odd_generators=(),
+        cup_m2=tables("cup_m2"),
+    )
+
+
 def unchecked(data: ManifoldData, **fields) -> ManifoldData:
     """data with fields replaced, built without the constructor's shape
     check: misshapen data for tests to serialize or to ask ``shape_problems``

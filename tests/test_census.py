@@ -7,12 +7,13 @@ import random
 import re
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
 import degree8_reference
 import pytest
-from conftest import make_cp4_with_h6_torsion, make_h7_demo
+from conftest import connected_sum, graded_pair, make_cp4_with_h6_torsion, make_h7_demo
 
 from bundlecensus import census, charclass
 from bundlecensus.abelian import FGAbelianGroup, IntMatrix
@@ -23,14 +24,21 @@ from bundlecensus.census import (
     enumerate_cp4,
 )
 from bundlecensus.charclass import DEGREE8_TABLE, chern_product, rr_value
-from bundlecensus.classify import InternalInconsistencyError, OddGeneratorsMissing, check_rank4, count_classes
+from bundlecensus.classify import OddGeneratorsMissing, check_rank4, condition1_lhs, count_classes
 from bundlecensus.cohomology import (
+    CohomologyClass,
     CompiledManifold,
+    LawResult,
+    ManifoldData,
     ManifoldValidationError,
     MissingOperationError,
+    apply_op,
+    cup,
+    pair_top,
     validate_manifold,
 )
 from bundlecensus.fixtures import BUILTIN_NAMES, builtin
+from bundlecensus.manifold_io import parse_manifold, serialize_manifold
 
 
 def test_bound_zero_rank4_only_trivial_tuple():
@@ -157,12 +165,11 @@ def test_stage_shares_sum_to_the_right_hand_sides(name):
 
 
 def test_one_residue_mod_24_decides_conditions_2_and_3():
-    # the weight of each monomial is rhs(2) mod 3 and 4*rhs(3) mod 8 at once, and the table of
-    # verdicts at each residue is conditions (2) and (3), None where rhs(3) is not an integer
+    # the residue 16*rhs(2) + 9*4*rhs(3) mod 24 of each monomial is rhs(2) mod 3 and 4*rhs(3) mod 8
+    # at once, and the table of verdicts at each residue is conditions (2) and (3), None where
+    # rhs(3) is not an integer
     for mono, _, _, k2, k3 in DEGREE8_TABLE:
-        if "u4" not in mono:
-            assert (census._WEIGHTS[mono] % 3, census._WEIGHTS[mono] % 8) == (k2 % 3, k3 % 8)
-    assert list(census._WEIGHTS.values()) == [20, 4, 6, 18, 2, 21, 1]
+        assert ((16 * k2 + 9 * k3) % 24 % 3, (16 * k2 + 9 * k3) % 24 % 8) == (k2 % 3, k3 % 8), mono
     lhs = list(range(-7, 8))
     table = census._table(lhs)
     for rhs2 in range(-6, 7):
@@ -279,7 +286,7 @@ def test_census_matches_per_tuple_evaluation(name, bound, rank):
 
 def missing_tables(data, u):
     """The MissingOperationError messages the queries raise on tuple u; an
-    InternalInconsistencyError or OddGeneratorsMissing is an answer here."""
+    OddGeneratorsMissing is an answer here."""
     queries = (
         lambda: check_rank4(data, u),
         lambda: count_classes(data, u, 4),
@@ -294,7 +301,7 @@ def missing_tables(data, u):
             query()
         except MissingOperationError as exc:
             messages.append(str(exc))
-        except (InternalInconsistencyError, OddGeneratorsMissing):
+        except OddGeneratorsMissing:
             pass
     return messages
 
@@ -324,8 +331,9 @@ def test_census_matches_per_tuple_evaluation_on_unvalidated_data():
             coords = [[rng.randrange(d) if d else rng.randint(-3, 3) for d in m.factors[n]] for n in (2, 4, 6, 8)]
             for u in (data.chern_tuple(*coords), data.chern_tuple(*([0] * len(f) for f in m.factors[2:9:2]))):
                 assert missing_tables(data, u) == [], data.name
-    # every kind of outcome is exercised, and a missing table is none of them
-    assert set(outcomes) == {"answered", "ManifoldValidationError", "InternalInconsistencyError"}, outcomes
+    # every kind of outcome is exercised, and a missing table is none of them: validated data is
+    # answered, tuple by tuple as in the census
+    assert set(outcomes) == {"answered", "ManifoldValidationError"}, outcomes
 
 
 @pytest.mark.parametrize("name, ranks", [("torsion-demo", (4, 3)), ("cp2xcp2", (3,))])
@@ -382,50 +390,220 @@ def test_census_refuses_a_torsion_class_that_pairs_to_nonzero():
 
 
 def test_census_matches_per_tuple_evaluation_on_unvalidated_data_at_bound_2():
+    outcomes = Counter()
     for data in mutated_manifolds(120, seed=23):
         for rank in (4, 3):
             if _box_size(data, 2, rank) <= 20_000:
-                census_matches_on_validated_data(data, 2, rank)
+                outcomes[census_matches_on_validated_data(data, 2, rank)] += 1
+    assert set(outcomes) == {"answered", "ManifoldValidationError"}, outcomes
 
 
-@pytest.mark.parametrize("mutate", [None, _odd_torsion_in_h6], ids=["as-is", "h6"])
-@pytest.mark.parametrize("name", BUILTIN_NAMES + ("h7-demo",))
-def test_pair_form_is_the_pairing_of_the_cup(name, mutate):
-    data = make_h7_demo() if name == "h7-demo" else builtin(name)
-    rng = random.Random(7)
-    if mutate:
-        data = mutate(data, rng)
+def first_non_integral_rhs3(data, bound):
+    """The first (u1, u2, u3) of the rank-3 box, tuple by tuple, where condition (1) holds and
+    4*rhs(3) is not a multiple of 4, both class-based (``apply_op``, ``cup`` and the reference);
+    None where there is none.  At bound 2 the free coordinates reach every residue mod 4."""
     m = data.compiled
+    ranges = [[range(d) if d else range(-bound, bound + 1) for d in m.factors[n]] for n in (2, 4, 6)]
+    zero = (0,) * len(m.factors[8])
+    for us in itertools.product(*(itertools.product(*r) for r in ranges)):
+        u = data.chern_tuple(*us, zero)
+        lhs1 = apply_op(data, "sq2", apply_op(data, "rho2", u.u2))
+        if lhs1 == apply_op(data, "rho2", data.add(u.u3, cup(data, u.u1, u.u2))):
+            if degree8_reference.columns(data, u)[3] % 4:
+                return us
+    return None
 
-    def coords(n):
-        return tuple(rng.randint(-5, 5) for _ in m.factors[n])
 
-    for a, b in ((2, 6), (4, 4), (6, 2)):
-        for _ in range(10):
-            x, y = coords(a), coords(b)
-            right, left = m.pair_form(a, x, b, None), m.pair_form(a, None, b, y)
-            for _ in range(5):
-                v, w = coords(b), coords(a)
-                assert sum(map(operator.mul, right, v)) == m.pair(m.cup(a, x, b, v))
-                assert sum(map(operator.mul, left, w)) == m.pair(m.cup(a, w, b, y))
-    cp4 = builtin("cp4")
-    missing = cp4._replace(cup_z={k: v for k, v in cp4.cup_z.items() if k != (2, 6)}).compiled
-    with pytest.raises(MissingOperationError, match=r"missing cup product table for degrees \(2, 6\)"):
-        missing.pair_form(2, (1,), 6, None)
+@pytest.mark.parametrize("count, seed, rejected", [(200, 11, 3), (120, 23, 6)])
+def test_rhs3_integral_rejects_the_mutants_whose_box_is_not_integral(count, seed, rejected):
+    # of the mutants that pass every other law, rhs3_integral rejects exactly those with a tuple of
+    # the bound-2 rank-3 box where (1) holds and rhs(3) is not an integer: the ones whose census
+    # once raised at query time, each with p1 and c moved
+    failed = []
+    for data in mutated_manifolds(count, seed):
+        others = [r for r in data.report.results if r.name != "rhs3_integral"]
+        if all(r.passed for r in others):
+            assert data.report.ok == (first_non_integral_rhs3(data, 2) is None), data.name
+            failed += [] if data.report.ok else [data.name]
+    assert len(failed) == rejected, failed
+
+
+def make_sq2_demo(p1: int) -> ManifoldData:
+    """Synthetic data with H^4 = Z<v>, v*v the generator of H^8, H^7 = Z/2 and Sq^2 rho2(v) = s,
+    the Bockstein preimage of H^7 in H^6(Z/2).  Condition (1) holds at even u2 alone, where
+    4*rhs(3) = 2*u2^2 + p1*u2: a multiple of 4 at u2 = 0, but not at u2 = 2 for odd p1."""
+    integral, mod2 = graded_pair(
+        {0: ((0,), ("1",)), 4: ((0,), ("v",)), 7: ((2,), ("z",)), 8: ((0,), ("w",))},
+        {0: ("1",), 4: ("v",), 6: ("s",), 7: ("z",), 8: ("w",)},
+    )
+    return ManifoldData(
+        name="sq2-demo",
+        integral=integral,
+        mod2=mod2,
+        cup_z={(4, 4): {(0, 0): (1,)}},
+        rho2={n: IntMatrix.identity(1) for n in (0, 4, 7, 8)},
+        beta={6: IntMatrix.identity(1), 7: IntMatrix.zeros(1, 1)},
+        sq2={4: IntMatrix.identity(1)},
+        pairing=(1,),
+        p1=CohomologyClass(4, "Z", (p1,)),
+        spinc_class=CohomologyClass(2, "Z", ()),
+    )
+
+
+def test_rhs3_integral_reads_u2_mod_4():
+    # where (1) holds at even u2 alone, only u2 = 2 shows that rhs(3) is not an integer: there
+    # <s*v> = p1 is odd, s = p1 + c*c
+    for p1 in (1, 3):
+        data = make_sq2_demo(p1)
+        witness = f"(1) holds at --chern - 2 - but 4*rhs(3) = {8 + 2 * p1}"
+        assert data.report.failures() == (LawResult("rhs3_integral", False, witness),)
+        assert first_non_integral_rhs3(data, 2) == ((), (-2,), ())
+    data = make_sq2_demo(2)
+    assert validate_manifold(data, strict=True).ok and first_non_integral_rhs3(data, 2) is None
+    for rank in (4, 3):
+        assert census.enumerate(data, 2, rank) == per_tuple_census(data, 2, rank)
+
+
+def random_even_data(rng: random.Random) -> ManifoldData:
+    """Seeded synthetic data with free H^2, H^4 and H^6 of rank at most 2 and symmetric, random
+    cup tables, Sq^2 and rho2 in degree 6, p1 and c: the cup products of u1 reach H^6, so (1) and
+    4*rhs(3) mod 4 depend on u1 as well."""
+    n2, n4, n6 = rng.randint(1, 2), rng.randint(1, 2), rng.randint(1, 2)
+    names = {n: tuple(f"e{n}_{i}" for i in range(k)) for n, k in ((2, n2), (4, n4), (6, n6))}
+    integral, mod2 = graded_pair(
+        {0: ((0,), ("1",)), **{n: ((0,) * len(x), x) for n, x in names.items()}, 8: ((0,), ("top",))},
+        {0: ("1",), **names, 8: ("top",)},
+    )
+
+    def table(a, b, size):
+        entries = {}
+        for i in range(len(names[a])):
+            for j in range(len(names[b])):
+                entries[i, j] = entries.get((j, i)) if a == b and j < i else tuple(rng.randint(-2, 2) for _ in range(size))
+        return entries
+
+    def bits(rows, cols):
+        return IntMatrix(rows, cols, [rng.randint(0, 1) for _ in range(rows * cols)])
+
+    return ManifoldData(
+        name="random-even",
+        integral=integral,
+        mod2=mod2,
+        cup_z={(2, 2): table(2, 2, n4), (2, 4): table(2, 4, n6), (2, 6): table(2, 6, 1), (4, 4): table(4, 4, 1)},
+        rho2={0: IntMatrix.identity(1), 2: IntMatrix.identity(n2), 4: IntMatrix.identity(n4), 6: bits(n6, n6), 8: IntMatrix.identity(1)},
+        beta={},
+        sq2={2: bits(n4, n2), 4: bits(n6, n4), 6: bits(1, n6)},
+        pairing=(1,),
+        p1=CohomologyClass(4, "Z", tuple(rng.randint(-3, 3) for _ in range(n4))),
+        spinc_class=CohomologyClass(2, "Z", tuple(rng.randint(-2, 2) for _ in range(n2))),
+    )
+
+
+def test_rhs3_integral_is_decided_at_u1_0_on_random_data():
+    # moving u1 by e and u3 by e*u2 keeps (1) and 4*rhs(3) mod 4, so the law reads u1 = 0 alone; the
+    # per-tuple box reads every u1 of the bound-2 box
+    outcomes = Counter()
+    rng = random.Random(43)
+    for _ in range(24):
+        data = random_even_data(rng)
+        law = data.report.law("rhs3_integral")
+        assert law.passed == (first_non_integral_rhs3(data, 2) is None), data
+        outcomes[law.passed] += 1
+    assert outcomes[True] >= 3 and outcomes[False] >= 3, outcomes
+
+
+def test_rhs3_integral_is_polynomial_in_the_betti_numbers(tmp_path):
+    # six cp2xcp2 and two hp2: H^2 = Z^12, H^4 = Z^20 and H^6 = Z^12, so 2^44 classes of (u1, u2,
+    # u3) mod 2, but one elimination over Z/2 at u1 = 0.  The law holds, and fails once p1 moves by
+    # 2 on the last hp2 generator; both files load in a fraction of the bound
+    data = connected_sum("six-cp2xcp2-two-hp2", *[builtin("cp2xcp2")] * 6, *[builtin("hp2")] * 2)
+    assert [len(data.compiled.factors[n]) for n in (2, 4, 6)] == [12, 20, 12]
+    moved = data._replace(p1=data.zclass(4, data.p1.coords[:-1] + (data.p1.coords[-1] + 2,)))
+    good, bad = tmp_path / "good.manifold", tmp_path / "bad.manifold"
+    good.write_text(serialize_manifold(data))
+    bad.write_text(serialize_manifold(moved))
+    start = time.perf_counter()
+    assert parse_manifold(good, strict=True).report.ok
+    with pytest.raises(ManifoldValidationError) as refused:
+        parse_manifold(bad)
+    assert time.perf_counter() - start < 10
+    witness = f"(1) holds at --chern {','.join('0' * 12)} {','.join('0' * 19)},1 {','.join('0' * 12)} but 4*rhs(3) = 6"
+    assert refused.value.report.failures() == (LawResult("rhs3_integral", False, witness),)
+
+
+FIXTURES = {
+    **{name: lambda name=name: builtin(name) for name in BUILTIN_NAMES},
+    "h7-demo": make_h7_demo,
+    "cp4-h6-torsion": make_cp4_with_h6_torsion,
+    "cp4-p1-2": lambda: builtin("cp4")._replace(p1=builtin("cp4").zclass(4, (2,))),
+    "sq2-demo": lambda: make_sq2_demo(2),
+    "sq2-demo-p1-1": lambda: make_sq2_demo(1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_condition_1_and_4_rhs3_mod_4_move_as_the_law_reads_them(name):
+    # (1) reads parities, and 4*rhs(3) mod 4, read off the compiled polynomial at the unreduced
+    # coordinates, has period 2 in each coordinate of u1 and u3 and 4 in each of u2; moving the
+    # j-th coordinate of u2 by 2 adds 2<s*e_j>, s = p1 + c*c, paired class by class.  So the law
+    # rhs3_integral, which reads the classes mod 2 and <s*e_j> mod 2, decides every box, on the
+    # fixtures and where the law fails
+    data = FIXTURES[name]()
+    m, congruences = data.compiled, data.congruences
+    zero = (0,) * len(m.factors[8])
+    s = data.add(data.p1, cup(data, data.spinc_class, data.spinc_class))
+    ells = [pair_top(data, cup(data, s, data.zclass(4, y))) for y in IntMatrix.identity(data.ngens(4)).to_rows()]
+
+    def decide(u1, u2, u3):
+        rhs1 = m.apply("rho2", 6, m.reduce(6, tuple(map(operator.add, u3, m.cup(2, u1, 4, u2)))))
+        rhs3_times4 = sum(map(operator.mul, congruences.conditions[2], congruences.values(u1 + u2 + u3 + zero)))
+        return condition1_lhs(data, u2) == rhs1, rhs3_times4 % 4
+
+    rng = random.Random(29)
+    for _ in range(30):
+        us = [tuple(rng.randint(-9, 9) for _ in m.factors[n]) for n in (2, 4, 6)]
+        at = decide(*us)
+        for k, period in enumerate((2, 4, 2)):
+            for i in range(len(us[k])):
+                shifted = list(us)
+                shifted[k] = us[k][:i] + (us[k][i] + rng.choice((-1, 1, 2)) * period,) + us[k][i + 1 :]
+                assert decide(*shifted) == at, (us, k, i)
+        for j in range(len(us[1])):
+            u2 = us[1][:j] + (us[1][j] + 2,) + us[1][j + 1 :]
+            assert decide(us[0], u2, us[2]) == (at[0], (at[1] + 2 * ells[j]) % 4), (us, j)
+
+
+def p1_shifted_manifolds(per_base, seed):
+    """Validated data whose verdicts move: per builtin or fixture, ``per_base`` pairs (base, base
+    with p1 moved by 4*y) for y in H^4.  4*rhs(3) and rhs(2) move by 4*<y*u2>, so every law still
+    holds while conditions (2) and (3) change.  Not a mutation of ``mutated_manifolds``, whose
+    corpora are pinned by their seeds."""
+    rng = random.Random(seed)
+    for base in [builtin(name) for name in BUILTIN_NAMES] + [make_h7_demo(), make_cp4_with_h6_torsion()]:
+        for _ in range(per_base):
+            y = [rng.choice((-2, -1, 1, 3)) for _ in base.p1.coords]
+            yield base, base._replace(p1=base.zclass(4, [p + 4 * k for p, k in zip(base.p1.coords, y)]))
+
+
+def test_census_matches_per_tuple_evaluation_on_p1_shifted_manifolds():
+    moved = Counter()
+    for base, data in p1_shifted_manifolds(2, seed=31):
+        assert data.report.ok, data.name
+        for rank in (4, 3):
+            got = census.enumerate(data, 1, rank)
+            assert got == per_tuple_census(data, 1, rank), (data.name, rank)
+            moved[data.name] += got != census.enumerate(base, 1, rank)
+    # verdicts move wherever H^4 pairs with itself: on every base with a nonzero rhs(3) polynomial
+    assert {name for name, n in moved.items() if n} == {"cp4", "hp2", "cp2xcp2", "cp1xcp3", "cp4-h6-torsion"}, moved
 
 
 @pytest.fixture
 def stage_calls(monkeypatch):
-    """What the census contracts, cups and compiles: each ``CompiledManifold.pair_form`` and each
-    ``CompiledManifold.cup`` call, by its degrees (a, b), and the data of each
-    ``charclass.compile_congruences`` call."""
-    forms, cups, builds = Counter(), Counter(), []
-    pair_form, cup = CompiledManifold.pair_form, CompiledManifold.cup
+    """What the census cups and compiles: each ``CompiledManifold.cup`` call, by its degrees
+    (a, b), and the data of each ``charclass.compile_congruences`` call."""
+    cups, builds = Counter(), []
+    cup = CompiledManifold.cup
     compile_congruences = charclass.compile_congruences
-
-    def counted_form(self, a, x, b, y):
-        forms[a, b] += 1
-        return pair_form(self, a, x, b, y)
 
     def counted_cup(self, a, x, b, y):
         cups[a, b] += 1
@@ -435,10 +613,9 @@ def stage_calls(monkeypatch):
         builds.append(data)
         return compile_congruences(data)
 
-    monkeypatch.setattr(CompiledManifold, "pair_form", counted_form)
     monkeypatch.setattr(CompiledManifold, "cup", counted_cup)
     monkeypatch.setattr(charclass, "compile_congruences", counted_compile)
-    return forms, cups, builds
+    return cups, builds
 
 
 @pytest.mark.parametrize(
@@ -446,17 +623,16 @@ def stage_calls(monkeypatch):
 )
 def test_census_shares_once_per_u2_and_per_u3(name, bound, rank, stage_calls):
     # the residue is read off the compiled polynomial, built once per instance: per u2 and per u3
-    # one sum over its terms, per u1 one weight vector on u2 and one on u3.  Nothing is contracted
-    # and nothing cupped but u1*u2 for condition (1), once per parities of (u1, u2)
-    forms, cups, builds = stage_calls
+    # one sum over its terms, per u1 one weight vector on u2 and one on u3.  Nothing is cupped but
+    # u1*u2 for condition (1), once per parities of (u1, u2)
+    cups, builds = stage_calls
     data = builtin(name)._replace()
     census.enumerate(data, bound, rank)
     assert len(builds) == 1 and builds[0] is data
-    forms.clear()
     cups.clear()
     census.enumerate(data, bound, rank)
     u1s, u2s = (_box_size_of(data, bound, n) for n in (2, 4))
-    assert len(builds) == 1 and forms == {}
+    assert len(builds) == 1
     assert cups == {(2, 4): _parities_of(data, bound, 2) * _parities_of(data, bound, 4)}
     assert cups[2, 4] < u1s * u2s
     moved = data._replace()

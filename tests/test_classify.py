@@ -12,10 +12,10 @@ from bundlecensus.classify import (
     Condition1,
     Condition2,
     Condition3,
-    InternalInconsistencyError,
     OddGeneratorsMissing,
     check_rank3,
     check_rank4,
+    condition1_lhs,
     compute_B,
     compute_T,
     count_classes,
@@ -24,6 +24,7 @@ from bundlecensus.classify import (
 from bundlecensus.cohomology import (
     ChernTuple,
     CohomologyClass,
+    LawResult,
     ManifoldShapeError,
     ManifoldValidationError,
     MissingOperationError,
@@ -167,17 +168,17 @@ def test_census_generic_column_matches_generic_operations(cp4, bound, rank):
     ],
 )
 def test_missing_operations_raise_on_every_path(cp4, field, message):
+    # every query decides validated data only, so the law tables_complete refuses the data before
+    # condition (1) would raise for the missing table; rr, which needs no mod-2 operation, too
     stripped = cp4._replace(**{field: {}})
     u = cp4_tuple(stripped, 1, 1, 1, 0)
-    with pytest.raises(MissingOperationError, match=re.escape(message)):
-        check_rank4(stripped, u)
-    with pytest.raises(ManifoldValidationError, match="tables_complete"):  # the census decides validated data only
-        enumerate_cp4(1, 4, stripped)
-    if field == "cup_z":
-        with pytest.raises(MissingOperationError, match=re.escape("degrees (2, 2)")):
-            rr_value(stripped, u)
-    else:  # the functional needs no mod-2 operation
-        assert rr_value(stripped, u) == rr_value(cp4, u)
+    for query in (check_rank4, rr_value, lambda data, u: enumerate_cp4(1, 4, data)):
+        with pytest.raises(ManifoldValidationError, match="tables_complete"):
+            query(stripped, u)
+    assert stripped.report.law("tables_complete").witness.startswith("missing ")
+    m = stripped.compiled
+    with pytest.raises(MissingOperationError, match=re.escape(message)):  # condition (1), not gated
+        condition1_lhs(stripped, (1,)), m.cup(2, (1,), 4, (1,))
 
 
 def test_malformed_coordinates_are_rejected(cp4):
@@ -197,17 +198,21 @@ def test_replaced_manifold_is_compiled_afresh(cp4):
     verdict = check_rank4(shifted, u)
     assert not verdict.realizable
     assert (verdict.condition2, verdict.condition3) == paper_conditions_2_3(shifted, u)
-    with pytest.raises(InternalInconsistencyError):
+    with pytest.raises(ManifoldValidationError, match="rhs3_integral"):
         check_rank4(cp4._replace(p1=cp4.zclass(4, (2,))), cp4_tuple(cp4, 0, 1, 0, 0))
     assert check_rank4(cp4, u).realizable
 
 
 def test_internal_inconsistency_raises(cp4):
     # p1 = 2 t^2 breaks the integrality of the condition-(3) expression
-    # for (0, t^2, 0, 0) although condition (1) holds
+    # for (0, t^2, 0, 0) although condition (1) holds: the law rhs3_integral
+    # refuses the data, whatever the tuple, and names that one
     corrupted = cp4._replace(p1=cp4.zclass(4, (2,)))
-    with pytest.raises(InternalInconsistencyError, match="not an integer"):
-        check_rank4(corrupted, cp4_tuple(corrupted, 0, 1, 0, 0))
+    for u in (cp4_tuple(corrupted, 0, 1, 0, 0), cp4_tuple(corrupted, 0, 0, 0, 0)):
+        with pytest.raises(ManifoldValidationError, match="manifold data failed validation: rhs3_integral$"):
+            check_rank4(corrupted, u)
+    witness = "(1) holds at --chern 0 1 0 but 4*rhs(3) = -71"
+    assert corrupted.report.failures() == (LawResult("rhs3_integral", False, witness),)
 
 
 def test_compute_B_examples(cp4, hp2, torsion_demo):

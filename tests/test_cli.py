@@ -164,12 +164,18 @@ def test_a_missing_table_fails_at_load(capsys, tmp_path, name, command):
         assert out == ""
 
 
-def test_internal_inconsistency_exit_three(capsys, tmp_path, cp4):
+def test_non_integral_rhs3_is_refused_at_load(capsys, tmp_path, cp4):
+    # p1 = 2 makes the right-hand side of (3) non-integral where (1) holds: an
+    # input error (2) for every query, and validate names the tuple
     path = tmp_path / "corrupt.manifold"
     path.write_text(serialize_manifold(cp4).replace("p1 5", "p1 2"))
-    code, _, err = run(capsys, "rank4", str(path), "--chern", "0", "1", "0", "0")
-    assert code == 3
-    assert "internal inconsistency" in err
+    for chern in (("0", "1", "0", "0"), ("0", "0", "0", "0")):
+        code, out, err = run(capsys, "rank4", str(path), "--chern", *chern)
+        assert (code, out) == (2, "")
+        assert "FAIL  rhs3_integral" in err and err.endswith("error: manifold data failed validation: rhs3_integral\n")
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 2
+    assert "FAIL  rhs3_integral  ((1) holds at --chern 0 1 0 but 4*rhs(3) = -71)" in out
 
 
 def test_count_command(capsys):
@@ -392,8 +398,8 @@ def nudge(text: str, rng: random.Random) -> str:
 
 def test_mutated_files_get_only_documented_outcomes(capsys, tmp_path):
     # parse, validate, then answer: a file that loads is answered (0 or 1) or
-    # refused (2); 3 only for data that passes every law and is still
-    # inconsistent; never a crash
+    # refused (2); never a crash, and never 3, which only a census cross-check
+    # disagreement or a crash gives
     rng = random.Random(1414)
     path = tmp_path / "mutated.manifold"
     codes = []
@@ -423,7 +429,7 @@ def test_mutated_files_get_only_documented_outcomes(capsys, tmp_path):
             ("oracle", *chern(2, 4, 6, 8)),
         ])
         code, out, err = run(capsys, argv[0], str(path), *argv[1:])
-        assert code in (0, 1, 2) or (code == 3 and err.startswith("internal inconsistency")), (argv, err)
+        assert code in (0, 1, 2), (argv, err)
         assert "internal error" not in err and "Traceback" not in err, (argv, err)
         codes.append(code)
     assert {0, 1, 2} <= set(codes), codes

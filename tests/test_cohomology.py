@@ -221,9 +221,7 @@ def _nontrivial_cup(data, a: int, b: int) -> bool:
 def tables_read(monkeypatch):
     """Each table a query reaches: (op, degree) for a matrix, ("cup", a, b) for a cup table."""
     reached = set()
-    apply, compiled_cup, pair_form, class_cup = (
-        CompiledManifold.apply, CompiledManifold.cup, CompiledManifold.pair_form, cohomology.cup
-    )
+    apply, compiled_cup, class_cup = CompiledManifold.apply, CompiledManifold.cup, cohomology.cup
 
     def traced_apply(self, op, degree, x):
         reached.add((op, degree))
@@ -233,17 +231,12 @@ def tables_read(monkeypatch):
         reached.add(("cup", a, b))
         return compiled_cup(self, a, x, b, y)
 
-    def traced_pair_form(self, a, x, b, y):
-        reached.add(("cup", a, b))
-        return pair_form(self, a, x, b, y)
-
     def traced_class_cup(data, x, y):
         reached.add(("cup", x.degree, y.degree))
         return class_cup(data, x, y)
 
     monkeypatch.setattr(CompiledManifold, "apply", traced_apply)
     monkeypatch.setattr(CompiledManifold, "cup", traced_cup)
-    monkeypatch.setattr(CompiledManifold, "pair_form", traced_pair_form)
     for module in (cohomology, classify, charclass):
         monkeypatch.setattr(module, "cup", traced_class_cup)
     return reached
@@ -591,9 +584,9 @@ def test_validation_compiles_once(name, monkeypatch):
     compiled = []
     compile_once = cohomology._compile
     monkeypatch.setattr(cohomology, "_compile", lambda data: compiled.append(data) or compile_once(data))
-    validated = []
-    validate = cohomology.validate_manifold
-    monkeypatch.setattr(cohomology, "validate_manifold", lambda data: validated.append(data) or validate(data))
+    validated = []  # each run of the laws, by its first
+    first, *rest = cohomology.LAWS
+    monkeypatch.setattr(cohomology, "LAWS", (lambda data: validated.append(data) or first(data), *rest))
     data = parse_manifold(_DATA / f"{name}.manifold")
     assert "compiled" in vars(data) and compiled == [data]
     assert vars(data)["report"].ok and validated == [data]  # the report the census reads

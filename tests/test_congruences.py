@@ -14,7 +14,7 @@ from operator import mul
 import degree8_reference
 import pytest
 from conftest import make_cp4_with_h6_torsion, make_h7_demo
-from test_census import mutated_manifolds
+from test_census import mutated_manifolds, p1_shifted_manifolds
 
 from bundlecensus import census
 from bundlecensus.census import cp4_rank4_admissible
@@ -64,6 +64,15 @@ def test_congruences_are_the_class_based_reference_on_validated_mutants():
             assert_matches_reference(data, rng, 8)
             checked += 1
     assert checked >= 50, checked
+
+
+def test_congruences_are_the_class_based_reference_on_p1_shifted_manifolds():
+    # valid data whose <p1*u2> moves, on every builtin and fixture; the other terms of degree 8 are
+    # those of the bases
+    rng = random.Random(37)
+    for _, data in p1_shifted_manifolds(2, seed=31):
+        assert validate_manifold(data).ok
+        assert_matches_reference(data, rng, 8)
 
 
 def as_dict(congruences, column):

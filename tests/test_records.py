@@ -362,6 +362,18 @@ def test_manifold_data_is_read_only():
     assert data == make_h7_demo() and "compiled" in vars(data)
 
 
+def test_validation_report_is_read_only():
+    # ok, which every query reads, is filled in by the constructor and kept in the instance dict
+    report = ValidationReport((LawResult("shape", True), LawResult("law", False, "x")))
+    for name in (*ValidationReport._fields, "ok", "new_name"):
+        with pytest.raises(AttributeError):
+            setattr(report, name, True)
+        with pytest.raises(AttributeError):
+            delattr(report, name)
+    assert report.ok is False and vars(report) == {"ok": False}
+    assert pickle.loads(pickle.dumps(report)).ok is False
+
+
 def test_manifold_data_pickles_with_its_answers():
     for data in all_data():
         fresh = pickle.loads(pickle.dumps(data))
