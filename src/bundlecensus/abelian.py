@@ -18,7 +18,8 @@ block transposed whenever a pivot does not divide its row, which updates
 U and V only where a caller reads them: ``smith_normal_form`` (and through
 it ``subgroup_quotient``) tracks both, ``cokernel_presentation`` neither.
 Its last step, ``_divisibility_chain``, also gives
-``FGAbelianGroup.canonical`` its invariant factors.
+``FGAbelianGroup.canonical`` its invariant factors.  Over Z/2 there is
+one elimination, ``kernel_mod2_rows``; ``rank_mod2_rows`` counts by it.
 ``VERIFY_POSTCONDITIONS`` checks each Smith form: a full form directly, a
 bare diagonal by comparison with the full form of the same matrix.
 
@@ -502,21 +503,25 @@ def subgroup_quotient(
     )
 
 
+def kernel_mod2_rows(rows: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
+    """A basis over Z/2 of the x with sum x_i * rows[i] = 0 mod 2, as 0/1 tuples: one vector for each
+    row that depends on the rows before it, in row order, with a 1 at that row and 0 after it.  An
+    elimination on the lowest bit, each row and its combination of rows as the bits of an int."""
+    rows = [sum((v % 2) << j for j, v in enumerate(row)) for row in rows]
+    echelon, basis = [], []
+    for i, v in enumerate(rows):
+        x = 1 << i
+        for w, y in echelon:
+            if v & w & -w:
+                v, x = v ^ w, x ^ y
+        if v:
+            echelon.append((v, x))
+        else:
+            basis.append(tuple(x >> k & 1 for k in range(len(rows))))
+    return basis
+
+
 def rank_mod2_rows(rows: Iterable[Sequence[int]]) -> int:
     """Rank over Z/2 of the matrix with these rows."""
-    masks = []
-    for row in rows:
-        mask = 0
-        for j, v in enumerate(row):
-            if v % 2:
-                mask |= 1 << j
-        if mask:
-            masks.append(mask)
-    rank = 0
-    while masks:
-        pivot = masks.pop()
-        rank += 1
-        low = pivot & -pivot
-        masks = [m ^ pivot if m & low else m for m in masks]
-        masks = [m for m in masks if m]
-    return rank
+    rows = list(rows)
+    return len(rows) - len(kernel_mod2_rows(rows))

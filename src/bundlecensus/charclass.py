@@ -5,15 +5,16 @@ whose integrality on actual bundles drives the mod-2 and mod-3
 realizability congruences.  ``DEGREE8_TABLE`` writes every degree-8
 quantity down once, as integer combinations of eight pairings; each
 manifold compiles it once into integer polynomials in the coordinates of
-a Chern tuple (``data.congruences``), which conditions (2) and (3), the
-closed form of the functional and the census read.  A self-check
-recomputes the functional by direct truncated multiplication of the
-A-roof series, exp(c/2) and the reduced Chern character, which must
-agree exactly.  The product td(M) of the first two does not depend on the
-tuple: it is built once per instance as the Todd rows
-(``data.todd_rows``), from the class-based ``cup`` and ``pair_top`` only,
-and each self-check costs five class cups for the bracket plus three dot
-products with the rows.
+a Chern tuple (``data.congruences``), at a cost that follows the products
+that exist.  The law ``rhs3_integral`` builds it at load, and conditions
+(2) and (3), the closed form of the functional and the census read it;
+no other module reads the table.  A self-check recomputes the functional
+by direct truncated multiplication of the A-roof series, exp(c/2) and the
+reduced Chern character, which must agree exactly.  The product td(M)
+of the first two does not depend on the tuple: it is built once per
+instance as the Todd rows (``data.todd_rows``), from the class-based
+``cup`` and ``pair_top`` only, and each self-check costs five class cups
+for the bracket plus three dot products with the rows.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .cohomology import (
     Coords,
     ManifoldData,
     ManifoldValidationError,
+    MissingOperationError,
     cup,
     pair_top,
 )
@@ -80,33 +82,69 @@ class Congruences(NamedTuple):
 def compile_congruences(data: ManifoldData) -> Congruences:
     """Expand each monomial of the table multilinearly: a variable is the sum of its generators,
     each times its own coordinate, and p1 and c are constants.  The factors are cupped left to
-    right, monomial by monomial in table order, so that a missing table raises the
+    right, monomial by monomial in table order, each product reduced as ``CompiledManifold.cup``
+    reduces it.  Each table is read by its left index, and a product that vanishes is dropped
+    where it appears, so the cost follows the products that exist.  A missing table raises the
     ``MissingOperationError`` of the first product the table needs."""
     m = data.compiled
-    symbols, offset = {"p1": [((), m.p1)], "c": [((), m.c)]}, 0  # each as (indices, coordinates) terms
+    constants, offsets, offset = {"p1": m.p1, "c": m.c}, {}, 0  # offsets[u]: u's first index into x
     for name in ("u1", "u2", "u3", "u4"):
-        n = len(m.factors[SYMBOL_DEGREES[name]])
-        symbols[name] = [((offset + i,), tuple([int(j == i) for j in range(n)])) for i in range(n)]
-        offset += n
+        offsets[name], offset = offset, offset + len(m.factors[SYMBOL_DEGREES[name]])
+    tables = {}  # (a, b) -> {i: [(j, ((k, c), ...)), ...]}, the nonzero products e_i * e_j
+    for ab, table in m.cups.items():
+        if table is not None:
+            tables[ab] = {}
+            for i, j, terms in table:
+                if terms:
+                    tables[ab].setdefault(i, []).append((j, terms))
     expansions = {}
-    for mono in MONOMIALS:
-        terms, a = symbols[mono[0]], SYMBOL_DEGREES[mono[0]]
+    for mono in MONOMIALS:  # terms as (indices into x, {k: coordinate k}), zeros left out
+        symbol, a = mono[0], SYMBOL_DEGREES[mono[0]]
+        if symbol in constants:
+            terms = [((), {k: v for k, v in enumerate(constants[symbol]) if v})]
+        else:
+            terms = [((offsets[symbol] + i,), {i: 1}) for i in range(len(m.factors[a]))]
         for symbol in mono[1:]:
             b = SYMBOL_DEGREES[symbol]
-            terms, a = [(i + j, m.cup(a, x, b, y)) for i, x in terms for j, y in symbols[symbol]], a + b
+            if (a, b) not in tables:
+                raise MissingOperationError(f"missing cup product table for degrees ({a}, {b})")
+            table, factors, products = tables[a, b], m.factors[a + b], []
+            for indices, x in terms:
+                by_j = {}  # j -> x * e_j
+                for i, v in x.items():
+                    for j, entries in table.get(i, ()):
+                        acc = by_j.setdefault(j, {})
+                        for k, c in entries:
+                            acc[k] = acc.get(k, 0) + v * c
+                if symbol in constants:
+                    y, acc = constants[symbol], {}
+                    for j, z in by_j.items():
+                        for k, c in z.items():
+                            acc[k] = acc.get(k, 0) + y[j] * c
+                    products.append((indices, acc))
+                else:
+                    products += [(indices + (offsets[symbol] + j,), acc) for j, acc in by_j.items()]
+            terms, a = [], a + b
+            for indices, x in products:  # reduced as ``CompiledManifold.cup`` reduces
+                if x := {k: r for k, v in x.items() if (r := v % factors[k] if factors[k] else v)}:
+                    terms.append((indices, x))
         expansion = expansions[mono] = {}
-        for i, x in terms:
-            key = tuple(sorted(i))
-            expansion[key] = expansion.get(key, 0) + m.pair(x)
+        for indices, x in terms:
+            key = tuple(sorted(indices))
+            expansion[key] = expansion.get(key, 0) + sum(v * m.pairing[k] for k, v in x.items())
     monomials = sorted({key for expansion in expansions.values() for key, c in expansion.items() if c})
+    position = {key: k for k, key in enumerate(monomials)}
     pairings = {
-        mono: tuple((k, expansion[key]) for k, key in enumerate(monomials) if expansion.get(key))
+        mono: tuple(sorted((position[key], c) for key, c in expansion.items() if c))
         for mono, expansion in expansions.items()
     }
-    conditions = [
-        tuple(sum(w * expansions[mono].get(key, 0) for mono, w in zip(MONOMIALS, column)) for key in monomials)
-        for column in CONDITION_COLUMNS
-    ]
+    conditions = []
+    for column in CONDITION_COLUMNS:
+        row = [0] * len(monomials)
+        for mono, w in zip(MONOMIALS, column):
+            for k, c in pairings[mono] if w else ():
+                row[k] += w * c
+        conditions.append(tuple(row))
     return Congruences(tuple(monomials), pairings, tuple(conditions))
 
 

@@ -13,7 +13,9 @@ data must satisfy, on the compiled form that every query reads too, so a
 validated manifold is compiled once; one law, ``tables_complete``, asks for
 every table a query reads, so validated also means complete, and one,
 ``rhs3_integral``, that the right-hand side of (3) is an integer wherever
-condition (1) holds.  Every query of conditions (1)-(3) and rr reads
+condition (1) holds.  That law reads 4*rhs(3) off the one degree-8
+evaluator, the polynomial ``charclass`` compiles (``data.congruences``),
+so loading builds it.  Every query of conditions (1)-(3) and rr reads
 ``data.report`` and decides validated data only.
 
 Classes are stored with coordinates reduced modulo the invariant factor
@@ -32,11 +34,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property
-from itertools import chain
-from operator import add, index, mul
+from operator import index, mul
 from typing import Iterable, Iterator, Literal, NamedTuple
 
-from .abelian import FGAbelianGroup, IntMatrix, rank_mod2_rows
+from .abelian import FGAbelianGroup, IntMatrix, kernel_mod2_rows, rank_mod2_rows
 
 TOP_DEGREE = 8
 DEGREES = range(TOP_DEGREE + 1)
@@ -291,7 +292,7 @@ class ManifoldData(
     @cached_property
     def congruences(self) -> "Congruences":
         """``charclass.compile_congruences``, which no Chern tuple changes, kept as ``B`` is.
-        Not built by validation."""
+        Built by validation, by the law ``rhs3_integral``, where the laws it needs hold."""
         from .charclass import compile_congruences  # charclass imports this module
         return compile_congruences(self)
 
@@ -765,78 +766,32 @@ def _torsion_pairs_to_zero(data: ManifoldData) -> Iterator[LawResult]:
 
 
 def _rhs3_integral(data: ManifoldData) -> Iterator[LawResult]:
-    # On an actual manifold condition (1) makes the right-hand side of (3) an integer.  By its column of
-    # DEGREE8_TABLE, 4*rhs(3) = 2<c*u3> + 2<u1*u2*c> + 2<u2*u2> + <s*u2> mod 4, s = p1 + c*c, and (1)
-    # reads u1, u2 and u3 mod 2: moving u1 or u3 by 2 keeps both, moving u2 by 2*z adds 2<s*z>.  So the
-    # law asks that each <s*e_j> be even, and then that half of 4*rhs(3), mod 2, vanish wherever (1)
-    # holds on the classes mod 2.  Moving u1 by e and u3 by e*u2 keeps (1) and the half, as <e*u2*c> =
-    # <c*(e*u2)>, so u1 = 0 decides.  There, as the cup commutes, the half and (1) are linear in x =
-    # (u2, u3) mod 2, and the half vanishes on the kernel of (1) if it does on a basis of it.  Exact,
-    # and every table it reads given, where the laws it needs hold; linear algebra over Z/2, so its
-    # cost is a polynomial in the number of generators.
+    # On an actual manifold condition (1) makes the right-hand side of (3) an integer.  Moving u1 by e and
+    # u3 by e*u2 keeps (1) and 4*rhs(3) mod 4, as <e*u2*c> = <c*(e*u2)>, so u1 = 0 decides.  There (1)
+    # is linear in x = (u2, u3) mod 2, so it holds on a lattice L of integer x, and P(x) = 4*rhs(3),
+    # read off the compiled polynomial, is additive mod 4, as the cup commutes: a cross term of u2 has
+    # the coefficient 4<e_i*e_j>, a square an even one, and every other term is linear.  So P vanishes
+    # mod 4 on L if it does on a generating set of L: the lifts of a Z/2 kernel basis of (1), and 2e for
+    # every coordinate e.  Exact, and every table it reads given, where the laws it needs hold; linear
+    # algebra over Z/2 and the polynomial at each generator, so its cost is a polynomial in the numbers
+    # of generators.
     needs = (_h8_is_Z, _rho2_times2, _cup_commutes, _tables_complete, _torsion_pairs_to_zero)
     if not all(r.passed for law in needs for r in law(data)):
         return
-    m = data.compiled
-    c, n2, n3 = m.c, len(m.factors[4]), len(m.factors[6])  # x holds u2 in its low n2 bits, u3 above
+    m, congruences = data.compiled, data.congruences
+    n1, n2, n3, n4 = (len(m.factors[n]) for n in (2, 4, 6, 8))
+    units = IntMatrix.identity(n2 + n3).to_rows()
+    columns = [m.apply("sq2", 4, m.apply("rho2", 4, x[:n2])) for x in units[:n2]]  # condition1_lhs
+    columns += [m.apply("rho2", 6, x[n2:]) for x in units[n2:]]
+    generators = kernel_mod2_rows(columns) + [tuple(2 * v for v in x) for x in units]
 
-    def bits(x: Iterable[int]) -> int:  # a mod-2 vector as the bits of an int
-        return sum((b % 2) << k for k, b in enumerate(x))
+    def witness(x: Coords, value: int) -> str:
+        vectors = " ".join(",".join(map(str, u)) or "-" for u in ((0,) * n1, x[:n2], x[n2:]))
+        return f"(1) holds at --chern {vectors} but 4*rhs(3) = {value}"
 
-    def rho2(n: int) -> list[int]:  # rho2(e_j) for each generator e_j of H^n, as bits
-        return [bits([row[j] for row in m.ops["rho2"][n]]) for j in range(len(m.factors[n]))]
-
-    def form(a: int) -> list[list[int]]:  # <e_i*e_j> for the generators of degrees a and 8 - a
-        form = [[0] * len(m.factors[8 - a]) for _ in m.factors[a]]
-        for i, j, terms in m.cups[a, 8 - a]:
-            form[i][j] += sum(v * m.pairing[k] for k, v in terms)
-        return form
-
-    def kernel(columns: list[int]) -> Iterator[int]:
-        """A basis of the x whose columns add up to 0 mod 2, by elimination on the lowest bit."""
-        echelon = []
-        for j, v in enumerate(columns):
-            x = 1 << j
-            for w, y in echelon:
-                if v & w & -w:
-                    v, x = v ^ w, x ^ y
-            if v:
-                echelon.append((v, x))
-            else:
-                yield x
-
-    # the columns of (1) in H^6(Z/2), Sq^2 rho2(e_j) and rho2(e_k); <s*e_j>, and where it is odd, so is
-    # 4*rhs(3), or else it is 2 mod 4 at u2 = 2e_j; the half, <e_j*e_j> + <s*e_j>/2 and <c*e_k>, mod 2
-    sq2 = [bits(row) for row in m.ops["sq2"][4]]
-    columns = [bits([(row & x).bit_count() for row in sq2]) for x in rho2(4)] + rho2(6)
-    s, form4, form2 = list(map(add, m.p1, m.cup(2, c, 2, c))), form(4), form(2)
-    sigma = [sum(x * row[j] for x, row in zip(s, form4)) for j in range(n2)]
-    odd = bits(sigma)
-    half = bits([form4[j][j] + sig // 2 for j, sig in enumerate(sigma)] + [
-        sum(x * row[k] for x, row in zip(c, form2)) for k in range(n3)
-    ])
-    zero1, zero3 = (0,) * len(m.factors[2]), (0,) * n3
-    failures = chain(
-        ((zero1, tuple(x >> j & 1 for j in range(n2)), tuple(x >> j & 1 for j in range(n2, n2 + n3)))
-         for x in kernel(columns) if ((odd or half) & x).bit_count() % 2),
-        ((zero1, tuple(2 * (k == j) for k in range(n2)), zero3) for j in range(n2) if odd >> j & 1),
-    )
-
-    def witness(us: tuple[Coords, Coords, Coords]) -> str:
-        from .charclass import DEGREE8_TABLE, SYMBOL_DEGREES  # charclass imports this module
-        classes = {"u1": us[0], "u2": us[1], "u3": us[2], "c": c, "p1": m.p1}
-
-        def pairing(mono: tuple[str, ...]) -> int:  # <mono, [M]> at us, cupped left to right
-            x, a = classes[mono[0]], SYMBOL_DEGREES[mono[0]]
-            for symbol in mono[1:]:
-                x, a = m.cup(a, x, SYMBOL_DEGREES[symbol], classes[symbol]), a + SYMBOL_DEGREES[symbol]
-            return m.pair(x)
-
-        rhs3_times4 = sum(w * pairing(mono) for mono, *_, w in DEGREE8_TABLE if w)
-        vectors = " ".join(",".join(map(str, u)) or "-" for u in us)
-        return f"(1) holds at --chern {vectors} but 4*rhs(3) = {rhs3_times4}"
-
-    yield _counterexample("rhs3_integral", map(witness, failures))
+    column = congruences.conditions[2]
+    values = ((x, sum(map(mul, column, congruences.values((0,) * n1 + x + (0,) * n4)))) for x in generators)
+    yield _counterexample("rhs3_integral", (witness(x, value) for x, value in values if value % 4))
 
 
 def _bockstein_exact(data: ManifoldData) -> Iterator[LawResult]:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 import re
@@ -14,6 +15,7 @@ from bundlecensus.abelian import (
     GroupElement,
     IntMatrix,
     cokernel_presentation,
+    kernel_mod2_rows,
     rank_mod2_rows,
     smith_normal_form,
     subgroup_quotient,
@@ -429,3 +431,22 @@ def test_rank_mod2():
     assert rank_mod2_rows(IntMatrix.from_rows([[2, 4], [6, 8]]).to_rows()) == 0
     assert rank_mod2_rows(IntMatrix.identity(3).to_rows()) == 3
     assert rank_mod2_rows(IntMatrix(0, 5, ()).to_rows()) == 0
+    assert kernel_mod2_rows([[1, 0], [3, 2], [0, 4], [1, 1]]) == [(1, 1, 0, 0), (0, 0, 1, 0)]
+    # seeded small matrices: the kernel basis spans exactly the brute-force kernel, each vector ends
+    # in a 1 at its own row, and the rank is the number of rows less the kernel's dimension
+    rng = random.Random(41)
+    for _ in range(300):
+        rows = [[rng.randint(-3, 3) for _ in range(rng.randint(0, 5))] for _ in range(rng.randint(0, 6))]
+        rows = [row + [0] * (max(map(len, rows), default=0) - len(row)) for row in rows]
+        kernel = {
+            x for x in itertools.product((0, 1), repeat=len(rows))
+            if not any(sum(b * v for b, v in zip(x, column)) % 2 for column in zip(*rows))
+        }
+        basis = kernel_mod2_rows(rows)
+        span = {
+            tuple(sum(c) % 2 for c in zip(*picked, (0,) * len(rows)))
+            for n in range(len(basis) + 1) for picked in combinations(basis, n)
+        }
+        assert span == kernel and len(span) == 2 ** len(basis), rows
+        assert len({max(i for i, b in enumerate(x) if b) for x in basis}) == len(basis), rows
+        assert rank_mod2_rows(rows) == len(rows) - len(basis), rows

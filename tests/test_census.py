@@ -531,6 +531,26 @@ def test_rhs3_integral_is_polynomial_in_the_betti_numbers(tmp_path):
     assert refused.value.report.failures() == (LawResult("rhs3_integral", False, witness),)
 
 
+def test_a_connected_sum_of_twenty_two_loads_and_answers_within_the_bound(tmp_path):
+    # twenty cp2xcp2 and two hp2: H^2 = Z^40, H^4 = Z^62 and H^6 = Z^40.  Loading builds the degree-8
+    # polynomial for rhs3_integral, at a cost that follows the products that exist.  Products across
+    # summands vanish, so a tuple placed in the first summand meets the conditions it meets on cp2xcp2
+    summand = builtin("cp2xcp2")
+    data = connected_sum("twenty-cp2xcp2-two-hp2", *[summand] * 20, *[builtin("hp2")] * 2)
+    path = tmp_path / "sum.manifold"
+    path.write_text(serialize_manifold(data))
+    start = time.perf_counter()
+    loaded = parse_manifold(path, strict=True)
+    assert [len(loaded.compiled.factors[n]) for n in (2, 4, 6)] == [40, 62, 40]
+    for us in (((1, 0), (0, 0, 0), (0, 0), (0,)), ((0, 0), (0, 0, 0), (0, 0), (1,))):
+        placed = [u + (0,) * (loaded.ngens(n) - len(u)) for u, n in zip(us, (2, 4, 6, 8))]
+        verdict = check_rank4(loaded, loaded.chern_tuple(*placed))
+        expected = check_rank4(summand, summand.chern_tuple(*us))
+        assert verdict.realizable == (us[3] == (0,)) == expected.realizable
+        assert (verdict.condition2, verdict.condition3) == (expected.condition2, expected.condition3)
+    assert time.perf_counter() - start < 10
+
+
 FIXTURES = {
     **{name: lambda name=name: builtin(name) for name in BUILTIN_NAMES},
     "h7-demo": make_h7_demo,
@@ -545,8 +565,9 @@ FIXTURES = {
 def test_condition_1_and_4_rhs3_mod_4_move_as_the_law_reads_them(name):
     # (1) reads parities, and 4*rhs(3) mod 4, read off the compiled polynomial at the unreduced
     # coordinates, has period 2 in each coordinate of u1 and u3 and 4 in each of u2; moving the
-    # j-th coordinate of u2 by 2 adds 2<s*e_j>, s = p1 + c*c, paired class by class.  So the law
-    # rhs3_integral, which reads the classes mod 2 and <s*e_j> mod 2, decides every box, on the
+    # j-th coordinate of u2 by 2 adds 2<s*e_j>, s = p1 + c*c, paired class by class.  So the
+    # lattice where (1) holds contains 2e for every coordinate e, and the law rhs3_integral, which
+    # reads 4*rhs(3) at 2e and at the lifts of a Z/2 kernel basis of (1), sees every box, on the
     # fixtures and where the law fails
     data = FIXTURES[name]()
     m, congruences = data.compiled, data.congruences
@@ -571,6 +592,27 @@ def test_condition_1_and_4_rhs3_mod_4_move_as_the_law_reads_them(name):
         for j in range(len(us[1])):
             u2 = us[1][:j] + (us[1][j] + 2,) + us[1][j + 1 :]
             assert decide(us[0], u2, us[2]) == (at[0], (at[1] + 2 * ells[j]) % 4), (us, j)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_rhs3_times4_is_additive_mod_4_at_u1_0(name):
+    # the fact rhs3_integral rests on: at u1 = 0, P(x) = 4*rhs(3) at x = (u2, u3), read off the
+    # compiled polynomial, is additive mod 4 (a cross term of u2 has the coefficient 4<e_i*e_j>, a
+    # square an even one, every other term is linear), so P vanishes mod 4 on the lattice where (1)
+    # holds if it does on a generating set of it; at unreduced torsion coordinates and near 10^30
+    data = FIXTURES[name]()
+    m, congruences = data.compiled, data.congruences
+    n1, n4 = len(m.factors[2]), len(m.factors[8])
+    n = len(m.factors[4]) + len(m.factors[6])
+
+    def rhs3_times4(x):
+        return sum(map(operator.mul, congruences.conditions[2], congruences.values((0,) * n1 + x + (0,) * n4)))
+
+    rng = random.Random(47)
+    for i in range(60):
+        near = 10**30 if i % 3 == 0 else 0
+        x, y = (tuple(rng.choice((-1, 1)) * near + rng.randint(-50, 50) for _ in range(n)) for _ in range(2))
+        assert (rhs3_times4(tuple(map(operator.add, x, y))) - rhs3_times4(x) - rhs3_times4(y)) % 4 == 0, (x, y)
 
 
 def p1_shifted_manifolds(per_base, seed):

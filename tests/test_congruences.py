@@ -4,7 +4,8 @@
 the compiled polynomial, so ``per_tuple_census`` no longer checks degree 8
 independently of the census.  These tests hold the polynomial to the
 class-based reference of ``degree8_reference``, derive the classical cp4
-congruences from it, and check that it is built once per instance.
+congruences from it, and check that it is built once per instance, at
+load, by the law ``rhs3_integral``.
 """
 
 import itertools
@@ -16,11 +17,11 @@ import pytest
 from conftest import make_cp4_with_h6_torsion, make_h7_demo
 from test_census import mutated_manifolds, p1_shifted_manifolds
 
-from bundlecensus import census
+from bundlecensus import census, charclass
 from bundlecensus.census import cp4_rank4_admissible
-from bundlecensus.charclass import DEGREE8_TABLE
+from bundlecensus.charclass import DEGREE8_TABLE, compile_congruences
 from bundlecensus.classify import rank4_conditions
-from bundlecensus.cohomology import validate_manifold
+from bundlecensus.cohomology import ManifoldValidationError, validate_manifold
 from bundlecensus.fixtures import _DATA, BUILTIN_NAMES, builtin
 from bundlecensus.manifold_io import parse_manifold
 
@@ -117,15 +118,29 @@ def test_cp4_residue_is_the_closed_form_over_a_cell():
         assert verdicts == [cp4_rank4_admissible(*a, a4) for a4 in range(6)], a
 
 
-def test_congruences_are_built_on_first_use_and_kept_per_instance():
-    # validating compiles the data but builds no polynomial; a query builds it once, and a
-    # replaced instance builds its own
+def test_congruences_are_built_on_first_use_and_kept_per_instance(monkeypatch):
+    # the first use is the law rhs3_integral: loading builds the polynomial once and every query
+    # reads that one; data that fails a law rhs3_integral needs builds none, and a replaced
+    # instance builds its own when its report is made
+    builds = []
+
+    def counted(data):
+        builds.append(data.name)
+        return compile_congruences(data)
+
+    monkeypatch.setattr(charclass, "compile_congruences", counted)
     data = parse_manifold(_DATA / "cp4.manifold")
-    assert "compiled" in vars(data) and "congruences" not in vars(data)
+    assert "congruences" in vars(data) and builds == ["cp4"]
+    congruences = data.congruences
     u = data.chern_tuple((1,), (2,), (3,), (4,))
     assert reference_columns(data, u) == compiled_columns(data, u)
-    congruences = data.congruences
     assert rank4_conditions(data, (1,), (1,), (1,), (0,)) and data.congruences is congruences
+    incomplete = data._replace(sq2={})
+    with pytest.raises(ManifoldValidationError, match="tables_complete$"):
+        rank4_conditions(incomplete, (1,), (1,), (1,), (0,))
+    assert "congruences" not in vars(incomplete) and builds == ["cp4"]
     moved = data._replace(p1=data.zclass(4, (17,)))
-    assert "congruences" not in vars(moved) and moved.congruences != congruences
+    assert "congruences" not in vars(moved)
+    assert moved.report.ok and "congruences" in vars(moved) and builds == ["cp4", "cp4"]
+    assert moved.congruences != congruences
     assert compiled_columns(moved, u) == reference_columns(moved, u) != reference_columns(data, u)
