@@ -16,8 +16,10 @@ u2 once after u1, u1*u1 or u2, or u2 alone: per u2 and per u3 its share is one s
 terms, and per u1 the terms that read u1 are one weight vector on u2 and one on u3
 (``_weights``), so per u1 the residue is one dot product with u2 plus one with u3.
 Condition (1) depends on u1, u2 and u3 mod 2 alone, as the cup is bilinear and rho2 commutes
-with reduction (the law ``rho2_times2``), so each (u1, u2) row looks up at once the residues
-of the u3s whose rho2 (1) asks for; the other u3s fail (1).  Validated data has no None
+with reduction (the law ``rho2_times2``).  It is read, as ``check_rank4`` reads it, off its
+one evaluator ``CompiledManifold.condition1``, once per parities of (u1, u2) at u3 = 0: the
+sum of its sides there is the rho2(u3) it asks for, so each (u1, u2) row looks up at once the
+residues of the u3s with that rho2; the other u3s fail (1).  Validated data has no None
 verdict: the law ``rhs3_integral`` asks that rhs(3) be an integer wherever (1) holds.
 
 On cp4 every class is an integer multiple of a power of the hyperplane
@@ -49,7 +51,6 @@ from math import prod
 from operator import itemgetter, mul, xor
 from typing import Iterable, NamedTuple
 
-from .classify import condition1_lhs
 from .cohomology import Coords, ManifoldData, ManifoldValidationError
 from .fixtures import builtin
 
@@ -158,10 +159,9 @@ def _census(data: ManifoldData, bound: int, rank: int) -> tuple[Iterable[Coords]
     members = [
         [i if c == k else len(u3s) for i, c in builtins.enumerate(classes)] for k in range(len(number) + 1)
     ]
-    lhs1s = {q: condition1_lhs(data, q) for q in dict.fromkeys(p2s)}
-    keys = {  # the value of rho2(u3) that (1) asks for, by the parities of u1 and u2
-        (p, q): tuple(map(xor, lhs1, m.apply("rho2", 6, m.cup(2, p, 4, q))))
-        for p in dict.fromkeys(p1s) for q, lhs1 in lhs1s.items()
+    keys = {  # the rho2(u3) that (1) asks for, by the parities of u1 and u2: the sum of its sides at u3 = 0
+        (p, q): tuple(map(xor, *m.condition1(p, q, (0,) * n3)))
+        for p in dict.fromkeys(p1s) for q in dict.fromkeys(p2s)
     }
     wanted = {p: [number.get(keys[p, q], len(number)) for q in p2s] for p in dict.fromkeys(p1s)}
     blocks: list = []

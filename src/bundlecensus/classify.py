@@ -20,22 +20,25 @@ The number of isomorphism classes sharing a realizable tuple is carried
 by quotient groups computed from the manifold data: ``compute_B`` for
 rank 4, ``compute_B x compute_T`` for rank 3.
 
-Condition (1) and ``compute_B`` apply rho2, Sq^2 and beta to coordinate
-tuples through one evaluator, ``CompiledManifold.apply``, which reduces and
-raises as ``apply_op`` does; neither builds a class to reach a matrix.
-Conditions (2) and (3) read <u4,[M]> and their right-hand sides off the
-manifold's compiled congruences (``data.congruences``): three dot
-products with the values of its coordinate monomials, no cup.
+``check_rank4`` is the one per-tuple decision.  It reads condition (1) off
+``CompiledManifold.condition1``, the one evaluator of (1), which the census
+and the law ``rhs3_integral`` read as well, and conditions (2) and (3),
+<u4,[M]> and their right-hand sides, off the manifold's compiled
+congruences (``data.congruences``): three dot products with the values of
+its coordinate monomials, no cup.  ``compute_B`` applies rho2, Sq^2 and
+beta to coordinate tuples through ``CompiledManifold.apply``, which reduces
+and raises as ``apply_op`` does; neither it nor ``check_rank4`` builds a
+class to reach a matrix.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, mul
+from operator import mul
 from typing import NamedTuple
 
 from .abelian import FGAbelianGroup, GroupElement, IntMatrix, subgroup_quotient
-from .cohomology import ChernTuple, CohomologyClass, Coords, ManifoldData, ManifoldValidationError, cup
+from .cohomology import ChernTuple, CohomologyClass, ManifoldData, ManifoldValidationError, cup
 
 
 class OddGeneratorsMissing(LookupError):
@@ -68,8 +71,10 @@ class Verdict(NamedTuple):
 
     ``condition2`` and ``condition3`` are None when condition (1) already
     failed.  ``realizable`` is the conjunction of all evaluated
-    conditions.  The exact rational in ``condition3`` depends on the
-    choice of spin^c class; everything in ``decision_fields`` does not.
+    conditions.  ``condition3.rhs_exact`` is an integer on validated data
+    (the law ``rhs3_integral``); its value, though not its parity, depends
+    on the choice of spin^c class, and everything in ``decision_fields``
+    does not.
     """
 
     rank: int
@@ -91,43 +96,21 @@ class Verdict(NamedTuple):
         )
 
 
-def condition1_lhs(data: ManifoldData, u2: Coords) -> Coords:
-    """Sq^2 rho2(u2), the left-hand side of condition (1)."""
-    m = data.compiled
-    return m.apply("sq2", 4, m.apply("rho2", 4, u2))
+def check_rank4(data: ManifoldData, u: ChernTuple) -> Verdict:
+    """Decide whether u is the Chern tuple of a rank-4 bundle over the data.
 
-
-def rank4_conditions(
-    data: ManifoldData, u1: Coords, u2: Coords, u3: Coords, u4: Coords
-) -> tuple[Coords, Coords, tuple[int, int, int] | None]:
-    """The integer core of ``check_rank4``, on coordinate tuples.
-
-    Returns the two sides of condition (1) as mod-2 coordinates and, when
-    they agree, ``<u4,[M]>`` (the left-hand side of (2) and (3)) and the
-    right-hand sides of (2) and (3); None in their place when (1) fails.
-    Raises ``ManifoldValidationError`` on data that fails a law.
+    Raises ``ValueError`` on malformed coordinates, then ``ManifoldValidationError``
+    on data that fails a law.
     """
+    m = data.compiled
+    u1, u2, u3, u4 = m.chern_coords(u)
     if not data.report.ok:
         raise ManifoldValidationError(data.report)
-    m = data.compiled
-    u1u2 = m.cup(2, u1, 4, u2)
-    lhs1, rhs1 = condition1_lhs(data, u2), m.apply("rho2", 6, m.reduce(6, tuple(map(add, u3, u1u2))))
-    if lhs1 != rhs1:
-        return lhs1, rhs1, None
-
-    congruences = data.congruences
-    values = congruences.values(u1 + u2 + u3 + u4)
-    lhs, rhs2, rhs3_times4 = (sum(map(mul, column, values)) for column in congruences.conditions)
-    return lhs1, rhs1, (lhs, rhs2, rhs3_times4 // 4)
-
-
-def check_rank4(data: ManifoldData, u: ChernTuple) -> Verdict:
-    """Decide whether u is the Chern tuple of a rank-4 bundle over the data."""
-    lhs1, rhs1, degree8 = rank4_conditions(data, *data.compiled.chern_coords(u))
+    lhs1, rhs1 = m.condition1(u1, u2, u3)
     condition1 = Condition1(
         lhs1 == rhs1, CohomologyClass(6, "Z2", lhs1), CohomologyClass(6, "Z2", rhs1)
     )
-    if degree8 is None:
+    if not condition1.passed:
         return Verdict(
             4,
             False,
@@ -137,7 +120,10 @@ def check_rank4(data: ManifoldData, u: ChernTuple) -> Verdict:
             notes=("condition (1) failed; (2) and (3) not evaluated",),
         )
 
-    lhs, rhs2, rhs3 = degree8
+    congruences = data.congruences
+    values = congruences.values(u1 + u2 + u3 + u4)
+    lhs, rhs2, rhs3_times4 = (sum(map(mul, column, values)) for column in congruences.conditions)
+    rhs3 = rhs3_times4 // 4
     condition2 = Condition2(lhs % 3 == rhs2 % 3, lhs, rhs2, lhs % 3, rhs2 % 3)
     condition3 = Condition3(lhs % 2 == rhs3 % 2, Fraction(rhs3), lhs % 2, rhs3 % 2)
     return Verdict(
@@ -226,10 +212,11 @@ def count_classes(
             return None
         return data.B
     if rank == 3:
-        if isinstance(u, ChernTuple) and any(data.compiled.chern_coords(u)[3]):
-            return None  # a rank-3 bundle has c4 = 0
-        u1, u2, u3 = u[:3] if isinstance(u, ChernTuple) else u
-        if not check_rank3(data, u1, u2, u3).realizable:
+        # the coordinates of u4 are checked first, as check_rank4 checks all four, and the data's
+        # report next, by check_rank3, before a nonzero c4 is refused: a rank-3 bundle has c4 = 0
+        c4 = data.compiled.chern_coords(u)[3] if isinstance(u, ChernTuple) else ()
+        u1, u2, u3 = u[:3]
+        if not check_rank3(data, u1, u2, u3).realizable or any(c4):
             return None
         return data.B.direct_sum(compute_T(data, u1, u2, u3))
     raise ValueError(f"rank must be 3 or 4, got {rank}")

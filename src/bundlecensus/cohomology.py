@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property
-from operator import index, mul
+from operator import add, index, mul, xor
 from typing import Iterable, Iterator, Literal, NamedTuple
 
 from .abelian import FGAbelianGroup, IntMatrix, kernel_mod2_rows, rank_mod2_rows
@@ -456,6 +456,14 @@ class CompiledManifold(NamedTuple):
             return self.reduce(degree + 1, [sum(map(mul, row, x)) for row in rows])
         return tuple([sum(map(mul, row, x)) % 2 for row in rows])
 
+    def condition1(self, u1: Coords, u2: Coords, u3: Coords) -> tuple[Coords, Coords]:
+        """The two sides of condition (1), Sq^2 rho2(u2) and rho2(u3 + u1*u2), as mod-2
+        coordinates of H^6; raising ``MissingOperationError`` for the cup (2, 4) first, then for
+        rho2 and Sq^2 at degree 4, then for rho2 at degree 6."""
+        u1u2 = self.cup(2, u1, 4, u2)
+        lhs = self.apply("sq2", 4, self.apply("rho2", 4, u2))
+        return lhs, self.apply("rho2", 6, self.reduce(6, tuple(map(add, u3, u1u2))))
+
     def pair(self, x: Coords) -> int:
         """``pair_top`` of a degree-8 coordinate tuple."""
         if len(x) != len(self.pairing):
@@ -768,7 +776,8 @@ def _torsion_pairs_to_zero(data: ManifoldData) -> Iterator[LawResult]:
 def _rhs3_integral(data: ManifoldData) -> Iterator[LawResult]:
     # On an actual manifold condition (1) makes the right-hand side of (3) an integer.  Moving u1 by e and
     # u3 by e*u2 keeps (1) and 4*rhs(3) mod 4, as <e*u2*c> = <c*(e*u2)>, so u1 = 0 decides.  There (1)
-    # is linear in x = (u2, u3) mod 2, so it holds on a lattice L of integer x, and P(x) = 4*rhs(3),
+    # is linear in x = (u2, u3) mod 2, the sum of its two sides (``CompiledManifold.condition1``) at the
+    # units of x giving its Z/2 columns, so it holds on a lattice L of integer x, and P(x) = 4*rhs(3),
     # read off the compiled polynomial, is additive mod 4, as the cup commutes: a cross term of u2 has
     # the coefficient 4<e_i*e_j>, a square an even one, and every other term is linear.  So P vanishes
     # mod 4 on L if it does on a generating set of L: the lifts of a Z/2 kernel basis of (1), and 2e for
@@ -781,8 +790,7 @@ def _rhs3_integral(data: ManifoldData) -> Iterator[LawResult]:
     m, congruences = data.compiled, data.congruences
     n1, n2, n3, n4 = (len(m.factors[n]) for n in (2, 4, 6, 8))
     units = IntMatrix.identity(n2 + n3).to_rows()
-    columns = [m.apply("sq2", 4, m.apply("rho2", 4, x[:n2])) for x in units[:n2]]  # condition1_lhs
-    columns += [m.apply("rho2", 6, x[n2:]) for x in units[n2:]]
+    columns = [tuple(map(xor, *m.condition1((0,) * n1, x[:n2], x[n2:]))) for x in units]
     generators = kernel_mod2_rows(columns) + [tuple(2 * v for v in x) for x in units]
 
     def witness(x: Coords, value: int) -> str:

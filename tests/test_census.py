@@ -24,7 +24,7 @@ from bundlecensus.census import (
     enumerate_cp4,
 )
 from bundlecensus.charclass import DEGREE8_TABLE, chern_product, rr_value
-from bundlecensus.classify import OddGeneratorsMissing, check_rank4, condition1_lhs, count_classes
+from bundlecensus.classify import OddGeneratorsMissing, check_rank4, count_classes
 from bundlecensus.cohomology import (
     CohomologyClass,
     CompiledManifold,
@@ -576,9 +576,9 @@ def test_condition_1_and_4_rhs3_mod_4_move_as_the_law_reads_them(name):
     ells = [pair_top(data, cup(data, s, data.zclass(4, y))) for y in IntMatrix.identity(data.ngens(4)).to_rows()]
 
     def decide(u1, u2, u3):
-        rhs1 = m.apply("rho2", 6, m.reduce(6, tuple(map(operator.add, u3, m.cup(2, u1, 4, u2)))))
+        lhs1, rhs1 = m.condition1(u1, u2, u3)
         rhs3_times4 = sum(map(operator.mul, congruences.conditions[2], congruences.values(u1 + u2 + u3 + zero)))
-        return condition1_lhs(data, u2) == rhs1, rhs3_times4 % 4
+        return lhs1 == rhs1, rhs3_times4 % 4
 
     rng = random.Random(29)
     for _ in range(30):

@@ -15,7 +15,6 @@ from bundlecensus.classify import (
     OddGeneratorsMissing,
     check_rank3,
     check_rank4,
-    condition1_lhs,
     compute_B,
     compute_T,
     count_classes,
@@ -36,6 +35,7 @@ from bundlecensus.cohomology import (
 from bundlecensus.fixtures import BUILTIN_NAMES, builtin
 
 from conftest import graded_pair, misshape
+from test_census import FIXTURES
 
 
 def cp4_tuple(data, a1, a2, a3, a4):
@@ -131,11 +131,24 @@ def seeded_tuples(data, seed):
         )
 
 
-@pytest.mark.parametrize("name", BUILTIN_NAMES)
+@pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_condition_1_matches_generic_operations(name):
-    data = builtin(name)
+    # CompiledManifold.condition1, the one evaluator of (1), called directly as well, since
+    # check_rank4 refuses cp4-p1-2, which fails a law.  On cp4-h6-torsion u1*u2 reaches the
+    # torsion of H^6
+    data = FIXTURES[name]()
+    m = data.compiled
+    torsion = [k for k, d in enumerate(m.factors[6]) if d]
+    reached = 0
     for u in seeded_tuples(data, 1_2003_06901):
-        assert check_rank4(data, u).condition1 == paper_condition_1(data, u)
+        expected = paper_condition_1(data, u)
+        u1, u2, u3, _ = m.chern_coords(u)
+        lhs, rhs = m.condition1(u1, u2, u3)
+        assert Condition1(lhs == rhs, CohomologyClass(6, "Z2", lhs), CohomologyClass(6, "Z2", rhs)) == expected
+        if data.report.ok:
+            assert check_rank4(data, u).condition1 == expected
+        reached += any(m.cup(2, u1, 4, u2)[k] for k in torsion)
+    assert (reached > 0) == (name == "cp4-h6-torsion")
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -176,9 +189,8 @@ def test_missing_operations_raise_on_every_path(cp4, field, message):
         with pytest.raises(ManifoldValidationError, match="tables_complete"):
             query(stripped, u)
     assert stripped.report.law("tables_complete").witness.startswith("missing ")
-    m = stripped.compiled
     with pytest.raises(MissingOperationError, match=re.escape(message)):  # condition (1), not gated
-        condition1_lhs(stripped, (1,)), m.cup(2, (1,), 4, (1,))
+        stripped.compiled.condition1((1,), (1,), (1,))
 
 
 def test_malformed_coordinates_are_rejected(cp4):
@@ -303,6 +315,23 @@ def test_count_classes(cp4, torsion_demo, h7_demo):
     assert count_classes(h7_demo, triple, 3) == FGAbelianGroup((2,))
     with pytest.raises(ValueError, match="rank"):
         count_classes(cp4, cp4_tuple(cp4, 0, 0, 0, 0), 2)
+
+
+def test_count_classes_reads_the_report_before_a_nonzero_c4(cp4):
+    # on data that fails a law every decision raises, at rank 3 as well when c4 is not 0; the
+    # coordinates are checked first, as check_rank4 checks them
+    bad = FIXTURES["cp4-p1-2"]()
+    assert not bad.report.ok
+    for rank, a4 in product((3, 4), (0, 1)):
+        with pytest.raises(ManifoldValidationError):
+            count_classes(bad, cp4_tuple(bad, 0, 1, 0, a4), rank)
+    malformed = ChernTuple(bad.zero(2), bad.zero(4), bad.zero(6), CohomologyClass(8, "Z", (1, 0)))
+    for rank in (3, 4):
+        with pytest.raises(ValueError, match="expected 1 coordinates, got 2"):
+            count_classes(bad, malformed, rank)
+    # on validated data a nonzero c4 has no rank-3 bundle, at a tuple realizable with c4 = 0
+    assert count_classes(cp4, cp4_tuple(cp4, 0, 2, 2, 1), 3) is None
+    assert count_classes(cp4, cp4_tuple(cp4, 0, 2, 2, 0), 3) == FGAbelianGroup(())
 
 
 def torsion_demo_with_h3(torsion_demo):

@@ -1,6 +1,6 @@
 """``data.congruences``: ``DEGREE8_TABLE`` compiled into integer polynomials per manifold.
 
-``rank4_conditions``, the closed form of rr and the census core all read
+``check_rank4``, the closed form of rr and the census core all read
 the compiled polynomial, so ``per_tuple_census`` no longer checks degree 8
 independently of the census.  These tests hold the polynomial to the
 class-based reference of ``degree8_reference``, derive the classical cp4
@@ -20,7 +20,7 @@ from test_census import mutated_manifolds, p1_shifted_manifolds
 from bundlecensus import census, charclass
 from bundlecensus.census import cp4_rank4_admissible
 from bundlecensus.charclass import DEGREE8_TABLE, compile_congruences
-from bundlecensus.classify import rank4_conditions
+from bundlecensus.classify import check_rank4
 from bundlecensus.cohomology import ManifoldValidationError, validate_manifold
 from bundlecensus.fixtures import _DATA, BUILTIN_NAMES, builtin
 from bundlecensus.manifold_io import parse_manifold
@@ -101,9 +101,10 @@ def test_term_counts_of_the_right_hand_sides():
 
 def test_cp4_residue_is_the_closed_form_over_a_cell():
     # the residue mod 24 as the census reads it (census._stages and _table, condition (1) from
-    # rank4_conditions) decides exactly the hand-written congruences of cp4_rank4_admissible over
-    # a whole cell: a1, a2, a3 mod 24 and a4 mod 6
+    # CompiledManifold.condition1) decides exactly the hand-written congruences of
+    # cp4_rank4_admissible over a whole cell: a1, a2, a3 mod 24 and a4 mod 6
     data = builtin("cp4")
+    m = data.compiled
     stages = census._stages(data)
     table = census._table(list(range(6)))
     for a in itertools.product(range(24), repeat=3):
@@ -112,7 +113,8 @@ def test_cp4_residue_is_the_closed_form_over_a_cell():
             sum(map(mul, census._weights(stage, values[reads[0]], 1), values[reads[-1]]))
             for reads, stage in stages.items()
         ) % 24
-        passes1 = rank4_conditions(data, *values.values(), (0,))[2] is not None
+        lhs1, rhs1 = m.condition1(*values.values())
+        passes1 = lhs1 == rhs1
         assert passes1 <= (r % 4 == 0), a
         verdicts = table[r] if passes1 else [False] * 6
         assert verdicts == [cp4_rank4_admissible(*a, a4) for a4 in range(6)], a
@@ -134,10 +136,11 @@ def test_congruences_are_built_on_first_use_and_kept_per_instance(monkeypatch):
     congruences = data.congruences
     u = data.chern_tuple((1,), (2,), (3,), (4,))
     assert reference_columns(data, u) == compiled_columns(data, u)
-    assert rank4_conditions(data, (1,), (1,), (1,), (0,)) and data.congruences is congruences
+    assert check_rank4(data, data.chern_tuple((1,), (1,), (1,), (0,))).condition2 is not None
+    assert data.congruences is congruences
     incomplete = data._replace(sq2={})
     with pytest.raises(ManifoldValidationError, match="tables_complete$"):
-        rank4_conditions(incomplete, (1,), (1,), (1,), (0,))
+        check_rank4(incomplete, incomplete.chern_tuple((1,), (1,), (1,), (0,)))
     assert "congruences" not in vars(incomplete) and builds == ["cp4"]
     moved = data._replace(p1=data.zclass(4, (17,)))
     assert "congruences" not in vars(moved)
