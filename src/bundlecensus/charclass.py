@@ -4,13 +4,15 @@ Products and inverses of total Chern classes, and the rational functional
 whose integrality on actual bundles drives the mod-2 and mod-3
 realizability congruences.  ``DEGREE8_TABLE`` writes every degree-8
 quantity down once, as integer combinations of eight pairings; each
-manifold compiles it once into integer polynomials in the coordinates of
-a Chern tuple (``data.congruences``), at a cost that follows the products
-that exist.  The law ``rhs3_integral`` builds it at load, and conditions
-(2) and (3), the closed form of the functional and the census read it;
-no other module reads the table.  A self-check recomputes the functional
-by direct truncated multiplication of the A-roof series, exp(c/2) and the
-reduced Chern character, which must agree exactly.  The product td(M)
+manifold compiles it once, on its compiled cup tables, which it reads
+only through ``CompiledManifold.table``, into integer polynomials in the
+coordinates of a Chern tuple (``data.congruences``), at a cost that
+follows the products that exist.  The law ``rhs3_integral`` builds it at
+load, and conditions (2) and (3), the closed form of the functional and
+the census read it; no other module reads the table.  A self-check
+recomputes the functional by direct truncated multiplication of the A-roof
+series, exp(c/2) and the reduced Chern character, which must agree
+exactly.  The product td(M)
 of the first two does not depend on the tuple: it is built once per
 instance as the Todd rows (``data.todd_rows``), from the class-based
 ``cup`` and ``pair_top`` only, and each self-check costs five class cups
@@ -32,7 +34,6 @@ from .cohomology import (
     Coords,
     ManifoldData,
     ManifoldValidationError,
-    MissingOperationError,
     cup,
     pair_top,
 )
@@ -83,20 +84,13 @@ def compile_congruences(data: ManifoldData) -> Congruences:
     """Expand each monomial of the table multilinearly: a variable is the sum of its generators,
     each times its own coordinate, and p1 and c are constants.  The factors are cupped left to
     right, monomial by monomial in table order, each product reduced as ``CompiledManifold.cup``
-    reduces it.  Each table is read by its left index, and a product that vanishes is dropped
-    where it appears, so the cost follows the products that exist.  A missing table raises the
-    ``MissingOperationError`` of the first product the table needs."""
+    reduces it.  Each table is the compiled one (``CompiledManifold.table``), read by its left
+    index, and holds no product that vanishes, so the cost follows the products that exist.  A
+    missing table raises the ``MissingOperationError`` of the first product the table needs."""
     m = data.compiled
     constants, offsets, offset = {"p1": m.p1, "c": m.c}, {}, 0  # offsets[u]: u's first index into x
     for name in ("u1", "u2", "u3", "u4"):
         offsets[name], offset = offset, offset + len(m.factors[SYMBOL_DEGREES[name]])
-    tables = {}  # (a, b) -> {i: [(j, ((k, c), ...)), ...]}, the nonzero products e_i * e_j
-    for ab, table in m.cups.items():
-        if table is not None:
-            tables[ab] = {}
-            for i, j, terms in table:
-                if terms:
-                    tables[ab].setdefault(i, []).append((j, terms))
     expansions = {}
     for mono in MONOMIALS:  # terms as (indices into x, {k: coordinate k}), zeros left out
         symbol, a = mono[0], SYMBOL_DEGREES[mono[0]]
@@ -106,9 +100,7 @@ def compile_congruences(data: ManifoldData) -> Congruences:
             terms = [((offsets[symbol] + i,), {i: 1}) for i in range(len(m.factors[a]))]
         for symbol in mono[1:]:
             b = SYMBOL_DEGREES[symbol]
-            if (a, b) not in tables:
-                raise MissingOperationError(f"missing cup product table for degrees ({a}, {b})")
-            table, factors, products = tables[a, b], m.factors[a + b], []
+            table, factors, products = m.table(a, b), m.factors[a + b], []
             for indices, x in terms:
                 by_j = {}  # j -> x * e_j
                 for i, v in x.items():
@@ -277,9 +269,11 @@ def rr_value(data: ManifoldData, u: ChernTuple, self_check: bool = False) -> Fra
     The denominator always divides 24.  For a tuple realized by an actual
     bundle the value is an integer.  With ``self_check=True`` the value is
     recomputed by truncated series multiplication and compared exactly.
-    Raises ``ManifoldValidationError`` on data that fails a law.
+    Raises ``ValueError`` on malformed coordinates, then ``ManifoldValidationError``
+    on data that fails a law, as ``check_rank4`` does.
     """
     if not data.report.ok:
+        data.compiled.chern_coords(u)  # malformed coordinates raise first, as the closed form raises them
         raise ManifoldValidationError(data.report)
     value = RR_FUNCTIONAL.evaluate(data, u)
     if self_check:

@@ -245,9 +245,6 @@ class ManifoldData(
             x.degree, x.ring, (a + b for a, b in zip(x.coords, y.coords, strict=True))
         )
 
-    def negate(self, x: CohomologyClass) -> CohomologyClass:
-        return self.make_class(x.degree, x.ring, (-a for a in x.coords))
-
     def scale(self, k: int, x: CohomologyClass) -> CohomologyClass:
         return self.make_class(x.degree, x.ring, (k * a for a in x.coords))
 
@@ -389,11 +386,15 @@ def pair_top(data: ManifoldData, x: CohomologyClass) -> int:
 
 # -- the compiled form ------------------------------------------------------
 
-# (i, j, ((k, c), ...)): generator i times generator j has coefficient c on
-# target generator k; zero coefficients are left out.
-SparseTable = tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]
+# {i: ((j, ((k, c), ...)), ...)}: by left generator i, each right generator j
+# whose product with it is nonzero, that product's nonzero coefficients c on
+# target generators k; zero coefficients and vanishing products are left out.
+SparseTable = dict[int, tuple[tuple[int, tuple[tuple[int, int], ...]], ...]]
 Coords = tuple[int, ...]
 Rows = tuple[Coords, ...]
+
+# The products of u1, u2, u3 with the odd generators g5, g3, g1 that T takes.
+ODD_CUPS = ((2, 5), (4, 3), (6, 1))
 
 
 class CompiledManifold(NamedTuple):
@@ -402,16 +403,17 @@ class CompiledManifold(NamedTuple):
     coordinate tuples without building classes.  Immutable; a NamedTuple.
 
     ``factors[n]`` are the invariant factors of H^n.  ``cups[a, b]`` is the
-    integral product H^a x H^b -> H^(a+b) for even a, b >= 2, transposed
-    when only the (b, a) table is given, empty when a side is trivial and
-    None when the table is missing.  ``ops[op][n]`` are the rows of the
-    matrix of rho2, beta or Sq^2 at each degree n whose target degree is
-    at most 8: empty or zero rows when a side is trivial, None when the
-    matrix is missing.  Every result is reduced where ``cup`` and
-    ``apply_op`` reduce it, so they agree bit for bit.
+    integral product H^a x H^b -> H^(a+b) as a ``SparseTable``, for even
+    a, b >= 2 and for T's three odd tables ``ODD_CUPS``: transposed when
+    only the (b, a) table is given, empty when a side is trivial and None
+    when the table is missing; every compiled reader reaches it through
+    ``table``.  ``ops[op][n]`` are the rows of the matrix of rho2, beta or
+    Sq^2 at each degree n whose target degree is at most 8: empty or zero
+    rows when a side is trivial, None when the matrix is missing.  Every
+    result is reduced where ``cup`` and ``apply_op`` reduce it, so they
+    agree bit for bit.
     """
 
-    name: str
     factors: tuple[tuple[int, ...], ...]
     cups: dict[tuple[int, int], SparseTable | None]
     ops: dict[str, tuple[Rows | None, ...]]
@@ -432,17 +434,23 @@ class CompiledManifold(NamedTuple):
         """The coordinates of u's classes, checked and reduced as ``chern_tuple`` makes them."""
         return tuple(self.reduce(x.degree, x.coords) for x in u.classes())
 
-    def cup(self, a: int, x: Coords, b: int, y: Coords) -> Coords:
-        """``cup`` of integral classes of even degrees a, b >= 2."""
+    def table(self, a: int, b: int) -> SparseTable:
+        """``cups[a, b]``, raising ``cup``'s ``MissingOperationError`` where the table is missing."""
         table = self.cups[a, b]
         if table is None:
             raise MissingOperationError(f"missing cup product table for degrees ({a}, {b})")
-        acc = [0] * len(self.factors[a + b])
-        for i, j, terms in table:
-            coeff = x[i] * y[j]
-            if coeff:
-                for k, c in terms:
-                    acc[k] += coeff * c
+        return table
+
+    def cup(self, a: int, x: Coords, b: int, y: Coords) -> Coords:
+        """``cup`` of integral classes of degrees a, b >= 2 whose table is compiled, walking the
+        table by left index at the nonzero coordinates of x."""
+        table, acc = self.table(a, b), [0] * len(self.factors[a + b])
+        for i, row in table.items():
+            if v := x[i]:
+                for j, terms in row:
+                    if coeff := v * y[j]:
+                        for k, c in terms:
+                            acc[k] += coeff * c
         return self.reduce(a + b, acc)
 
     def apply(self, op: str, degree: int, x: Coords) -> Coords:
@@ -477,12 +485,14 @@ def _sparse_table(data: ManifoldData, a: int, b: int) -> SparseTable | None:
     elif (b, a) in data.cup_z:
         entries = (((j, i), coords) for (i, j), coords in data.cup_z[(b, a)].items())
     elif 0 in (data.ngens(a), data.ngens(b), data.ngens(a + b)):
-        return ()
+        return {}
     else:
         return None
-    return tuple(
-        (i, j, tuple((k, c) for k, c in enumerate(coords) if c)) for (i, j), coords in entries
-    )
+    table = {}
+    for (i, j), coords in entries:
+        if terms := tuple((k, c) for k, c in enumerate(coords) if c):
+            table.setdefault(i, []).append((j, terms))
+    return {i: tuple(row) for i, row in table.items()}
 
 
 def _compile(data: ManifoldData) -> CompiledManifold:
@@ -495,15 +505,10 @@ def _compile(data: ManifoldData) -> CompiledManifold:
         shape = _zero_shape(data, op, degree)
         return None if shape is None else ((0,) * shape[1],) * shape[0]
 
+    even = [(a, b) for a in (2, 4, 6) for b in (2, 4, 6) if a + b <= TOP_DEGREE]
     return CompiledManifold(
-        name=data.name,
         factors=tuple(g.invariant_factors for g in data.integral.groups),
-        cups={
-            (a, b): _sparse_table(data, a, b)
-            for a in (2, 4, 6)
-            for b in (2, 4, 6)
-            if a + b <= TOP_DEGREE
-        },
+        cups={(a, b): _sparse_table(data, a, b) for a, b in (*even, *ODD_CUPS)},
         ops={
             op: tuple(rows(op, n) for n in range(TOP_DEGREE + 1 - shift))
             for op, (_, _, shift) in _OP_SPECS.items()
@@ -738,10 +743,8 @@ def _sq2_squares_deg2(data: ManifoldData) -> Iterator[LawResult]:
     ))
 
 
-# The matrices that condition (1) and B apply, as (op, degree), and the products
-# of u1, u2, u3 with the odd generators g5, g3, g1 that T takes.
+# The matrices that condition (1) and B apply, as (op, degree).
 QUERIED_MATRICES = (("rho2", 3), ("rho2", 4), ("rho2", 6), ("sq2", 3), ("sq2", 4), ("beta", 5))
-ODD_CUPS = ((2, 5), (4, 3), (6, 1))
 
 
 def _tables_complete(data: ManifoldData) -> Iterator[LawResult]:
@@ -749,9 +752,8 @@ def _tables_complete(data: ManifoldData) -> Iterator[LawResult]:
     # query on validated data raises MissingOperationError; each witness is the
     # message that query would raise.
     m = data.compiled
-    cups = [ab for ab, table in m.cups.items() if table is None]
-    if data.odd_generators is not None:
-        cups += [ab for ab in ODD_CUPS if _sparse_table(data, *ab) is None]
+    odd = data.odd_generators is not None  # T's tables are read only where odd generators are given
+    cups = [ab for ab, table in m.cups.items() if table is None and (odd or ab not in ODD_CUPS)]
     yield _counterexample("tables_complete", (
         *(f"missing cup product table for degrees {ab}" for ab in cups),
         *(f"missing {op} matrix at degree {n}" for op, n in QUERIED_MATRICES if m.ops[op][n] is None),

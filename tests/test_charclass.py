@@ -13,6 +13,7 @@ from bundlecensus.charclass import (
     rr_value_by_series,
     zero_tuple,
 )
+from bundlecensus.classify import check_rank4
 from bundlecensus.cohomology import ChernTuple, CohomologyClass, cup
 from bundlecensus.fixtures import BUILTIN_NAMES, builtin
 
@@ -71,7 +72,11 @@ def generic_product(u, v, data):
 
 
 def generic_inverse(u, data):
-    add, negate = data.add, data.negate
+    add = data.add
+
+    def negate(x):
+        return data.scale(-1, x)
+
     v1 = negate(u.u1)
     v2 = negate(add(u.u2, cup(data, u.u1, v1)))
     v3 = negate(add(u.u3, add(cup(data, u.u1, v2), cup(data, u.u2, v1))))
@@ -141,6 +146,22 @@ def test_rr_value_self_check_flag(cp4):
     rng = random.Random(5)
     for _ in range(10):
         rr_value(cp4, random_tuple(cp4, rng), self_check=True)
+
+
+def test_rr_value_checks_coordinates_before_the_report(cp4):
+    # as check_rank4 does: on data that fails a law (p1 = 2t^2 fails rhs3_integral), a u1 with
+    # two coordinates raises the ValueError of the coordinates, not ManifoldValidationError
+    data = cp4._replace(p1=cp4.zclass(4, (2,)))
+    assert not data.report.law("rhs3_integral").passed
+    u = ChernTuple(CohomologyClass(2, "Z", (1, 0)), *cp4_tuple(data, 0, 0, 0, 0)[1:])
+    message = "expected 1 coordinates, got 2"
+    with pytest.raises(ValueError, match=message) as raised:
+        check_rank4(data, u)
+    assert raised.type is ValueError
+    for self_check in (False, True):
+        with pytest.raises(ValueError, match=message) as raised:
+            rr_value(data, u, self_check=self_check)
+        assert raised.type is ValueError, self_check
 
 
 def test_functional_terms_have_degree_8():

@@ -86,7 +86,11 @@ def test_rank3_examples(cp4):
 def paper_conditions_2_3(data, u):
     """Conditions (2) and (3) written straight from PAPER.md: each side is
     built as one class and paired once."""
-    add, neg = data.add, data.negate
+    add = data.add
+
+    def neg(x):
+        return data.scale(-1, x)
+
     u1, u2, u3, u4, c = u.u1, u.u2, u.u3, u.u4, data.spinc_class
     u1sq_u2 = cup(data, cup(data, u1, u1), u2)
     u1_u3 = cup(data, u1, u3)

@@ -208,9 +208,14 @@ def complete_manifolds() -> list[ManifoldData]:
     return bases + [torsion_demo_with_h3(builtin("torsion-demo")), h7_demo_with_h1_h6()]
 
 
+EVEN_CUPS = {(a, b) for a in (2, 4, 6) for b in (2, 4, 6) if a + b <= 8}
+
+
 def _required_cups(data) -> set:
+    """The cup tables the law tables_complete requires, in either orientation: the even pairs,
+    and T's odd ones where odd generators are given."""
     odd = ODD_CUPS if data.odd_generators is not None else ()
-    return {*data.compiled.cups, *odd, *((b, a) for a, b in odd)}
+    return {*EVEN_CUPS, *odd, *((b, a) for a, b in odd)}
 
 
 def _nontrivial_cup(data, a: int, b: int) -> bool:
@@ -270,7 +275,7 @@ def test_tables_complete_requires_what_the_queries_read(tables_read):
             elif _zero_shape(data, *table) is None:
                 assert table in QUERIED_MATRICES, (data.name, table)
         reached_anywhere |= tables_read
-    required = {("cup", a, b) for a in (2, 4, 6) for b in (2, 4, 6) if a + b <= 8}
+    required = {("cup", a, b) for a, b in EVEN_CUPS}
     required |= {("cup", a, b) for a, b in ODD_CUPS} | set(QUERIED_MATRICES)
     assert required <= reached_anywhere
 
@@ -535,6 +540,27 @@ def test_compiled_data_pickles(name):
     copy = pickle.loads(pickle.dumps(data))
     assert copy == data and copy.compiled == compiled
     assert data._replace().compiled is not compiled
+
+
+def test_compiled_cup_matches_cup():
+    # every compiled table, T's three odd ones too, on unit and seeded vectors up to 10^40; then
+    # with the table dropped in both orientations, where both raise the same error
+    rng = random.Random(19)
+    dropped = 0
+    for data in complete_manifolds():
+        assert set(data.compiled.cups) == EVEN_CUPS | set(ODD_CUPS)
+        for a, b in data.compiled.cups:
+            without = data._replace(cup_z={ab: t for ab, t in data.cup_z.items() if ab not in {(a, b), (b, a)}})
+            units = [[[int(i == j) for j in range(data.ngens(n))] for i in range(data.ngens(n))] for n in (a, b)]
+            seeded = [[[rng.randint(-10**40, 10**40) for _ in range(data.ngens(n))] for _ in range(3)] for n in (a, b)]
+            for case, x, y in itertools.product(
+                (data, without), units[0] + seeded[0], units[1] + seeded[1]
+            ):
+                x, y = case.compiled.reduce(a, x), case.compiled.reduce(b, y)
+                generic = _outcome(lambda: cup(case, case.zclass(a, x), case.zclass(b, y)))
+                assert _outcome(lambda: case.compiled.cup(a, x, b, y)) == generic, (data.name, a, b)
+                dropped += generic[:1] == (MissingOperationError,)
+    assert dropped > 0
 
 
 SOURCE_RING = {"rho2": "Z", "beta": "Z2", "sq2": "Z2"}

@@ -11,14 +11,26 @@ Condition (1) goes through one evaluator as well,
 ``CompiledManifold.condition1``: its left-hand side Sq^2 rho2(u2) is the
 one call ``apply("sq2", 4, ...)`` of the package, and the census, which
 reads (1) there, imports nothing from ``classify``.
+
+Each cup table has one compiled form, ``CompiledManifold.cups``: only
+``cohomology.py`` reads that attribute, and each table is resolved from the
+data once per instance, however many queries read it.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from conftest import make_h7_demo
 
 import bundlecensus
+from bundlecensus import census, cohomology
+from bundlecensus.charclass import chern_product, rr_value
+from bundlecensus.classify import check_rank4, compute_T, count_classes
+from bundlecensus.cohomology import ODD_CUPS, validate_manifold
+from bundlecensus.fixtures import _DATA
+from bundlecensus.manifold_io import parse_manifold
 
 PACKAGE = Path(bundlecensus.__file__).parent
 TABLE_NAMES = {"DEGREE8_TABLE", "SYMBOL_DEGREES", "MONOMIALS"}
@@ -85,3 +97,46 @@ def test_a_second_evaluator_of_condition_1_is_caught():
         "from .classify import check_rank4\n", "from . import classify\n", "import bundlecensus.classify\n"
     ))
     assert not imports_classify("from .cohomology import ManifoldData\n")
+
+
+def cups_reads(source: str) -> int:
+    """The number of reads of an attribute ``cups`` in source."""
+    return sum(isinstance(node, ast.Attribute) and node.attr == "cups" for node in ast.walk(ast.parse(source)))
+
+
+def test_only_cohomology_reads_the_compiled_tables():
+    reads = {path.name: cups_reads(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    assert [name for name, n in reads.items() if n] == ["cohomology.py"]
+
+
+def test_a_second_reader_of_the_compiled_tables_is_caught():
+    assert cups_reads("for ab, table in m.cups.items():\n    pass\n") == 1
+    assert cups_reads("table = data.compiled.cups[2, 4]\n") == 1
+    assert cups_reads("table = m.table(2, 4)\ncups = {}\n") == 0
+
+
+def test_each_table_is_resolved_once_per_instance(monkeypatch):
+    # loading and every query on two manifolds, h7-demo with T's odd tables: each compiled table is
+    # resolved from the data once per instance, by the compiled form, and by nothing else
+    resolved = Counter()
+    sparse_table = cohomology._sparse_table
+
+    def counted(data, a, b):
+        resolved[data.name, a, b] += 1
+        return sparse_table(data, a, b)
+
+    monkeypatch.setattr(cohomology, "_sparse_table", counted)
+    h7 = make_h7_demo()
+    assert validate_manifold(h7).ok
+    for data in (h7, parse_manifold(_DATA / "cp2xcp2.manifold")):
+        m = data.compiled
+        u = data.chern_tuple(*([k + 1 for k in range(len(m.factors[n]))] for n in (2, 4, 6, 8)))
+        check_rank4(data, u)
+        for rank in (4, 3):
+            count_classes(data, u if rank == 4 else u[:3], rank)
+            census.enumerate(data, 1, rank)
+        compute_T(data, *u[:3])
+        rr_value(data, u, self_check=True)
+        chern_product(u, u, data)
+    pairs = [(a, b) for a in (2, 4, 6) for b in (2, 4, 6) if a + b <= 8] + list(ODD_CUPS)
+    assert resolved == {(name, a, b): 1 for name in ("h7-demo", "cp2xcp2") for a, b in pairs}
