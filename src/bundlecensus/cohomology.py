@@ -8,14 +8,14 @@ class.  Who checks what: the parser (``manifold_io``) checks a file's
 tokens, declared sizes and duplicate sections, and gives line numbers.
 The ``ManifoldData`` constructor rejects data whose sections do not fit
 its groups (``shape_problems``), so no query meets a misshapen matrix,
-table or class.  ``validate_manifold`` checks the algebraic laws this
-data must satisfy, on the compiled form that every query reads too, so a
-validated manifold is compiled once; one law, ``tables_complete``, asks for
-every table a query reads, so validated also means complete, and one,
-``rhs3_integral``, that the right-hand side of (3) is an integer wherever
-condition (1) holds.  That law reads 4*rhs(3) off the one degree-8
-evaluator, the polynomial ``charclass`` compiles (``data.congruences``),
-so loading builds it.  Every query of conditions (1)-(3) and rr reads
+table or class.  ``validate_manifold`` runs each law of ``LAWS`` once, on
+the compiled form that every query reads too, so a validated manifold is
+compiled once; a law whose prerequisites (``NEEDS``) failed yields nothing.
+``tables_complete`` asks for every table a query reads, so validated also
+means complete, and ``rhs3_integral`` that the right-hand side of (3) is an
+integer wherever condition (1) holds; it reads 4*rhs(3) off the one degree-8
+evaluator, the polynomial ``charclass`` compiles (``data.congruences``), so
+loading builds it.  Every query of conditions (1)-(3) and rr reads
 ``data.report`` and decides validated data only.
 
 Classes are stored with coordinates reduced modulo the invariant factor
@@ -272,7 +272,7 @@ class ManifoldData(
     def report(self) -> "ValidationReport":
         """The results of ``LAWS``, kept as ``B`` is: what every query of conditions (1)-(3) and
         rr requires, and what ``validate_manifold`` returns or extends."""
-        return ValidationReport(r for law in LAWS for r in law(self))
+        return _run(self, LAWS)
 
     @cached_property
     def B(self) -> FGAbelianGroup:
@@ -786,9 +786,6 @@ def _rhs3_integral(data: ManifoldData) -> Iterator[LawResult]:
     # every coordinate e.  Exact, and every table it reads given, where the laws it needs hold; linear
     # algebra over Z/2 and the polynomial at each generator, so its cost is a polynomial in the numbers
     # of generators.
-    needs = (_h8_is_Z, _rho2_times2, _cup_commutes, _tables_complete, _torsion_pairs_to_zero)
-    if not all(r.passed for law in needs for r in law(data)):
-        return
     m, congruences = data.compiled, data.congruences
     n1, n2, n3, n4 = (len(m.factors[n]) for n in (2, 4, 6, 8))
     units = IntMatrix.identity(n2 + n3).to_rows()
@@ -805,27 +802,23 @@ def _rhs3_integral(data: ManifoldData) -> Iterator[LawResult]:
 
 
 def _bockstein_exact(data: ManifoldData) -> Iterator[LawResult]:
-    # im rho2 = ker beta, degree by degree, by mod-2 rank counting, with
-    # beta's columns read over the elements of order 2 of its target: d/2 in
-    # Z/d for even d; Z and Z/odd have none.  beta at degree 8 lands in H^9 = 0.
+    # im rho2 = ker beta, degree by degree, by mod-2 rank counting; as beta_torsion holds, a nonzero
+    # coordinate of a beta column is d/2 in Z/d, one bit.  beta at degree 8 lands in H^9 = 0.
     m = data.compiled
     for degree, (R, B) in enumerate(zip(m.ops["rho2"], (*m.ops["beta"], ()))):
         name = f"bockstein_exact_deg{degree}"
         if missing := [op for op, M in (("rho2", R), ("beta", B)) if M is None]:  # both its sides nontrivial
             yield LawResult(name, False, "missing " + " and ".join(missing))
             continue
-        halves = [d // 2 if d % 2 == 0 else 0 for d in m.factors[degree + 1]] if B else ()
         columns = [m.reduce(degree + 1, column) for column in zip(*B)]
-        if any(c and c != h for column in columns for c, h in zip(column, halves)):
-            yield LawResult(name, False, "beta image not 2-torsion")
-            continue
         im_rho2 = rank_mod2_rows(R)
         ker_beta = data.m2dim(degree) - rank_mod2_rows([[1 if c else 0 for c in column] for column in columns])
         yield LawResult(name, im_rho2 == ker_beta, f"dim im rho2 = {im_rho2}, dim ker beta = {ker_beta}")
 
 
 # Each law yields its results: none when it does not apply.  Every law reads
-# well-shaped data, which ``ManifoldData`` checks when it is built.
+# well-shaped data, which ``ManifoldData`` checks when it is built.  A law runs
+# only where no law it ``NEEDS``, by the name the report prints, has failed.
 LAWS = (
     _h0_is_Z,
     _h8_is_Z,
@@ -841,17 +834,29 @@ LAWS = (
     _torsion_pairs_to_zero,
     _rhs3_integral,
 )
+NEEDS = {
+    _rhs3_integral: ("h8_is_Z", "rho2_times2", "cup_commutes", "tables_complete", "torsion_pairs_to_zero"),
+    _bockstein_exact: ("beta_torsion",),
+}
+
+
+def _run(data: ManifoldData, laws, results=()) -> ValidationReport:
+    """The report of ``results``, then of each of ``laws`` run once, in order, where its ``NEEDS`` hold."""
+    for law in laws:
+        if not any(r.name in NEEDS.get(law, ()) and not r.passed for r in results):
+            results = (*results, *law(data))
+    return ValidationReport(results)
 
 
 def validate_manifold(data: ManifoldData, strict: bool = False) -> ValidationReport:
     """The laws of ``LAWS``, in order, on the data: ``data.report``, made once per instance.  On
     validated data no query raises ``MissingOperationError`` (``tables_complete``), classes of
     finite order pair to 0 (``torsion_pairs_to_zero``), and the right-hand side of (3) is an
-    integer wherever condition (1) holds (``rhs3_integral``).  With ``strict=True`` the report is
-    extended: the exactness of the Bockstein sequence, im rho2 = ker beta, is verified degree by
-    degree by mod-2 rank counting, and a degree whose rho2 or beta matrix is missing fails.
-    The shape is not a law: the constructor of ``ManifoldData`` has checked it.
+    integer wherever condition (1) holds (``rhs3_integral``).  With ``strict=True`` that report is
+    extended, and none of its laws run again: where ``beta_torsion`` holds, im rho2 = ker beta is
+    verified degree by degree by mod-2 rank counting, and a degree whose rho2 or beta matrix is
+    missing fails.  The shape is not a law: the constructor of ``ManifoldData`` has checked it.
     """
     if not strict:
         return data.report
-    return ValidationReport(data.report.results + tuple(_bockstein_exact(data)))
+    return _run(data, (_bockstein_exact,), data.report.results)

@@ -67,6 +67,17 @@ def test_rank4_negative_vectors_are_coordinates(capsys):
     assert "realizable (rank 4): no" in out
 
 
+def test_condition_1_sides_print_with_mod2_names(capsys, tmp_path, cp2xcp2):
+    # both sides of (1) are mod-2 classes of H^6: Sq^2 rho2(ab) = rho2(u3) = x + y, not a^2b + ab^2
+    path = tmp_path / "renamed.manifold"
+    text = serialize_manifold(cp2xcp2)
+    assert "names m2 6 a^2b ab^2\n" in text
+    path.write_text(text.replace("names m2 6 a^2b ab^2\n", "names m2 6 x y\n"))
+    code, out, _ = run(capsys, "rank4", str(path), "--chern", "0,0", "0,1,0", "1,1", "0")
+    assert code == 1
+    assert "PASS   [lhs = x + y, rhs = x + y]\n" in out
+
+
 def test_missing_input_is_input_error(capsys):
     code, _, err = run(capsys, "rank4", "--chern", "0", "0", "0", "0")
     assert code == 2

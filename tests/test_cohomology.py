@@ -1,6 +1,7 @@
 import itertools
 import pickle
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -153,14 +154,6 @@ def test_shape_requires_complete_tables_in_range_and_blocks_of_four(make, witnes
     with pytest.raises(ManifoldShapeError) as info:
         make()
     assert str(info.value) == witness
-
-
-def test_strict_mode_catches_broken_exactness(torsion_demo):
-    # drop the rho2 matrix hitting H^6(Z/2): its image no longer fills ker beta
-    rho2 = {n: M for n, M in torsion_demo.rho2.items() if n != 6}
-    corrupted = torsion_demo._replace(rho2={**rho2, 6: IntMatrix.zeros(1, 1)})
-    report = validate_manifold(corrupted, strict=True)
-    assert not report.law("bockstein_exact_deg6").passed
 
 
 @pytest.mark.parametrize(
@@ -643,6 +636,114 @@ def test_strict_loading_validates_once(monkeypatch):
     report, strict = data.report, validate(data, strict=True)
     assert strict.results[: len(report.results)] == report.results
     assert [r.name for r in strict.results[len(report.results) :]] == [f"bockstein_exact_deg{n}" for n in range(9)]
+
+
+def _with_groups(data: ManifoldData, zmap: dict, mmap: dict, **fields) -> ManifoldData:
+    integral, mod2 = graded_pair(zmap, mmap)
+    return data._replace(integral=integral, mod2=mod2, **fields)
+
+
+def _cp2xcp2_with_a_moved_transpose() -> ManifoldData:
+    cp2xcp2 = builtin("cp2xcp2")
+    transposed = {(j, i): coords for (i, j), coords in cp2xcp2.cup_z[2, 4].items()}
+    return cp2xcp2._replace(cup_z={**cp2xcp2.cup_z, (4, 2): {**transposed, (1, 0): (0, 1)}})
+
+
+# For each law, a variant of a builtin or fixture that fails it and no other, strict laws included,
+# with its witness.  A law that cannot fail alone is implied by the others and has no place.
+SOLE_FAILURES = {
+    # H^0 = Z/2: still one mod-2 class in degree 0, which rho2 hits
+    "h0_is_Z": (lambda: _with_groups(
+        builtin("s8"), {0: ((2,), ("1",)), 8: ((0,), ("v",))}, {0: ("1",), 8: ("v",)}
+    ), "H^0 = Z/2"),
+    # H^8 = Z/3, with no mod-2 class in degree 8
+    "h8_is_Z": (lambda: _with_groups(
+        builtin("s8"), {0: ((0,), ("1",)), 8: ((3,), ("v",))}, {0: ("1",)}, rho2={0: IntMatrix.identity(1)}
+    ), "H^8 = Z/3"),
+    # hp2 without H^4(Z/2): exact, as rho2 and beta at degree 4 are both trivial
+    "mod2_dims": (lambda: _with_groups(
+        builtin("hp2"), {0: ((0,), ("1",)), 4: ((0,), ("u",)), 8: ((0,), ("u^2",))}, {0: ("1",), 8: ("u^2",)},
+        rho2={n: IntMatrix.identity(1) for n in (0, 8)},
+    ), "degree 4: dim H^4(Z/2) = 0, expected 1"),
+    # hp2 with H^4 = Z/3<x> + Z<u>, x*x = x*u = 0, and rho2(x) = rho2(u)
+    "rho2_times2": (lambda: _with_groups(
+        builtin("hp2"), {0: ((0,), ("1",)), 4: ((3, 0), ("x", "u")), 8: ((0,), ("u^2",))},
+        {0: ("1",), 4: ("u",), 8: ("u^2",)},
+        rho2={n: IntMatrix(1, 2, (1, 1)) if n == 4 else IntMatrix.identity(1) for n in (0, 4, 8)},
+        cup_z={(4, 4): {(i, j): (int(i == j == 1),) for i in range(2) for j in range(2)}},
+        p1=CohomologyClass(4, "Z", (0, 2)),
+    ), "degree 4 generator x"),
+    # torsion-demo with H^6 = Z/4: beta(x5) = s has order 4, and the mod-2 dimensions hold
+    "beta_torsion": (lambda: _with_groups(
+        builtin("torsion-demo"), {0: ((0,), ("1",)), 6: ((4,), ("s",)), 8: ((0,), ("v",))},
+        {0: ("1",), 5: ("x5",), 6: ("x6",), 8: ("v",)},
+    ), "degree 5 basis element x5"),
+    # torsion-demo with H^5 = Z<y> and rho2(y) = x5, whose beta is s: ranks still count exactly
+    "beta_rho2": (lambda: _with_groups(
+        builtin("torsion-demo"), {0: ((0,), ("1",)), 5: ((0,), ("y",)), 6: ((2,), ("s",)), 8: ((0,), ("v",))},
+        {0: ("1",), 5: ("x5", "y5"), 6: ("x6",), 8: ("v",)},
+        rho2={**builtin("torsion-demo").rho2, 5: IntMatrix(2, 1, (1, 0))}, beta={5: IntMatrix(1, 2, (1, 0))},
+    ), "degree 5 generator y"),
+    "spinc_reduction": (lambda: builtin("cp4")._replace(w2=builtin("cp4").m2class(2, (0,))),
+                        "rho2(c) = (1,), w2 = (0,)"),
+    "pairing_surjective": (lambda: builtin("s8")._replace(pairing=(3,)), "pairing = (3,)"),
+    "cup_commutes": (_cp2xcp2_with_a_moved_transpose, "cup (2,4) entry (0,1) disagrees with cup (4,2)"),
+    "sq2_squares_deg2": (lambda: builtin("cp4")._replace(cup_m2={(2, 2): {(0, 0): (0,)}}), "basis element t"),
+    "tables_complete": (
+        lambda: builtin("cp4")._replace(cup_z={ab: t for ab, t in builtin("cp4").cup_z.items() if ab != (2, 2)}),
+        "missing cup product table for degrees (2, 2)",
+    ),
+    "torsion_pairs_to_zero": (lambda: make_cp4_with_h6_torsion(1), "degree 6 generator s"),
+    # p1 = 0 on hp2: 4*rhs(3) = 2<u*u> at u2 = u
+    "rhs3_integral": (lambda: builtin("hp2")._replace(p1=CohomologyClass(4, "Z", (0,))),
+                      "(1) holds at --chern - 1 - but 4*rhs(3) = 2"),
+    # the rho2 matrix hitting H^6(Z/2) zero: its image no longer fills ker beta
+    "bockstein_exact_deg6": (lambda: builtin("torsion-demo")._replace(
+        rho2={**builtin("torsion-demo").rho2, 6: IntMatrix.zeros(1, 1)}
+    ), "dim im rho2 = 0, dim ker beta = 1"),
+}
+
+
+def test_every_law_has_a_sole_failure():
+    laws = [law.__name__.lstrip("_") for law in (*cohomology.LAWS, cohomology._bockstein_exact)]
+    assert [name.removesuffix("_deg6") for name in SOLE_FAILURES] == laws
+
+
+@pytest.mark.parametrize("name", SOLE_FAILURES)
+def test_each_law_earns_its_place(name):
+    make, witness = SOLE_FAILURES[name]
+    assert validate_manifold(make(), strict=True).failures() == (LawResult(name, False, witness),)
+
+
+def test_each_law_runs_once_per_load(monkeypatch):
+    # each law, wrapped under its own name too, so that a law calling another by name is counted
+    runs = Counter()
+    laws = (*cohomology.LAWS, cohomology._bockstein_exact)
+
+    def counted(law):
+        return lambda data: runs.update([law.__name__]) or law(data)
+
+    wrapped = {law: counted(law) for law in laws}
+    for law in laws:
+        monkeypatch.setattr(cohomology, law.__name__, wrapped[law])
+    monkeypatch.setattr(cohomology, "LAWS", tuple(wrapped[law] for law in cohomology.LAWS))
+    monkeypatch.setattr(cohomology, "NEEDS", {wrapped[law]: needs for law, needs in cohomology.NEEDS.items()})
+    for name in BUILTIN_NAMES:
+        runs.clear()
+        data = parse_manifold(_DATA / f"{name}.manifold", strict=True)
+        assert runs == {law.__name__: 1 for law in laws}, name
+        validate_manifold(data, strict=True)  # extends the kept report, running none of LAWS again
+        assert runs == {**{law.__name__: 1 for law in laws}, "_bockstein_exact": 2}, name
+
+
+def test_a_law_whose_need_failed_reports_nothing():
+    # the strict report of torsion-demo with H^6 = Z/4 has no bockstein_exact rows, as its beta
+    # image is not 2-torsion, and the non-strict laws that run there all report
+    make, _ = SOLE_FAILURES["beta_torsion"]
+    data = make()
+    strict = validate_manifold(data, strict=True)
+    assert strict == validate_manifold(data) and strict.law("rhs3_integral").passed
+    assert not any(r.name.startswith("bockstein") for r in strict.results)
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES + ("h7-demo", "cp4-h6-torsion"))

@@ -15,6 +15,10 @@ reads (1) there, imports nothing from ``classify``.
 Each cup table has one compiled form, ``CompiledManifold.cups``: only
 ``cohomology.py`` reads that attribute, and each table is resolved from the
 data once per instance, however many queries read it.
+
+Each validation law runs once per load: no law of ``cohomology.py`` names
+another law in its body, so a law's prerequisites are the data
+``cohomology.NEEDS``, not a second run of them.
 """
 
 import ast
@@ -140,3 +144,33 @@ def test_each_table_is_resolved_once_per_instance(monkeypatch):
         chern_product(u, u, data)
     pairs = [(a, b) for a in (2, 4, 6) for b in (2, 4, 6) if a + b <= 8] + list(ODD_CUPS)
     assert resolved == {(name, a, b): 1 for name in ("h7-demo", "cp2xcp2") for a, b in pairs}
+
+
+LAW_NAMES = {law.__name__ for law in (*cohomology.LAWS, *cohomology.NEEDS)}
+
+
+def law_reads(source: str) -> list[tuple[str, str]]:
+    """(law, other) for each law of ``LAW_NAMES`` defined in source whose body names another, sorted."""
+    return sorted({
+        (node.name, name.id)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef) and node.name in LAW_NAMES
+        for name in ast.walk(node)
+        if isinstance(name, ast.Name) and name.id in LAW_NAMES - {node.name}
+    })
+
+
+def test_no_law_runs_another():
+    assert law_reads((PACKAGE / "cohomology.py").read_text()) == []
+
+
+def test_a_law_running_another_is_caught():
+    rerun = "def _rhs3_integral(data):\n    needs = (_h8_is_Z, _tables_complete)\n    return [law(data) for law in needs]\n"
+    assert law_reads(rerun) == [("_rhs3_integral", "_h8_is_Z"), ("_rhs3_integral", "_tables_complete")]
+    assert law_reads("def _bockstein_exact(data):\n    yield from _beta_torsion(data)\n") == [
+        ("_bockstein_exact", "_beta_torsion")
+    ]
+    # helpers, module-level tables of laws and a law naming itself are not reruns
+    assert law_reads("def _h8_is_Z(data):\n    yield _counterexample('h8_is_Z', ())\n") == []
+    assert law_reads("NEEDS = {_rhs3_integral: ('h8_is_Z',)}\nLAWS = (_h8_is_Z, _rhs3_integral)\n") == []
+    assert law_reads("def _h8_is_Z(data):\n    return _h8_is_Z\n") == []
