@@ -10,13 +10,15 @@ coordinates of a Chern tuple (``data.congruences``), at a cost that
 follows the products that exist.  The law ``rhs3_integral`` builds it at
 load, and conditions (2) and (3), the closed form of the functional and
 the census read it; no other module reads the table.  A self-check
-recomputes the functional by direct truncated multiplication of the A-roof
-series, exp(c/2) and the reduced Chern character, which must agree
-exactly.  The product td(M)
-of the first two does not depend on the tuple: it is built once per
-instance as the Todd rows (``data.todd_rows``), from the class-based
-``cup`` and ``pair_top`` only, and each self-check costs five class cups
-for the bracket plus three dot products with the rows.
+recomputes the functional as <td(M) * bracket(u), [M]>, td(M) = A-roof(M) *
+exp(c/2) and the bracket cupped from the reduced Chern character, which must
+agree exactly.  The bracket starts in degree 4, so td(M) is built through
+degree 4 only; it does not depend on the tuple, so it is built once per
+instance as the Todd rows (``data.todd_rows``), from the class-based ``cup``
+and ``pair_top`` only, on the (2, 2), (4, 4) and (6, 2) tables, cupped in the
+order that names a missing table as the full series product names it.  Each
+self-check costs five class cups for the bracket plus three dot products with
+the rows.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, lcm, prod
+from math import lcm, prod
 from operator import add, mul
 from typing import NamedTuple
 
@@ -181,58 +183,30 @@ RR_FUNCTIONAL = RationalClassPolynomial(
     tuple((Fraction(k24, 24), mono) for mono, k24, *_ in DEGREE8_TABLE)
 )
 
-# Formal graded series, degree -> list of (rational coefficient, class).
-_Series = dict[int, list[tuple[Fraction, CohomologyClass]]]
-
-
-def _series_product(data: ManifoldData, s: _Series, t: _Series) -> _Series:
-    out: _Series = {}
-    for d1, terms1 in s.items():
-        for d2, terms2 in t.items():
-            if d1 + d2 > 8:
-                continue
-            bucket = out.setdefault(d1 + d2, [])
-            for q1, x1 in terms1:
-                for q2, x2 in terms2:
-                    bucket.append((q1 * q2, cup(data, x1, x2)))
-    return out
-
-
-def _todd_series(data: ManifoldData) -> _Series:
-    """td(M) = A-roof(M) * exp(c/2), truncated at degree 8."""
-    one = data.zclass(0, (1,) * data.ngens(0))
-    c = data.spinc_class
-    c_pows = [one, c]
-    for _ in range(3):
-        c_pows.append(cup(data, c_pows[-1], c))
-
-    a_roof: _Series = {
-        0: [(Fraction(1), one)],
-        4: [(Fraction(-1, 24), data.p1)],
-    }
-    exp_half_c: _Series = {
-        2 * k: [(Fraction(1, 2**k * factorial(k)), c_pows[k])] for k in range(5)
-    }
-    return _series_product(data, a_roof, exp_half_c)
-
 
 def compute_todd_rows(data: ManifoldData) -> tuple[dict[int, tuple[int, ...]], int]:
     """The Todd functional as one rational row per degree d = 4, 6, 8, whose
     entry i is <td_(8-d) * e_i, [M]> for the i-th generator e_i of H^d: the
     rows over their common denominator, and that denominator.
 
-    Built from the classes alone, by ``cup`` and ``pair_top``: neither the
-    compiled data nor ``DEGREE8_TABLE`` enters, so the series stays an
-    independent check of the closed form.  ``data.todd_rows`` keeps it."""
-    td = _todd_series(data)
+    td(M) = A-roof(M) * exp(c/2) is built through degree 4, all that the rows
+    read: td_0 = 1, td_2 = c/2 and td_4 = c^2/8 - p1/24, so the rows read the
+    (2, 2), (4, 4) and (6, 2) cup tables, each entry cupped basis-first (see
+    ``rr_value_by_series`` for why).  Built from the classes alone, by
+    ``cup`` and ``pair_top``: neither the compiled data nor ``DEGREE8_TABLE``
+    enters, so the series stays an independent check of the closed form.
+    ``data.todd_rows`` keeps it."""
+    c = data.spinc_class
+    td = {  # degree -> (coefficient, class) terms
+        0: ((Fraction(1), data.zclass(0, (1,) * data.ngens(0))),),
+        2: ((Fraction(1, 2), c),),
+        4: ((Fraction(1, 8), cup(data, c, c)), (Fraction(-1, 24), data.p1)),
+    }
     rows = {}
     for d in (4, 6, 8):
         n = data.ngens(d)
         basis = (data.zclass(d, [int(k == i) for k in range(n)]) for i in range(n))
-        rows[d] = [
-            sum((q * pair_top(data, cup(data, x, e)) for q, x in td.get(8 - d, [])), start=Fraction(0))
-            for e in basis
-        ]
+        rows[d] = [sum(q * pair_top(data, cup(data, e, x)) for q, x in td[8 - d]) for e in basis]
     denominator = lcm(*(q.denominator for row in rows.values() for q in row))
     return {d: tuple(int(q * denominator) for q in row) for d, row in rows.items()}, denominator
 
@@ -242,8 +216,11 @@ def rr_value_by_series(data: ManifoldData, u: ChernTuple) -> Fraction:
     of the data dotted with the bracket, which is cupped from u's classes.
     Cup is bilinear and H^8 = Z, so this equals the series product taken
     term by term, unreduced coordinates included."""
-    rows, denominator = data.todd_rows  # first, so that a missing cup table raises from td(M)
-    u1u2 = cup(data, u.u1, u.u2)
+    # A missing table is named as the full product A-roof * exp(c/2) * bracket names it, which
+    # cups c^3 = c^2 * c and c^4 = c^3 * c first: the rows cup basis-first, as (6, 2), and the
+    # bracket takes u1 * u2 as u2 * u1, so a missing (2, 4) table is named (4, 2).
+    rows, denominator = data.todd_rows
+    u1u2 = cup(data, u.u2, u.u1)
     u1sq_u2 = cup(data, cup(data, u.u1, u.u1), u.u2)
     bracket = (  # (12 * coefficient, class)
         (-12, u.u2),
@@ -268,7 +245,7 @@ def rr_value(data: ManifoldData, u: ChernTuple, self_check: bool = False) -> Fra
 
     The denominator always divides 24.  For a tuple realized by an actual
     bundle the value is an integer.  With ``self_check=True`` the value is
-    recomputed by truncated series multiplication and compared exactly.
+    recomputed from the Todd rows (``rr_value_by_series``) and compared exactly.
     Raises ``ValueError`` on malformed coordinates, then ``ManifoldValidationError``
     on data that fails a law, as ``check_rank4`` does.
     """

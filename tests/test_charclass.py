@@ -1,5 +1,7 @@
 import random
+import re
 from fractions import Fraction
+from math import factorial, lcm, prod
 
 import pytest
 
@@ -14,7 +16,7 @@ from bundlecensus.charclass import (
     zero_tuple,
 )
 from bundlecensus.classify import check_rank4
-from bundlecensus.cohomology import ChernTuple, CohomologyClass, cup
+from bundlecensus.cohomology import ChernTuple, CohomologyClass, MissingOperationError, cup
 from bundlecensus.fixtures import BUILTIN_NAMES, builtin
 
 
@@ -193,3 +195,60 @@ def test_whitney_sum_of_hyperplanes_matches_binomial(cp4):
     for _ in range(4):
         total = chern_product(total, line, cp4)
     assert total == cp4_tuple(cp4, 4, 6, 4, 1)
+
+
+def todd_cpn(n):
+    """td(CP^n) = (x / (1 - e^-x))^(n+1), coefficients of x^0..x^n (Hirzebruch):
+    (1 - e^-x)/x = sum (-x)^k / (k+1)! inverted as a power series, to
+    1 + x/2 + x^2/12 + 0*x^3 - x^4/720, then raised to the power n + 1."""
+    f = [Fraction((-1) ** k, factorial(k + 1)) for k in range(n + 1)]
+    g = [Fraction(1)]
+    for k in range(1, n + 1):
+        g.append(-sum(f[i] * g[k - i] for i in range(1, k + 1)))
+    td = [Fraction(1)] + [Fraction(0)] * n
+    for _ in range(n + 1):
+        td = [sum(td[i] * g[k - i] for i in range(k + 1)) for k in range(n + 1)]
+    return td
+
+
+# each builtin a product of projective spaces, one generator variable per factor
+PRODUCTS = {"cp4": {"t": 4}, "cp1xcp3": {"a": 1, "b": 3}, "cp2xcp2": {"a": 2, "b": 2}}
+
+
+def kunneth_todd_rows(name):
+    """The rows <td_(8-d) * e_i, [M]> of a product of projective spaces, td(M)
+    the product of the factors' Todd classes (Kunneth): the generator named
+    x^i y^j pairs with the coefficient of x^(n-i) y^(m-j), the top class
+    x^n y^m pairing to 1."""
+    factors = PRODUCTS[name]
+    tds = {x: todd_cpn(n) for x, n in factors.items()}
+    rows = {}
+    for d in (4, 6, 8):
+        rows[d] = []
+        for gen in builtin(name).integral.names[d]:
+            exponents = {x: int(k or 1) for x, k in re.findall(r"([a-z])(?:\^(\d+))?", gen)}
+            rows[d].append(prod(tds[x][n - exponents.get(x, 0)] for x, n in factors.items()))
+    denominator = lcm(*(q.denominator for row in rows.values() for q in row))
+    return {d: tuple(int(q * denominator) for q in row) for d, row in rows.items()}, denominator
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("cp4", ({4: (35,), 6: (30,), 8: (12,)}, 12)),
+    ("cp1xcp3", ({4: (11, 12), 6: (12, 6), 8: (6,)}, 6)),
+    ("cp2xcp2", ({4: (4, 9, 4), 6: (6, 6), 8: (4,)}, 4)),
+])
+def test_todd_rows_match_hirzebruch_and_kunneth(name, expected):
+    # the top coefficient is the Todd genus of CP^4, 1
+    assert todd_cpn(4) == [1, Fraction(5, 2), Fraction(35, 12), Fraction(25, 12), 1]
+    assert kunneth_todd_rows(name) == expected
+    assert builtin(name)._replace().todd_rows == expected
+
+
+def test_todd_rows_need_no_table_beyond_degree_4(cp4):
+    # td is built through degree 4 from c^2, e * c and e * td_4, so without the
+    # (2, 4) table the rows still build; the bracket's u1 * u2 needs it
+    assert (2, 4) in cp4.cup_z
+    data = cp4._replace(cup_z={k: v for k, v in cp4.cup_z.items() if k != (2, 4)})
+    assert data.todd_rows == cp4.todd_rows
+    with pytest.raises(MissingOperationError, match=r"\(4, 2\)"):
+        rr_value_by_series(data, cp4_tuple(data, 1, 2, 3, 4))

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from bundlecensus import cli
+from bundlecensus import census, cli
 from bundlecensus.cli import main
 from bundlecensus.fixtures import BUILTIN_NAMES, builtin
 from bundlecensus.manifold_io import serialize_manifold
@@ -109,6 +109,12 @@ def test_wrong_vector_length_is_input_error(capsys):
         code, _, err = run(capsys, "rank4", "--builtin", argv[0], "--chern", *argv[1:])
         assert code == 2
         assert f"bad coordinate vector {argv[1]!r}" in err
+
+
+def test_wrong_vector_count_is_input_error(capsys):
+    code, out, err = run(capsys, "count", "--builtin", "cp4", "--rank", "3", "--chern", "0", "0", "0", "0")
+    assert code == 2 and not out
+    assert "--chern needs 3 vectors (degrees (2, 4, 6)), got 4" in err
 
 
 def test_overlong_coordinate_is_a_bad_vector(capsys):
@@ -285,6 +291,16 @@ def test_enumerate_csv(capsys):
     assert lines[0] == "a1,a2,a3"
     assert all(len(l.split(",")) == 3 for l in lines[1:])
     assert "cross-check disagreements: 0" in err
+
+
+def test_enumerate_disagreement_exits_3(capsys, monkeypatch):
+    # the closed form negated: every tuple disagrees with the classification
+    admissible = census.cp4_rank4_admissible
+    monkeypatch.setattr(census, "cp4_rank4_admissible", lambda *a: not admissible(*a))
+    code, out, err = run(capsys, "enumerate", "--builtin", "cp4", "--bound", "1", "--rank", "3")
+    assert code == 3
+    assert "cross-check disagreements: 27" in out
+    assert len(re.findall(r"^disagreement at ", err, re.MULTILINE)) == 20
 
 
 def test_enumerate_rejects_other_builtins(capsys):

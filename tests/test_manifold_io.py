@@ -328,10 +328,18 @@ def test_names_count_rejected_on_its_line(ring):
             MINIMAL.splitlines().index("spinc -") + 1,
         ),
         (MINIMAL + "w2 1\n", "w2: expected 0 mod-2 coordinates, got 1", END + 1),
+        (MINIMAL + "cup 4 6 0 0 -> 1\n", r"cup table \(4, 6\): target degree exceeds 8", END + 1),
+        (MINIMAL + "integral\n", "integral line needs a degree", END + 1),
+        (
+            MINIMAL + "integral 2 free 1\nmap rho2 2 rows 1 cols 1\n",
+            "rho2 at degree 2: expected 1 matrix rows",
+            END + 2,
+        ),
     ],
     ids=[
         "divisibility", "pairing", "oddgen", "cup-missing",
         "map", "cup-length", "cup-range", "cup2-length", "p1", "spinc", "w2",
+        "cup-degree", "integral-no-degree", "map-cut-short",
     ],
 )
 def test_checks_after_reading_name_their_line(text, message, line):

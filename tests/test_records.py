@@ -215,6 +215,13 @@ INVALID = [
         ((Fraction(1), ("u4",)), (Fraction(1), ("u1", "u2"))),
         "monomial ('u1', 'u2') has degree 6, expected 8",
     ),
+    (
+        RationalClassPolynomial(((Fraction(1, 24), ("u4",)),)),
+        "terms",
+        ((Fraction(1), ("u2", "p1")),),
+        "monomial ('u2', 'p1') is not in DEGREE8_TABLE",
+    ),
+    (builtin("cp4"), "p1", z(2, 1), "p1: expected a degree-4 Z class, got degree 2 Z"),
 ]
 
 
@@ -228,6 +235,31 @@ def test_invalid_fields_raise_the_old_message(sample, field, value, message):
     with pytest.raises(ValueError) as replaced:
         sample._replace(**{field: value})
     assert str(made.value) == str(replaced.value) == message
+
+
+# a method or constructor called on arguments that do not fit, and its message
+MISUSE = {
+    "builtin": (lambda cp4: builtin("nosuch"), "unknown builtin 'nosuch' (choose from cp4, s8,"),
+    "count_classes": (
+        lambda cp4: count_classes(cp4, tuple(cp4.chern_tuple((1,), (0,), (0,), (0,))), 4),
+        "rank 4 expects a ChernTuple",
+    ),
+    "pair": (lambda cp4: cp4.compiled.pair((1, 2)), "expected 1 coordinates in degree 8, got 2"),
+    "m2class": (lambda cp4: cp4.m2class(2, (1, 0)), "expected 1 mod-2 coordinates in degree 2, got 2"),
+    "add": (lambda cp4: cp4.add(cp4.zero(2), cp4.zero(4)), "cannot add classes of different degree or ring"),
+    "from_rows": (lambda cp4: IntMatrix.from_rows([[1, 2]], 3), "rows have width 2, expected 3"),
+    "from_columns": (lambda cp4: IntMatrix.from_columns([[1, 2]], 3), "column of length 2, expected 3"),
+    "apply": (lambda cp4: IntMatrix.identity(2).apply([1]), "vector of length 1, expected 2"),
+    "matmul": (lambda cp4: IntMatrix.identity(2) @ IntMatrix.identity(3), "inner dimensions do not match"),
+}
+
+
+@pytest.mark.parametrize("case", MISUSE)
+def test_misuse_raises_its_message(case, cp4):
+    make, message = MISUSE[case]
+    with pytest.raises(ValueError) as raised:
+        make(cp4)
+    assert type(raised.value) is ValueError and str(raised.value).startswith(message)
 
 
 def test_coercing_records_store_int_tuples():
