@@ -421,11 +421,16 @@ class CompiledManifold(NamedTuple):
     p1: Coords
     c: Coords
 
+    def _check(self, degree: int, coords) -> Coords:
+        """coords, raising ``ValueError`` unless it has one entry per generator of H^degree."""
+        if len(coords) != len(self.factors[degree]):
+            raise ValueError(f"expected {len(self.factors[degree])} coordinates, got {len(coords)}")
+        return coords
+
     def reduce(self, degree: int, coords) -> Coords:
         """Integral coordinates reduced as ``FGAbelianGroup.reduce`` does."""
+        self._check(degree, coords)
         factors = self.factors[degree]
-        if len(coords) != len(factors):
-            raise ValueError(f"expected {len(factors)} coordinates, got {len(coords)}")
         if any(factors):
             return tuple([x % d if d else x for x, d in zip(coords, factors)])
         return tuple(coords)
@@ -444,6 +449,7 @@ class CompiledManifold(NamedTuple):
     def cup(self, a: int, x: Coords, b: int, y: Coords) -> Coords:
         """``cup`` of integral classes of degrees a, b >= 2 whose table is compiled, walking the
         table by left index at the nonzero coordinates of x."""
+        x, y = self._check(a, x), self._check(b, y)
         table, acc = self.table(a, b), [0] * len(self.factors[a + b])
         for i, row in table.items():
             if v := x[i]:
@@ -470,7 +476,7 @@ class CompiledManifold(NamedTuple):
         rho2 and Sq^2 at degree 4, then for rho2 at degree 6."""
         u1u2 = self.cup(2, u1, 4, u2)
         lhs = self.apply("sq2", 4, self.apply("rho2", 4, u2))
-        return lhs, self.apply("rho2", 6, self.reduce(6, tuple(map(add, u3, u1u2))))
+        return lhs, self.apply("rho2", 6, self.reduce(6, tuple(map(add, self._check(6, u3), u1u2))))
 
     def pair(self, x: Coords) -> int:
         """``pair_top`` of a degree-8 coordinate tuple."""

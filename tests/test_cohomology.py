@@ -353,31 +353,40 @@ def test_cup_commutes_in_even_degrees(x, y):
     assert pair_top(data, cup(data, a, b)) == pair_top(data, cup(data, b, a))
 
 
-def test_cup_swapped_odd_degrees_picks_up_sign():
-    # only one orientation of a (3, 5) table is stored; the swapped lookup
-    # must apply the graded sign (-1)^{3*5}
-    integral, mod2 = graded_pair(
-        {0: ((0,), ("1",)), 3: ((0,), ("x",)), 5: ((0,), ("y",)), 8: ((0,), ("v",))},
-        {},
-    )
-    from bundlecensus.cohomology import ManifoldData
-
-    data = ManifoldData(
-        name="odd-sign",
+def one_product(a: int, b: int, stored: tuple[int, int]) -> ManifoldData:
+    """H^0, H^a, H^b, H^(a+b) and H^8 each Z, with a < b < 8, and one cup table, stored as
+    ``stored``, taking the generators of H^a and H^b to the one of H^(a+b)."""
+    integral, mod2 = graded_pair({n: ((0,), (f"e{n}",)) for n in (0, a, b, a + b, 8)}, {})
+    return ManifoldData(
+        name="one-product",
         integral=integral,
         mod2=mod2,
-        cup_z={(3, 5): {(0, 0): (1,)}},
+        cup_z={stored: {(0, 0): (1,)}},
         rho2={},
         beta={},
         sq2={},
         pairing=(1,),
         p1=CohomologyClass(4, "Z", ()),
-        spinc_class=CohomologyClass(2, "Z", ()),
+        spinc_class=CohomologyClass(2, "Z", (0,) * (a == 2)),
     )
+
+
+def test_cup_swapped_odd_degrees_picks_up_sign():
+    # only one orientation of a (3, 5) table is stored; the swapped lookup
+    # must apply the graded sign (-1)^{3*5}
+    data = one_product(3, 5, (3, 5))
     x = data.zclass(3, (1,))
     y = data.zclass(5, (1,))
     assert cup(data, x, y) == data.zclass(8, (1,))
     assert cup(data, y, x) == data.zclass(8, (-1,))
+
+
+@pytest.mark.parametrize("stored", [(5, 2), (2, 5)])
+def test_cup_swapped_even_by_odd_degrees_keeps_its_sign(stored):
+    # (-1)^{2*5} = 1: a (2, 5) product read from either orientation has no sign
+    data = one_product(2, 5, stored)
+    x, y = data.zclass(2, (1,)), data.zclass(5, (1,))
+    assert cup(data, x, y) == cup(data, y, x) == data.zclass(7, (1,))
 
 
 def test_pair_top_examples(cp4, cp2xcp2):
@@ -554,6 +563,22 @@ def test_compiled_cup_matches_cup():
                 assert _outcome(lambda: case.compiled.cup(a, x, b, y)) == generic, (data.name, a, b)
                 dropped += generic[:1] == (MissingOperationError,)
     assert dropped > 0
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda m: m.cup(2, (1, 1, 5), 4, (1, 0, 0)), "expected 2 coordinates, got 3"),
+        (lambda m: m.cup(2, (1, 0), 4, (1, 0)), "expected 3 coordinates, got 2"),
+        (lambda m: m.cup(2, (1,), 4, (1, 0, 0)), "expected 2 coordinates, got 1"),
+        (lambda m: m.condition1((1, 0), (1, 0, 0), (0, 0, 5)), "expected 2 coordinates, got 3"),
+    ],
+    ids=["long-x", "short-y", "short-x", "long-u3"],
+)
+def test_compiled_operands_of_the_wrong_length_are_refused(call, message):
+    # as reduce refuses them, on cp2xcp2 (H^2 = H^6 = Z^2, H^4 = Z^3): never cut short or read past
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(builtin("cp2xcp2").compiled)
 
 
 SOURCE_RING = {"rho2": "Z", "beta": "Z2", "sq2": "Z2"}

@@ -118,6 +118,10 @@ def test_cp4_residue_is_the_closed_form_over_a_cell():
         assert passes1 <= (r % 4 == 0), a
         verdicts = table[r] if passes1 else [False] * 6
         assert verdicts == [cp4_rank4_admissible(*a, a4) for a4 in range(6)], a
+    # the closed form at (1, 0, t, a4), as enumerate_cp4 reads it: 2*a4 = -t mod 12 has the one
+    # solution a4 = -t/2 mod 6 for even t and none for odd t
+    residues = [[a4 for a4 in range(6) if cp4_rank4_admissible(1, 0, t, a4)] for t in range(12)]
+    assert residues == [[0], [], [5], [], [4], [], [3], [], [2], [], [1], []]
 
 
 def test_congruences_are_built_on_first_use_and_kept_per_instance(monkeypatch):

@@ -1,13 +1,16 @@
 """The README's examples: the "Library entry points" code runs and shows
-what it says, and the "Manifold file format" example is a complete file."""
+what it says, the "Manifold file format" example is a complete file, and every path the
+README names exists."""
 
+import re
 from fractions import Fraction
 from pathlib import Path
 
 from bundlecensus.cohomology import apply_op, cup, validate_manifold
 from bundlecensus.manifold_io import parse_manifold_text
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def entry_points_block() -> list[str]:
@@ -79,3 +82,31 @@ def test_file_format_example_needs_its_mod2_groups():
     assert report.failures() == (report.law("mod2_dims"),)
     assert report.law("tables_complete").passed
     assert report.law("mod2_dims").witness == "degree 0: dim H^0(Z/2) = 0, expected 1"
+
+
+# a file with one of these suffixes, or a directory written with its trailing slash
+PATH = re.compile(r"(?:[\w<>.-]+/)*[\w<>-]+\.(?:py|md|json|toml|manifold)|(?:[\w.-]+/)+")
+
+
+def resolves(path: str) -> bool:
+    """path exists from the repository root or, a bare module name such as ``charclass.py``, in the package."""
+    return (ROOT / path).exists() or ("/" not in path and (ROOT / "src" / "bundlecensus" / path).exists())
+
+
+def missing_paths(text: str) -> list[str]:
+    """The paths named in text's backticks that do not resolve; a ``<name>`` placeholder is skipped."""
+    named = [word for span in re.findall(r"`([^`\n]+)`", text) for word in span.split() if PATH.fullmatch(word)]
+    return [path for path in named if "<" not in path and not resolves(path)]
+
+
+def test_every_path_the_readme_names_exists():
+    assert missing_paths(README.read_text()) == []
+
+
+def test_a_stale_path_is_caught():
+    text = (
+        "Run `python3 scripts/cp4_census.py --bound 6`, or time `census.enumerate` (`census.py`)\n"
+        "with `python3 perfbench/run.py --workload census-cp4` in `perfbench/`; see `tests/`,\n"
+        "`src/bundlecensus/data/<name>.manifold`, `c/2`, `Z/2` and `scripts/`.\n"
+    )
+    assert missing_paths(text) == ["scripts/cp4_census.py", "scripts/"]
