@@ -396,12 +396,12 @@ class FGAbelianGroup(namedtuple("FGAbelianGroup", "invariant_factors")):
 
     def reduce(self, coords: Iterable[int]) -> tuple[int, ...]:
         """Coordinates reduced modulo the finite invariant factors."""
-        c = [index(x) for x in coords]
-        if len(c) != self.num_generators:
-            raise ValueError(
-                f"expected {self.num_generators} coordinates, got {len(c)}"
-            )
-        return tuple(x % d if d else x for x, d in zip(c, self.invariant_factors))
+        c, factors = tuple(map(index, coords)), self.invariant_factors
+        if len(c) != len(factors):
+            raise ValueError(f"expected {len(factors)} coordinates, got {len(c)}")
+        if factors and factors[0]:  # finite factors come first, so a free group reduces nothing
+            return tuple([x % d if d else x for x, d in zip(c, factors)])
+        return c
 
     def element(self, coords: Iterable[int]) -> GroupElement:
         return GroupElement(self.reduce(coords))

@@ -27,8 +27,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import lcm, prod
-from operator import add, mul
-from typing import NamedTuple
+from operator import add, itemgetter, mul
 
 from .cohomology import (
     ChernTuple,
@@ -64,22 +63,36 @@ MONOMIALS, _, *CONDITION_COLUMNS = zip(*DEGREE8_TABLE)
 Monomial = tuple[str, ...]
 
 
-class Congruences(NamedTuple):
+class Congruences(namedtuple("Congruences", "monomials pairings conditions")):
     """``DEGREE8_TABLE`` compiled on one manifold (``data.congruences``): integer polynomials in
     the flat coordinates x = u1 + u2 + u3 + u4 of a Chern tuple, the cup products, p1 and c
-    substituted.  ``monomials`` are sorted tuples of indices into x; ``pairings[mono]`` is <mono, [M]>
-    for each monomial of the table, as (k, coefficient of ``monomials[k]``) pairs, zeros left out;
-    ``conditions`` hold the coefficients of <u4>, rhs(2) and 4*rhs(3).  Exact on validated data:
-    reducing products term by term adds classes of finite order, which pair to 0 (the laws
-    ``h8_is_Z`` and ``torsion_pairs_to_zero``)."""
+    substituted.  ``monomials: tuple[tuple[int, ...], ...]`` are sorted tuples of indices into x;
+    ``pairings: dict[Monomial, tuple[tuple[int, int], ...]]`` maps each monomial of the table to
+    <mono, [M]>, as (k, coefficient of ``monomials[k]``) pairs, zeros left out; ``conditions:
+    tuple[tuple[int, ...], ...]`` hold the coefficients of <u4>, rhs(2) and 4*rhs(3).  Exact on
+    validated data: reducing products term by term adds classes of finite order, which pair to 0
+    (the laws ``h8_is_Z`` and ``torsion_pairs_to_zero``).  No ``__slots__``: ``_columns`` is kept
+    in the instance dict."""
 
-    monomials: tuple[tuple[int, ...], ...]
-    pairings: dict[Monomial, tuple[tuple[int, int], ...]]
-    conditions: tuple[tuple[int, ...], ...]
+    @cached_property
+    def _columns(self) -> tuple[itemgetter, ...]:
+        """One ``itemgetter`` per factor position k: the k-th index of every monomial, or -1 past
+        its end, where ``values`` puts a 1.  Each names two or more indices, so returns a tuple."""
+        width = max(map(len, self.monomials), default=0)
+        padded = (mono + (-1,) * (width - len(mono)) for mono in self.monomials)
+        return tuple(map(itemgetter, *padded)) if len(self.monomials) > 1 else ()
 
     def values(self, x: Coords) -> list[int]:
-        """Each coordinate monomial at the flat coordinates x."""
-        return [prod(map(x.__getitem__, mono)) for mono in self.monomials]
+        """Each coordinate monomial at the flat coordinates x, which must hold every coordinate:
+        the callers pass checked ones, and a short x is not refused."""
+        if len(self.monomials) < 2:  # an itemgetter of one index returns no tuple
+            return [prod(map(x.__getitem__, mono)) for mono in self.monomials]
+        x = (*x, 1)
+        first, *rest = self._columns
+        values = first(x)
+        for column in rest:
+            values = map(mul, values, column(x))
+        return list(values)
 
 
 def compile_congruences(data: ManifoldData) -> Congruences:

@@ -211,7 +211,7 @@ class ManifoldData(
         return self.integral.groups[degree]
 
     def ngens(self, degree: int) -> int:
-        return self.integral.groups[degree].num_generators
+        return len(self.integral.groups[degree].invariant_factors)
 
     def m2dim(self, degree: int) -> int:
         return self.mod2.dims[degree]
@@ -222,7 +222,7 @@ class ManifoldData(
     # -- class constructors and arithmetic -----------------------------
 
     def zclass(self, degree: int, coords: Iterable[int]) -> CohomologyClass:
-        return CohomologyClass(degree, "Z", self.group(degree).reduce(coords))
+        return CohomologyClass(degree, "Z", self.integral.groups[degree].reduce(coords))
 
     def m2class(self, degree: int, bits: Iterable[int]) -> CohomologyClass:
         b = tuple(index(x) % 2 for x in bits)
@@ -350,31 +350,30 @@ def cup(data: ManifoldData, x: CohomologyClass, y: CohomologyClass) -> Cohomolog
     n = a + b
     if n > TOP_DEGREE:
         raise ValueError(f"cup product in degree {n} exceeds the dimension of the manifold")
+    dim = data.ngens if ring == "Z" else data.m2dim
     for z in (x, y):
-        if len(z.coords) != data.dim(z.degree, ring):  # worded as ``reduce`` words it
-            raise ValueError(f"expected {data.dim(z.degree, ring)} coordinates, got {len(z.coords)}")
+        if len(z.coords) != dim(z.degree):  # worded as ``reduce`` words it
+            raise ValueError(f"expected {dim(z.degree)} coordinates, got {len(z.coords)}")
     if a == 0 or b == 0:
         scalar_cls, other = (x, y) if a == 0 else (y, x)
         coeff = scalar_cls.coords[0] if scalar_cls.coords else 0
         return data.scale(coeff, other)
     tables = data.cup_z if ring == "Z" else data.cup_m2
-    table = tables.get((a, b))
-    swapped = False
-    if table is None:
-        table = tables.get((b, a))
-        swapped = True
-    if table is None:
-        if data.dim(a, ring) == 0 or data.dim(b, ring) == 0 or data.dim(n, ring) == 0:
-            return data.zero(n, ring)
+    if (table := tables.get((a, b))) is not None:
+        left, right, sign = x.coords, y.coords, 1
+    elif (table := tables.get((b, a))) is not None:  # entry (i, j) is the product of y_i and x_j
+        left, right, sign = y.coords, x.coords, -1 if a % 2 and b % 2 and ring == "Z" else 1
+    elif dim(a) == 0 or dim(b) == 0 or dim(n) == 0:
+        return data.zero(n, ring)
+    else:
         raise MissingOperationError(f"missing cup product table for degrees ({a}, {b})")
-    sign = -1 if (swapped and a % 2 and b % 2 and ring == "Z") else 1
-    acc = [0] * data.dim(n, ring)
+    acc = [0] * dim(n)
     for (i, j), coords in table.items():
-        coeff = x.coords[j] * y.coords[i] if swapped else x.coords[i] * y.coords[j]
-        if coeff:
+        if coeff := sign * left[i] * right[j]:
             for k, c in enumerate(coords):
-                acc[k] += sign * coeff * c
-    return data.make_class(n, ring, acc)
+                if c:
+                    acc[k] += coeff * c
+    return data.zclass(n, acc) if ring == "Z" else data.m2class(n, acc)
 
 
 def pair_top(data: ManifoldData, x: CohomologyClass) -> int:
@@ -402,7 +401,8 @@ class CompiledManifold(NamedTuple):
     closed form read of a manifold, as plain int tuples, so that they run on
     coordinate tuples without building classes.  Immutable; a NamedTuple.
 
-    ``factors[n]`` are the invariant factors of H^n.  ``cups[a, b]`` is the
+    ``factors[n]`` are the invariant factors of H^n and ``m2dims[n]`` the
+    dimension of H^n(Z/2).  ``cups[a, b]`` is the
     integral product H^a x H^b -> H^(a+b) as a ``SparseTable``, for even
     a, b >= 2 and for T's three odd tables ``ODD_CUPS``: transposed when
     only the (b, a) table is given, empty when a side is trivial and None
@@ -415,16 +415,19 @@ class CompiledManifold(NamedTuple):
     """
 
     factors: tuple[tuple[int, ...], ...]
+    m2dims: tuple[int, ...]
     cups: dict[tuple[int, int], SparseTable | None]
     ops: dict[str, tuple[Rows | None, ...]]
     pairing: Coords
     p1: Coords
     c: Coords
 
-    def _check(self, degree: int, coords) -> Coords:
-        """coords, raising ``ValueError`` unless it has one entry per generator of H^degree."""
-        if len(coords) != len(self.factors[degree]):
-            raise ValueError(f"expected {len(self.factors[degree])} coordinates, got {len(coords)}")
+    def _check(self, degree: int, coords, ring: Ring = "Z") -> Coords:
+        """coords, raising ``ValueError`` unless it has one entry per generator of H^degree, or of
+        H^degree(Z/2) for the ring Z2."""
+        n = len(self.factors[degree]) if ring == "Z" else self.m2dims[degree]
+        if len(coords) != n:
+            raise ValueError(f"expected {n} coordinates, got {len(coords)}")
         return coords
 
     def reduce(self, degree: int, coords) -> Coords:
@@ -437,7 +440,7 @@ class CompiledManifold(NamedTuple):
 
     def chern_coords(self, u: ChernTuple) -> tuple[Coords, Coords, Coords, Coords]:
         """The coordinates of u's classes, checked and reduced as ``chern_tuple`` makes them."""
-        return tuple(self.reduce(x.degree, x.coords) for x in u.classes())
+        return tuple([self.reduce(x.degree, x.coords) for x in u])
 
     def table(self, a: int, b: int) -> SparseTable:
         """``cups[a, b]``, raising ``cup``'s ``MissingOperationError`` where the table is missing."""
@@ -461,8 +464,11 @@ class CompiledManifold(NamedTuple):
 
     def apply(self, op: str, degree: int, x: Coords) -> Coords:
         """``apply_op`` of op at degree on coordinates: reduced mod 2 after
-        rho2 and Sq^2, in H^(degree+1) after beta; raising its
+        rho2 and Sq^2, in H^(degree+1) after beta; raising ``reduce``'s
+        ``ValueError`` unless x has one entry per generator of op's source,
+        integral for rho2 and mod 2 otherwise, then ``apply_op``'s
         ``MissingOperationError`` where the matrix is missing."""
+        self._check(degree, x, _OP_SPECS[op][0])
         rows = self.ops[op][degree]
         if rows is None:
             raise MissingOperationError(f"missing {op} matrix at degree {degree}")
@@ -514,6 +520,7 @@ def _compile(data: ManifoldData) -> CompiledManifold:
     even = [(a, b) for a in (2, 4, 6) for b in (2, 4, 6) if a + b <= TOP_DEGREE]
     return CompiledManifold(
         factors=tuple(g.invariant_factors for g in data.integral.groups),
+        m2dims=data.mod2.dims,
         cups={(a, b): _sparse_table(data, a, b) for a, b in (*even, *ODD_CUPS)},
         ops={
             op: tuple(rows(op, n) for n in range(TOP_DEGREE + 1 - shift))

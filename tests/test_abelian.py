@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import re
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -244,6 +245,24 @@ def test_group_basics():
     assert g.add(g.element((1, 3, 2)), g.element((1, 1, 1))) == GroupElement((0, 0, 3))
     assert g.scale(2, g.element((1, 3, 1))) == GroupElement((0, 2, 2))
     assert g.direct_sum(FGAbelianGroup((3,))) == FGAbelianGroup((2, 12, 0))
+
+
+@pytest.mark.parametrize("factors", [(0, 0), (2, 0), (2, 4)], ids=["free", "mixed", "finite"])
+def test_reduce_checks_every_coordinate_then_the_length(factors):
+    # one operator.index pass, then the length, on a free group, which reduces nothing, as on
+    # one with finite factors: a float, Fraction or str raises TypeError at any length, a short
+    # or long tuple of ints the length message, and a bool is stored as an int
+    g = FGAbelianGroup(factors)
+    for value in (1.0, Fraction(1), "1"):
+        for coords in ((value,), (1, value), (1, 1, value)):
+            with pytest.raises(TypeError):
+                g.reduce(coords)
+    for coords in ((1,), (1, 2, 3)):
+        with pytest.raises(ValueError, match=f"^expected 2 coordinates, got {len(coords)}$"):
+            g.reduce(coords)
+    assert [type(x) for x in g.reduce(iter([True, -7]))] == [int, int]
+    assert g.reduce((True, -7)) == g.reduce((1, -7))
+    assert g.reduce((5, -7)) == tuple(x % d if d else x for x, d in zip((5, -7), factors))
 
 
 def test_subgroup_quotient_examples():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 from fractions import Fraction
@@ -34,7 +35,7 @@ from bundlecensus.cohomology import (
 )
 from bundlecensus.fixtures import BUILTIN_NAMES, builtin
 
-from conftest import graded_pair, misshape
+from conftest import graded_pair, make_cp4_with_h6_torsion, make_h7_demo, misshape
 from test_census import FIXTURES
 
 
@@ -529,3 +530,54 @@ def test_closed_form_congruences_match_checker_spot(cp4):
             cp4, cp4.zclass(2, (a1,)), cp4.zclass(4, (a2,)), cp4.zclass(6, (a3,))
         ).realizable
         assert generic == cp4_rank3_admissible(a1, a2, a3)
+
+
+def query_answers(data, seed):
+    """The answers of every single-tuple query at 60 seeded tuples, one in six with coordinates up
+    to 10^40 and the rest in [-6, 6]: reprs of the rank-4 and rank-3 decisions, the counts at both
+    ranks and the self-checked rr value, or of the error each raises."""
+    rng = random.Random(seed)
+    for i in range(60):
+        bound = 10**40 if i % 6 == 0 else 6
+        u = data.chern_tuple(
+            *[[rng.randint(-bound, bound) for _ in range(data.ngens(d))] for d in (2, 4, 6, 8)]
+        )
+        for query in (
+            lambda: check_rank4(data, u).decision_fields(),
+            lambda: check_rank3(data, u.u1, u.u2, u.u3).decision_fields(),
+            lambda: count_classes(data, u, 4),
+            lambda: count_classes(data, u.classes()[:3], 3),
+            lambda: count_classes(data, u, 3),
+            lambda: rr_value(data, u, self_check=True),
+        ):
+            try:
+                yield repr(query())
+            except (ValueError, LookupError) as exc:
+                yield repr((type(exc).__name__, str(exc)))
+
+
+# sha256 of the lines of query_answers(data, 34), recorded before the query path was made leaner;
+# any refactor must keep them
+QUERY_SHA256 = {
+    "cp1xcp3": "aa8b65a494832cda73551615a664ede177765e68c5c02eb520eb2d2d93ff6c9d",
+    "cp2xcp2": "856a98b96240068590e8a51e46a43f14b73f34499745f5007400958dea6c5765",
+    "cp4": "8d80027643cd337e863d9f2c93796a6d3d6b1125d028f0af03d81a0477194650",
+    "cp4-h6-torsion": "10c879b5bf05a80198fd3cbed164bd9ccede4820ffa6bc32b7d4b0b8fff5482c",
+    "cp4-h6-torsion-ts1": "cc31fe6b5cbad3098248155b4f013f00848f0cfd78078567345b8afe5309d1fb",
+    "h7-demo": "fa8757c03250d59095365c402830a31331b6becc0e27bc0b7eec87c59fd6b24d",
+    "hp2": "15ebbe01fd4cd6b1201e591b524957a12682bb198ae8d9c612c22fda85763f55",
+    "s8": "3be97dfa2906f031430112519daa5b52a132bb741b0ec4ea64a3c10801c488c1",
+    "torsion-demo": "7ccfabc90644467ed1d051c83c80cf89b228079afe384c7f335c4d221c892b7d",
+}
+QUERY_FIXTURES = {
+    **{name: lambda name=name: builtin(name) for name in BUILTIN_NAMES},
+    "h7-demo": make_h7_demo,
+    "cp4-h6-torsion": make_cp4_with_h6_torsion,
+    "cp4-h6-torsion-ts1": lambda: make_cp4_with_h6_torsion(ts=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUERY_FIXTURES))
+def test_single_tuple_answers_are_pinned(name):
+    lines = "\n".join(query_answers(QUERY_FIXTURES[name](), 34)).encode()
+    assert hashlib.sha256(lines).hexdigest() == QUERY_SHA256[name]

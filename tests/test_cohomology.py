@@ -389,6 +389,53 @@ def test_cup_swapped_even_by_odd_degrees_keeps_its_sign(stored):
     assert cup(data, x, y) == cup(data, y, x) == data.zclass(7, (1,))
 
 
+def test_cup_swapped_odd_degrees_reads_each_generator_with_its_operand():
+    # H^3 = Z^2, H^5 = Z and a (3, 5) table e0*f = v, e1*f = 2v: the swapped product y*x reads
+    # entry (i, j) as x_i * y_j and carries the sign (-1)^{3*5}
+    integral, mod2 = graded_pair(
+        {0: ((0,), ("1",)), 3: ((0, 0), ("e0", "e1")), 5: ((0,), ("f",)), 8: ((0,), ("v",))}, {}
+    )
+    data = one_product(3, 5, (3, 5))._replace(
+        integral=integral, mod2=mod2, cup_z={(3, 5): {(0, 0): (1,), (1, 0): (2,)}}
+    )
+    x, y = data.zclass(3, (4, 7)), data.zclass(5, (3,))
+    assert cup(data, x, y) == data.zclass(8, (3 * (4 + 2 * 7),))
+    assert cup(data, y, x) == data.zclass(8, (-3 * (4 + 2 * 7),))
+
+
+def test_cup_names_a_missing_table_in_the_order_of_its_operands(cp2xcp2):
+    stripped = cp2xcp2._replace(cup_z={})
+    x, y = stripped.zclass(2, (1, 0)), stripped.zclass(4, (0, 1, 0))
+    for first, second, degrees in ((x, y, r"\(2, 4\)"), (y, x, r"\(4, 2\)")):
+        with pytest.raises(MissingOperationError, match=f"^missing cup product table for degrees {degrees}$"):
+            cup(stripped, first, second)
+
+
+def test_cup_checks_both_operands_in_their_ring(cp2xcp2):
+    # H^2(Z/2) has dimension 2 and H^4(Z/2) 3 on cp2xcp2
+    x, y = cp2xcp2.m2class(2, (1, 0)), cp2xcp2.m2class(4, (0, 1, 0))
+    for z, other in ((x, y), (y, x)):
+        for coords in (z.coords[:-1], z.coords + (1,)):
+            message = f"^expected {len(z.coords)} coordinates, got {len(coords)}$"
+            for operands in ((z._replace(coords=coords), other), (other, z._replace(coords=coords))):
+                with pytest.raises(ValueError, match=message):
+                    cup(cp2xcp2, *operands)
+
+
+@pytest.mark.parametrize("name", ["cp4", "cp2xcp2", "cp1xcp3"])
+def test_z2_cups_are_the_reductions_of_integral_cups(name):
+    # the Z2 ring: a cup2 (2, 2) table, its sums reduced mod 2, Sq^2 at degree 2 (a square is its
+    # Sq^2) and a trivial side, whose product is zero without a table
+    data = builtin(name)
+    vectors = list(itertools.product((0, 1), repeat=data.ngens(2)))
+    rho2 = lambda x: apply_op(data, "rho2", x)
+    for a, b in itertools.product(vectors, repeat=2):
+        x, y = data.zclass(2, a), data.zclass(2, b)
+        assert cup(data, rho2(x), rho2(y)) == rho2(cup(data, x, y))
+        assert cup(data, rho2(x), rho2(x)) == apply_op(data, "sq2", rho2(x))
+        assert cup(data, rho2(x), data.zero(1, "Z2")) == data.zero(3, "Z2")
+
+
 def test_pair_top_examples(cp4, cp2xcp2):
     assert pair_top(cp4, cp4.zclass(8, (1,))) == 1
     assert pair_top(cp4, cp4.zero(8)) == 0
@@ -572,13 +619,26 @@ def test_compiled_cup_matches_cup():
         (lambda m: m.cup(2, (1, 0), 4, (1, 0)), "expected 3 coordinates, got 2"),
         (lambda m: m.cup(2, (1,), 4, (1, 0, 0)), "expected 2 coordinates, got 1"),
         (lambda m: m.condition1((1, 0), (1, 0, 0), (0, 0, 5)), "expected 2 coordinates, got 3"),
+        (lambda m: m.apply("rho2", 4, (1, 0, 0, 7)), "expected 3 coordinates, got 4"),
+        (lambda m: m.apply("rho2", 4, (1,)), "expected 3 coordinates, got 1"),
+        (lambda m: m.apply("sq2", 2, (1, 0, 1)), "expected 2 coordinates, got 3"),
+        (lambda m: m.apply("beta", 4, (1, 0)), "expected 3 coordinates, got 2"),
     ],
-    ids=["long-x", "short-y", "short-x", "long-u3"],
+    ids=["long-x", "short-y", "short-x", "long-u3", "long-rho2", "short-rho2", "long-sq2", "short-beta"],
 )
 def test_compiled_operands_of_the_wrong_length_are_refused(call, message):
-    # as reduce refuses them, on cp2xcp2 (H^2 = H^6 = Z^2, H^4 = Z^3): never cut short or read past
+    # as reduce refuses them, on cp2xcp2 (H^2 = H^6 = Z^2, H^4 = Z^3, and mod 2 alike; H^5 = 0, so
+    # beta at degree 4 has no rows to read the length off): never cut short or read past
     with pytest.raises(ValueError, match=f"^{message}$"):
         call(builtin("cp2xcp2").compiled)
+
+
+def test_compiled_apply_reads_the_mod2_length_of_its_source(torsion_demo):
+    # H^5 = 0 but H^5(Z/2) = Z/2 on torsion-demo: beta at degree 5 takes one mod-2 coordinate
+    m = torsion_demo.compiled
+    assert m.apply("beta", 5, (1,)) == (1,)
+    with pytest.raises(ValueError, match="^expected 1 coordinates, got 0$"):
+        m.apply("beta", 5, ())
 
 
 SOURCE_RING = {"rho2": "Z", "beta": "Z2", "sq2": "Z2"}

@@ -19,6 +19,12 @@ data once per instance, however many queries read it.
 Each validation law runs once per load: no law of ``cohomology.py`` names
 another law in its body, so a law's prerequisites are the data
 ``cohomology.NEEDS``, not a second run of them.
+
+The class path stays the independent check of the compiled one: the class
+``cup``, ``apply_op``, ``pair_top``, the Todd rows and the series
+recomputation of rr, and the ``ManifoldData`` methods that build and add
+classes, read neither the compiled form, nor the compiled congruences, nor
+the degree-8 table.
 """
 
 import ast
@@ -40,17 +46,22 @@ PACKAGE = Path(bundlecensus.__file__).parent
 TABLE_NAMES = {"DEGREE8_TABLE", "SYMBOL_DEGREES", "MONOMIALS"}
 
 
-def table_reads(source: str) -> list[str]:
-    """The names of the table that source reads, sorted."""
+def names_read(tree: ast.AST) -> set[str]:
+    """Every name, attribute and imported name that tree reads."""
     names = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name.rpartition(".")[2])
-    return sorted(names & TABLE_NAMES)
+    return names
+
+
+def table_reads(source: str) -> list[str]:
+    """The names of the table that source reads, sorted."""
+    return sorted(names_read(ast.parse(source)) & TABLE_NAMES)
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
@@ -174,3 +185,56 @@ def test_a_law_running_another_is_caught():
     assert law_reads("def _h8_is_Z(data):\n    yield _counterexample('h8_is_Z', ())\n") == []
     assert law_reads("NEEDS = {_rhs3_integral: ('h8_is_Z',)}\nLAWS = (_h8_is_Z, _rhs3_integral)\n") == []
     assert law_reads("def _h8_is_Z(data):\n    return _h8_is_Z\n") == []
+
+
+# The functions of the class path, by module, as (class, function) with class "" at module level.
+CLASS_PATH = {
+    "cohomology.py": (
+        ("", "cup"), ("", "apply_op"), ("", "pair_top"),
+        *(("ManifoldData", name) for name in (
+            "group", "ngens", "m2dim", "dim", "zclass", "m2class", "make_class", "zero", "add", "scale",
+        )),
+    ),
+    "charclass.py": (("", "compute_todd_rows"), ("", "rr_value_by_series")),
+}
+COMPILED_NAMES = {"compiled", "congruences", "DEGREE8_TABLE"}
+
+
+def compiled_reads(source: str, functions) -> dict[str, list[str]]:
+    """For each (class, function) of functions defined in source, the names of ``COMPILED_NAMES``
+    its body reads, sorted.  A function it does not define reads ["<undefined>"], so that a
+    renamed function is not silently let through."""
+    found = {}
+
+    def visit(body, owner):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, node.name)
+            elif isinstance(node, ast.FunctionDef) and (owner, node.name) in functions:
+                found[owner, node.name] = sorted(names_read(node) & COMPILED_NAMES)
+
+    visit(ast.parse(source).body, "")
+    return {".".join(filter(None, key)): found.get(key, ["<undefined>"]) for key in functions}
+
+
+@pytest.mark.parametrize("module", sorted(CLASS_PATH))
+def test_the_class_path_reads_nothing_compiled(module):
+    reads = compiled_reads((PACKAGE / module).read_text(), CLASS_PATH[module])
+    assert {name: names for name, names in reads.items() if names} == {}
+
+
+def test_a_compiled_read_on_the_class_path_is_caught():
+    functions = (("", "cup"), ("ManifoldData", "zclass"), ("", "rr_value_by_series"))
+    source = (
+        "def cup(data, x, y):\n    return data.compiled.cup(x.degree, x.coords, y.degree, y.coords)\n"
+        "class ManifoldData:\n    def zclass(self, degree, coords):\n"
+        "        from .charclass import DEGREE8_TABLE\n        return self.congruences\n"
+    )
+    assert compiled_reads(source, functions) == {
+        "cup": ["compiled"],
+        "ManifoldData.zclass": ["DEGREE8_TABLE", "congruences"],
+        "rr_value_by_series": ["<undefined>"],
+    }
+    # a read outside the listed functions, or of another name, is not the class path's
+    source = "def check(data):\n    return data.compiled\ndef cup(data, x, y):\n    return data.cup_z\n"
+    assert compiled_reads(source, (("", "cup"),)) == {"cup": []}
