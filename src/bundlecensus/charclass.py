@@ -34,7 +34,6 @@ from .cohomology import (
     CohomologyClass,
     Coords,
     ManifoldData,
-    ManifoldValidationError,
     cup,
     pair_top,
 )
@@ -159,10 +158,11 @@ class RationalClassPolynomial(namedtuple("RationalClassPolynomial", "terms")):
     """Formal sum of rational multiples of degree-8 monomials.
 
     Each term is a pair (coefficient, monomial), the monomial one of
-    ``DEGREE8_TABLE``'s.  Evaluation substitutes the coordinates of actual
-    classes into the pairing of each of its monomials, as the manifold's
-    ``data.congruences`` holds it.  No ``__slots__``: ``_integer_form`` is
-    kept in the instance dict.
+    ``DEGREE8_TABLE``'s.  Evaluation substitutes the flat coordinates x =
+    u1 + u2 + u3 + u4 of a tuple that passed ``data.checked`` into the
+    pairing of each of its monomials, as the manifold's ``data.congruences``
+    holds it.  No ``__slots__``: ``_integer_form`` is kept in the instance
+    dict.
     """
 
     def __new__(cls, terms: tuple[tuple[Fraction, Monomial], ...]):
@@ -183,9 +183,8 @@ class RationalClassPolynomial(namedtuple("RationalClassPolynomial", "terms")):
         numerators = tuple(int(coeff * denominator) for coeff, _ in self.terms)
         return tuple(mono for _, mono in self.terms), numerators, denominator
 
-    def evaluate(self, data: ManifoldData, u: ChernTuple) -> Fraction:
+    def evaluate(self, data: ManifoldData, x: Coords) -> Fraction:
         monomials, numerators, denominator = self._integer_form
-        x = sum(data.compiled.chern_coords(u), ())
         congruences = data.congruences
         values, pairings = congruences.values(x), congruences.pairings
         total = sum([k * c * values[i] for k, mono in zip(numerators, monomials) for i, c in pairings[mono]])
@@ -259,13 +258,9 @@ def rr_value(data: ManifoldData, u: ChernTuple, self_check: bool = False) -> Fra
     The denominator always divides 24.  For a tuple realized by an actual
     bundle the value is an integer.  With ``self_check=True`` the value is
     recomputed from the Todd rows (``rr_value_by_series``) and compared exactly.
-    Raises ``ValueError`` on malformed coordinates, then ``ManifoldValidationError``
-    on data that fails a law, as ``check_rank4`` does.
+    u enters through ``data.checked``, as in ``check_rank4``.
     """
-    if not data.report.ok:
-        data.compiled.chern_coords(u)  # malformed coordinates raise first, as the closed form raises them
-        raise ManifoldValidationError(data.report)
-    value = RR_FUNCTIONAL.evaluate(data, u)
+    value = RR_FUNCTIONAL.evaluate(data, sum(data.checked(u), ()))
     if self_check:
         recomputed = rr_value_by_series(data, u)
         if recomputed != value:

@@ -11,10 +11,9 @@ Chern classes of a rank-4 bundle by evaluating three conditions:
 
 Conditions (2) and (3) are only evaluated once (1) holds: on an actual
 manifold (1) makes the rational right-hand side of (3) an integer, and the
-law ``rhs3_integral`` checks that once, at load.  Every decision reads
-``data.report`` and raises ``ManifoldValidationError`` on data that fails a
-law.  A rank-3 tuple (u1, u2, u3) is realizable iff (u1, u2, u3, 0) is
-realizable in rank 4.
+law ``rhs3_integral`` checks that once, at load.  Every decision and count
+takes its tuple through the gate ``ManifoldData.checked``.  A rank-3 tuple
+(u1, u2, u3) is realizable iff (u1, u2, u3, 0) is realizable in rank 4.
 
 The number of isomorphism classes sharing a realizable tuple is carried
 by quotient groups computed from the manifold data: ``compute_B`` for
@@ -38,7 +37,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .abelian import FGAbelianGroup, GroupElement, IntMatrix, subgroup_quotient
-from .cohomology import ChernTuple, CohomologyClass, ManifoldData, ManifoldValidationError, cup
+from .cohomology import ChernTuple, CohomologyClass, ManifoldData, cup
 
 
 class OddGeneratorsMissing(LookupError):
@@ -97,16 +96,10 @@ class Verdict(NamedTuple):
 
 
 def check_rank4(data: ManifoldData, u: ChernTuple) -> Verdict:
-    """Decide whether u is the Chern tuple of a rank-4 bundle over the data.
-
-    Raises ``ValueError`` on malformed coordinates, then ``ManifoldValidationError``
-    on data that fails a law.
-    """
-    m = data.compiled
-    u1, u2, u3, u4 = m.chern_coords(u)
-    if not data.report.ok:
-        raise ManifoldValidationError(data.report)
-    lhs1, rhs1 = m.condition1(u1, u2, u3)
+    """Decide whether u is the Chern tuple of a rank-4 bundle over the data; u enters through
+    the gate ``data.checked``."""
+    u1, u2, u3, u4 = data.checked(u)
+    lhs1, rhs1 = data.compiled.condition1(u1, u2, u3)
     condition1 = Condition1(
         lhs1 == rhs1, CohomologyClass(6, "Z2", lhs1), CohomologyClass(6, "Z2", rhs1)
     )
@@ -203,23 +196,21 @@ def count_classes(
 
     Rank 4: in bijection with compute_B.  Rank 3: in bijection, as a set,
     with compute_B x compute_T; the group structure is a cardinality
-    carrier only.  Returns None when the tuple is not realizable.
+    carrier only.  Returns None when the tuple is not realizable.  At rank 3
+    u is three classes, or a ``ChernTuple``, not realizable unless u4 = 0.
     """
-    if rank == 4:
-        if not isinstance(u, ChernTuple):
-            raise ValueError("rank 4 expects a ChernTuple")
-        if not check_rank4(data, u).realizable:
-            return None
-        return data.B
-    if rank == 3:
-        # the coordinates of u4 are checked first, as check_rank4 checks all four, and the data's
-        # report next, by check_rank3, before a nonzero c4 is refused: a rank-3 bundle has c4 = 0
-        c4 = data.compiled.chern_coords(u)[3] if isinstance(u, ChernTuple) else ()
-        u1, u2, u3 = u[:3]
-        if not check_rank3(data, u1, u2, u3).realizable or any(c4):
-            return None
-        return data.B.direct_sum(compute_T(data, u1, u2, u3))
-    raise ValueError(f"rank must be 3 or 4, got {rank}")
+    if rank not in (3, 4):
+        raise ValueError(f"rank must be 3 or 4, got {rank}")
+    if rank == 4 and not isinstance(u, ChernTuple):
+        raise ValueError("rank 4 expects a ChernTuple")
+    if not isinstance(u, ChernTuple):
+        if len(u) != 3:
+            raise ValueError(f"rank 3 expects a ChernTuple or three classes, got {len(u)}")
+        u = ChernTuple(*u, data.zero(8))
+    # u4 is checked by check_rank4, in H^8 = Z: a rank-3 bundle has c4 = 0
+    if not check_rank4(data, u).realizable or rank == 3 and any(u.u4.coords):
+        return None
+    return data.B if rank == 4 else data.B.direct_sum(compute_T(data, u.u1, u.u2, u.u3))
 
 
 def oracle_congruences(value: Fraction) -> tuple[bool, bool]:

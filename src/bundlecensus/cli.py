@@ -6,6 +6,13 @@ includes data that fails a law (``validate`` prints which), 3 a census
 cross-check disagreement or any other internal error, which is reported in
 one line without a traceback: a crash never exits 0 or 1.
 
+A question enters one way, in ``main``, for every subcommand but
+``enumerate``.  ``_load`` reads the manifold: a file parsed unvalidated, so
+that ``validate`` can list every failed law, or a builtin as shipped.  Every
+other subcommand then needs its report to pass, or exits 2 with the report
+on stderr.  The ``--chern`` vectors are parsed for the degrees of its rank,
+and the handler answers from the data and those classes.
+
 Chern classes are passed as one coordinate vector per degree, each vector
 comma-separated, '-' for a degree with no generators, e.g.
 
@@ -31,7 +38,7 @@ from .cohomology import (
     validate_manifold,
 )
 from .fixtures import BUILTIN_NAMES, builtin
-from .manifold_io import ManifoldParseError, parse_int, parse_manifold, parse_manifold_text
+from .manifold_io import ManifoldParseError, parse_int, parse_manifold_text
 
 EXIT_OK = 0
 EXIT_UNREALIZABLE = 1
@@ -44,18 +51,13 @@ held in memory, about 260 bytes each, so the box is checked before any row
 is built."""
 
 
-def _add_source(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("file", nargs="?", help="manifold description file")
-    parser.add_argument("--builtin", choices=BUILTIN_NAMES, help="use a built-in manifold")
-
-
 def _load(args: argparse.Namespace) -> ManifoldData:
     if args.builtin and args.file:
         raise ManifoldParseError("give either a file or --builtin, not both")
     if args.builtin:
         return builtin(args.builtin)
     if args.file:
-        return parse_manifold(args.file)
+        return parse_manifold_text(Path(args.file).read_text())
     raise ManifoldParseError("no input: give a file or --builtin NAME")
 
 
@@ -84,15 +86,15 @@ def _parse_vector(text: str, expected: int, degree: int) -> tuple[int, ...]:
     return tuple(coords)
 
 
-def _chern_classes(data: ManifoldData, vectors: list[str], degrees: tuple[int, ...]):
+def _chern_classes(data: ManifoldData, vectors: list[str], rank: int):
+    """The classes of degrees 2, 4, ..., 2 * rank: a ``ChernTuple`` at rank 4, else a tuple."""
+    degrees = (2, 4, 6, 8)[:rank]
     if len(vectors) != len(degrees):
         raise ManifoldParseError(
             f"--chern needs {len(degrees)} vectors (degrees {degrees}), got {len(vectors)}"
         )
-    return [
-        data.zclass(d, _parse_vector(v, data.ngens(d), d))
-        for v, d in zip(vectors, degrees)
-    ]
+    classes = [data.zclass(d, _parse_vector(v, data.ngens(d), d)) for v, d in zip(vectors, degrees)]
+    return ChernTuple(*classes) if rank == 4 else tuple(classes)
 
 
 def _class_str(data: ManifoldData, cls: CohomologyClass) -> str:
@@ -140,35 +142,20 @@ def _group_str(group) -> str:
     return f"{group}   [{size} element(s)]"
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    # a file is read unvalidated, so that the report lists every failed law
-    reads_file = args.file and not args.builtin
-    data = parse_manifold_text(Path(args.file).read_text()) if reads_file else _load(args)
+def cmd_validate(args: argparse.Namespace, data: ManifoldData, u) -> int:
     report = validate_manifold(data, strict=args.strict)
     print(f"manifold {data.name}")
     print(report)
     return EXIT_OK if report.ok else EXIT_INPUT
 
 
-def cmd_rank4(args: argparse.Namespace) -> int:
-    data = _load(args)
-    verdict = check_rank4(data, ChernTuple(*_chern_classes(data, args.chern, (2, 4, 6, 8))))
+def cmd_decide(args: argparse.Namespace, data: ManifoldData, u) -> int:
+    verdict = check_rank4(data, u) if args.rank == 4 else check_rank3(data, *u)
     _print_verdict(data, verdict)
     return EXIT_OK if verdict.realizable else EXIT_UNREALIZABLE
 
 
-def cmd_rank3(args: argparse.Namespace) -> int:
-    data = _load(args)
-    u1, u2, u3 = _chern_classes(data, args.chern, (2, 4, 6))
-    verdict = check_rank3(data, u1, u2, u3)
-    _print_verdict(data, verdict)
-    return EXIT_OK if verdict.realizable else EXIT_UNREALIZABLE
-
-
-def cmd_count(args: argparse.Namespace) -> int:
-    data = _load(args)
-    classes = _chern_classes(data, args.chern, (2, 4, 6, 8)[: args.rank])
-    u = ChernTuple(*classes) if args.rank == 4 else tuple(classes)
+def cmd_count(args: argparse.Namespace, data: ManifoldData, u) -> int:
     group = count_classes(data, u, args.rank)
     if group is None:
         print("unrealizable: no bundle has these Chern classes")
@@ -177,20 +164,16 @@ def cmd_count(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_groups(args: argparse.Namespace) -> int:
-    data = _load(args)
+def cmd_groups(args: argparse.Namespace, data: ManifoldData, u) -> int:
     # everything that can fail runs before the first line is printed
     lines = [f"B = {_group_str(data.B)}"]
-    if args.chern is not None:
-        u1, u2, u3 = _chern_classes(data, args.chern, (2, 4, 6))
-        lines.append(f"T = {_group_str(compute_T(data, u1, u2, u3))}")
+    if u is not None:
+        lines.append(f"T = {_group_str(compute_T(data, *u))}")
     print("\n".join(lines))
     return EXIT_OK
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
-    data = _load(args)
-    u = ChernTuple(*_chern_classes(data, args.chern, (2, 4, 6, 8)))
+def cmd_oracle(args: argparse.Namespace, data: ManifoldData, u) -> int:
     value = rr_value(data, u, self_check=True)
     note = "integer" if value.denominator == 1 else "not an integer: no bundle realizes this tuple"
     print(f"{value}   ({note})")
@@ -249,43 +232,33 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check the algebraic laws of a manifold description")
-    _add_source(p)
+    def question(name: str, func, help: str, rank: int | None = None) -> argparse.ArgumentParser:
+        """A subcommand that asks about a manifold; its --chern vectors are of degrees up to 2 * rank."""
+        p = sub.add_parser(name, help=help)
+        p.add_argument("file", nargs="?", help="manifold description file")
+        p.add_argument("--builtin", choices=BUILTIN_NAMES, help="use a built-in manifold")
+        p.set_defaults(func=func, rank=rank, chern=None)
+        return p
+
+    p = question("validate", cmd_validate, "check the algebraic laws of a manifold description")
     p.add_argument("--strict", action="store_true", help="also check Bockstein exactness")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("rank4", help="decide rank-4 realizability of (u1, u2, u3, u4)")
-    _add_source(p)
+    p = question("rank4", cmd_decide, "decide rank-4 realizability of (u1, u2, u3, u4)", 4)
     p.add_argument("--chern", nargs=4, required=True, metavar="VEC")
-    p.set_defaults(func=cmd_rank4)
-
-    p = sub.add_parser("rank3", help="decide rank-3 realizability of (u1, u2, u3)")
-    _add_source(p)
+    p = question("rank3", cmd_decide, "decide rank-3 realizability of (u1, u2, u3)", 3)
     p.add_argument("--chern", nargs=3, required=True, metavar="VEC")
-    p.set_defaults(func=cmd_rank3)
-
-    p = sub.add_parser("count", help="count isomorphism classes with given Chern classes")
-    _add_source(p)
+    p = question("count", cmd_count, "count isomorphism classes with given Chern classes")
     p.add_argument("--rank", type=int, choices=(3, 4), required=True)
     p.add_argument("--chern", nargs="+", required=True, metavar="VEC")
-    p.set_defaults(func=cmd_count)
-
-    p = sub.add_parser("groups", help="print the counting groups B and, given --chern, T")
-    _add_source(p)
+    p = question("groups", cmd_groups, "print the counting groups B and, given --chern, T", 3)
     p.add_argument("--chern", nargs=3, metavar="VEC")
-    p.set_defaults(func=cmd_groups)
-
-    p = sub.add_parser("oracle", help="print the exact rational Riemann-Roch value")
-    _add_source(p)
+    p = question("oracle", cmd_oracle, "print the exact rational Riemann-Roch value", 4)
     p.add_argument("--chern", nargs=4, required=True, metavar="VEC")
-    p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("enumerate", help="census of all tuples within a coefficient bound")
     p.add_argument("--builtin", default="cp4")
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--rank", type=int, choices=(3, 4), required=True)
     p.add_argument("--format", choices=("table", "csv"), default="table")
-    p.set_defaults(func=cmd_enumerate)
 
     # argparse reads a token such as "-1,0" as an option: its pattern for a
     # negative number matches only "-<digits>".  No option here starts with
@@ -298,7 +271,13 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "enumerate":
+            return cmd_enumerate(args)
+        data = _load(args)
+        if args.command != "validate" and not data.report.ok:
+            raise ManifoldValidationError(data.report)
+        u = None if args.chern is None else _chern_classes(data, args.chern, args.rank)
+        return args.func(args, data, u)
     except (OddGeneratorsMissing, OSError, ValueError) as exc:  # a missing table fails at load
         if isinstance(exc, ManifoldValidationError):
             print(exc.report, file=sys.stderr)

@@ -15,8 +15,9 @@ compiled once; a law whose prerequisites (``NEEDS``) failed yields nothing.
 means complete, and ``rhs3_integral`` that the right-hand side of (3) is an
 integer wherever condition (1) holds; it reads 4*rhs(3) off the one degree-8
 evaluator, the polynomial ``charclass`` compiles (``data.congruences``), so
-loading builds it.  Every query of conditions (1)-(3) and rr reads
-``data.report`` and decides validated data only.
+loading builds it.  Every query of conditions (1)-(3), rr and the counts
+takes its tuple through one gate, ``ManifoldData.checked``, and so decides
+validated data only.
 
 Classes are stored with coordinates reduced modulo the invariant factor
 of each generator, or mod 2, so equality of classes is a plain tuple
@@ -270,9 +271,17 @@ class ManifoldData(
 
     @cached_property
     def report(self) -> "ValidationReport":
-        """The results of ``LAWS``, kept as ``B`` is: what every query of conditions (1)-(3) and
-        rr requires, and what ``validate_manifold`` returns or extends."""
+        """The results of ``LAWS``, kept as ``B`` is: what ``checked`` requires of every query,
+        and what ``validate_manifold`` returns or extends."""
         return _run(self, LAWS)
+
+    def checked(self, u: ChernTuple) -> tuple[Coords, Coords, Coords, Coords]:
+        """The one gate of a query of u: its coordinates, checked and reduced by ``chern_coords``
+        (``ValueError``), then the report (``ManifoldValidationError`` unless every law holds)."""
+        coords = self.compiled.chern_coords(u)
+        if not self.report.ok:
+            raise ManifoldValidationError(self.report)
+        return coords
 
     @cached_property
     def B(self) -> FGAbelianGroup:

@@ -339,6 +339,19 @@ def test_count_classes_reads_the_report_before_a_nonzero_c4(cp4):
     assert count_classes(cp4, cp4_tuple(cp4, 0, 2, 2, 0), 3) == FGAbelianGroup(())
 
 
+def test_count_classes_rank3_takes_a_chern_tuple_or_three_classes(cp4):
+    # (1, 0, 0) is realizable in rank 3; with c4 = 5 as a ChernTuple it has no rank-3 bundle,
+    # and as four plain classes it is refused rather than cut to three
+    u = cp4_tuple(cp4, 1, 0, 0, 5)
+    assert count_classes(cp4, u, 3) is None
+    assert count_classes(cp4, u.classes()[:3], 3) == count_classes(cp4, u._replace(u4=cp4.zero(8)), 3) == FGAbelianGroup(())
+    for classes in (tuple(u), list(u), u.classes()[:2], ()):
+        with pytest.raises(ValueError, match=f"^rank 3 expects a ChernTuple or three classes, got {len(classes)}$"):
+            count_classes(cp4, classes, 3)
+    with pytest.raises(ValueError, match="^rank 4 expects a ChernTuple$"):
+        count_classes(cp4, tuple(u), 4)
+
+
 def torsion_demo_with_h3(torsion_demo):
     """torsion-demo with H^3 = Z on y, rho2 y = y and Sq^2 y = x5, which kills B."""
     integral, mod2 = graded_pair(

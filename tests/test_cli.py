@@ -1,8 +1,10 @@
+import hashlib
 import random
 import re
 import sys
 
 import pytest
+from conftest import make_h7_demo
 
 from bundlecensus import census, cli
 from bundlecensus.cli import main
@@ -348,10 +350,10 @@ def test_oversized_declaration_is_an_input_error(capsys, tmp_path):
 
 @pytest.mark.parametrize("exc", [AssertionError("closed form disagrees"), MemoryError()])
 def test_crash_is_exit_3_without_traceback(capsys, monkeypatch, exc):
-    def crash(args):
+    def crash(args, data, u):
         raise exc
 
-    monkeypatch.setattr(cli, "cmd_rank4", crash)
+    monkeypatch.setattr(cli, "cmd_decide", crash)
     code, out, err = run(capsys, "rank4", "--builtin", "cp4", "--chern", "0", "0", "0", "0")
     assert code == 3
     assert err.startswith(f"internal error: {type(exc).__name__}")
@@ -360,10 +362,10 @@ def test_crash_is_exit_3_without_traceback(capsys, monkeypatch, exc):
 
 @pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
 def test_interrupt_and_exit_pass_through(monkeypatch, exc):
-    def stop(args):
+    def stop(args, data, u):
         raise exc
 
-    monkeypatch.setattr(cli, "cmd_rank4", stop)
+    monkeypatch.setattr(cli, "cmd_decide", stop)
     with pytest.raises(exc):
         main(["rank4", "--builtin", "cp4", "--chern", "0", "0", "0", "0"])
 
@@ -460,3 +462,80 @@ def test_mutated_files_get_only_documented_outcomes(capsys, tmp_path):
         assert "internal error" not in err and "Traceback" not in err, (argv, err)
         codes.append(code)
     assert {0, 1, 2} <= set(codes), codes
+
+
+def transcript_argvs(tmp_path, rng):
+    """A seeded corpus of invocations: every subcommand on every builtin and on serialized files
+    (h7-demo, one failing a law, one that does not parse, one missing a cup table, one without odd
+    generators), a path that does not exist, a file and a builtin together and no input at all;
+    --chern vectors of the right length, short, long, huge or malformed."""
+    cp4 = builtin("cp4")
+    text = serialize_manifold(cp4)
+    files = {
+        "h7-demo": (serialize_manifold(make_h7_demo()), make_h7_demo()),
+        "lawless": (text.replace("spinc 5", "spinc 4"), cp4),
+        "unparsable": (text.replace("pairing 1", "pairing one"), cp4),
+        "no-cup-4-4": ("".join(line for line in text.splitlines(True) if not line.startswith("cup 4 4")), cp4),
+        "no-oddgen": (text.replace("oddgen trivial\n", ""), cp4),
+    }
+    sources = [(("--builtin", name), builtin(name)) for name in BUILTIN_NAMES]
+    for name, (contents, data) in files.items():
+        path = tmp_path / f"{name}.manifold"
+        path.write_text(contents)
+        sources.append(((str(path),), data))
+    sources += [
+        ((str(tmp_path / "absent.manifold"),), cp4),
+        ((str(tmp_path / "h7-demo.manifold"), "--builtin", "cp4"), cp4),
+        ((), cp4),
+    ]
+
+    def vector(data, degree):
+        n, kind = data.ngens(degree), rng.randrange(20)
+        n = max(0, n - 1) if kind == 0 else n + 1 if kind == 1 else n
+        bound = 10**30 if kind == 2 else 3
+        coords = [str(rng.randint(-bound, bound)) for _ in range(n)]
+        if kind == 3 and coords:
+            coords[rng.randrange(n)] = rng.choice(("x", "", "+1", "1.0", "0x1"))
+        return ",".join(coords) or "-"
+
+    def chern(data, *degrees):
+        return ("--chern", *(vector(data, d) for d in degrees))
+
+    for source, data in sources:
+        yield ("validate", *source)
+        yield ("validate", *source, "--strict")
+        yield ("groups", *source)
+        yield ("count", *source, "--rank", "3", *chern(data, 2, 4, 6, 8))
+        for _ in range(8):
+            yield ("rank4", *source, *chern(data, 2, 4, 6, 8))
+            yield ("rank3", *source, *chern(data, 2, 4, 6))
+            yield ("count", *source, "--rank", "4", *chern(data, 2, 4, 6, 8))
+            yield ("count", *source, "--rank", "3", *chern(data, 2, 4, 6))
+            yield ("groups", *source, *chern(data, 2, 4, 6))
+            yield ("oracle", *source, *chern(data, 2, 4, 6, 8))
+    for rest in (
+        ("--bound", "0", "--rank", "4"),
+        ("--builtin", "cp4", "--bound", "1", "--rank", "3"),
+        ("--bound", "1", "--rank", "4", "--format", "csv"),
+        ("--builtin", "s8", "--bound", "1", "--rank", "4"),
+        ("--bound", "11", "--rank", "4"),
+        ("--bound", "-1", "--rank", "3"),
+    ):
+        yield ("enumerate", *rest)
+
+
+# sha256 of the transcript (argv, exit code, stdout, stderr) of transcript_argvs(tmp_path,
+# random.Random(35)), the temporary directory written <tmp>; recorded before the subcommands
+# shared one way in, which must not change a byte of it
+TRANSCRIPT_SHA256 = "1a1003302b1b1f1c523520d351a10d59d222a328e8e93dc825007011e7fa890f"
+
+
+def test_the_cli_transcript_is_pinned(capsys, tmp_path):
+    digest, codes = hashlib.sha256(), set()
+    for argv in transcript_argvs(tmp_path, random.Random(35)):
+        code, out, err = run(capsys, *argv)
+        codes.add(code)
+        entry = repr((argv, code, out, err)).replace(str(tmp_path), "<tmp>")
+        digest.update(entry.encode() + b"\n")
+    assert codes == {0, 1, 2}
+    assert digest.hexdigest() == TRANSCRIPT_SHA256

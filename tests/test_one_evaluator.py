@@ -20,6 +20,12 @@ Each validation law runs once per load: no law of ``cohomology.py`` names
 another law in its body, so a law's prerequisites are the data
 ``cohomology.NEEDS``, not a second run of them.
 
+A Chern tuple enters a query through one gate, ``ManifoldData.checked``,
+which checks its coordinates and then the validation report: no function of
+``classify.py`` or ``charclass.py`` reads an attribute ``report``, and in
+``cli.py`` only ``main``, whose one pre-step loads every question, and
+``cmd_validate`` may.
+
 The class path stays the independent check of the compiled one: the class
 ``cup``, ``apply_op``, ``pair_top``, the Todd rows and the series
 recomputation of rr, and the ``ManifoldData`` methods that build and add
@@ -185,6 +191,55 @@ def test_a_law_running_another_is_caught():
     assert law_reads("def _h8_is_Z(data):\n    yield _counterexample('h8_is_Z', ())\n") == []
     assert law_reads("NEEDS = {_rhs3_integral: ('h8_is_Z',)}\nLAWS = (_h8_is_Z, _rhs3_integral)\n") == []
     assert law_reads("def _h8_is_Z(data):\n    return _h8_is_Z\n") == []
+
+
+def report_readers(source: str) -> list[str]:
+    """The functions of source whose body reads an attribute ``report``, sorted: a method named
+    class.function, a read outside every function "<module>"."""
+    readers = set()
+
+    def visit(body, owner):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, node.name)
+            elif any(isinstance(n, ast.Attribute) and n.attr == "report" for n in ast.walk(node)):
+                name = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else ""
+                readers.add(".".join(filter(None, (owner, name))) or "<module>")
+
+    visit(ast.parse(source).body, "")
+    return sorted(readers)
+
+
+REPORT_READERS = {"classify.py": set(), "charclass.py": set(), "cli.py": {"main", "cmd_validate"}}
+
+
+@pytest.mark.parametrize("module", sorted(REPORT_READERS))
+def test_queries_read_the_report_only_through_the_gate(module):
+    readers = set(report_readers((PACKAGE / module).read_text()))
+    assert readers <= REPORT_READERS[module]
+    assert ("main" in readers) == (module == "cli.py")  # the CLI's one pre-step
+
+
+def test_a_second_report_reader_is_caught():
+    source = (
+        "def check_rank4(data, u):\n    if not data.report.ok:\n        raise ValueError(data.report)\n"
+        "class Polynomial:\n    def evaluate(self, data, x):\n        return data.report.ok\n"
+        "    ok = builtin('cp4').report.ok\n"
+        "OK = builtin('cp4').report.ok\n"
+    )
+    assert report_readers(source) == ["<module>", "Polynomial", "Polynomial.evaluate", "check_rank4"]
+    # a local named report, or a call of the gate, reads no attribute report
+    assert report_readers("def cmd_validate(data):\n    report = validate_manifold(data)\n    return report.ok\n") == []
+    assert report_readers("def rr_value(data, u):\n    return data.checked(u)\n") == []
+    # the old inverted check in rr_value, and a handler checking the report itself
+    charclass = (PACKAGE / "charclass.py").read_text()
+    gate = "    value = RR_FUNCTIONAL.evaluate("
+    assert gate in charclass
+    assert report_readers(charclass.replace(gate, "    if not data.report.ok:\n        raise ValueError\n" + gate)) == ["rr_value"]
+    cli = (PACKAGE / "cli.py").read_text()
+    handler = "    group = count_classes(data, u, args.rank)\n"
+    assert handler in cli
+    assert report_readers(cli.replace(handler, "    assert data.report.ok\n" + handler)) == ["cmd_count", "main"]
 
 
 # The functions of the class path, by module, as (class, function) with class "" at module level.
