@@ -285,11 +285,11 @@ def chern_inverse(u: ChernTuple, data: ManifoldData) -> ChernTuple:
 
 
 def _whitney(data: ManifoldData, u: ChernTuple, v: ChernTuple | None) -> ChernTuple:
-    """c_k = u_k + v_k + sum_{0<i<k} u_i v_(k-i) for k = 1..4 on the compiled
-    data; with v None, the inverse of u: v_k = -(u_k + sum_{0<i<k} u_i v_(k-i))."""
+    """c_k = u_k + v_k + sum_{0<i<k} u_i v_(k-i) for k = 1..4 on the compiled data of u and v
+    through ``data.checked``; with v None, the inverse of u: v_k = -(u_k + sum_{0<i<k} u_i v_(k-i))."""
     m = data.compiled
-    us = m.chern_coords(u)
-    vs = [] if v is None else m.chern_coords(v)
+    us = data.checked(u)
+    vs = [] if v is None else data.checked(v)
     cs: list[Coords] = []
     for k in range(1, 5):
         total = us[k - 1] if v is None else map(add, us[k - 1], vs[k - 1])

@@ -135,9 +135,7 @@ def check_rank3(
     u3: CohomologyClass,
 ) -> Verdict:
     """Rank-3 realizability: (u1, u2, u3, 0) must be realizable in rank 4."""
-    padded = ChernTuple(u1, u2, u3, data.zero(8))
-    verdict = check_rank4(data, padded)
-    return verdict._replace(rank=3)
+    return check_rank4(data, ChernTuple(u1, u2, u3, data.zero(8)))._replace(rank=3)
 
 
 def compute_B(data: ManifoldData) -> FGAbelianGroup:
@@ -168,8 +166,9 @@ def compute_T(
     supplied odd-generator quadruples; the set of such elements is a
     subgroup because the odd universal generators are primitive.  An empty
     quadruple list means the image is trivial; None means the data was
-    never supplied, which is an error.
+    never supplied, which is an error.  (u1, u2, u3, 0) enters through the gate ``data.checked``.
     """
+    data.checked(ChernTuple(u1, u2, u3, data.zero(8)))
     if data.odd_generators is None:
         raise OddGeneratorsMissing("T unavailable: supply odd unitary generators")
     h7 = data.group(7)
@@ -179,8 +178,7 @@ def compute_T(
     ]
     denominator = []
     for g1, g3, g5, g7 in data.odd_generators:
-        acc = g7
-        acc = data.add(acc, cup(data, u1, g5))
+        acc = data.add(g7, cup(data, u1, g5))
         acc = data.add(acc, cup(data, u2, g3))
         acc = data.add(acc, cup(data, u3, g1))
         denominator.append(GroupElement(acc.coords))
@@ -201,9 +199,7 @@ def count_classes(
     """
     if rank not in (3, 4):
         raise ValueError(f"rank must be 3 or 4, got {rank}")
-    if rank == 4 and not isinstance(u, ChernTuple):
-        raise ValueError("rank 4 expects a ChernTuple")
-    if not isinstance(u, ChernTuple):
+    if rank == 3 and not isinstance(u, ChernTuple):
         if len(u) != 3:
             raise ValueError(f"rank 3 expects a ChernTuple or three classes, got {len(u)}")
         u = ChernTuple(*u, data.zero(8))

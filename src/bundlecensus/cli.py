@@ -6,12 +6,12 @@ includes data that fails a law (``validate`` prints which), 3 a census
 cross-check disagreement or any other internal error, which is reported in
 one line without a traceback: a crash never exits 0 or 1.
 
-A question enters one way, in ``main``, for every subcommand but
-``enumerate``.  ``_load`` reads the manifold: a file parsed unvalidated, so
-that ``validate`` can list every failed law, or a builtin as shipped.  Every
-other subcommand then needs its report to pass, or exits 2 with the report
-on stderr.  The ``--chern`` vectors are parsed for the degrees of its rank,
-and the handler answers from the data and those classes.
+A question enters one way, in ``main``, for every subcommand.  ``_load``
+reads the manifold: a file parsed unvalidated, so that ``validate`` can list
+every failed law, or a builtin as shipped.  Every other subcommand then
+needs its report to pass, or exits 2 with the report on stderr.  The
+``--chern`` vectors are parsed for the degrees of its rank, and the handler
+answers from the data and those classes.
 
 Chern classes are passed as one coordinate vector per degree, each vector
 comma-separated, '-' for a degree with no generators, e.g.
@@ -190,11 +190,11 @@ def _check_census_box(bound: int, rank: int) -> None:
         )
 
 
-def cmd_enumerate(args: argparse.Namespace) -> int:
+def cmd_enumerate(args: argparse.Namespace, data: ManifoldData, u) -> int:
     if args.builtin != "cp4":
         raise ManifoldParseError("enumerate currently supports --builtin cp4 only")
     _check_census_box(args.bound, args.rank)
-    result = enumerate_cp4(args.bound, args.rank)
+    result = enumerate_cp4(args.bound, args.rank, data)
     realizable = result.realizable()
     disagreements = result.disagreements()
     header = [f"a{i}" for i in range(1, args.rank + 1)]
@@ -259,6 +259,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--rank", type=int, choices=(3, 4), required=True)
     p.add_argument("--format", choices=("table", "csv"), default="table")
+    p.set_defaults(func=cmd_enumerate, file=None, chern=None)
 
     # argparse reads a token such as "-1,0" as an option: its pattern for a
     # negative number matches only "-<digits>".  No option here starts with
@@ -271,8 +272,6 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.command == "enumerate":
-            return cmd_enumerate(args)
         data = _load(args)
         if args.command != "validate" and not data.report.ok:
             raise ManifoldValidationError(data.report)

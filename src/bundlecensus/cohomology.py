@@ -135,6 +135,8 @@ class ChernTuple(namedtuple("ChernTuple", "u1 u2 u3 u4")):
         cls, u1: CohomologyClass, u2: CohomologyClass, u3: CohomologyClass, u4: CohomologyClass
     ):
         for u, deg in zip((u1, u2, u3, u4), (2, 4, 6, 8)):
+            if not isinstance(u, CohomologyClass):
+                raise ValueError(f"component of type {type(u).__name__}, expected integral degree {deg}")
             if u.degree != deg or u.ring != "Z":
                 raise ValueError(f"component of degree {u.degree}/{u.ring}, expected integral degree {deg}")
         return tuple.__new__(cls, (u1, u2, u3, u4))
@@ -237,7 +239,7 @@ class ManifoldData(
         return self.zclass(degree, coords) if ring == "Z" else self.m2class(degree, coords)
 
     def zero(self, degree: int, ring: str = "Z") -> CohomologyClass:
-        return self.make_class(degree, ring, (0,) * self.dim(degree, ring))
+        return CohomologyClass(degree, ring, (0,) * self.dim(degree, ring))
 
     def add(self, x: CohomologyClass, y: CohomologyClass) -> CohomologyClass:
         if (x.degree, x.ring) != (y.degree, y.ring):
@@ -276,9 +278,15 @@ class ManifoldData(
         return _run(self, LAWS)
 
     def checked(self, u: ChernTuple) -> tuple[Coords, Coords, Coords, Coords]:
-        """The one gate of a query of u: its coordinates, checked and reduced by ``chern_coords``
-        (``ValueError``), then the report (``ManifoldValidationError`` unless every law holds)."""
-        coords = self.compiled.chern_coords(u)
+        """The one gate of a question u, and its one rule: u is a ``ChernTuple``, whose constructor
+        checks each position's type, degree and ring, or ``ValueError``; each class is checked and
+        reduced by its position, 2, 4, 6 or 8 (``ValueError``); then the report must pass, or
+        ``ManifoldValidationError``.  A class carries no manifold identity, so a class of another
+        manifold with as many coordinates cannot be caught."""
+        if not isinstance(u, ChernTuple):
+            raise ValueError("rank 4 expects a ChernTuple")
+        reduce, (u1, u2, u3, u4) = self.compiled.reduce, u
+        coords = reduce(2, u1.coords), reduce(4, u2.coords), reduce(6, u3.coords), reduce(8, u4.coords)
         if not self.report.ok:
             raise ManifoldValidationError(self.report)
         return coords
@@ -440,16 +448,13 @@ class CompiledManifold(NamedTuple):
         return coords
 
     def reduce(self, degree: int, coords) -> Coords:
-        """Integral coordinates reduced as ``FGAbelianGroup.reduce`` does."""
-        self._check(degree, coords)
+        """Integral coordinates reduced as ``FGAbelianGroup.reduce`` does, checked as ``_check`` does."""
         factors = self.factors[degree]
-        if any(factors):
+        if len(coords) != len(factors):
+            raise ValueError(f"expected {len(factors)} coordinates, got {len(coords)}")
+        if factors and factors[0]:  # finite factors come first, so a free group reduces nothing
             return tuple([x % d if d else x for x, d in zip(coords, factors)])
         return tuple(coords)
-
-    def chern_coords(self, u: ChernTuple) -> tuple[Coords, Coords, Coords, Coords]:
-        """The coordinates of u's classes, checked and reduced as ``chern_tuple`` makes them."""
-        return tuple([self.reduce(x.degree, x.coords) for x in u])
 
     def table(self, a: int, b: int) -> SparseTable:
         """``cups[a, b]``, raising ``cup``'s ``MissingOperationError`` where the table is missing."""

@@ -29,7 +29,7 @@ from bundlecensus.manifold_io import parse_manifold
 def compiled_columns(data, u):
     """The pairing of each table monomial and the condition columns, read off the polynomial."""
     congruences = data.congruences
-    values = congruences.values(sum(data.compiled.chern_coords(u), ()))
+    values = congruences.values(sum(data.checked(u), ()))
     pairings = [sum(c * values[k] for k, c in congruences.pairings[mono]) for mono, *_ in DEGREE8_TABLE]
     return pairings, [sum(map(mul, column, values)) for column in congruences.conditions]
 

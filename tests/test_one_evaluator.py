@@ -24,7 +24,9 @@ A Chern tuple enters a query through one gate, ``ManifoldData.checked``,
 which checks its coordinates and then the validation report: no function of
 ``classify.py`` or ``charclass.py`` reads an attribute ``report``, and in
 ``cli.py`` only ``main``, whose one pre-step loads every question, and
-``cmd_validate`` may.
+``cmd_validate`` may.  ``check_rank4``, ``rr_value``, ``compute_T`` and
+``_whitney`` each call the gate, nothing in the package names the old
+second reader ``chern_coords``, and ``main`` has no branch on one subcommand.
 
 The class path stays the independent check of the compiled one: the class
 ``cup``, ``apply_op``, ``pair_top``, the Todd rows and the series
@@ -293,3 +295,58 @@ def test_a_compiled_read_on_the_class_path_is_caught():
     # a read outside the listed functions, or of another name, is not the class path's
     source = "def check(data):\n    return data.compiled\ndef cup(data, x, y):\n    return data.cup_z\n"
     assert compiled_reads(source, (("", "cup"),)) == {"cup": []}
+
+
+GATE_CALLERS = {"classify.py": ("check_rank4", "compute_T"), "charclass.py": ("rr_value", "_whitney")}
+
+
+def gate_problems(sources: dict[str, str]) -> list[str]:
+    """What bypasses the gate in sources, by module: a function of ``GATE_CALLERS`` that calls no
+    ``.checked(``, or is not defined; a name or attribute ``chern_coords``; a comparison
+    ``args.command == ...`` in ``cli.main``."""
+    problems = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        for name in GATE_CALLERS.get(module, ()):
+            calls = ast.walk(functions[name]) if name in functions else ()
+            if not any(isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "checked" for n in calls):
+                problems.append(f"{module}: {name} does not call the gate")
+        if "chern_coords" in names_read(tree) | set(functions):
+            problems.append(f"{module}: names chern_coords")
+        if module == "cli.py":
+            for n in ast.walk(functions.get("main", ast.Module(body=[], type_ignores=[]))):
+                if isinstance(n, ast.Compare) and ast.unparse(n.left) == "args.command" and isinstance(n.ops[0], ast.Eq):
+                    problems.append(f"{module}: main branches on {ast.unparse(n)}")
+    return problems
+
+
+def test_every_query_takes_the_gate():
+    assert gate_problems({path.name: path.read_text() for path in PACKAGE.glob("*.py")}) == []
+
+
+def test_a_bypass_of_the_gate_is_caught():
+    classify, charclass, cli = ((PACKAGE / m).read_text() for m in ("classify.py", "charclass.py", "cli.py"))
+    gate = "    u1, u2, u3, u4 = data.checked(u)\n"
+    assert gate in classify
+    bypass = "    u1, u2, u3, u4 = [x.coords for x in u]\n"
+    assert gate_problems({"classify.py": classify.replace(gate, bypass)}) == ["classify.py: check_rank4 does not call the gate"]
+    # _whitney reading the coordinates past the report, as chern_coords let it
+    whitney = "    us = data.checked(u)\n"
+    assert whitney in charclass
+    assert gate_problems({"charclass.py": charclass.replace(whitney, "    us = m.chern_coords(u)\n")}) == [
+        "charclass.py: names chern_coords"
+    ]
+    assert gate_problems({"charclass.py": charclass.replace("def rr_value(", "def rr_value_unchecked(")}) == [
+        "charclass.py: rr_value does not call the gate"
+    ]
+    assert gate_problems({"cohomology.py": "class C:\n    def chern_coords(self, u):\n        return u\n"}) == [
+        "cohomology.py: names chern_coords"
+    ]
+    # enumerate handled beside the pre-step, as it once was
+    step = "        data = _load(args)\n"
+    assert step in cli
+    branch = '        if args.command == "enumerate":\n            return cmd_enumerate(args)\n'
+    assert gate_problems({"cli.py": cli.replace(step, branch + step)}) == [
+        "cli.py: main branches on args.command == 'enumerate'"
+    ]
