@@ -16,11 +16,12 @@ u2 once after u1, u1*u1 or u2, or u2 alone: per u2 and per u3 its share is one s
 terms, and per u1 the terms that read u1 are one weight vector on u2 and one on u3
 (``_weights``), so per u1 the residue is one dot product with u2 plus one with u3.
 Condition (1) depends on u1, u2 and u3 mod 2 alone, as the cup is bilinear and rho2 commutes
-with reduction (the law ``rho2_times2``).  It is read, as ``check_rank4`` reads it, off its
-one evaluator ``CompiledManifold.condition1``, once per parities of (u1, u2) at u3 = 0: the
-sum of its sides there is the rho2(u3) it asks for, so each (u1, u2) row looks up at once the
-residues of the u3s with that rho2; the other u3s fail (1).  Validated data has no None
-verdict: the law ``rhs3_integral`` asks that rhs(3) be an integer wherever (1) holds.
+with reduction (the law ``rho2_times2``), so its compiled mod-2 form is exact here.  It is read,
+as ``check_rank4`` reads it, off that form's one evaluator ``CompiledManifold.condition1``, once
+per parities of (u1, u2) at u3 = 0: the sum of its sides there is the rho2(u3) it asks for, so
+each (u1, u2) row looks up at once the residues of the u3s with that rho2; the other u3s fail
+(1).  Validated data has no None verdict: the law ``rhs3_integral`` asks that rhs(3) be an
+integer wherever (1) holds.
 
 On cp4 every class is an integer multiple of a power of the hyperplane
 class, so a candidate tuple is four integers (a1, a2, a3, a4).  The

@@ -20,14 +20,14 @@ by quotient groups computed from the manifold data: ``compute_B`` for
 rank 4, ``compute_B x compute_T`` for rank 3.
 
 ``check_rank4`` is the one per-tuple decision.  It reads condition (1) off
-``CompiledManifold.condition1``, the one evaluator of (1), which the census
-and the law ``rhs3_integral`` read as well, and conditions (2) and (3),
-<u4,[M]> and their right-hand sides, off the manifold's compiled
-congruences (``data.congruences``): three dot products with the values of
-its coordinate monomials, no cup.  ``compute_B`` applies rho2, Sq^2 and
-beta to coordinate tuples through ``CompiledManifold.apply``, which reduces
-and raises as ``apply_op`` does; neither it nor ``check_rank4`` builds a
-class to reach a matrix.
+``CompiledManifold.condition1``, the one evaluator of (1), which the census and the law
+``rhs3_integral`` read as well: XORs of a mod-2 form compiled once per manifold, exact on the
+validated data the gate lets through, as it passes ``rho2_times2``.  Conditions (2) and (3),
+<u4,[M]> and their right-hand sides, it reads off the manifold's compiled congruences
+(``data.congruences``): three dot products with the values of its coordinate monomials.  So a
+question makes no cup and applies no matrix.  ``compute_B`` applies rho2, Sq^2 and beta to
+coordinate tuples through ``CompiledManifold.apply``, which reduces and raises as ``apply_op``
+does; neither it nor ``check_rank4`` builds a class to reach a matrix.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ def check_rank4(data: ManifoldData, u: ChernTuple) -> Verdict:
     u1, u2, u3, u4 = data.checked(u)
     lhs1, rhs1 = data.compiled.condition1(u1, u2, u3)
     condition1 = Condition1(
-        lhs1 == rhs1, CohomologyClass(6, "Z2", lhs1), CohomologyClass(6, "Z2", rhs1)
+        lhs1 == rhs1, CohomologyClass._of(6, "Z2", lhs1), CohomologyClass._of(6, "Z2", rhs1)
     )
     if not condition1.passed:
         return Verdict(
@@ -200,8 +200,8 @@ def count_classes(
     if rank not in (3, 4):
         raise ValueError(f"rank must be 3 or 4, got {rank}")
     if rank == 3 and not isinstance(u, ChernTuple):
-        if len(u) != 3:
-            raise ValueError(f"rank 3 expects a ChernTuple or three classes, got {len(u)}")
+        if (got := len(u) if hasattr(u, "__len__") else type(u).__name__) != 3:  # a count, or the type
+            raise ValueError(f"rank 3 expects a ChernTuple or three classes, got {got}")
         u = ChernTuple(*u, data.zero(8))
     # u4 is checked by check_rank4, in H^8 = Z: a rank-3 bundle has c4 = 0
     if not check_rank4(data, u).realizable or rank == 3 and any(u.u4.coords):

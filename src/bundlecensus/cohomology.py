@@ -8,16 +8,16 @@ class.  Who checks what: the parser (``manifold_io``) checks a file's
 tokens, declared sizes and duplicate sections, and gives line numbers.
 The ``ManifoldData`` constructor rejects data whose sections do not fit
 its groups (``shape_problems``), so no query meets a misshapen matrix,
-table or class.  ``validate_manifold`` runs each law of ``LAWS`` once, on
-the compiled form that every query reads too, so a validated manifold is
-compiled once; a law whose prerequisites (``NEEDS``) failed yields nothing.
-``tables_complete`` asks for every table a query reads, so validated also
-means complete, and ``rhs3_integral`` that the right-hand side of (3) is an
-integer wherever condition (1) holds; it reads 4*rhs(3) off the one degree-8
-evaluator, the polynomial ``charclass`` compiles (``data.congruences``), so
-loading builds it.  Every query of conditions (1)-(3), rr and the counts
-takes its tuple through one gate, ``ManifoldData.checked``, and so decides
-validated data only.
+table or class.  ``validate_manifold`` runs each law of ``LAWS`` once, on the compiled form that
+every query reads too, so a validated manifold is compiled once; a law whose prerequisites
+(``NEEDS``) failed yields nothing.  ``tables_complete`` asks for every table a query reads, so
+validated also means complete, and ``rhs3_integral`` that the right-hand side of (3) is an integer
+wherever condition (1) holds; it reads 4*rhs(3) off the one degree-8 evaluator, the polynomial
+``charclass`` compiles (``data.congruences``), so loading builds it.  Condition (1) is compiled once
+as a mod-2 form (``CompiledManifold.condition1``), exact where rho2 commutes with reduction, the law
+``rho2_times2``.  Every reader of (1) has that law: ``rhs3_integral`` by ``NEEDS``, the census and
+every query of conditions (1)-(3), rr and the counts by deciding validated data only, the queries
+by taking their tuple through one gate, ``ManifoldData.checked``.
 
 Classes are stored with coordinates reduced modulo the invariant factor
 of each generator, or mod 2, so equality of classes is a plain tuple
@@ -34,8 +34,8 @@ cost every cold start of the package about 10 ms.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
-from operator import add, index, mul, xor
+from functools import cached_property, reduce
+from operator import index, mul, xor
 from typing import Iterable, Iterator, Literal, NamedTuple
 
 from .abelian import FGAbelianGroup, IntMatrix, kernel_mod2_rows, rank_mod2_rows
@@ -76,7 +76,11 @@ class CohomologyClass(namedtuple("CohomologyClass", "degree ring coords")):
     __slots__ = ()
 
     def __new__(cls, degree: int, ring: Ring, coords: Iterable[int]):
-        self = tuple.__new__(cls, (index(degree), ring, tuple(map(index, coords))))
+        return cls._of(index(degree), ring, tuple(map(index, coords)))
+
+    @classmethod
+    def _of(cls, degree: int, ring: Ring, coords: tuple[int, ...]):  # fields that passed operator.index
+        self = tuple.__new__(cls, (degree, ring, coords))
         self.__post_init__()
         return self
 
@@ -225,7 +229,7 @@ class ManifoldData(
     # -- class constructors and arithmetic -----------------------------
 
     def zclass(self, degree: int, coords: Iterable[int]) -> CohomologyClass:
-        return CohomologyClass(degree, "Z", self.integral.groups[degree].reduce(coords))
+        return CohomologyClass._of(degree, "Z", self.integral.groups[degree].reduce(coords))
 
     def m2class(self, degree: int, bits: Iterable[int]) -> CohomologyClass:
         b = tuple(index(x) % 2 for x in bits)
@@ -233,13 +237,13 @@ class ManifoldData(
             raise ValueError(
                 f"expected {self.m2dim(degree)} mod-2 coordinates in degree {degree}, got {len(b)}"
             )
-        return CohomologyClass(degree, "Z2", b)
+        return CohomologyClass._of(degree, "Z2", b)
 
     def make_class(self, degree: int, ring: str, coords: Iterable[int]) -> CohomologyClass:
         return self.zclass(degree, coords) if ring == "Z" else self.m2class(degree, coords)
 
     def zero(self, degree: int, ring: str = "Z") -> CohomologyClass:
-        return CohomologyClass(degree, ring, (0,) * self.dim(degree, ring))
+        return CohomologyClass._of(degree, ring, (0,) * self.dim(degree, ring))
 
     def add(self, x: CohomologyClass, y: CohomologyClass) -> CohomologyClass:
         if (x.degree, x.ring) != (y.degree, y.ring):
@@ -428,7 +432,9 @@ class CompiledManifold(NamedTuple):
     Sq^2 at each degree n whose target degree is at most 8: empty or zero
     rows when a side is trivial, None when the matrix is missing.  Every
     result is reduced where ``cup`` and ``apply_op`` reduce it, so they
-    agree bit for bit.
+    agree bit for bit.  ``form`` is condition (1) mod 2 (None where a part is missing), as int
+    bitmasks over H^6(Z/2): Sq^2 rho2(e_j) for each generator e_j of H^4, rho2(e_k) for each
+    generator e_k of H^6 and (i, j, rho2(e_i*e_j)) for each nonzero one of the (2, 4) table.
     """
 
     factors: tuple[tuple[int, ...], ...]
@@ -438,6 +444,7 @@ class CompiledManifold(NamedTuple):
     pairing: Coords
     p1: Coords
     c: Coords
+    form: tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int, int], ...]] | None = None
 
     def _check(self, degree: int, coords, ring: Ring = "Z") -> Coords:
         """coords, raising ``ValueError`` unless it has one entry per generator of H^degree, or of
@@ -491,12 +498,25 @@ class CompiledManifold(NamedTuple):
         return tuple([sum(map(mul, row, x)) % 2 for row in rows])
 
     def condition1(self, u1: Coords, u2: Coords, u3: Coords) -> tuple[Coords, Coords]:
-        """The two sides of condition (1), Sq^2 rho2(u2) and rho2(u3 + u1*u2), as mod-2
-        coordinates of H^6; raising ``MissingOperationError`` for the cup (2, 4) first, then for
-        rho2 and Sq^2 at degree 4, then for rho2 at degree 6."""
-        u1u2 = self.cup(2, u1, 4, u2)
-        lhs = self.apply("sq2", 4, self.apply("rho2", 4, u2))
-        return lhs, self.apply("rho2", 6, self.reduce(6, tuple(map(add, self._check(6, u3), u1u2))))
+        """Sq^2 rho2(u2) and rho2(u3 + u1*u2), the sides of condition (1) in H^6(Z/2): XORs of ``form`` at
+        the odd coordinates of u1, u2 and u3, exact where the law ``rho2_times2`` holds; raising the
+        ``MissingOperationError`` of the cup (2, 4), then rho2 and Sq^2 at degree 4, then rho2 at 6."""
+        self._check(2, u1), self._check(4, u2)
+        if self.form is None:  # a part is missing: raise for the first, in the order (1) reads them
+            self.table(2, 4)
+            op, n = next(x for x in (("rho2", 4), ("sq2", 4), ("rho2", 6)) if self.ops[x[0]][x[1]] is None)
+            if n == 6:
+                self._check(6, u3)
+            raise MissingOperationError(f"missing {op} matrix at degree {n}")
+        (squares, reductions, products), lhs, rhs = self.form, 0, 0
+        for x, bits in zip(u2, squares):
+            lhs ^= bits if x & 1 else 0
+        for x, bits in zip(self._check(6, u3), reductions):
+            rhs ^= bits if x & 1 else 0
+        for i, j, bits in products:
+            rhs ^= bits if u1[i] & u2[j] & 1 else 0
+        positions = range(self.m2dims[6])
+        return tuple([lhs >> k & 1 for k in positions]), tuple([rhs >> k & 1 for k in positions])
 
     def pair(self, x: Coords) -> int:
         """``pair_top`` of a degree-8 coordinate tuple."""
@@ -532,7 +552,7 @@ def _compile(data: ManifoldData) -> CompiledManifold:
         return None if shape is None else ((0,) * shape[1],) * shape[0]
 
     even = [(a, b) for a in (2, 4, 6) for b in (2, 4, 6) if a + b <= TOP_DEGREE]
-    return CompiledManifold(
+    m = CompiledManifold(
         factors=tuple(g.invariant_factors for g in data.integral.groups),
         m2dims=data.mod2.dims,
         cups={(a, b): _sparse_table(data, a, b) for a, b in (*even, *ODD_CUPS)},
@@ -544,6 +564,15 @@ def _compile(data: ManifoldData) -> CompiledManifold:
         p1=data.p1.coords,
         c=data.spinc_class.coords,
     )
+    if m.cups[2, 4] is None or None in (m.ops["rho2"][4], m.ops["sq2"][4], m.ops["rho2"][6]):
+        return m  # a part of condition (1) is missing: no form
+    # from the op rows and the sparse table: per product the XOR of the rho2(e_k) at odd coefficients
+    units, bits = IntMatrix.identity, lambda x: sum(b << k for k, b in enumerate(x))
+    squares = tuple(bits(m.apply("sq2", 4, m.apply("rho2", 4, e))) for e in units(len(m.factors[4])).to_rows())
+    reductions = tuple(bits(m.apply("rho2", 6, e)) for e in units(len(m.factors[6])).to_rows())
+    products = ((i, j, reduce(xor, [reductions[k] for k, c in terms if c & 1], 0))
+                for i, row in m.table(2, 4).items() for j, terms in row)
+    return m._replace(form=(squares, reductions, tuple(p for p in products if p[2])))
 
 
 # -- validation ----------------------------------------------------------

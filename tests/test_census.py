@@ -11,7 +11,7 @@ import degree8_reference
 import pytest
 from conftest import connected_sum, graded_pair, make_cp4_with_h6_torsion, make_h7_demo
 
-from bundlecensus import census, charclass
+from bundlecensus import census, charclass, cohomology
 from bundlecensus.abelian import FGAbelianGroup, IntMatrix
 from bundlecensus.census import (
     CensusRow,
@@ -332,12 +332,23 @@ def test_census_matches_per_tuple_evaluation_on_unvalidated_data():
     assert set(outcomes) == {"answered", "ManifoldValidationError"}, outcomes
 
 
+@pytest.fixture
+def form_builds(monkeypatch):
+    """The data of each compilation, which builds condition (1)'s mod-2 form with the rest."""
+    builds = []
+    compile_once = cohomology._compile
+    monkeypatch.setattr(cohomology, "_compile", lambda data: builds.append(data) or compile_once(data))
+    return builds
+
+
 @pytest.mark.parametrize("name, ranks", [("torsion-demo", (4, 3)), ("cp2xcp2", (3,))])
-def test_census_looks_condition_1_up_where_rho2_commutes_with_reduction(name, ranks, monkeypatch):
+def test_census_looks_condition_1_up_where_rho2_commutes_with_reduction(name, ranks, monkeypatch, form_builds):
     # rho2 at degree 6 commutes with reduction on validated data (rho2_times2) and the cup is
     # bilinear, so condition (1) depends on u1, u2 and u3 mod 2 alone: the census applies rho2 at 6
-    # once per parity of u3 and once per parities of (u1, u2), never per tuple or per (u1, u2)
-    data = builtin(name)
+    # once per parity of u3, and reads (1) per parities of (u1, u2) off the compiled mod-2 form,
+    # whose build, once per instance, applies rho2 at 6 once per generator of H^6; never per tuple
+    data = builtin(name)._replace()
+    form_builds.clear()  # the builtin's own, where this test loads it first
     applied = Counter()
     apply = CompiledManifold.apply
 
@@ -346,13 +357,16 @@ def test_census_looks_condition_1_up_where_rho2_commutes_with_reduction(name, ra
         return apply(self, op, degree, x)
 
     monkeypatch.setattr(CompiledManifold, "apply", counted)
-    for rank in ranks:
+    for k, rank in enumerate(ranks):
+        applied.clear()
+        got = census.enumerate(data, 2, rank)
+        p3s = _parities_of(data, 2, 6)
+        assert form_builds == [data] and data.compiled.form is not None
+        assert applied["rho2", 6] == p3s + (data.ngens(6) if k == 0 else 0)
         expected = per_tuple_census(data, 2, rank)
         assert any(g for _, g in expected) and not all(g for _, g in expected)
-        applied.clear()
-        assert census.enumerate(data, 2, rank) == expected
-        p1s, p2s, p3s = (_parities_of(data, 2, n) for n in (2, 4, 6))
-        assert applied["rho2", 6] == p3s + p1s * p2s
+        assert got == expected
+    assert form_builds == [data]
 
 
 def _box_size_of(data, bound, degree):
@@ -638,20 +652,26 @@ def test_census_matches_per_tuple_evaluation_on_p1_shifted_manifolds():
 @pytest.fixture
 def stage_calls(monkeypatch):
     """What the census cups and compiles: each ``CompiledManifold.cup`` call, by its degrees
-    (a, b), and the data of each ``charclass.compile_congruences`` call."""
+    (a, b), and each ``CompiledManifold.condition1`` call, by the degrees (2, 4) of the product it
+    reads; and the data of each ``charclass.compile_congruences`` call."""
     cups, builds = Counter(), []
-    cup = CompiledManifold.cup
+    cup, condition1 = CompiledManifold.cup, CompiledManifold.condition1
     compile_congruences = charclass.compile_congruences
 
     def counted_cup(self, a, x, b, y):
         cups[a, b] += 1
         return cup(self, a, x, b, y)
 
+    def counted_condition1(self, u1, u2, u3):
+        cups["condition1", 2, 4] += 1
+        return condition1(self, u1, u2, u3)
+
     def counted_compile(data):
         builds.append(data)
         return compile_congruences(data)
 
     monkeypatch.setattr(CompiledManifold, "cup", counted_cup)
+    monkeypatch.setattr(CompiledManifold, "condition1", counted_condition1)
     monkeypatch.setattr(charclass, "compile_congruences", counted_compile)
     return cups, builds
 
@@ -659,23 +679,27 @@ def stage_calls(monkeypatch):
 @pytest.mark.parametrize(
     "name, bound, rank", [("cp4", 2, 4), ("cp4", 4, 3), ("cp2xcp2", 1, 4), ("cp2xcp2", 2, 3)]
 )
-def test_census_shares_once_per_u2_and_per_u3(name, bound, rank, stage_calls):
+def test_census_shares_once_per_u2_and_per_u3(name, bound, rank, stage_calls, form_builds):
     # the residue is read off the compiled polynomial, built once per instance: per u2 and per u3
-    # one sum over its terms, per u1 one weight vector on u2 and one on u3.  Nothing is cupped but
-    # u1*u2 for condition (1), once per parities of (u1, u2)
+    # one sum over its terms, per u1 one weight vector on u2 and one on u3.  Nothing is cupped:
+    # u1*u2 for condition (1) is read off the compiled mod-2 form, also built once per instance,
+    # once per parities of (u1, u2)
     cups, builds = stage_calls
     data = builtin(name)._replace()
+    builds.clear(), form_builds.clear()  # the builtin's own, where this test loads it first
     census.enumerate(data, bound, rank)
     assert len(builds) == 1 and builds[0] is data
+    assert form_builds == [data] and data.compiled.form is not None
     cups.clear()
     census.enumerate(data, bound, rank)
     u1s, u2s = (_box_size_of(data, bound, n) for n in (2, 4))
-    assert len(builds) == 1
-    assert cups == {(2, 4): _parities_of(data, bound, 2) * _parities_of(data, bound, 4)}
-    assert cups[2, 4] < u1s * u2s
+    assert len(builds) == 1 and form_builds == [data]
+    assert cups == {("condition1", 2, 4): _parities_of(data, bound, 2) * _parities_of(data, bound, 4)}
+    assert cups["condition1", 2, 4] < u1s * u2s
     moved = data._replace()
     census.enumerate(moved, bound, rank)
     assert len(builds) == 2 and builds[1] is moved
+    assert form_builds == [data, moved]
 
 
 def test_enumerate_cp4_evaluates_the_closed_form_at_call_time(monkeypatch):

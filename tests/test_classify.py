@@ -2,7 +2,7 @@ import hashlib
 import random
 import re
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
@@ -24,6 +24,7 @@ from bundlecensus.classify import (
 from bundlecensus.cohomology import (
     ChernTuple,
     CohomologyClass,
+    CompiledManifold,
     LawResult,
     ManifoldShapeError,
     ManifoldValidationError,
@@ -36,7 +37,7 @@ from bundlecensus.cohomology import (
 from bundlecensus.fixtures import BUILTIN_NAMES, builtin
 
 from conftest import graded_pair, make_cp4_with_h6_torsion, make_h7_demo, misshape
-from test_census import FIXTURES
+from test_census import FIXTURES, mutated_manifolds
 
 
 def cp4_tuple(data, a1, a2, a3, a4):
@@ -154,6 +155,48 @@ def test_condition_1_matches_generic_operations(name):
             assert check_rank4(data, u).condition1 == expected
         reached += any(m.cup(2, u1, 4, u2)[k] for k in torsion)
     assert (reached > 0) == (name == "cp4-h6-torsion")
+
+
+def test_condition_1_matches_generic_operations_where_rho2_times2_holds():
+    # the compiled mod-2 form is exact wherever rho2 commutes with reduction, validated or not: on
+    # unvalidated data that passes rho2_times2 and tables_complete, called on coordinates as drawn,
+    # torsion ones outside range(d) and entries up to 10^40 included, against the class path on
+    # the reduced tuple
+    rng = random.Random(1_2003_06902)
+    kept, unvalidated, torsion = 0, 0, 0
+    for data in (*mutated_manifolds(200, seed=11), *mutated_manifolds(300, seed=12)):
+        report = data.report
+        if not (report.law("rho2_times2").passed and report.law("tables_complete").passed):
+            continue
+        kept, unvalidated = kept + 1, unvalidated + (not report.ok)
+        m = data.compiled
+        for i in range(20):
+            bound = 10**40 if i % 5 == 0 else 9
+            coords = [[rng.randint(-bound, bound) for _ in m.factors[n]] for n in (2, 4, 6)]
+            torsion += any(not 0 <= x < d for n, u in zip((2, 4, 6), coords) for x, d in zip(u, m.factors[n]) if d)
+            u = data.chern_tuple(*coords, [0] * len(m.factors[8]))
+            lhs, rhs = m.condition1(*map(tuple, coords))
+            expected = paper_condition_1(data, u)
+            assert Condition1(lhs == rhs, CohomologyClass(6, "Z2", lhs), CohomologyClass(6, "Z2", rhs)) == expected
+    assert kept >= 100 and unvalidated >= 30 and torsion >= 50, (kept, unvalidated, torsion)
+
+
+def test_check_rank4_makes_no_compiled_cup_or_apply(monkeypatch):
+    # a question reads condition (1) off the compiled mod-2 form and (2) and (3) off the compiled
+    # congruences, both built with the data: no cup and no operation matrix per question
+    manifolds = [data for data in (FIXTURES[name]() for name in sorted(FIXTURES)) if data.report.ok]
+
+    def refused(*args):
+        raise AssertionError("a compiled cup or apply per question")
+
+    monkeypatch.setattr(CompiledManifold, "cup", refused)
+    monkeypatch.setattr(CompiledManifold, "apply", refused)
+    passed = 0
+    for data in manifolds:
+        for u in islice(seeded_tuples(data, 1_2003_06903), 60):
+            passed += check_rank4(data, u).condition1.passed
+            check_rank3(data, u.u1, u.u2, u.u3)
+    assert len(manifolds) == 9 and passed >= 100
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)

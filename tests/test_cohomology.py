@@ -217,9 +217,11 @@ def _nontrivial_cup(data, a: int, b: int) -> bool:
 
 @pytest.fixture
 def tables_read(monkeypatch):
-    """Each table a query reaches: (op, degree) for a matrix, ("cup", a, b) for a cup table."""
+    """Each table a query reaches: (op, degree) for a matrix, ("cup", a, b) for a cup table, through
+    ``CompiledManifold.apply``, ``cup`` and ``table`` or the class-path ``cup``."""
     reached = set()
     apply, compiled_cup, class_cup = CompiledManifold.apply, CompiledManifold.cup, cohomology.cup
+    table = CompiledManifold.table
 
     def traced_apply(self, op, degree, x):
         reached.add((op, degree))
@@ -229,12 +231,17 @@ def tables_read(monkeypatch):
         reached.add(("cup", a, b))
         return compiled_cup(self, a, x, b, y)
 
+    def traced_table(self, a, b):
+        reached.add(("cup", a, b))
+        return table(self, a, b)
+
     def traced_class_cup(data, x, y):
         reached.add(("cup", x.degree, y.degree))
         return class_cup(data, x, y)
 
     monkeypatch.setattr(CompiledManifold, "apply", traced_apply)
     monkeypatch.setattr(CompiledManifold, "cup", traced_cup)
+    monkeypatch.setattr(CompiledManifold, "table", traced_table)
     for module in (cohomology, classify, charclass):
         monkeypatch.setattr(module, "cup", traced_class_cup)
     return reached
@@ -248,6 +255,9 @@ def test_tables_complete_requires_what_the_queries_read(tables_read):
     for data in complete_manifolds():
         assert data.report.ok, data.name  # the laws apply matrices too: kept before the queries
         tables_read.clear()
+        # condition (1) is read off its compiled mod-2 form, built once per instance with the
+        # compiled form; the build is traced on a new instance, as validation built this one's
+        data._replace().compiled
         m = data.compiled
         for _ in range(3):
             coords = [[rng.randrange(d) if d else rng.randint(-3, 3) for d in m.factors[n]] for n in (2, 4, 6, 8)]

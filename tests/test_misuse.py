@@ -3,10 +3,12 @@
 A question is a ``ChernTuple``, read by the one gate ``ManifoldData.checked``.
 The fixed cases are the ones a plain sequence once slipped past the gate with:
 on cp4 the classes of u = (0, 1, 0, 0) out of degree order were decided
-realizable with rr 0, while u itself is unrealizable with rr -17/6.  The fuzz
-draws a wrong degree, a wrong ring, a wrong length, a permuted order, a
-non-class entry or a wrong count, and asks that no entry answers a misshapen
-question or fails with anything but ``ValueError`` or ``LookupError``.
+realizable with rr 0, while u itself is unrealizable with rr -17/6; and the
+non-sequences that ``count_classes`` at rank 3 once met with Python's
+``TypeError``.  The fuzz draws a wrong degree, a wrong ring, a wrong length, a
+permuted order, a non-class entry, a wrong count or a non-sequence, and asks
+that no entry answers a misshapen question or fails with anything but
+``ValueError`` or ``LookupError``.
 """
 
 from fractions import Fraction
@@ -63,6 +65,14 @@ def test_a_plain_sequence_is_refused(cp4, u, case):
         call()
 
 
+@pytest.mark.parametrize("make, kind", [
+    (lambda u: 5, "int"), (lambda u: None, "NoneType"), (lambda u: iter(u[:3]), "tuple_iterator"),
+], ids=["int", "None", "iterator"])
+def test_a_non_sequence_is_refused_at_rank_3(cp4, u, make, kind):
+    with pytest.raises(ValueError, match=f"^rank 3 expects a ChernTuple or three classes, got {kind}$"):
+        count_classes(cp4, make(u), 3)
+
+
 def test_a_tuple_of_ints_is_refused_by_type():
     with pytest.raises(ValueError, match="^component of type int, expected integral degree 2$"):
         ChernTuple(0, 1, 0, 0)
@@ -94,15 +104,16 @@ def entry(name, data, classes, plain):
         "count_classes-4": lambda: count_classes(data, u, 4),
         "check_rank3": lambda: check_rank3(data, *classes),
         "compute_T": lambda: compute_T(data, *classes),
-        "count_classes-3": lambda: count_classes(data, tuple(classes), 3),
+        "count_classes-3": lambda: count_classes(data, tuple(classes) if isinstance(classes, list) else classes, 3),
     }[name]
 
 
 @st.composite
 def questions(draw):
     """(entry, data, classes, plain, well shaped): one misuse, or none, of a seeded well-shaped
-    question.  A wrong count and a plain sequence go to the entries that take a sequence; the
-    others take the classes as arguments, and Python refuses a wrong count of those."""
+    question.  A wrong count and a plain sequence go to the entries that take a sequence, and a
+    non-sequence in place of the classes to ``count_classes`` at rank 3; the others take the
+    classes as arguments, and Python refuses a wrong count of those."""
     data = builtin(draw(st.sampled_from(NAMES)))
     name = draw(st.sampled_from(sorted(RANKS)))
     degrees = (2, 4, 6, 8)[: RANKS[name]]
@@ -111,6 +122,7 @@ def questions(draw):
     sequence = name not in ("check_rank3", "compute_T")
     misuse = draw(st.sampled_from(
         ("none", "degree", "ring", "length", "permuted", "non-class") + ("count", "plain") * sequence
+        + ("non-sequence",) * (name == "count_classes-3")
     ))
     k = draw(st.integers(0, len(classes) - 1))
     x = classes[k]
@@ -125,6 +137,8 @@ def questions(draw):
         classes[k], classes[j] = classes[j], classes[k]
     elif misuse == "non-class":
         classes[k] = draw(st.sampled_from((0, x.coords, tuple(x), None)))
+    elif misuse == "non-sequence":
+        classes = draw(st.sampled_from((5, None, iter(classes))))
     elif misuse == "count":
         classes = classes[:-1] if draw(st.booleans()) else classes + [data.zero(8)]
     plain = misuse == "count" or misuse == "plain" and RANKS[name] == 4
