@@ -16,8 +16,8 @@ u2 once after u1, u1*u1 or u2, or u2 alone: per u2 and per u3 its share is one s
 terms, and per u1 the terms that read u1 are one weight vector on u2 and one on u3
 (``_weights``), so per u1 the residue is one dot product with u2 plus one with u3.
 Condition (1) depends on u1, u2 and u3 mod 2 alone, as the cup is bilinear and rho2 commutes
-with reduction (the law ``rho2_times2``), so its compiled mod-2 form is exact here.  It is read,
-as ``check_rank4`` reads it, off that form's one evaluator ``CompiledManifold.condition1``, once
+with reduction (the law ``rho2_times2``), so its mod-2 form (``data.form``) is exact here.  It is
+read, as ``check_rank4`` reads it, off that form's one evaluator ``ManifoldData.condition1``, once
 per parities of (u1, u2) at u3 = 0: the sum of its sides there is the rho2(u3) it asks for, so
 each (u1, u2) row looks up at once the residues of the u3s with that rho2; the other u3s fail
 (1).  Validated data has no None verdict: the law ``rhs3_integral`` asks that rhs(3) be an
@@ -131,6 +131,8 @@ def _getter(indices: list[int]):
 def _census(data: ManifoldData, bound: int, rank: int) -> tuple[Iterable[Coords], Iterable[bool]]:
     """The coefficients of the box and their verdicts, as ``enumerate`` pairs them; every
     verdict is decided, and every error raised, before this returns."""
+    if not isinstance(bound, int) or not isinstance(rank, int):  # a bool is an int
+        raise ValueError(f"bound and rank must be ints, got {type(bound).__name__} and {type(rank).__name__}")
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     if rank not in (3, 4):
@@ -161,7 +163,7 @@ def _census(data: ManifoldData, bound: int, rank: int) -> tuple[Iterable[Coords]
         [i if c == k else len(u3s) for i, c in builtins.enumerate(classes)] for k in range(len(number) + 1)
     ]
     keys = {  # the rho2(u3) that (1) asks for, by the parities of u1 and u2: the sum of its sides at u3 = 0
-        (p, q): tuple(map(xor, *m.condition1(p, q, (0,) * n3)))
+        (p, q): tuple(map(xor, *data.condition1(p, q, (0,) * n3)))
         for p in dict.fromkeys(p1s) for q in dict.fromkeys(p2s)
     }
     wanted = {p: [number.get(keys[p, q], len(number)) for q in p2s] for p in dict.fromkeys(p1s)}

@@ -20,14 +20,14 @@ by quotient groups computed from the manifold data: ``compute_B`` for
 rank 4, ``compute_B x compute_T`` for rank 3.
 
 ``check_rank4`` is the one per-tuple decision.  It reads condition (1) off
-``CompiledManifold.condition1``, the one evaluator of (1), which the census and the law
-``rhs3_integral`` read as well: XORs of a mod-2 form compiled once per manifold, exact on the
-validated data the gate lets through, as it passes ``rho2_times2``.  Conditions (2) and (3),
-<u4,[M]> and their right-hand sides, it reads off the manifold's compiled congruences
+``ManifoldData.condition1``, the one evaluator of (1), which the census and the law
+``rhs3_integral`` read as well: XORs of a mod-2 form (``data.form``) built once per manifold,
+exact on the validated data the gate lets through, as it passes ``rho2_times2``.  Conditions (2)
+and (3), <u4,[M]> and their right-hand sides, it reads off the manifold's compiled congruences
 (``data.congruences``): three dot products with the values of its coordinate monomials.  So a
-question makes no cup and applies no matrix.  ``compute_B`` applies rho2, Sq^2 and beta to
-coordinate tuples through ``CompiledManifold.apply``, which reduces and raises as ``apply_op``
-does; neither it nor ``check_rank4`` builds a class to reach a matrix.
+question makes no cup and applies no matrix, and builds nothing: validating builds the form and B.
+``compute_B`` applies rho2, Sq^2 and beta through ``CompiledManifold.apply``, which reduces and
+raises as ``apply_op`` does: neither it nor ``check_rank4`` builds a class to reach a matrix.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ def check_rank4(data: ManifoldData, u: ChernTuple) -> Verdict:
     """Decide whether u is the Chern tuple of a rank-4 bundle over the data; u enters through
     the gate ``data.checked``."""
     u1, u2, u3, u4 = data.checked(u)
-    lhs1, rhs1 = data.compiled.condition1(u1, u2, u3)
+    lhs1, rhs1 = data.condition1(u1, u2, u3)
     condition1 = Condition1(
         lhs1 == rhs1, CohomologyClass._of(6, "Z2", lhs1), CohomologyClass._of(6, "Z2", rhs1)
     )

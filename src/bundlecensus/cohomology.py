@@ -13,11 +13,11 @@ every query reads too, so a validated manifold is compiled once; a law whose pre
 (``NEEDS``) failed yields nothing.  ``tables_complete`` asks for every table a query reads, so
 validated also means complete, and ``rhs3_integral`` that the right-hand side of (3) is an integer
 wherever condition (1) holds; it reads 4*rhs(3) off the one degree-8 evaluator, the polynomial
-``charclass`` compiles (``data.congruences``), so loading builds it.  Condition (1) is compiled once
-as a mod-2 form (``CompiledManifold.condition1``), exact where rho2 commutes with reduction, the law
-``rho2_times2``.  Every reader of (1) has that law: ``rhs3_integral`` by ``NEEDS``, the census and
-every query of conditions (1)-(3), rr and the counts by deciding validated data only, the queries
-by taking their tuple through one gate, ``ManifoldData.checked``.
+``charclass`` compiles (``data.congruences``), so loading builds it, as ``tables_complete`` builds B
+and condition (1) as a mod-2 form (``data.form``, read by ``data.condition1``), exact where rho2
+commutes with reduction, the law ``rho2_times2``.  Every reader of (1) has that law: ``rhs3_integral``
+by ``NEEDS``, the census and every query of conditions (1)-(3), rr and the counts by deciding
+validated data only, the queries by taking their tuple through one gate, ``ManifoldData.checked``.
 
 Classes are stored with coordinates reduced modulo the invariant factor
 of each generator, or mod 2, so equality of classes is a plain tuple
@@ -276,6 +276,38 @@ class ManifoldData(
         return _compile(self)
 
     @cached_property
+    def form(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int, int], ...]]:
+        """Condition (1) mod 2, built on first use (validating is one) and kept as ``compiled`` is:
+        int bitmasks over H^6(Z/2), Sq^2 rho2(e_j) for each generator e_j of H^4, rho2(e_k) for
+        each generator e_k of H^6 and (i, j, rho2(e_i*e_j)) for each nonzero one of the (2, 4)
+        table, the XOR of the rho2(e_k) at its odd coefficients.  The one place that names the parts
+        of (1): a missing one raises its ``MissingOperationError``, in the order the build reads
+        them, the cup (2, 4), then rho2 and Sq^2 at degree 4, then rho2 at degree 6."""
+        m, bits = self.compiled, lambda x: sum(b << k for k, b in enumerate(x))
+        table, units = m.table(2, 4), lambda n: IntMatrix.identity(len(m.factors[n])).to_rows()
+        squares = tuple(bits(m.apply("sq2", 4, m.apply("rho2", 4, e))) for e in units(4))
+        reductions = tuple(bits(m.apply("rho2", 6, e)) for e in units(6))
+        products = ((i, j, reduce(xor, [reductions[k] for k, c in terms if c & 1], 0))
+                    for i, row in table.items() for j, terms in row)
+        return squares, reductions, tuple(p for p in products if p[2])
+
+    def condition1(self, u1: Coords, u2: Coords, u3: Coords) -> tuple[Coords, Coords]:
+        """Sq^2 rho2(u2) and rho2(u3 + u1*u2), the sides of condition (1) in H^6(Z/2): XORs of
+        ``form`` at the odd coordinates of u1, u2 and u3, exact where the law ``rho2_times2`` holds;
+        raising ``ValueError`` for an operand of the wrong length, then the errors of ``form``."""
+        m = self.compiled
+        m._check(2, u1), m._check(4, u2), m._check(6, u3)
+        (squares, reductions, products), lhs, rhs = self.form, 0, 0
+        for x, bits in zip(u2, squares):
+            lhs ^= bits if x & 1 else 0
+        for x, bits in zip(u3, reductions):
+            rhs ^= bits if x & 1 else 0
+        for i, j, bits in products:
+            rhs ^= bits if u1[i] & u2[j] & 1 else 0
+        positions = range(m.m2dims[6])
+        return tuple([lhs >> k & 1 for k in positions]), tuple([rhs >> k & 1 for k in positions])
+
+    @cached_property
     def report(self) -> "ValidationReport":
         """The results of ``LAWS``, kept as ``B`` is: what ``checked`` requires of every query,
         and what ``validate_manifold`` returns or extends."""
@@ -297,7 +329,7 @@ class ManifoldData(
 
     @cached_property
     def B(self) -> FGAbelianGroup:
-        """``classify.compute_B``, which no Chern tuple changes, kept as ``compiled`` is."""
+        """``classify.compute_B``, which no Chern tuple changes, kept as ``compiled`` is; validating builds it."""
         from .classify import compute_B  # classify imports this module
         return compute_B(self)
 
@@ -432,9 +464,7 @@ class CompiledManifold(NamedTuple):
     Sq^2 at each degree n whose target degree is at most 8: empty or zero
     rows when a side is trivial, None when the matrix is missing.  Every
     result is reduced where ``cup`` and ``apply_op`` reduce it, so they
-    agree bit for bit.  ``form`` is condition (1) mod 2 (None where a part is missing), as int
-    bitmasks over H^6(Z/2): Sq^2 rho2(e_j) for each generator e_j of H^4, rho2(e_k) for each
-    generator e_k of H^6 and (i, j, rho2(e_i*e_j)) for each nonzero one of the (2, 4) table.
+    agree bit for bit.  Condition (1) is read off ``ManifoldData.form``, built from these.
     """
 
     factors: tuple[tuple[int, ...], ...]
@@ -444,7 +474,6 @@ class CompiledManifold(NamedTuple):
     pairing: Coords
     p1: Coords
     c: Coords
-    form: tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int, int], ...]] | None = None
 
     def _check(self, degree: int, coords, ring: Ring = "Z") -> Coords:
         """coords, raising ``ValueError`` unless it has one entry per generator of H^degree, or of
@@ -497,27 +526,6 @@ class CompiledManifold(NamedTuple):
             return self.reduce(degree + 1, [sum(map(mul, row, x)) for row in rows])
         return tuple([sum(map(mul, row, x)) % 2 for row in rows])
 
-    def condition1(self, u1: Coords, u2: Coords, u3: Coords) -> tuple[Coords, Coords]:
-        """Sq^2 rho2(u2) and rho2(u3 + u1*u2), the sides of condition (1) in H^6(Z/2): XORs of ``form`` at
-        the odd coordinates of u1, u2 and u3, exact where the law ``rho2_times2`` holds; raising the
-        ``MissingOperationError`` of the cup (2, 4), then rho2 and Sq^2 at degree 4, then rho2 at 6."""
-        self._check(2, u1), self._check(4, u2)
-        if self.form is None:  # a part is missing: raise for the first, in the order (1) reads them
-            self.table(2, 4)
-            op, n = next(x for x in (("rho2", 4), ("sq2", 4), ("rho2", 6)) if self.ops[x[0]][x[1]] is None)
-            if n == 6:
-                self._check(6, u3)
-            raise MissingOperationError(f"missing {op} matrix at degree {n}")
-        (squares, reductions, products), lhs, rhs = self.form, 0, 0
-        for x, bits in zip(u2, squares):
-            lhs ^= bits if x & 1 else 0
-        for x, bits in zip(self._check(6, u3), reductions):
-            rhs ^= bits if x & 1 else 0
-        for i, j, bits in products:
-            rhs ^= bits if u1[i] & u2[j] & 1 else 0
-        positions = range(self.m2dims[6])
-        return tuple([lhs >> k & 1 for k in positions]), tuple([rhs >> k & 1 for k in positions])
-
     def pair(self, x: Coords) -> int:
         """``pair_top`` of a degree-8 coordinate tuple."""
         if len(x) != len(self.pairing):
@@ -552,7 +560,7 @@ def _compile(data: ManifoldData) -> CompiledManifold:
         return None if shape is None else ((0,) * shape[1],) * shape[0]
 
     even = [(a, b) for a in (2, 4, 6) for b in (2, 4, 6) if a + b <= TOP_DEGREE]
-    m = CompiledManifold(
+    return CompiledManifold(
         factors=tuple(g.invariant_factors for g in data.integral.groups),
         m2dims=data.mod2.dims,
         cups={(a, b): _sparse_table(data, a, b) for a, b in (*even, *ODD_CUPS)},
@@ -564,15 +572,6 @@ def _compile(data: ManifoldData) -> CompiledManifold:
         p1=data.p1.coords,
         c=data.spinc_class.coords,
     )
-    if m.cups[2, 4] is None or None in (m.ops["rho2"][4], m.ops["sq2"][4], m.ops["rho2"][6]):
-        return m  # a part of condition (1) is missing: no form
-    # from the op rows and the sparse table: per product the XOR of the rho2(e_k) at odd coefficients
-    units, bits = IntMatrix.identity, lambda x: sum(b << k for k, b in enumerate(x))
-    squares = tuple(bits(m.apply("sq2", 4, m.apply("rho2", 4, e))) for e in units(len(m.factors[4])).to_rows())
-    reductions = tuple(bits(m.apply("rho2", 6, e)) for e in units(len(m.factors[6])).to_rows())
-    products = ((i, j, reduce(xor, [reductions[k] for k, c in terms if c & 1], 0))
-                for i, row in m.table(2, 4).items() for j, terms in row)
-    return m._replace(form=(squares, reductions, tuple(p for p in products if p[2])))
 
 
 # -- validation ----------------------------------------------------------
@@ -799,21 +798,19 @@ def _sq2_squares_deg2(data: ManifoldData) -> Iterator[LawResult]:
     ))
 
 
-# The matrices that condition (1) and B apply, as (op, degree).
-QUERIED_MATRICES = (("rho2", 3), ("rho2", 4), ("rho2", 6), ("sq2", 3), ("sq2", 4), ("beta", 5))
-
-
 def _tables_complete(data: ManifoldData) -> Iterator[LawResult]:
-    # Every table a query reads is given where it is not trivially zero, so no
-    # query on validated data raises MissingOperationError; each witness is the
-    # message that query would raise.
+    # Every table a query reads is given where it is not trivially zero, so no query on validated
+    # data raises MissingOperationError; each witness is the message that query would raise.  The
+    # matrices are those the builds of the form of (1) and of B apply, so complete data holds both.
     m = data.compiled
     odd = data.odd_generators is not None  # T's tables are read only where odd generators are given
-    cups = [ab for ab, table in m.cups.items() if table is None and (odd or ab not in ODD_CUPS)]
-    yield _counterexample("tables_complete", (
-        *(f"missing cup product table for degrees {ab}" for ab in cups),
-        *(f"missing {op} matrix at degree {n}" for op, n in QUERIED_MATRICES if m.ops[op][n] is None),
-    ))
+    missing = [f"missing cup product table for degrees {ab}" for ab, table in m.cups.items()
+               if table is None and (odd or ab not in ODD_CUPS)]
+    try:
+        data.form, data.B
+    except MissingOperationError as error:
+        missing.append(str(error))
+    yield _counterexample("tables_complete", missing)
 
 
 def _torsion_pairs_to_zero(data: ManifoldData) -> Iterator[LawResult]:
@@ -845,7 +842,7 @@ def _rhs3_integral(data: ManifoldData) -> Iterator[LawResult]:
     m, congruences = data.compiled, data.congruences
     n1, n2, n3, n4 = (len(m.factors[n]) for n in (2, 4, 6, 8))
     units = IntMatrix.identity(n2 + n3).to_rows()
-    columns = [tuple(map(xor, *m.condition1((0,) * n1, x[:n2], x[n2:]))) for x in units]
+    columns = [tuple(map(xor, *data.condition1((0,) * n1, x[:n2], x[n2:]))) for x in units]
     generators = kernel_mod2_rows(columns) + [tuple(2 * v for v in x) for x in units]
 
     def witness(x: Coords, value: int) -> str:

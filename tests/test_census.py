@@ -6,12 +6,13 @@ import random
 import re
 import time
 from collections import Counter
+from functools import cached_property
 
 import degree8_reference
 import pytest
 from conftest import connected_sum, graded_pair, make_cp4_with_h6_torsion, make_h7_demo
 
-from bundlecensus import census, charclass, cohomology
+from bundlecensus import census, charclass
 from bundlecensus.abelian import FGAbelianGroup, IntMatrix
 from bundlecensus.census import (
     CensusRow,
@@ -77,6 +78,19 @@ def test_argument_validation():
         enumerate_cp4(-1, 4)
     with pytest.raises(ValueError, match="rank"):
         enumerate_cp4(1, 2)
+    # a bound or rank that is not an int is refused by its type, first, on both entry points
+    cp4 = builtin("cp4")
+    misuses = [(1, 4.0, "int and float"), (1.5, 4, "float and int"), ("2", 4, "str and int"), (None, 4, "NoneType and int")]
+    for bound, rank, types in misuses + [(-1.0, 2, "float and int")]:  # the type before the sign and the rank
+        message = f"^bound and rank must be ints, got {types}$"
+        with pytest.raises(ValueError, match=message):
+            census.enumerate(cp4, bound, rank)
+        with pytest.raises(ValueError, match=message):
+            enumerate_cp4(bound, rank)
+    assert census.enumerate(cp4, True, 4) == census.enumerate(cp4, 1, 4)  # a bool is an int
+    assert enumerate_cp4(True, 4) == enumerate_cp4(1, 4)
+    with pytest.raises(ValueError, match="^enumerate_cp4 needs"):  # its shape check comes first
+        enumerate_cp4(1.5, 4, builtin("s8"))
 
 
 # sha256 of repr([(coefficients, closed_form, generic), ...]) of enumerate_cp4(6, rank),
@@ -334,10 +348,11 @@ def test_census_matches_per_tuple_evaluation_on_unvalidated_data():
 
 @pytest.fixture
 def form_builds(monkeypatch):
-    """The data of each compilation, which builds condition (1)'s mod-2 form with the rest."""
-    builds = []
-    compile_once = cohomology._compile
-    monkeypatch.setattr(cohomology, "_compile", lambda data: builds.append(data) or compile_once(data))
+    """The data of each build of condition (1)'s mod-2 form, ``data.form``."""
+    builds, build = [], ManifoldData.form.func
+    counted = cached_property(lambda data: builds.append(data) or build(data))
+    counted.__set_name__(ManifoldData, "form")
+    monkeypatch.setattr(ManifoldData, "form", counted)
     return builds
 
 
@@ -361,7 +376,7 @@ def test_census_looks_condition_1_up_where_rho2_commutes_with_reduction(name, ra
         applied.clear()
         got = census.enumerate(data, 2, rank)
         p3s = _parities_of(data, 2, 6)
-        assert form_builds == [data] and data.compiled.form is not None
+        assert form_builds == [data] and "form" in vars(data)
         assert applied["rho2", 6] == p3s + (data.ngens(6) if k == 0 else 0)
         expected = per_tuple_census(data, 2, rank)
         assert any(g for _, g in expected) and not all(g for _, g in expected)
@@ -586,7 +601,7 @@ def test_condition_1_and_4_rhs3_mod_4_move_as_the_law_reads_them(name):
     ells = [pair_top(data, cup(data, s, data.zclass(4, y))) for y in IntMatrix.identity(data.ngens(4)).to_rows()]
 
     def decide(u1, u2, u3):
-        lhs1, rhs1 = m.condition1(u1, u2, u3)
+        lhs1, rhs1 = data.condition1(u1, u2, u3)
         rhs3_times4 = sum(map(operator.mul, congruences.conditions[2], congruences.values(u1 + u2 + u3 + zero)))
         return lhs1 == rhs1, rhs3_times4 % 4
 
@@ -652,10 +667,10 @@ def test_census_matches_per_tuple_evaluation_on_p1_shifted_manifolds():
 @pytest.fixture
 def stage_calls(monkeypatch):
     """What the census cups and compiles: each ``CompiledManifold.cup`` call, by its degrees
-    (a, b), and each ``CompiledManifold.condition1`` call, by the degrees (2, 4) of the product it
+    (a, b), and each ``ManifoldData.condition1`` call, by the degrees (2, 4) of the product it
     reads; and the data of each ``charclass.compile_congruences`` call."""
     cups, builds = Counter(), []
-    cup, condition1 = CompiledManifold.cup, CompiledManifold.condition1
+    cup, condition1 = CompiledManifold.cup, ManifoldData.condition1
     compile_congruences = charclass.compile_congruences
 
     def counted_cup(self, a, x, b, y):
@@ -671,7 +686,7 @@ def stage_calls(monkeypatch):
         return compile_congruences(data)
 
     monkeypatch.setattr(CompiledManifold, "cup", counted_cup)
-    monkeypatch.setattr(CompiledManifold, "condition1", counted_condition1)
+    monkeypatch.setattr(ManifoldData, "condition1", counted_condition1)
     monkeypatch.setattr(charclass, "compile_congruences", counted_compile)
     return cups, builds
 
@@ -689,7 +704,7 @@ def test_census_shares_once_per_u2_and_per_u3(name, bound, rank, stage_calls, fo
     builds.clear(), form_builds.clear()  # the builtin's own, where this test loads it first
     census.enumerate(data, bound, rank)
     assert len(builds) == 1 and builds[0] is data
-    assert form_builds == [data] and data.compiled.form is not None
+    assert form_builds == [data] and "form" in vars(data)
     cups.clear()
     census.enumerate(data, bound, rank)
     u1s, u2s = (_box_size_of(data, bound, n) for n in (2, 4))

@@ -139,7 +139,7 @@ def seeded_tuples(data, seed):
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_condition_1_matches_generic_operations(name):
-    # CompiledManifold.condition1, the one evaluator of (1), called directly as well, since
+    # ManifoldData.condition1, the one evaluator of (1), called directly as well, since
     # check_rank4 refuses cp4-p1-2, which fails a law.  On cp4-h6-torsion u1*u2 reaches the
     # torsion of H^6
     data = FIXTURES[name]()
@@ -149,7 +149,7 @@ def test_condition_1_matches_generic_operations(name):
     for u in seeded_tuples(data, 1_2003_06901):
         expected = paper_condition_1(data, u)
         u1, u2, u3, _ = map(m.reduce, (2, 4, 6, 8), (x.coords for x in u))
-        lhs, rhs = m.condition1(u1, u2, u3)
+        lhs, rhs = data.condition1(u1, u2, u3)
         assert Condition1(lhs == rhs, CohomologyClass(6, "Z2", lhs), CohomologyClass(6, "Z2", rhs)) == expected
         if data.report.ok:
             assert check_rank4(data, u).condition1 == expected
@@ -175,7 +175,7 @@ def test_condition_1_matches_generic_operations_where_rho2_times2_holds():
             coords = [[rng.randint(-bound, bound) for _ in m.factors[n]] for n in (2, 4, 6)]
             torsion += any(not 0 <= x < d for n, u in zip((2, 4, 6), coords) for x, d in zip(u, m.factors[n]) if d)
             u = data.chern_tuple(*coords, [0] * len(m.factors[8]))
-            lhs, rhs = m.condition1(*map(tuple, coords))
+            lhs, rhs = data.condition1(*map(tuple, coords))
             expected = paper_condition_1(data, u)
             assert Condition1(lhs == rhs, CohomologyClass(6, "Z2", lhs), CohomologyClass(6, "Z2", rhs)) == expected
     assert kept >= 100 and unvalidated >= 30 and torsion >= 50, (kept, unvalidated, torsion)
@@ -238,7 +238,9 @@ def test_missing_operations_raise_on_every_path(cp4, field, message):
             query(stripped, u)
     assert stripped.report.law("tables_complete").witness.startswith("missing ")
     with pytest.raises(MissingOperationError, match=re.escape(message)):  # condition (1), not gated
-        stripped.compiled.condition1((1,), (1,), (1,))
+        stripped.condition1((1,), (1,), (1,))
+    with pytest.raises(ValueError, match="^expected 1 coordinates, got 2$"):  # lengths come first
+        stripped.condition1((1,), (1,), (1, 0))
 
 
 def test_malformed_coordinates_are_rejected(cp4):

@@ -2,18 +2,18 @@ import itertools
 import pickle
 import random
 from collections import Counter
+from functools import cached_property
 
 import pytest
 from hypothesis import given, strategies as st
 
 from bundlecensus import census, charclass, classify, cohomology, manifold_io
-from bundlecensus.abelian import IntMatrix
+from bundlecensus.abelian import FGAbelianGroup, IntMatrix
 from bundlecensus.charclass import chern_product, rr_value, zero_tuple
-from bundlecensus.classify import check_rank4, compute_T, count_classes
+from bundlecensus.classify import check_rank3, check_rank4, compute_B, compute_T, count_classes
 from bundlecensus.cohomology import (
     DEGREES,
     ODD_CUPS,
-    QUERIED_MATRICES,
     CompiledManifold,
     CohomologyClass,
     GradedGroupZ,
@@ -156,6 +156,11 @@ def test_shape_requires_complete_tables_in_range_and_blocks_of_four(make, witnes
     assert str(info.value) == witness
 
 
+# The matrices that building condition (1)'s form and B applies, as (op, degree): what the law
+# tables_complete asks for beside the cup tables.
+QUERIED_MATRICES = (("rho2", 3), ("rho2", 4), ("rho2", 6), ("sq2", 3), ("sq2", 4), ("beta", 5))
+
+
 @pytest.mark.parametrize(
     "name, drop, witness",
     [
@@ -255,9 +260,10 @@ def test_tables_complete_requires_what_the_queries_read(tables_read):
     for data in complete_manifolds():
         assert data.report.ok, data.name  # the laws apply matrices too: kept before the queries
         tables_read.clear()
-        # condition (1) is read off its compiled mod-2 form, built once per instance with the
-        # compiled form; the build is traced on a new instance, as validation built this one's
-        data._replace().compiled
+        # condition (1) is read off its mod-2 form and the counts off B, each built once per
+        # instance; the builds are traced on a new instance, as validation built this one's
+        fresh = data._replace()
+        fresh.form, fresh.B
         m = data.compiled
         for _ in range(3):
             coords = [[rng.randrange(d) if d else rng.randint(-3, 3) for d in m.factors[n]] for n in (2, 4, 6, 8)]
@@ -281,6 +287,78 @@ def test_tables_complete_requires_what_the_queries_read(tables_read):
     required = {("cup", a, b) for a, b in EVEN_CUPS}
     required |= {("cup", a, b) for a, b in ODD_CUPS} | set(QUERIED_MATRICES)
     assert required <= reached_anywhere
+
+
+def test_the_parts_of_condition_1_are_named_before_B():
+    # the law's matrix witness is what building the form of (1), then B, raises first: with rho2
+    # missing at degree 3 (B's) and at 4 (that of (1)), it names degree 4, once H^3 and H^4 = Z
+    # are added to torsion-demo; given rho2 at 4, B's
+    integral, mod2 = graded_pair(
+        {0: ((0,), ("1",)), 3: ((0,), ("y",)), 4: ((0,), ("x",)), 6: ((2,), ("s",)), 8: ((0,), ("v",))},
+        {0: ("1",), 3: ("y",), 4: ("x",), 5: ("x5",), 6: ("x6",), 8: ("v",)},
+    )
+    data = builtin("torsion-demo")._replace(
+        integral=integral, mod2=mod2, cup_z={(4, 4): {(0, 0): (1,)}}, p1=CohomologyClass(4, "Z", (0,)),
+        sq2={3: IntMatrix.identity(1), 4: IntMatrix.zeros(1, 1)},
+    )
+    assert {3, 4}.isdisjoint(data.rho2)
+    law = data.report.law("tables_complete")
+    assert law == LawResult("tables_complete", False, "missing rho2 matrix at degree 4")
+    given_4 = data._replace(rho2={**data.rho2, 4: IntMatrix.identity(1)})
+    assert given_4.report.law("tables_complete").witness == "missing rho2 matrix at degree 3"
+    assert given_4._replace(rho2={**given_4.rho2, 3: IntMatrix.identity(1)}).report.law("tables_complete").passed
+
+
+def test_tables_complete_asks_for_sq2_at_3_only_where_b_applies_it(torsion_demo):
+    # B applies Sq^2 at degree 3 to the integral generators of H^3 alone: with H^4 = Z/2, H^3 = 0
+    # but H^3(Z/2) = Z/2 (Tor), no question reads Sq^2 at 3, and data without it validates
+    integral, mod2 = graded_pair(
+        {0: ((0,), ("1",)), 4: ((2,), ("t",)), 6: ((2,), ("s",)), 8: ((0,), ("v",))},
+        {0: ("1",), 3: ("a",), 4: ("t",), 5: ("x5",), 6: ("x6",), 8: ("v",)},
+    )
+    data = torsion_demo._replace(
+        integral=integral, mod2=mod2, p1=CohomologyClass(4, "Z", (0,)), cup_z={(4, 4): {(0, 0): (0,)}},
+        rho2={**torsion_demo.rho2, 4: IntMatrix.identity(1)}, sq2={4: IntMatrix.zeros(1, 1)},
+        beta={**torsion_demo.beta, 3: IntMatrix.identity(1)},
+    )
+    assert _zero_shape(data, "sq2", 3) is None and 3 not in data.sq2
+    assert data.report.ok
+    zero = data.chern_tuple((), (0,), (0,), (0,))
+    assert count_classes(data, zero, 4) == compute_B(data) == FGAbelianGroup((2,))
+    assert data._replace(sq2={3: IntMatrix.zeros(1, 1)}).report.law("tables_complete").witness == (
+        "missing sq2 matrix at degree 4"
+    )
+
+
+def test_a_question_on_validated_data_builds_nothing(monkeypatch):
+    # loading builds what every question reads: the compiled form, the form of (1), B and the
+    # congruences.  With each builder made to raise, every question still answers
+    manifolds = [builtin(name)._replace() for name in BUILTIN_NAMES] + [make_h7_demo()]
+    assert all(data.report.ok for data in manifolds)
+
+    def refused(*args):
+        raise AssertionError("a question built what loading builds")
+
+    form = cached_property(refused)
+    form.__set_name__(ManifoldData, "form")
+    monkeypatch.setattr(classify, "compute_B", refused)
+    monkeypatch.setattr(charclass, "compile_congruences", refused)
+    monkeypatch.setattr(cohomology, "_compile", refused)
+    monkeypatch.setattr(ManifoldData, "form", form)
+    rng = random.Random(41)
+    for data in manifolds:
+        m = data.compiled
+        zero = data.chern_tuple(*([0] * len(m.factors[n]) for n in (2, 4, 6, 8)))
+        seeded = data.chern_tuple(*([rng.randint(-3, 3) for _ in m.factors[n]] for n in (2, 4, 6, 8)))
+        for u in (zero, seeded):
+            check_rank4(data, u)
+            check_rank3(data, *u[:3])
+            count_classes(data, u, 4)
+            count_classes(data, u[:3], 3)
+            rr_value(data, u)
+        assert count_classes(data, zero, 4) is data.B
+        for rank in (4, 3):
+            census.enumerate(data, 1, rank)
 
 
 def test_dropping_a_required_table_fails_tables_complete():
@@ -625,14 +703,14 @@ def test_compiled_cup_matches_cup():
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda m: m.cup(2, (1, 1, 5), 4, (1, 0, 0)), "expected 2 coordinates, got 3"),
-        (lambda m: m.cup(2, (1, 0), 4, (1, 0)), "expected 3 coordinates, got 2"),
-        (lambda m: m.cup(2, (1,), 4, (1, 0, 0)), "expected 2 coordinates, got 1"),
-        (lambda m: m.condition1((1, 0), (1, 0, 0), (0, 0, 5)), "expected 2 coordinates, got 3"),
-        (lambda m: m.apply("rho2", 4, (1, 0, 0, 7)), "expected 3 coordinates, got 4"),
-        (lambda m: m.apply("rho2", 4, (1,)), "expected 3 coordinates, got 1"),
-        (lambda m: m.apply("sq2", 2, (1, 0, 1)), "expected 2 coordinates, got 3"),
-        (lambda m: m.apply("beta", 4, (1, 0)), "expected 3 coordinates, got 2"),
+        (lambda d: d.compiled.cup(2, (1, 1, 5), 4, (1, 0, 0)), "expected 2 coordinates, got 3"),
+        (lambda d: d.compiled.cup(2, (1, 0), 4, (1, 0)), "expected 3 coordinates, got 2"),
+        (lambda d: d.compiled.cup(2, (1,), 4, (1, 0, 0)), "expected 2 coordinates, got 1"),
+        (lambda d: d.condition1((1, 0), (1, 0, 0), (0, 0, 5)), "expected 2 coordinates, got 3"),
+        (lambda d: d.compiled.apply("rho2", 4, (1, 0, 0, 7)), "expected 3 coordinates, got 4"),
+        (lambda d: d.compiled.apply("rho2", 4, (1,)), "expected 3 coordinates, got 1"),
+        (lambda d: d.compiled.apply("sq2", 2, (1, 0, 1)), "expected 2 coordinates, got 3"),
+        (lambda d: d.compiled.apply("beta", 4, (1, 0)), "expected 3 coordinates, got 2"),
     ],
     ids=["long-x", "short-y", "short-x", "long-u3", "long-rho2", "short-rho2", "long-sq2", "short-beta"],
 )
@@ -640,7 +718,7 @@ def test_compiled_operands_of_the_wrong_length_are_refused(call, message):
     # as reduce refuses them, on cp2xcp2 (H^2 = H^6 = Z^2, H^4 = Z^3, and mod 2 alike; H^5 = 0, so
     # beta at degree 4 has no rows to read the length off): never cut short or read past
     with pytest.raises(ValueError, match=f"^{message}$"):
-        call(builtin("cp2xcp2").compiled)
+        call(builtin("cp2xcp2"))
 
 
 def test_compiled_apply_reads_the_mod2_length_of_its_source(torsion_demo):

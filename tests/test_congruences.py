@@ -101,10 +101,9 @@ def test_term_counts_of_the_right_hand_sides():
 
 def test_cp4_residue_is_the_closed_form_over_a_cell():
     # the residue mod 24 as the census reads it (census._stages and _table, condition (1) from
-    # CompiledManifold.condition1) decides exactly the hand-written congruences of
+    # ManifoldData.condition1) decides exactly the hand-written congruences of
     # cp4_rank4_admissible over a whole cell: a1, a2, a3 mod 24 and a4 mod 6
     data = builtin("cp4")
-    m = data.compiled
     stages = census._stages(data)
     table = census._table(list(range(6)))
     for a in itertools.product(range(24), repeat=3):
@@ -113,7 +112,7 @@ def test_cp4_residue_is_the_closed_form_over_a_cell():
             sum(map(mul, census._weights(stage, values[reads[0]], 1), values[reads[-1]]))
             for reads, stage in stages.items()
         ) % 24
-        lhs1, rhs1 = m.condition1(*values.values())
+        lhs1, rhs1 = data.condition1(*values.values())
         passes1 = lhs1 == rhs1
         assert passes1 <= (r % 4 == 0), a
         verdicts = table[r] if passes1 else [False] * 6

@@ -8,9 +8,10 @@ expansion of the same algebra, which a change to the table would not
 reach.  Here "reads" means a name, an attribute or an imported name.
 
 Condition (1) goes through one evaluator as well,
-``CompiledManifold.condition1``: its left-hand side Sq^2 rho2(u2) is the
-one call ``apply("sq2", 4, ...)`` of the package, and the census, which
-reads (1) there, imports nothing from ``classify``.
+``ManifoldData.condition1``, which reads the form ``data.form``: the build
+of that form holds the left-hand side's Sq^2 rho2, the one call
+``apply("sq2", 4, ...)`` of the package, and the census, which reads (1)
+there, imports nothing from ``classify``.
 
 Each cup table has one compiled form, ``CompiledManifold.cups``: only
 ``cohomology.py`` reads that attribute, and each table is resolved from the
